@@ -21,11 +21,7 @@ from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
 from .mesh import Breakpoints, make_space
 from .projectors import ritz_correction
-from .analysis import apply_projector
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+from .analysis import _fmt, apply_projector
 
 
 def _parse_int_list(text: str) -> list[int]:

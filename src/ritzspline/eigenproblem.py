@@ -20,12 +20,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh
 
+from .analysis import _fmt
 from .mesh import Breakpoints, SplineSpace, make_space
 from .quadrature import gram_matrix, resolve_order
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _sech(m: float) -> float:
+    """1 / cosh(m) for m >= 0, written with exp(-m) so it cannot overflow."""
+    e = math.exp(-m)
+    return 2.0 * e / (1.0 + e * e)
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +42,7 @@ def _beam_root(i: int) -> float:
     lo, hi = mu - 0.5, mu + 0.5
 
     def f(m: float) -> float:
-        return math.cos(m) - 1.0 / math.cosh(m)
+        return math.cos(m) - _sech(m)
 
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:  # asymptotic start is already extremely close
@@ -52,7 +55,7 @@ def _beam_root(i: int) -> float:
             hi = x
         else:
             lo, flo = x, fx
-        dfx = -math.sin(x) + math.tanh(x) / math.cosh(x)
+        dfx = -math.sin(x) + math.tanh(x) * _sech(x)
         step = fx / dfx if dfx != 0 else hi - lo
         nxt = x - step
         if not lo < nxt < hi:

@@ -189,7 +189,12 @@ def evaluate(ast: Expr, x) -> np.ndarray:
         memo[id(node)] = out
         return out
 
-    return rec(ast)
+    try:
+        return rec(ast)
+    finally:
+        # rec refers to itself through its closure, so the memo would live
+        # until the next cycle collection; free the node values now.
+        memo.clear()
 
 
 @lru_cache(maxsize=None)

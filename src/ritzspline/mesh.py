@@ -259,77 +259,54 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _find_span(knots: np.ndarray, p: int, x: float, side: str) -> int:
-    """Index i of the nonempty span with knots[i] <= x < knots[i+1].
+def _basis_table(
+    space: SplineSpace, xs, deriv: int = 0, side: str = "auto"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero basis derivative values at every point of ``xs``.
 
-    ``side='left'`` returns instead the span with knots[i] < x <= knots[i+1],
-    which realizes one-sided limits from below at breakpoints.  Both clamp to
-    the first/last nonempty span at the domain ends.
+    Returns ``(first, vals)``: ``first[m]`` is the index of the first of the
+    p+1 basis functions that may be nonzero at point m, and ``vals[m, j]``
+    the deriv-th derivative of basis function ``first[m] + j`` there.  The
+    span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it
+    (``side='left'``: (t_i, t_{i+1}], the limit from below), clamped to the
+    first/last nonempty span at the domain ends, so ``'auto'`` is
+    right-continuous inside and left-continuous at ``b``.
+
+    The degree-(p - deriv) values come from the Cox-de Boor recurrence; each
+    further degree step applies the derivative recurrence
+    D B_{i,j} = j (B_{i,j-1} / (t_{i+j} - t_i) - B_{i+1,j-1} / (t_{i+j+1} - t_{i+1})),
+    whose denominators are those of the Cox-de Boor step and stay positive
+    on a nonempty span.  Loops run over the degree only.
     """
-    lo, hi = p, knots.size - p - 2
-    if side == "left":
-        i = int(np.searchsorted(knots, x, side="left")) - 1
-    else:
-        i = int(np.searchsorted(knots, x, side="right")) - 1
-    i = min(max(i, lo), hi)
-    # skip zero-length spans (repeated interior knots)
-    while knots[i] == knots[i + 1]:
-        i = i - 1 if side == "left" else i + 1
-    return i
-
-
-def _basis_derivs(knots: np.ndarray, p: int, span: int, x: float, n: int) -> np.ndarray:
-    """All nonzero basis functions and derivatives at ``x``.
-
-    Returns an array of shape (n+1, p+1): row ``d`` holds the d-th
-    derivatives of the p+1 basis functions with indices span-p .. span.
-    Standard triangular-table algorithm: the inverse knot-difference table
-    from the Cox-de Boor recurrence is reused to accumulate the derivative
-    sums, then scaled by the falling factorial of the degree.
-    """
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu[0, 0] = 1.0
+    a, b = space.interval
+    x = np.asarray(xs, dtype=float).ravel()
+    outside = (x < a) | (x > b)
+    if np.any(outside):
+        raise ValueError(f"x={x[np.argmax(outside)]} outside [{a}, {b}]")
+    if deriv < 0:
+        raise ValueError("requires deriv >= 0")
+    if side not in ("auto", "left", "right"):
+        raise ValueError("side must be 'auto', 'left' or 'right'")
+    p, t = space.degree, space.knots
+    span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
+    np.clip(span, p, t.size - p - 2, out=span)
+    vals = np.zeros((x.size, p + 1))
+    if deriv > p:
+        return span - p, vals
+    vals[:, 0] = 1.0
+    x = x[:, None]
+    window = t[span[:, None] + np.arange(1 - p, p + 1)]  # t[span+1-p] .. t[span+p]
     for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-
-    ders = np.zeros((n + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for d in range(1, min(n, p) + 1):
-            dval = 0.0
-            rk, pk = r - d, p - d
-            if r >= d:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                dval = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = d - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                dval += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, d] = -a[s1, d - 1] / ndu[pk + 1, r]
-                dval += a[s2, d] * ndu[r, pk]
-            ders[d, r] = dval
-            s1, s2 = s2, s1
-
-    fac = float(p)
-    for d in range(1, min(n, p) + 1):
-        ders[d, :] *= fac
-        fac *= p - d
-    return ders
+        hi, lo = window[:, p : p + j], window[:, p - j : p]
+        if j <= p - deriv:
+            temp = vals[:, :j] / (hi - lo)
+            vals[:, :j] = (hi - x) * temp
+            vals[:, 1 : j + 1] += (x - lo) * temp
+        else:
+            temp = j * vals[:, :j] / (hi - lo)
+            vals[:, :j] = -temp
+            vals[:, 1 : j + 1] += temp
+    return span - p, vals
 
 
 def eval_basis(
@@ -343,21 +320,8 @@ def eval_basis(
     breakpoints and left-continuous at ``b``; pass ``side='left'`` or
     ``side='right'`` to force a one-sided limit.
     """
-    a, b = space.interval
-    if x < a or x > b:
-        raise ValueError(f"x={x} outside [{a}, {b}]")
-    if deriv < 0:
-        raise ValueError("requires deriv >= 0")
-    if side == "auto":
-        side = "left" if x == b else "right"
-    elif side not in ("left", "right"):
-        raise ValueError("side must be 'auto', 'left' or 'right'")
-    span = _find_span(space.knots, space.degree, x, side)
-    first = span - space.degree
-    if deriv > space.degree:
-        return first, np.zeros(space.degree + 1)
-    ders = _basis_derivs(space.knots, space.degree, span, x, deriv)
-    return first, ders[deriv]
+    first, vals = _basis_table(space, [x], deriv, side)
+    return int(first[0]), vals[0]
 
 
 def eval_spline(s: Spline, x: float, deriv: int = 0, side: str = "auto") -> float:
@@ -369,11 +333,9 @@ def eval_spline(s: Spline, x: float, deriv: int = 0, side: str = "auto") -> floa
 def eval_spline_many(s: Spline, xs: np.ndarray, deriv: int = 0) -> np.ndarray:
     """Vectorized :func:`eval_spline` over an array of points."""
     xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.size)
-    flat = xs.ravel()
-    for i in range(flat.size):
-        out[i] = eval_spline(s, float(flat[i]), deriv)
-    return out.reshape(xs.shape)
+    first, vals = _basis_table(s.space, xs, deriv)
+    coeffs = s.coeffs[first[:, None] + np.arange(s.space.degree + 1)]
+    return np.sum(coeffs * vals, axis=1).reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -412,37 +374,30 @@ def integrate_from_left(s: Spline) -> Spline:
 # ---------------------------------------------------------------------------
 
 
-def _elementary_symmetric(vals: np.ndarray) -> np.ndarray:
-    """e_0..e_m of the given values, by the stable one-value-at-a-time update."""
-    e = np.zeros(vals.size + 1)
-    e[0] = 1.0
-    for v in vals:
-        e[1 : vals.size + 1] = e[1 : vals.size + 1] + v * e[: vals.size]
-    return e
-
-
 def _dual_coefficients(space: SplineSpace, derivs_at) -> np.ndarray:
     """B-spline coefficients of a function known to lie in ``space``.
 
-    ``derivs_at(tau, m)`` must return the m-th derivative at ``tau``.  For
-    each basis index the dual functional is evaluated at the midpoint of the
-    widest knot span inside the basis support, where the integrand is a
-    single polynomial piece:
+    ``derivs_at(taus, m)`` must return the m-th derivative at every point of
+    ``taus``.  For each basis index the dual functional is evaluated at the
+    midpoint of the widest knot span inside the basis support, where the
+    integrand is a single polynomial piece:
 
         c_i = sum_m e_m(t_{i+1} - tau, ..., t_{i+p} - tau) f^(m)(tau) (p-m)!/p!
+
+    The elementary symmetric values e_m are built one knot at a time.
     """
     p, t = space.degree, space.knots
+    rows = np.arange(space.dim)[:, None] + np.arange(p + 1)
+    j = rows[:, 0] + np.argmax(t[rows + 1] - t[rows], axis=1)
+    taus = 0.5 * (t[j] + t[j + 1])
+    e = np.zeros((space.dim, p + 1))
+    e[:, 0] = 1.0
+    for v in (t[rows[:, 1:]] - taus[:, None]).T:
+        e[:, 1:] = e[:, 1:] + v[:, None] * e[:, :-1]
     pfac = factorial(p)
-    coeffs = np.empty(space.dim)
-    for i in range(space.dim):
-        widths = t[i + 1 : i + p + 2] - t[i : i + p + 1]
-        j = i + int(np.argmax(widths))
-        tau = 0.5 * (t[j] + t[j + 1])
-        e = _elementary_symmetric(t[i + 1 : i + p + 1] - tau)
-        acc = 0.0
-        for m in range(p + 1):
-            acc += e[m] * derivs_at(tau, m) * (factorial(p - m) / pfac)
-        coeffs[i] = acc
+    coeffs = np.zeros(space.dim)
+    for m in range(p + 1):
+        coeffs += e[:, m] * derivs_at(taus, m) * (factorial(p - m) / pfac)
     return coeffs
 
 
@@ -468,7 +423,9 @@ def embed(s: Spline, target: SplineSpace) -> Spline:
             "target is not a superspace: requires same breakpoints, "
             f"target p >= {s.space.degree} and target k <= {s.space.smoothness}"
         )
-    return Spline(target, _dual_coefficients(target, lambda tau, m: eval_spline(s, tau, m)))
+    return Spline(
+        target, _dual_coefficients(target, lambda taus, m: eval_spline_many(s, taus, m))
+    )
 
 
 def spline_to_poly(s: Spline, element: int = 0) -> Polynomial:

@@ -33,20 +33,17 @@ from .mesh import (
 from .quadrature import (
     default_order,
     gram_matrix,
+    inner_product,
     load_vector,
     mesh_points,
     resolve_order,
 )
 
 
-def _effective_order(u: SmoothFunction, space: SplineSpace) -> int:
-    return u.max_order
-
-
 def l2_project(space: SplineSpace, u: SmoothFunction, n: int | None = None) -> Spline:
     """Best L2 approximation of ``u`` in the space (banded normal equations)."""
     if n is None:
-        n = default_order(space.degree, _effective_order(u, space))
+        n = default_order(space.degree, u.max_order)
     gram = gram_matrix(space, 0, max(n, space.degree + 1))
     rhs = load_vector(space, u.as_integrand(), n)
     return Spline(space, gram.solve_spd(rhs))
@@ -172,17 +169,13 @@ def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     inner = q_project(derived_space(space, 1), q - 1, u.derivative(1))
     v = integrate_from_left(inner)
     a, b = space.interval
-    n = default_order(space.degree, _effective_order(u, space))
+    n = default_order(space.degree, u.max_order)
     xi = space.breakpoints
-    u_mean = _integral(u.as_integrand(), xi, n)
-    v_mean = _integral(lambda x: eval_spline_many(v, x), xi, n)
+    one = lambda x: 1.0
+    u_mean = inner_product(u.as_integrand(), one, xi, n)
+    v_mean = inner_product(lambda x: eval_spline_many(v, x), one, xi, n)
     c = (u_mean - v_mean) / (b - a)
     return v + poly_to_spline(Polynomial([c], space.interval), space)
-
-
-def _integral(f, xi: Breakpoints, n: int) -> float:
-    xs, ws = mesh_points(xi, n)
-    return float(np.sum(np.asarray(f(xs.ravel())) * ws.ravel()))
 
 
 def ritz_correction(
@@ -199,7 +192,7 @@ def ritz_correction(
         return Polynomial(np.zeros(1), space.interval)
     if qu is None:
         qu = q_project(space, q, u)
-    n = default_order(space.degree, _effective_order(u, space))
+    n = default_order(space.degree, u.max_order)
     residual = lambda x: u.eval(x) - eval_spline_many(qu, x)
     return poly_l2_project(
         q - 1, residual, space.interval, xi=space.breakpoints, n=n
@@ -209,7 +202,7 @@ def ritz_correction(
 def _ritz_saddle(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     """Ritz projection by the dense KKT system: order-q stiffness plus q
     polynomial moment constraints (shifted Legendre test functions)."""
-    n = default_order(space.degree, _effective_order(u, space))
+    n = default_order(space.degree, u.max_order)
     stiff = gram_matrix(space, q, max(n, space.degree + 1)).to_dense()
     dim = space.dim
     kkt = np.zeros((dim + q, dim + q))

@@ -14,9 +14,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cholesky_banded, solveh_banded
 
-from .mesh import Breakpoints, SplineSpace, _basis_derivs, _find_span, _frozen
+from .mesh import Breakpoints, SplineSpace, _basis_table, _frozen
 
 MAX_ORDER = 64
 ENV_ORDER = "RITZ_SPLINE_QUAD_ORDER"
@@ -32,50 +33,14 @@ class GaussRule:
     weights: np.ndarray
     order: int
 
-    def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights transplanted to the interval [a, b]."""
-        half = 0.5 * (b - a)
-        return half * self.nodes + 0.5 * (a + b), half * self.weights
-
-
-def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
 
 @lru_cache(maxsize=None)
 def gauss_rule(n: int) -> GaussRule:
-    """n-point Gauss-Legendre rule.
-
-    The nodes are the roots of the degree-n Legendre polynomial, found by
-    Newton iteration from the Chebyshev-like starting guesses; each iterate
-    stays bracketed between neighbouring extrema, and the weights follow
-    from the derivative formula w = 2 / ((1 - x^2) P_n'(x)^2).
-    """
+    """n-point Gauss-Legendre rule (numpy's ``leggauss``), cached per order."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"requires 1 <= n <= {MAX_ORDER}: got {n}")
-    if n == 1:
-        return GaussRule(_frozen(np.zeros(1)), _frozen(np.full(1, 2.0)), 1)
-    i = np.arange(n)
-    x = np.cos(np.pi * (i + 0.75) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_and_deriv(n, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    # enforce the exact symmetry of the rule
-    x = 0.5 * (x - x[::-1])
-    _, dp = _legendre_and_deriv(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    w = 0.5 * (w + w[::-1])
-    order = np.argsort(x)
-    return GaussRule(_frozen(x[order]), _frozen(w[order]), n)
+    nodes, weights = leggauss(n)
+    return GaussRule(_frozen(nodes), _frozen(weights), n)
 
 
 def resolve_order(requested: int) -> int:
@@ -152,27 +117,23 @@ class BandedSymmetric:
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         return solveh_banded(self.bands, rhs, lower=True)
 
-    def norm_max(self) -> float:
-        return float(np.max(np.abs(self.bands)))
 
-
-def _basis_values_on_element(
+def _element_basis(
     space: SplineSpace, xs: np.ndarray, deriv: int
-) -> tuple[int, np.ndarray]:
-    """First basis index and (len(xs), p+1) derivative values on one element.
+) -> tuple[np.ndarray, np.ndarray]:
+    """First basis index per element and (elements, n, p+1) derivative values.
 
-    All points must lie strictly inside a single element, so the span is
-    shared and derivative evaluation is unambiguous.
+    ``xs`` holds the Gauss points of each element, one row per element as
+    from :func:`mesh_points`, so every row must share one span.
     """
-    p = space.degree
-    span = _find_span(space.knots, p, float(xs[0]), "right")
-    vals = np.empty((xs.size, p + 1))
-    if deriv > p:
-        vals[:] = 0.0
-        return span - p, vals
-    for m, x in enumerate(xs):
-        vals[m] = _basis_derivs(space.knots, p, span, float(x), deriv)[deriv]
-    return span - p, vals
+    first, vals = _basis_table(space, xs, deriv)
+    first = first.reshape(xs.shape)
+    if np.any(first != first[:, :1]):
+        raise ValueError(
+            "requires elements wide enough in double precision that no Gauss "
+            "point rounds onto a breakpoint"
+        )
+    return first[:, 0], vals.reshape(*xs.shape, -1)
 
 
 def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> BandedSymmetric:
@@ -189,14 +150,12 @@ def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> Ban
         n = resolve_order(p + 1 + (p - deriv + 1))
     if n < p + 1:
         raise ValueError("requires n >= p + 1 for exact spline products")
-    bands = np.zeros((p + 1, space.dim))
     xs, ws = mesh_points(space.breakpoints, n)
-    for el in range(space.breakpoints.num_elements):
-        first, vals = _basis_values_on_element(space, xs[el], deriv)
-        local = (vals * ws[el][:, None]).T @ vals
-        for d in range(p + 1):
-            for j in range(p + 1 - d):
-                bands[d, first + j] += local[j + d, j]
+    first, vals = _element_basis(space, xs, deriv)
+    local = np.einsum("eni,en,enj->eij", vals, ws, vals)
+    row, col = np.tril_indices(p + 1)
+    bands = np.zeros((p + 1, space.dim))
+    np.add.at(bands, (row - col, first[:, None] + col), local[:, row, col])
     return BandedSymmetric(_frozen(bands), space.dim, p)
 
 
@@ -204,10 +163,10 @@ def load_vector(
     space: SplineSpace, f: Integrand, n: int, deriv: int = 0
 ) -> np.ndarray:
     """Vector of inner products (f, d^deriv b_i) over the space's mesh."""
-    out = np.zeros(space.dim)
     xs, ws = mesh_points(space.breakpoints, n)
-    for el in range(space.breakpoints.num_elements):
-        fv = np.asarray(f(xs[el]))
-        first, vals = _basis_values_on_element(space, xs[el], deriv)
-        out[first : first + space.degree + 1] += vals.T @ (fv * ws[el])
+    first, vals = _element_basis(space, xs, deriv)
+    fw = (np.asarray(f(xs.ravel())) * ws.ravel()).reshape(xs.shape)
+    local = np.einsum("eni,en->ei", vals, fw)
+    out = np.zeros(space.dim)
+    np.add.at(out, first[:, None] + np.arange(space.degree + 1), local)
     return out

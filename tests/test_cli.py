@@ -255,6 +255,16 @@ def test_eig_threshold_one(tmp_path):
     assert payload["observed_outliers"] == []
 
 
+def test_eig_modes_past_cosh_overflow(tmp_path):
+    """240 elements reach reference modes with mu > 710, where cosh overflows."""
+    out = tmp_path / "eig240"
+    rc = run(["eig", "--p", "3", "--elements", "240", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert payload["n"] == 239
+    assert all(np.isfinite(payload["lambda_ref"]))
+
+
 def test_eig_low_degree_exit_2(tmp_path, capsys):
     rc = run(["eig", "--p", "1", "--elements", "8", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -45,6 +45,14 @@ def test_high_mode_roots_do_not_overflow():
     assert np.all(np.isfinite(lam)) and np.all(np.diff(lam) > 0)
 
 
+def test_beam_roots_past_cosh_overflow():
+    """Modes with mu > ~710, where cosh(mu) overflows a double."""
+    lam = clamped_beam_eigenvalues(300)
+    assert np.all(np.isfinite(lam)) and np.all(np.diff(lam) > 0)
+    mu = lam[-1] ** 0.25
+    assert mu == pytest.approx(944.0485924037, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # constrained space
 # ---------------------------------------------------------------------------

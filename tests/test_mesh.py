@@ -139,6 +139,8 @@ def test_eval_outside_domain_rejected():
         eval_spline(s, 1.5)
     with pytest.raises(ValueError):
         eval_basis(space, -0.1)
+    with pytest.raises(ValueError):
+        eval_spline_many(s, np.array([0.2, 0.5, 1.0 + 1e-12]))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,27 @@ def test_partition_of_unity(x, p, seed):
     space = make_space(p, k, random_breakpoints(r))
     _, vals = eval_basis(space, x)
     assert abs(vals.sum() - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
+def test_eval_spline_many_matches_scipy_bspline(p):
+    """Point evaluation against scipy's B-spline evaluator (zero for d > p)."""
+    from scipy.interpolate import BSpline
+
+    r = np.random.default_rng(1000 + p)
+    for k in sorted({-1, p // 2 - 1, p - 1}):
+        for grading in (1.0, 2.5, 4.0):
+            space = make_space(p, k, Breakpoints.uniform(6, 0.0, 1.0, grading=grading))
+            s = random_spline(r, space)
+            xs = r.uniform(0.0, 1.0, 60)
+            for d in range(p + 2):
+                got = eval_spline_many(s, xs, d)
+                if d > p:
+                    assert np.all(got == 0.0)
+                    continue
+                want = BSpline(space.knots, s.coeffs, p)(xs, nu=d)
+                gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert gap <= 1e-12, (k, grading, d, gap)
 
 
 def test_unit_spline_everywhere(rng):

@@ -153,6 +153,15 @@ def test_gram_requires_enough_points():
         gram_matrix(space, 4)
 
 
+def test_elements_too_narrow_for_double_precision_rejected():
+    """An element a few ulps wide: its Gauss points round onto its breakpoints."""
+    space = make_space(2, -1, Breakpoints(np.array([1e6, 1e6 + 3e-10, 1e6 + 1.0])))
+    with pytest.raises(ValueError, match="Gauss point rounds onto a breakpoint"):
+        gram_matrix(space)
+    with pytest.raises(ValueError, match="Gauss point rounds onto a breakpoint"):
+        load_vector(space, lambda x: x, 6)
+
+
 def test_env_override(monkeypatch):
     monkeypatch.setenv(ENV_ORDER, "17")
     assert resolve_order(5) == 17
