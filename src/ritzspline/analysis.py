@@ -19,39 +19,34 @@ import numpy as np
 from .functions import SmoothFunction
 from .mesh import Breakpoints, Spline, eval_spline, eval_spline_many, make_space
 from .projectors import q_project, l2_project, qtilde_project, ritz_project
-from .quadrature import mesh_points, resolve_order
+from .quadrature import default_order, mesh_points
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def error_norm(u: SmoothFunction, s: Spline, l: int = 0, n: int | None = None) -> float:
+def error_norm(u: SmoothFunction, s: Spline, l: int = 0) -> float:
     """Broken L2 norm of the l-th derivative of (u - s)."""
     if l > u.max_order:
         raise ValueError(f"requires l <= max_order={u.max_order}: got l={l}")
-    if n is None:
-        n = resolve_order(s.space.degree + l + 10)
+    n = default_order(s.space.degree, s.space.breakpoints)
     xs, ws = mesh_points(s.space.breakpoints, n)
     flat = xs.ravel()
     d = u.eval(flat, l) - eval_spline_many(s, flat, l)
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
 
-def spline_norm(s: Spline, l: int = 0, n: int | None = None) -> float:
+def spline_norm(s: Spline, l: int = 0) -> float:
     """Broken L2 norm of the l-th derivative of a spline."""
-    if n is None:
-        n = resolve_order(s.space.degree + l + 10)
-    xs, ws = mesh_points(s.space.breakpoints, n)
+    xs, ws = mesh_points(s.space.breakpoints, default_order(s.space.degree))
     d = eval_spline_many(s, xs.ravel(), l)
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
 
-def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints, n: int | None = None) -> float:
+def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
     """L2 norm of the r-th derivative of ``u`` over the mesh interval."""
-    if n is None:
-        n = resolve_order(r + 10)
-    xs, ws = mesh_points(xi, n)
+    xs, ws = mesh_points(xi, default_order(0, xi))
     d = u.eval(xs.ravel(), r)
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
@@ -285,7 +280,7 @@ def moment_report(u: SmoothFunction, s: Spline, q: int) -> list[MomentResidual]:
     """
     space = s.space
     p = space.degree
-    n = resolve_order(p + min(u.max_order, 40) + 2)
+    n = default_order(p, space.breakpoints)
     xs, ws = mesh_points(space.breakpoints, n)
     flat, wflat = xs.ravel(), ws.ravel()
     out = []

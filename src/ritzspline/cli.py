@@ -5,13 +5,14 @@ Exit codes: 0 on success, 2 for usage or precondition violations (the
 message names the violated requirement), 1 for internal failures.  All
 CSV/JSON output is deterministic: identical flags give identical bytes.
 The environment variable RITZ_SPLINE_QUAD_ORDER overrides every default
-quadrature order.
+quadrature order; a value below the exact order of an integral exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
 from .mesh import Breakpoints, make_space
 from .projectors import ritz_correction
+from .quadrature import ENV_ORDER, default_order
 from .analysis import _fmt, apply_projector
 
 
@@ -63,12 +65,19 @@ def cmd_project(args) -> int:
     out = Path(args.out)
 
     if args.format == "json":
+        solved = args.p if args.projector == "l2" else args.p - args.q
         payload = {
             "function": args.function,
             "projector": args.projector,
             "p": args.p,
             "k": k,
             "q": args.q,
+            "quadrature": {  # orders per element; Galerkin system in the derived space
+                "load_vector": default_order(solved, xi),
+                "gram_matrix": default_order(solved),
+                "error_norms": default_order(args.p, xi),
+                "override": ENV_ORDER in os.environ,
+            },
             "knots": list(space.knots),
             "coefficients": list(s.coeffs),
             "errors": {f"l{l}": errors[l] for l in sorted(errors)},

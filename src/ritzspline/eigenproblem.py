@@ -22,7 +22,7 @@ from scipy.linalg import eigh
 
 from .analysis import _fmt
 from .mesh import Breakpoints, SplineSpace, make_space
-from .quadrature import gram_matrix, resolve_order
+from .quadrature import gram_matrix
 
 
 def _sech(m: float) -> float:
@@ -189,9 +189,8 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
     |K v - lambda M v| <= 1e-8 lambda |v|_M.
     """
     space, keep = constrained_space(p, xi)
-    n_quad = resolve_order(2 * p + 2)
-    stiff = gram_matrix(space, 2, n_quad).to_dense()[np.ix_(keep, keep)]
-    mass = gram_matrix(space, 0, n_quad).to_dense()[np.ix_(keep, keep)]
+    stiff = gram_matrix(space, 2).to_dense()[np.ix_(keep, keep)]
+    mass = gram_matrix(space, 0).to_dense()[np.ix_(keep, keep)]
     lam, vecs = eigh(stiff, mass)
     order = np.argsort(lam)
     lam, vecs = lam[order], vecs[:, order]

@@ -36,17 +36,14 @@ from .quadrature import (
     inner_product,
     load_vector,
     mesh_points,
-    resolve_order,
 )
 
 
-def l2_project(space: SplineSpace, u: SmoothFunction, n: int | None = None) -> Spline:
+def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
     """Best L2 approximation of ``u`` in the space (banded normal equations)."""
-    if n is None:
-        n = default_order(space.degree, u.max_order)
-    gram = gram_matrix(space, 0, max(n, space.degree + 1))
+    n = default_order(space.degree, space.breakpoints)
     rhs = load_vector(space, u.as_integrand(), n)
-    return Spline(space, gram.solve_spd(rhs))
+    return Spline(space, gram_matrix(space).solve_spd(rhs))
 
 
 def _legendre_coefficients(
@@ -96,18 +93,14 @@ def poly_l2_project(
         if xi is None:
             xi = u.space.breakpoints
         if n is None:
-            n = resolve_order((u.space.degree + deg) // 2 + 2)
+            n = default_order((u.space.degree + deg) // 2)
         f = lambda x: eval_spline_many(u, x)
-    elif isinstance(u, SmoothFunction):
-        if n is None:
-            n = resolve_order(deg + min(u.max_order, 12) + 2)
-        f = u.as_integrand()
     else:
-        f = u
+        if xi is None:
+            xi = Breakpoints(np.array(interval, dtype=float))
         if n is None:
-            n = resolve_order(deg + 14)
-    if xi is None:
-        xi = Breakpoints(np.array(interval, dtype=float))
+            n = default_order(deg, xi)
+        f = u.as_integrand() if isinstance(u, SmoothFunction) else u
     return _legendre_to_polynomial(
         _legendre_coefficients(deg, f, interval, xi, n), interval
     )
@@ -168,13 +161,10 @@ def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
         return l2_project(space, u)
     inner = q_project(derived_space(space, 1), q - 1, u.derivative(1))
     v = integrate_from_left(inner)
-    a, b = space.interval
-    n = default_order(space.degree, u.max_order)
     xi = space.breakpoints
-    one = lambda x: 1.0
-    u_mean = inner_product(u.as_integrand(), one, xi, n)
-    v_mean = inner_product(lambda x: eval_spline_many(v, x), one, xi, n)
-    c = (u_mean - v_mean) / (b - a)
+    residual = lambda x: u.eval(x) - eval_spline_many(v, x)
+    n = default_order(space.degree, xi)
+    c = inner_product(residual, lambda x: 1.0, xi, n) / (xi.b - xi.a)
     return v + poly_to_spline(Polynomial([c], space.interval), space)
 
 
@@ -192,32 +182,27 @@ def ritz_correction(
         return Polynomial(np.zeros(1), space.interval)
     if qu is None:
         qu = q_project(space, q, u)
-    n = default_order(space.degree, u.max_order)
+    n = default_order(space.degree, space.breakpoints)
     residual = lambda x: u.eval(x) - eval_spline_many(qu, x)
-    return poly_l2_project(
-        q - 1, residual, space.interval, xi=space.breakpoints, n=n
-    )
+    return poly_l2_project(q - 1, residual, space.interval, space.breakpoints, n)
 
 
 def _ritz_saddle(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     """Ritz projection by the dense KKT system: order-q stiffness plus q
     polynomial moment constraints (shifted Legendre test functions)."""
-    n = default_order(space.degree, u.max_order)
-    stiff = gram_matrix(space, q, max(n, space.degree + 1)).to_dense()
+    xi = space.breakpoints
+    n = default_order(space.degree, xi)
     dim = space.dim
     kkt = np.zeros((dim + q, dim + q))
-    kkt[:dim, :dim] = stiff
+    kkt[:dim, :dim] = gram_matrix(space, q).to_dense()
     rhs = np.zeros(dim + q)
     rhs[:dim] = load_vector(space, u.derivative(q).as_integrand(), n, deriv=q)
-    xs, ws = mesh_points(space.breakpoints, n)
-    flat, wflat = xs.ravel(), ws.ravel()
-    uv = u.eval(flat)
     for j in range(q):
         e = np.zeros(j + 1)
         e[j] = 1.0
         gj = _legendre_to_polynomial(e, space.interval)
-        kkt[:dim, dim + j] = load_vector(space, gj.eval, n)
-        rhs[dim + j] = float(np.sum(uv * gj.eval(flat) * wflat))
+        kkt[:dim, dim + j] = load_vector(space, gj.eval, default_order(space.degree))
+        rhs[dim + j] = inner_product(u.as_integrand(), gj.eval, xi, n)
     kkt[dim:, :dim] = kkt[:dim, dim:].T
     sol = dense_solve(kkt, rhs, assume_a="sym")
     return Spline(space, sol[:dim])

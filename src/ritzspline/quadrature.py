@@ -1,13 +1,18 @@
 """Gauss-Legendre rules and inner products over breakpoint meshes.
 
-All L2 inner products in the package are computed element by element, so
-piecewise-polynomial integrands are integrated exactly (to roundoff) once
-the rule order is large enough.  The environment variable
-``RITZ_SPLINE_QUAD_ORDER`` overrides every default order.
+All L2 inner products in the package are computed element by element, at
+orders chosen by one policy, :func:`default_order`: integrals of splines
+and polynomials alone get the exact order p + 1; integrals with a smooth
+factor get SMOOTH_MARGIN more points, and at least SMOOTH_WIDTH points
+across the interval.  That margin is measured: every projector's
+coefficients then agree with the MAX_ORDER rule's to 1e-10 plus the
+roundoff floor of its Gram matrix.  ``RITZ_SPLINE_QUAD_ORDER`` overrides
+every default order, but never below the exact one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +26,11 @@ from .mesh import Breakpoints, SplineSpace, _basis_table, _frozen
 
 MAX_ORDER = 64
 ENV_ORDER = "RITZ_SPLINE_QUAD_ORDER"
+# Extra points for a smooth factor, and the points it gets across the whole
+# interval on coarse meshes.  Fixed by the error-versus-order test
+# test_default_order_matches_max_order_rule in tests/test_quadrature.py.
+SMOOTH_MARGIN = 5
+SMOOTH_WIDTH = 64
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -43,28 +53,29 @@ def gauss_rule(n: int) -> GaussRule:
     return GaussRule(_frozen(nodes), _frozen(weights), n)
 
 
-def resolve_order(requested: int) -> int:
-    """Clamp a default order to [1, MAX_ORDER], honouring the env override."""
+def resolve_order(requested: int, exact: int = 1) -> int:
+    """Clamp a default order to [1, MAX_ORDER], honouring the env override,
+    which must not fall below the ``exact`` order of the integral."""
     env = os.environ.get(ENV_ORDER)
     if env is not None:
         n = int(env)
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"{ENV_ORDER} must lie in [1, {MAX_ORDER}]: got {env}")
+        if not exact <= n <= MAX_ORDER:
+            raise ValueError(f"{ENV_ORDER} must lie in [{exact}, {MAX_ORDER}]: got {env}")
         return n
     return min(max(requested, 1), MAX_ORDER)
 
 
-def default_order(p: int, smooth_order: int | None = None) -> int:
-    """Default rule order p + r + 2 for degree p against an H^r function.
+def default_order(p: int, xi: Breakpoints | None = None) -> int:
+    """Gauss order for an integral against degree-p splines or polynomials.
 
-    Exact for spline-spline products of degree p with margin for the smooth
-    factor; ``r`` is the declared derivative order of the function, capped
-    so closed-form registries with unlimited order stay inside MAX_ORDER.
-    A floor of 12 points keeps single-element meshes accurate for smooth
-    non-polynomial integrands.
+    Without ``xi`` the integrand is piecewise polynomial of degree at most
+    2p + 1 and p + 1 points are exact.  With the mesh ``xi`` it has a smooth
+    factor: max(p + 1 + SMOOTH_MARGIN, ceil(SMOOTH_WIDTH * h_max / (b - a))).
     """
-    r = p + 1 if smooth_order is None else min(smooth_order, 40)
-    return resolve_order(max(p + r + 2, 12))
+    if xi is None:
+        return resolve_order(p + 1, p + 1)
+    width = math.ceil(SMOOTH_WIDTH * xi.h / (xi.b - xi.a))
+    return resolve_order(max(p + 1 + SMOOTH_MARGIN, width), p + 1)
 
 
 def mesh_points(xi: Breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +158,7 @@ def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> Ban
     if deriv > p:
         raise ValueError("requires deriv <= p")
     if n is None:
-        n = resolve_order(p + 1 + (p - deriv + 1))
+        n = default_order(p)
     if n < p + 1:
         raise ValueError("requires n >= p + 1 for exact spline products")
     xs, ws = mesh_points(space.breakpoints, n)

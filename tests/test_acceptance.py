@@ -260,7 +260,7 @@ def test_criterion_7_structural_identities():
 
             # Galerkin orthogonality in the order-q semi-inner product,
             # scaled row-wise by the Cauchy-Schwarz magnitude |d^q u| |d^q b_i|
-            n = default_order(space.degree, 40)
+            n = default_order(space.degree, space.breakpoints)
             gram = gram_matrix(space, q, n)
             resid = load_vector(
                 space, u.derivative(q).as_integrand(), n, deriv=q

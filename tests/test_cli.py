@@ -315,3 +315,36 @@ def test_quad_order_env_override(tmp_path, monkeypatch):
     assert rc == 0
     # a 2-point rule cannot integrate the sine loads exactly: outputs differ
     assert (out1 / "coefficients.csv").read_text() != (out2 / "coefficients.csv").read_text()
+
+
+def test_quad_order_env_below_exact_order_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", "1")
+    rc = run(
+        [
+            "project", "--function", "sin(4*x)", "--p", "3", "--uniform", "3",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "RITZ_SPLINE_QUAD_ORDER must lie in [4, 64]: got 1" in err
+
+
+def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
+    args = [
+        "project", "--function", "sin(4*x)", "--p", "3", "--q", "2",
+        "--projector", "ritz", "--uniform", "3", "--format", "json",
+    ]
+    assert run(args + ["--out", str(tmp_path / "d")]) == 0
+    record = json.loads((tmp_path / "d" / "report.json").read_text())["quadrature"]
+    # Galerkin system in the degree-1 derived space; 4 elements, so the
+    # smooth factor gets 64/4 = 16 points per element
+    assert record == {
+        "load_vector": 16, "gram_matrix": 2, "error_norms": 16, "override": False,
+    }
+    monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", "9")
+    assert run(args + ["--out", str(tmp_path / "o")]) == 0
+    record = json.loads((tmp_path / "o" / "report.json").read_text())["quadrature"]
+    assert record == {
+        "load_vector": 9, "gram_matrix": 9, "error_norms": 9, "override": True,
+    }

@@ -161,7 +161,7 @@ def test_l2_residual_orthogonality(rng):
     u = builtin("sin4x")
     space = make_space(3, 2, Breakpoints(np.linspace(0, 1, 9)))
     s = l2_project(space, u)
-    n = default_order(3, 40)
+    n = default_order(3, space.breakpoints)
     resid = load_vector(space, u.as_integrand(), n) - gram_matrix(space, 0, n).matvec(
         s.coeffs
     )
@@ -260,7 +260,7 @@ def test_galerkin_orthogonality(rng):
         space, q = _setup(rng)
         u = random_smooth(rng)
         s = q_project(space, q, u)
-        n = default_order(space.degree, 40)
+        n = default_order(space.degree, space.breakpoints)
         gram = gram_matrix(space, q, n)
         resid = load_vector(
             space, u.derivative(q).as_integrand(), n, deriv=q

@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritzspline.analysis import apply_projector, error_norm, function_seminorm
+from ritzspline.functions import builtin, resolve_function
 from ritzspline.mesh import Breakpoints, make_space
 from ritzspline.quadrature import (
     ENV_ORDER,
+    MAX_ORDER,
+    SMOOTH_MARGIN,
+    SMOOTH_WIDTH,
+    default_order,
     gauss_rule,
     gram_matrix,
     inner_product,
@@ -171,6 +177,95 @@ def test_env_override(monkeypatch):
     monkeypatch.delenv(ENV_ORDER)
     assert resolve_order(5) == 5
     assert resolve_order(200) == 64
+
+
+def test_env_override_below_exact_order_rejected(monkeypatch):
+    space = make_space(3, 2, Breakpoints.uniform(4))
+    u = builtin("sin4x")
+    monkeypatch.setenv(ENV_ORDER, "3")
+    for call in (
+        lambda: default_order(3),
+        lambda: default_order(3, space.breakpoints),
+        lambda: gram_matrix(space),
+        lambda: apply_projector("ritz", space, 2, u),
+    ):
+        with pytest.raises(ValueError, match=rf"{ENV_ORDER} must lie in \[4, 64\]: got 3"):
+            call()
+    monkeypatch.setenv(ENV_ORDER, "4")
+    assert default_order(3) == default_order(3, space.breakpoints) == 4
+
+
+def test_default_order_policy():
+    one, two, many = (Breakpoints.uniform(n) for n in (1, 2, 256))
+    for p in (0, 3, 20):
+        assert default_order(p) == p + 1
+        assert default_order(p, many) == p + 1 + SMOOTH_MARGIN
+        assert default_order(p, one) == min(max(p + 1 + SMOOTH_MARGIN, SMOOTH_WIDTH), MAX_ORDER)
+        assert default_order(p, two) == max(p + 1 + SMOOTH_MARGIN, SMOOTH_WIDTH // 2)
+    # the width term follows the widest element, not the element count
+    graded = Breakpoints(np.array([0.0, 0.01, 0.02, 1.0]))
+    assert default_order(2, graded) == SMOOTH_WIDTH * 98 // 100 + 1
+
+
+# Cases of the error-versus-order test below; they fix SMOOTH_MARGIN = 5 and
+# SMOOTH_WIDTH = 64.  Either one step smaller fails it: SMOOTH_MARGIN = 4
+# leaves a gap of 3.8e-10 (runge, p=2, q-projector, 16 elements), and
+# SMOOTH_WIDTH = 48 leaves 7.8e-10 (runge, p=8, qtilde, 4 elements).
+ORDER_TEST_FUNCTIONS = ("sin4x", "x6", "runge", "exp", "exp(x)*sin(3*x)+x^5/(1+x^2)")
+ORDER_TEST_DEGREES = (0, 1, 2, 3, 5, 8, 13, 20)
+ORDER_TEST_MESHES = tuple(Breakpoints.uniform(n) for n in (1, 2, 4, 16, 256)) + (
+    Breakpoints.uniform(16, grading=3.0),
+)
+
+
+@pytest.mark.parametrize("name", ORDER_TEST_FUNCTIONS)
+def test_default_order_matches_max_order_rule(name, monkeypatch):
+    """Every projector at the default order agrees with the MAX_ORDER rule.
+
+    The gap is measured on the coefficients, relative to the largest one,
+    and must stay below 1e-10.  Double precision alone spreads the
+    coefficients by about eps times the condition number of the Gram matrix
+    the projector solves with (2.7e11 at p = 20 on one element), so that
+    roundoff floor is added to the bound; below p = 13 it stays under 5e-11.
+    """
+    u = resolve_function(name)
+    eps = np.finfo(float).eps
+    worst = []
+    for xi in ORDER_TEST_MESHES:
+        for p in ORDER_TEST_DEGREES:
+            q = min(2, p)
+            space = make_space(p, p - 1, xi)
+            for projector in ("l2", "q", "ritz", "qtilde"):
+                monkeypatch.delenv(ENV_ORDER, raising=False)
+                solved = p if projector == "l2" else p - q
+                gram = gram_matrix(make_space(solved, solved - 1, xi)).to_dense()
+                floor = 8 * eps * np.linalg.cond(gram)
+                got = apply_projector(projector, space, q, u).coeffs
+                monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
+                ref = apply_projector(projector, space, q, u).coeffs
+                gap = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                worst.append((gap / (1e-10 + floor), xi.num_elements, p, projector, gap))
+    ratio, *case = max(worst)
+    assert ratio <= 1.0, case
+
+
+def test_error_norms_match_max_order_rule(monkeypatch):
+    """Error norms at the default order agree with the MAX_ORDER rule to 1e-6,
+    above the roundoff floor 16 eps |u|_l h_min^-l of the pointwise error."""
+    u = resolve_function("runge")
+    eps = np.finfo(float).eps
+    for xi in ORDER_TEST_MESHES:
+        h_min = float(np.min(np.diff(xi.points)))
+        for p in (1, 3, 8):
+            space = make_space(p, p - 1, xi)
+            s = apply_projector("ritz", space, min(2, p), u)
+            got = [error_norm(u, s, l) for l in range(3)]
+            monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
+            ref = [error_norm(u, s, l) for l in range(3)]
+            floor = [16 * eps * function_seminorm(u, l, xi) * h_min**-l for l in range(3)]
+            monkeypatch.delenv(ENV_ORDER)
+            for l in range(3):
+                assert abs(got[l] - ref[l]) <= 1e-6 * ref[l] + floor[l], (xi, p, l)
 
 
 def test_mesh_points_shapes():
