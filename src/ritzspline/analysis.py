@@ -217,7 +217,7 @@ def rq_difference_study(
     for xi in _study_meshes(levels, interval, grading):
         space = make_space(p, k, xi)
         qs = q_project(space, q, u)
-        rs = ritz_project(space, q, u)
+        rs = ritz_project(space, q, u, qu=qs)
         diff = rs - qs
         hs.append(xi.h)
         scale = max(1.0, float(np.max(np.abs(qs.coeffs))))

@@ -252,7 +252,8 @@ def cmd_eig(args) -> int:
     print(
         f"n={report.n} lambda_h1={_fmt(report.lambdas[0])} "
         f"predicted_non_outliers={report.predicted_non_outliers} "
-        f"observed_outliers={len(report.observed_outliers)}"
+        f"observed_outliers={len(report.observed_outliers)} "
+        f"backward_error={report.backward_error:.2e}"
     )
     return 0
 

@@ -374,11 +374,12 @@ def integrate_from_left(s: Spline) -> Spline:
 # ---------------------------------------------------------------------------
 
 
-def _dual_coefficients(space: SplineSpace, derivs_at) -> np.ndarray:
+def _dual_coefficients(space: SplineSpace, derivs_at, degree: int) -> np.ndarray:
     """B-spline coefficients of a function known to lie in ``space``.
 
     ``derivs_at(taus, m)`` must return the m-th derivative at every point of
-    ``taus``.  For each basis index the dual functional is evaluated at the
+    ``taus``; derivatives past the function's ``degree`` vanish and are not
+    asked for.  For each basis index the dual functional is evaluated at the
     midpoint of the widest knot span inside the basis support, where the
     integrand is a single polynomial piece:
 
@@ -396,7 +397,7 @@ def _dual_coefficients(space: SplineSpace, derivs_at) -> np.ndarray:
         e[:, 1:] = e[:, 1:] + v[:, None] * e[:, :-1]
     pfac = factorial(p)
     coeffs = np.zeros(space.dim)
-    for m in range(p + 1):
+    for m in range(min(p, degree) + 1):
         coeffs += e[:, m] * derivs_at(taus, m) * (factorial(p - m) / pfac)
     return coeffs
 
@@ -413,7 +414,7 @@ def poly_to_spline(poly: Polynomial, space: SplineSpace) -> Spline:
             raise ValueError(
                 f"polynomial degree {nz[-1]} exceeds space degree {space.degree}"
             )
-    return Spline(space, _dual_coefficients(space, poly.eval))
+    return Spline(space, _dual_coefficients(space, poly.eval, poly.degree_bound))
 
 
 def embed(s: Spline, target: SplineSpace) -> Spline:
@@ -423,9 +424,8 @@ def embed(s: Spline, target: SplineSpace) -> Spline:
             "target is not a superspace: requires same breakpoints, "
             f"target p >= {s.space.degree} and target k <= {s.space.smoothness}"
         )
-    return Spline(
-        target, _dual_coefficients(target, lambda taus, m: eval_spline_many(s, taus, m))
-    )
+    derivs_at = lambda taus, m: eval_spline_many(s, taus, m)
+    return Spline(target, _dual_coefficients(target, derivs_at, s.space.degree))
 
 
 def spline_to_poly(s: Spline, element: int = 0) -> Polynomial:

@@ -209,19 +209,25 @@ def _ritz_saddle(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
 
 
 def ritz_project(
-    space: SplineSpace, q: int, u: SmoothFunction, method: str = "correction"
+    space: SplineSpace,
+    q: int,
+    u: SmoothFunction,
+    method: str = "correction",
+    qu: Spline | None = None,
 ) -> Spline:
     """Classical Ritz projection of order q.
 
     ``method='correction'`` adds the polynomial correction to the
-    boundary-interpolating projection; ``method='saddle'`` solves the
-    constrained Galerkin system directly and serves as an independent check.
+    boundary-interpolating projection, ``qu`` when given; ``method='saddle'``
+    solves the constrained Galerkin system directly and serves as an
+    independent check.
     """
     _check_order(space, q, u)
     if space.degree < q - 1:
         raise ValueError("requires p >= q-1 so the space contains the constraints")
     if method == "correction":
-        qu = q_project(space, q, u)
+        if qu is None:
+            qu = q_project(space, q, u)
         if q == 0:
             return qu
         corr = ritz_correction(space, q, u, qu)

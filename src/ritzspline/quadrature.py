@@ -115,11 +115,31 @@ class BandedSymmetric:
         return a
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.bands[0] * v
+        """The product with a vector, or with each column of a (dim, m) block."""
+        bands = self.bands if v.ndim == 1 else self.bands[..., None]
+        out = bands[0] * v
         for d in range(1, self.bandwidth + 1):
-            out[d:] += self.bands[d, : self.dim - d] * v[: self.dim - d]
-            out[: self.dim - d] += self.bands[d, : self.dim - d] * v[d:]
+            out[d:] += bands[d, : self.dim - d] * v[: self.dim - d]
+            out[: self.dim - d] += bands[d, : self.dim - d] * v[d:]
         return out
+
+    def principal(self, lo: int, hi: int) -> BandedSymmetric:
+        """Principal submatrix of rows and columns lo..hi-1, still banded.
+
+        Exact by slicing: entries (j + d, j) with j + d >= hi - lo, which
+        now couple to dropped indices, are never read.  The bandwidth is
+        clamped to hi - lo - 1, the widest a matrix of that size can have.
+        """
+        dim = hi - lo
+        bandwidth = min(self.bandwidth, dim - 1)
+        return BandedSymmetric(self.bands[: bandwidth + 1, lo:hi], dim, bandwidth)
+
+    def norm1(self) -> float:
+        """Largest absolute column sum (equal to the row sum by symmetry)."""
+        sums = BandedSymmetric(np.abs(self.bands), self.dim, self.bandwidth).matvec(
+            np.ones(self.dim)
+        )
+        return float(np.max(sums))
 
     def cholesky(self) -> np.ndarray:
         """Banded Cholesky factor; raises LinAlgError when not SPD."""

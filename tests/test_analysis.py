@@ -22,7 +22,7 @@ from ritzspline.mesh import (
     make_space,
     poly_to_spline,
 )
-from ritzspline.projectors import q_project
+from ritzspline.projectors import q_project, ritz_project
 
 from conftest import random_breakpoints, random_smooth
 
@@ -131,6 +131,16 @@ def test_difference_study_orders():
     assert tab.final_order(0) == pytest.approx(4.0, abs=0.3)
     assert tab.final_order(1) == pytest.approx(4.0, abs=0.3)
     assert not any(tab.zero_flags)
+
+
+def test_difference_study_matches_ritz_project_exactly():
+    u = builtin("runge")
+    tab = rq_difference_study(u, 4, 3, 2, (0, 1), levels=3)
+    for i, xi in enumerate(Breakpoints.uniform(2**j) for j in range(1, 4)):
+        space = make_space(4, 3, xi)
+        diff = ritz_project(space, 2, u) - q_project(space, 2, u)
+        assert tab.errors[0][i] == spline_norm(diff, 0)
+        assert tab.errors[1][i] == spline_norm(diff, 1)
 
 
 def test_difference_study_flags_coincident_projectors():

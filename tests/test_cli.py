@@ -265,6 +265,20 @@ def test_eig_modes_past_cosh_overflow(tmp_path):
     assert all(np.isfinite(payload["lambda_ref"]))
 
 
+def test_eig_fine_mesh_accepted(tmp_path, capsys):
+    """400 elements: the eigenpair check scales with the matrix norms, so a
+    correct spectrum is not rejected for its large eigenvalues."""
+    out = tmp_path / "eig400"
+    rc = run(["eig", "--p", "3", "--elements", "400", "--out", str(out)])
+    assert rc == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    eta = float(summary.split("backward_error=")[1])
+    assert 0.0 < eta <= 1e-12
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert payload["n"] == 399 and "backward_error" not in payload
+    assert "backward_error" not in (out / "spectrum.csv").read_text()
+
+
 def test_eig_low_degree_exit_2(tmp_path, capsys):
     rc = run(["eig", "--p", "1", "--elements", "8", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -1,10 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+import ritzspline.eigenproblem as eigenproblem
+from ritzspline.analysis import _fmt
 from ritzspline.eigenproblem import (
+    BACKWARD_ERROR_TOL,
     asymptotic_eigenvalues,
+    backward_errors,
     clamped_beam_eigenvalues,
     constrained_space,
     outlier_report,
@@ -12,6 +18,7 @@ from ritzspline.eigenproblem import (
     solve_biharmonic,
 )
 from ritzspline.mesh import Breakpoints, Spline, eval_spline
+from ritzspline.quadrature import gram_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +177,111 @@ def test_report_serialization():
     lines = rep.to_csv().strip().splitlines()
     assert lines[0] == "index,lambda_h,lambda_ref,rel_err,predicted_flag,observed_flag"
     assert len(lines) == rep.n + 1
-    import json
-
     payload = json.loads(rep.to_json())
     assert payload["n"] == rep.n
     assert len(payload["lambda_h"]) == rep.n
     assert payload["predicted_non_outliers"] == rep.predicted_non_outliers
+
+
+def test_report_bytes_match_row_by_row_formula():
+    """The serialisers computed each row from whole-array properties before;
+    computing the arrays once must not change a byte."""
+    for p, nel in ((2, 20), (3, 50), (5, 40)):
+        rep = solve_biharmonic(p, Breakpoints.uniform(nel))
+        rel = np.abs(rep.lambdas - rep.references) / rep.references
+        pred = rep.h * rep.references**0.25 < math.pi
+        lines = ["index,lambda_h,lambda_ref,rel_err,predicted_flag,observed_flag"]
+        for i in range(rep.n):
+            lines.append(
+                ",".join(
+                    [
+                        str(i + 1),
+                        _fmt(rep.lambdas[i]),
+                        _fmt(rep.references[i]),
+                        _fmt(rel[i]),
+                        str(int(pred[i])),
+                        str(int((rel > rep.threshold)[i])),
+                    ]
+                )
+            )
+        assert rep.to_csv() == "\n".join(lines) + "\n"
+        payload = {
+            "p": p,
+            "h": rep.h,
+            "n": rep.n,
+            "threshold": rep.threshold,
+            "predicted_non_outliers": int(np.sum(pred)),
+            "predicted_non_outliers_asymptotic": predict_non_outliers(rep.h, rep.asymptotic),
+            "observed_outliers": [int(i) + 1 for i in np.nonzero(rel > rep.threshold)[0]],
+            "lambda_h": list(rep.lambdas),
+            "lambda_ref": list(rep.references),
+            "lambda_asymptotic": list(rep.asymptotic),
+            "rel_err": list(rel),
+            "predicted_flag": [bool(v) for v in pred],
+            "observed_flag": [bool(v) for v in rel > rep.threshold],
+        }
+        assert rep.to_json() == json.dumps(payload, indent=2) + "\n"
+
+
+def _constrained_pairs(p, nel):
+    space, keep = constrained_space(p, Breakpoints.uniform(nel))
+    stiff = gram_matrix(space, 2).principal(keep[0], keep[-1] + 1)
+    mass = gram_matrix(space, 0).principal(keep[0], keep[-1] + 1)
+    lam, vecs = eigh(stiff.to_dense(), mass.to_dense())
+    return stiff, mass, lam, vecs
+
+
+def test_coarse_meshes_match_dense_restriction():
+    """Meshes that keep at most p functions, where the restricted band is
+    narrower than the assembled one, give the spectrum of the dense
+    restriction."""
+    for p, nel in ((4, 3), (5, 2), (5, 3), (8, 1), (8, 2), (8, 3)):
+        xi = Breakpoints.uniform(nel)
+        space, keep = constrained_space(p, xi)
+        ix = np.ix_(keep, keep)
+        expected = eigh(
+            gram_matrix(space, 2).to_dense()[ix], gram_matrix(space, 0).to_dense()[ix]
+        )[0]
+        rep = solve_biharmonic(p, xi)
+        assert rep.n == keep.size
+        np.testing.assert_array_equal(rep.lambdas, expected)
+
+
+def test_backward_errors_at_roundoff_level():
+    for p, nel in ((2, 800), (3, 400), (8, 50)):
+        rep = solve_biharmonic(p, Breakpoints.uniform(nel))
+        assert 0.0 < rep.backward_error <= 1e3 * np.finfo(float).eps
+
+
+def test_backward_errors_match_dense_formula():
+    stiff, mass, lam, vecs = _constrained_pairs(3, 12)
+    lam = lam * (1 + 1e-3)  # residuals well above roundoff
+    k, m = stiff.to_dense(), mass.to_dense()
+    knorm, mnorm = np.abs(k).sum(axis=0).max(), np.abs(m).sum(axis=0).max()
+    eta = backward_errors(stiff, mass, lam, vecs)
+    for i in range(lam.size):
+        v = vecs[:, i]
+        dense = np.linalg.norm(k @ v - lam[i] * (m @ v)) / (
+            (knorm + abs(lam[i]) * mnorm) * np.linalg.norm(v)
+        )
+        assert eta[i] == pytest.approx(dense, rel=1e-9)
+
+
+def test_backward_error_guard_rejects_wrong_pair(monkeypatch):
+    stiff, mass, lam, vecs = _constrained_pairs(3, 40)
+    wrong = lam.copy()
+    wrong[-1] *= 1 + 1e-6
+    eta = backward_errors(stiff, mass, wrong, vecs)
+    assert eta[-1] > BACKWARD_ERROR_TOL and np.all(eta[:-1] <= BACKWARD_ERROR_TOL)
+
+    def perturbed(*args, **kwargs):
+        lam, vecs = eigh(*args, **kwargs)
+        lam[-1] *= 1 + 1e-6
+        return lam, vecs
+
+    monkeypatch.setattr(eigenproblem, "eigh", perturbed)
+    with pytest.raises(RuntimeError, match=f"eigenpair {lam.size - 1} backward error"):
+        solve_biharmonic(3, Breakpoints.uniform(40))
 
 
 def test_threshold_validation():

@@ -17,6 +17,7 @@ from ritzspline.mesh import (
     poly_to_spline,
     spline_to_poly,
 )
+from ritzspline.mesh import _dual_coefficients
 
 from conftest import random_breakpoints, random_space, random_spline
 
@@ -383,6 +384,21 @@ def test_poly_roundtrip(rng):
     )
     back = spline_to_poly(s)
     np.testing.assert_allclose(back.coeffs, pol.coeffs, rtol=1e-9, atol=1e-10)
+
+
+def test_dual_coefficients_skip_vanishing_orders_exactly(rng):
+    """Stopping at the source degree drops exact zeros: bit-identical output."""
+    for p in (1, 3, 5, 8):
+        xi = random_breakpoints(rng, 4)
+        space = make_space(p, p - 1, xi)
+        for deg in range(min(p, 3)):
+            pol = Polynomial(rng.normal(size=deg + 1), space.interval)
+            full = _dual_coefficients(space, pol.eval, p)
+            assert np.array_equal(poly_to_spline(pol, space).coeffs, full)
+        s = random_spline(rng, make_space(p - 1, p - 2, xi))
+        target = make_space(p, p - 2, xi)
+        full = _dual_coefficients(target, lambda x, m: eval_spline_many(s, x, m), p)
+        assert np.array_equal(embed(s, target).coeffs, full)
 
 
 def test_poly_to_spline_rejects_high_degree():

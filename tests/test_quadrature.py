@@ -145,6 +145,44 @@ def test_banded_solve_and_matvec(rng):
     np.testing.assert_allclose(dense @ x, b, atol=1e-11)
 
 
+def test_block_matvec_matches_dense(rng):
+    space = make_space(4, 3, random_breakpoints(rng, 5))
+    stiff = gram_matrix(space, 2)
+    block = rng.normal(size=(space.dim, 7))
+    np.testing.assert_allclose(
+        stiff.matvec(block), stiff.to_dense() @ block, rtol=0, atol=1e-12 * stiff.norm1()
+    )
+    # each column is exactly the vector product
+    for j in range(block.shape[1]):
+        assert np.array_equal(stiff.matvec(block)[:, j], stiff.matvec(block[:, j]))
+
+
+def test_principal_submatrix_is_exact_in_banded_storage(rng):
+    # (p, elements): the coarse cases keep at most p functions, so the
+    # submatrix is narrower than the band of the full matrix
+    for p, nel in ((0, 6), (1, 6), (2, 6), (3, 6), (5, 6), (4, 3), (5, 2), (5, 3), (8, 1)):
+        space = make_space(p, p - 1, random_breakpoints(rng, nel))
+        for deriv in range(min(p, 2) + 1):
+            gram = gram_matrix(space, deriv)
+            sub = gram.principal(2, space.dim - 2)
+            assert sub.dim == space.dim - 4
+            assert sub.bandwidth == min(gram.bandwidth, sub.dim - 1)
+            assert np.array_equal(sub.to_dense(), gram.to_dense()[2:-2, 2:-2])
+            v = rng.normal(size=sub.dim)
+            assert np.array_equal(sub.matvec(v), gram.matvec(np.r_[0, 0, v, 0, 0])[2:-2])
+            assert sub.norm1() == pytest.approx(
+                float(np.max(np.abs(sub.to_dense()).sum(axis=0))), rel=1e-14
+            )
+
+
+def test_norm1_matches_dense(rng):
+    space = make_space(3, 2, random_breakpoints(rng, 4))
+    for deriv in (0, 2):
+        gram = gram_matrix(space, deriv)
+        dense = np.abs(gram.to_dense())
+        assert gram.norm1() == pytest.approx(float(np.max(dense.sum(axis=0))), rel=1e-14)
+
+
 def test_load_vector_sums_to_interval_length(rng):
     space = make_space(3, 2, random_breakpoints(rng, 4))
     lv = load_vector(space, lambda x: np.ones_like(x), 6)
