@@ -283,19 +283,16 @@ def moment_report(u: SmoothFunction, s: Spline, q: int) -> list[MomentResidual]:
     n = default_order(p, space.breakpoints)
     xs, ws = mesh_points(space.breakpoints, n)
     flat, wflat = xs.ravel(), ws.ravel()
+    uls = [u.eval(flat, l) for l in range(q + 1)]
+    errs = [ul - eval_spline_many(s, flat, l) for l, ul in enumerate(uls)]
+    terms = [("mean", l, errs[l], uls[l], p >= 2 * q - l) for l in range(q + 1)]
+    terms += [
+        ("moment", i, errs[0] * flat**i, uls[0] * flat**i, p >= 2 * q + i)
+        for i in range(q)
+    ]
     out = []
-    for l in range(q + 1):
-        d = u.eval(flat, l) - eval_spline_many(s, flat, l)
-        res = abs(float(np.sum(d * wflat)))
-        ref = abs(float(np.sum(u.eval(flat, l) * wflat)))
-        out.append(
-            MomentResidual("mean", l, res, res / max(1.0, ref), p >= 2 * q - l)
-        )
-    e0 = u.eval(flat) - eval_spline_many(s, flat)
-    for i in range(q):
-        res = abs(float(np.sum(e0 * flat**i * wflat)))
-        ref = abs(float(np.sum(u.eval(flat) * flat**i * wflat)))
-        out.append(
-            MomentResidual("moment", i, res, res / max(1.0, ref), p >= 2 * q + i)
-        )
+    for kind, index, err, val, applicable in terms:
+        res = abs(float(np.sum(err * wflat)))
+        ref = abs(float(np.sum(val * wflat)))
+        out.append(MomentResidual(kind, index, res, res / max(1.0, ref), applicable))
     return out

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
 from .mesh import Breakpoints, make_space
-from .projectors import ritz_correction
+from .projectors import q_project, ritz_correction, ritz_project
 from .quadrature import ENV_ORDER, default_order
 from .analysis import _fmt, apply_projector
 
@@ -57,7 +57,12 @@ def cmd_project(args) -> int:
     k = args.p - 1 if args.k is None else args.k
     xi = _make_breakpoints(args)
     space = make_space(args.p, k, xi)
-    s = apply_projector(args.projector, space, args.q, u)
+    if args.projector == "ritz":
+        qu = q_project(space, args.q, u)
+        s = ritz_project(space, args.q, u, qu=qu)
+        corr = ritz_correction(space, args.q, u, qu)
+    else:
+        s, corr = apply_projector(args.projector, space, args.q, u), None
     l_max = min(args.q, u.max_order) if args.projector != "l2" else 0
     errors = {l: analysis.error_norm(u, s, l) for l in range(l_max + 1)}
     brep = analysis.boundary_report(u, s, args.q)
@@ -84,8 +89,7 @@ def cmd_project(args) -> int:
             "boundary": [vars(r) for r in brep],
             "moments": [vars(r) for r in mrep],
         }
-        if args.projector == "ritz":
-            corr = ritz_correction(space, args.q, u)
+        if corr is not None:
             payload["correction"] = list(corr.coeffs)
         _write(out / "report.json", json.dumps(payload, indent=2) + "\n")
         return 0
@@ -108,8 +112,7 @@ def cmd_project(args) -> int:
         for r in mrep
     ]
     _write(out / "moments.csv", "\n".join(m_lines) + "\n")
-    if args.projector == "ritz":
-        corr = ritz_correction(space, args.q, u)
+    if corr is not None:
         c_lines = ["power,coefficient"] + [
             f"{i},{_fmt(c)}" for i, c in enumerate(corr.coeffs)
         ]

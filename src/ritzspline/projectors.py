@@ -9,15 +9,16 @@ derivative onto the q-times derived spline space, integrate q times from
 the left, and add the Taylor polynomial of the data at a.  The classical
 Ritz projector of the same order differs from it by a polynomial of degree
 q - 1, recovered either as a polynomial correction or by solving the
-constrained (saddle-point) Galerkin system directly; the two routes are
+constrained (saddle-point) Galerkin system in derived coordinates, where it
+splits into a banded L2 solve and a q x q moment system; the two routes are
 kept as mutual oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import solve as dense_solve
 from numpy.polynomial import legendre as npleg
-from scipy.linalg import solve as dense_solve
 
 from .functions import SmoothFunction
 from .mesh import (
@@ -188,24 +189,28 @@ def ritz_correction(
 
 
 def _ritz_saddle(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
-    """Ritz projection by the dense KKT system: order-q stiffness plus q
-    polynomial moment constraints (shifted Legendre test functions)."""
-    xi = space.breakpoints
-    n = default_order(space.degree, xi)
-    dim = space.dim
-    kkt = np.zeros((dim + q, dim + q))
-    kkt[:dim, :dim] = gram_matrix(space, q).to_dense()
-    rhs = np.zeros(dim + q)
-    rhs[:dim] = load_vector(space, u.derivative(q).as_integrand(), n, deriv=q)
-    for j in range(q):
-        e = np.zeros(j + 1)
-        e[j] = 1.0
-        gj = _legendre_to_polynomial(e, space.interval)
-        kkt[:dim, dim + j] = load_vector(space, gj.eval, default_order(space.degree))
-        rhs[dim + j] = inner_product(u.as_integrand(), gj.eval, xi, n)
-    kkt[dim:, :dim] = kkt[:dim, dim:].T
-    sol = dense_solve(kkt, rhs, assume_a="sym")
-    return Spline(space, sol[:dim])
+    """Ritz projection from the saddle-point system: order-q stiffness plus
+    q moment constraints against the shifted Legendre polynomials g_j.
+
+    With s = J^q w + sum_i c_i (x-a)^i, w in the q-times derived space and J
+    integration from the left, s^(q) = w: the stiffness block is the derived
+    Gram matrix, the polynomials span its kernel and, M being nonsingular,
+    the multipliers vanish.  What remains is the banded L2 solve for w and
+    the triangular system M c = r, M_ji = ((x-a)^i, g_j), r_j = (u - J^q w, g_j).
+    """
+    s = l2_project(derived_space(space, q), u.derivative(q))
+    for _ in range(q):
+        s = integrate_from_left(s)
+    if q == 0:
+        return s
+    a, b = space.interval
+    xs, ws = mesh_points(space.breakpoints, default_order(space.degree, space.breakpoints))
+    x = xs.ravel()
+    # rows: g_j times the Gauss weights; p + 1 >= q points per element make M exact
+    tested = npleg.legvander(2.0 * (x - a) / (b - a) - 1.0, q - 1).T * ws.ravel()
+    moments = tested @ (x[:, None] - a) ** np.arange(q)
+    c = dense_solve(moments, tested @ (u.eval(x) - eval_spline_many(s, x)))
+    return s + poly_to_spline(Polynomial(c, space.interval), space)
 
 
 def ritz_project(
@@ -219,12 +224,10 @@ def ritz_project(
 
     ``method='correction'`` adds the polynomial correction to the
     boundary-interpolating projection, ``qu`` when given; ``method='saddle'``
-    solves the constrained Galerkin system directly and serves as an
-    independent check.
+    solves the constrained Galerkin system in derived coordinates and serves
+    as an independent check.
     """
     _check_order(space, q, u)
-    if space.degree < q - 1:
-        raise ValueError("requires p >= q-1 so the space contains the constraints")
     if method == "correction":
         if qu is None:
             qu = q_project(space, q, u)

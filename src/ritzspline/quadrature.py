@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cholesky_banded, solveh_banded
+from scipy.linalg import solveh_banded
 
 from .mesh import Breakpoints, SplineSpace, _basis_table, _frozen
 
@@ -140,10 +140,6 @@ class BandedSymmetric:
             np.ones(self.dim)
         )
         return float(np.max(sums))
-
-    def cholesky(self) -> np.ndarray:
-        """Banded Cholesky factor; raises LinAlgError when not SPD."""
-        return cholesky_banded(self.bands, lower=True)
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         return solveh_banded(self.bands, rhs, lower=True)

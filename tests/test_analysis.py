@@ -23,6 +23,7 @@ from ritzspline.mesh import (
     poly_to_spline,
 )
 from ritzspline.projectors import q_project, ritz_project
+from ritzspline.quadrature import default_order, mesh_points
 
 from conftest import random_breakpoints, random_smooth
 
@@ -256,3 +257,26 @@ def test_moment_report_flags():
     mean0 = next(r for r in rep1 if r.kind == "mean" and r.index == 0)
     assert not mean0.applicable  # needs quadratics
     assert mean0.residual > 1e-6  # and indeed the mean is missed
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_moment_report_matches_per_order_sums(rng, q):
+    """Bit for bit against a loop that evaluates u and s anew for every sum."""
+    space = make_space(4, 3, random_breakpoints(rng, 4))
+    u = random_smooth(rng)
+    s = ritz_project(space, q, u)
+    xs, ws = mesh_points(space.breakpoints, default_order(4, space.breakpoints))
+    flat, wflat = xs.ravel(), ws.ravel()
+    want = []
+    for l in range(q + 1):
+        d = u.eval(flat, l) - eval_spline_many(s, flat, l)
+        want.append(("mean", l, np.sum(d * wflat), np.sum(u.eval(flat, l) * wflat)))
+    e0 = u.eval(flat) - eval_spline_many(s, flat)
+    for i in range(q):
+        want.append(("moment", i, np.sum(e0 * flat**i * wflat),
+                     np.sum(u.eval(flat) * flat**i * wflat)))
+    got = moment_report(u, s, q)
+    assert [(r.kind, r.index) for r in got] == [w[:2] for w in want]
+    for r, (_, _, res, ref) in zip(got, want):
+        assert r.residual == abs(float(res))
+        assert r.scaled == abs(float(res)) / max(1.0, abs(float(ref)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from ritzspline.analysis import error_norm, spline_norm
 from ritzspline.functions import builtin
@@ -22,7 +23,13 @@ from ritzspline.projectors import (
     ritz_project,
     taylor_polynomial,
 )
-from ritzspline.quadrature import default_order, gram_matrix, load_vector, mesh_points
+from ritzspline.quadrature import (
+    default_order,
+    gram_matrix,
+    inner_product,
+    load_vector,
+    mesh_points,
+)
 
 from conftest import random_breakpoints, random_smooth, smooth_mix
 
@@ -341,14 +348,65 @@ def test_top_seminorm_equality(rng):
         assert a == pytest.approx(b, rel=1e-10)
 
 
+# (target, p, q, elements, grading, interval): fine meshes, q = 4, q = 0,
+# p = 20, a graded mesh and an interval far from 0.  A Ritz solve in B-spline
+# coordinates, whose stiffness condition grows like h^(-2q), misses most of
+# these by far more than the tolerance (1.5 relative at p = 8, q = 4).
+SADDLE_EDGE_CASES = [
+    ("sin4x", 4, 3, 128, 1.0, (0.0, 1.0)),
+    ("sin4x", 4, 3, 512, 1.0, (0.0, 1.0)),
+    ("sin4x", 8, 3, 64, 1.0, (0.0, 1.0)),
+    ("sin4x", 8, 4, 256, 1.0, (0.0, 1.0)),
+    ("runge", 4, 3, 64, 3.0, (0.0, 1.0)),
+    ("sin4x", 4, 0, 16, 1.0, (0.0, 1.0)),
+    ("sin4x", 20, 4, 8, 1.0, (0.0, 1.0)),
+    ("sin4x", 4, 3, 32, 1.0, (1e6, 1e6 + 1.0)),
+]
+
+
 def test_correction_equals_saddle(rng):
-    for _ in range(6):
-        space, q = _setup(rng)
-        u = random_smooth(rng)
+    cases = [(*_setup(rng), random_smooth(rng)) for _ in range(6)]
+    cases += [
+        (make_space(p, p - 1, Breakpoints.uniform(n, a, b, grading)), q, builtin(name))
+        for name, p, q, n, grading, (a, b) in SADDLE_EDGE_CASES
+    ]
+    for space, q, u in cases:
         r1 = ritz_project(space, q, u, method="correction")
         r2 = ritz_project(space, q, u, method="saddle")
         scale = max(1.0, float(np.max(np.abs(r1.coeffs))))
         assert np.max(np.abs(r1.coeffs - r2.coeffs)) <= 1e-8 * scale
+
+
+def _dense_kkt_ritz(space, q, u):
+    """Reference Ritz projection: the dense KKT system in B-spline
+    coordinates, order-q stiffness bordered by the moments against the
+    shifted Legendre polynomials.  Its condition grows like h^(-2q), so it
+    serves only on coarse meshes."""
+    xi, dim = space.breakpoints, space.dim
+    n = default_order(space.degree, xi)
+    kkt = np.zeros((dim + q, dim + q))
+    kkt[:dim, :dim] = gram_matrix(space, q).to_dense()
+    rhs = np.zeros(dim + q)
+    rhs[:dim] = load_vector(space, u.derivative(q).as_integrand(), n, deriv=q)
+    a, b = space.interval
+    for j in range(q):
+        gj = lambda x, j=j: legendre.Legendre.basis(j)(2.0 * (x - a) / (b - a) - 1.0)
+        kkt[:dim, dim + j] = load_vector(space, gj, default_order(space.degree))
+        rhs[dim + j] = inner_product(u.as_integrand(), gj, xi, n)
+    kkt[dim:, :dim] = kkt[:dim, dim:].T
+    return np.linalg.solve(kkt, rhs)[:dim]
+
+
+@pytest.mark.parametrize("p,k,q,interior", [
+    (2, 1, 1, 3), (3, 2, 2, 7), (4, 3, 2, 15), (5, 3, 1, 15), (3, 1, 0, 7), (4, 2, 2, 0),
+])
+def test_saddle_equals_dense_kkt(rng, p, k, q, interior):
+    space = make_space(p, k, random_breakpoints(rng, interior))
+    u = random_smooth(rng)
+    want = _dense_kkt_ritz(space, q, u)
+    got = ritz_project(space, q, u, method="saddle").coeffs
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
 def test_difference_is_low_degree_polynomial(rng):
