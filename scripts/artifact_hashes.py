@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""sha256 of every artifact and every stdout of a fixed matrix of CLI runs.
+
+The runs cover `project` (all four projectors, q = 0..3, CSV and JSON, on a
+uniform, a nonuniform and a shifted mesh), `converge` (error studies for
+every projector and rq-diff studies for q = 1..3, uniform and graded) and
+`eig` (p = 2..5 on 20, 50 and 100 elements, plus coarse meshes that keep at
+most p basis functions).  Each run calls `ritzspline.cli.main` in this
+process and writes under a temporary directory; one `sha256  path` line is
+printed per file written and per run's stdout, sorted by path.
+
+Two checkouts give the same artifacts exactly when their outputs are
+identical, so comparing a change with its parent is one diff:
+
+    python3 scripts/artifact_hashes.py > new.txt
+    python3 scripts/artifact_hashes.py /path/to/parent-checkout > old.txt
+    diff old.txt new.txt
+
+The optional argument names the checkout whose `src/` is imported (default:
+the one holding this script).  Run both on the same machine with the same
+BLAS thread settings.  RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any
+run does not exit 0.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+EXPRESSION = "exp(x)*sin(3*x)+x^5/(1+x^2)"
+PROJECT_MESHES = {
+    "uniform": ["--uniform", "7"],
+    "nonuniform": ["--breakpoints", "0,0.1,0.35,0.4,0.7,0.85,1"],
+    "shifted": ["--uniform", "5", "--interval", "1", "3"],
+}
+PROJECTORS = ("l2", "q", "ritz", "qtilde")
+RQ_DEGREES = {1: "2,3", 2: "2,3,4,5", 3: "3,5,8"}
+EIG_CASES = [(p, n) for p in (2, 3, 4, 5) for n in (20, 50, 100)]
+EIG_CASES += [(4, 3), (5, 2), (5, 3), (8, 1), (8, 3)]
+
+
+def runs() -> list[tuple[str, list[str]]]:
+    """(run id, CLI arguments without --out) for the whole matrix."""
+    out = []
+    targets = [(name, "sin4x", mesh) for name, mesh in PROJECT_MESHES.items()]
+    targets.append(("expr-uniform", EXPRESSION, PROJECT_MESHES["uniform"]))
+    for tag, function, mesh in targets:
+        for projector in PROJECTORS:
+            for q in range(4):
+                for fmt in ("csv", "json"):
+                    out.append((
+                        f"project/{tag}-{projector}-q{q}-{fmt}",
+                        ["project", "--function", function, "--p", "4", "--q", str(q),
+                         "--projector", projector, "--format", fmt, *mesh],
+                    ))
+    for grading in ("1", "2"):
+        for projector in PROJECTORS:
+            out.append((
+                f"converge/error-{projector}-g{grading}",
+                ["converge", "--function", "runge", "--p-list", "2,3,4", "--q", "2",
+                 "--l-list", "0,1,2", "--levels", "5", "--projector", projector,
+                 "--grading", grading],
+            ))
+        for q, p_list in RQ_DEGREES.items():
+            out.append((
+                f"converge/rq-diff-q{q}-g{grading}",
+                ["converge", "--function", "sin4x", "--p-list", p_list, "--q", str(q),
+                 "--l-list", ",".join(map(str, range(q + 1))), "--levels", "4",
+                 "--study", "rq-diff", "--grading", grading],
+            ))
+    for p, elements in EIG_CASES:
+        out.append((f"eig/p{p}-n{elements}",
+                    ["eig", "--p", str(p), "--elements", str(elements)]))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1],
+                        help="source checkout whose src/ is imported")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    os.environ.pop("RITZ_SPLINE_QUAD_ORDER", None)
+    from ritzspline.cli import main as cli_main
+
+    digests: dict[str, str] = {}
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative --out paths keep stdout free of the temp path
+        for run_id, argv in runs():
+            captured = io.StringIO()
+            with contextlib.redirect_stdout(captured):
+                rc = cli_main(argv + ["--out", run_id])
+            if rc != 0:
+                print(f"{run_id}: exit {rc}", file=sys.stderr)
+                failed += 1
+            digests[f"{run_id}/stdout"] = hashlib.sha256(
+                captured.getvalue().encode()
+            ).hexdigest()
+        for path in Path(".").rglob("*"):
+            if path.is_file():
+                digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for path in sorted(digests):
+        print(f"{digests[path]}  {path}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -26,22 +27,47 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def error_norm(u: SmoothFunction, s: Spline, l: int = 0) -> float:
-    """Broken L2 norm of the l-th derivative of (u - s)."""
-    if l > u.max_order:
-        raise ValueError(f"requires l <= max_order={u.max_order}: got l={l}")
+def _norm(d: np.ndarray, w: np.ndarray) -> float:
+    return float(math.sqrt(np.sum(d * d * w)))
+
+
+def _report_grid(u: SmoothFunction, s: Spline, orders: Sequence[int]):
+    """Gauss points and weights over the mesh of ``s``, at the order of its
+    error norms, with u^(l) and (u - s)^(l) there for every l in ``orders``.
+
+    u is evaluated once per order and s once for all orders.
+    """
     n = default_order(s.space.degree, s.space.breakpoints)
     xs, ws = mesh_points(s.space.breakpoints, n)
     flat = xs.ravel()
-    d = u.eval(flat, l) - eval_spline_many(s, flat, l)
-    return float(math.sqrt(np.sum(d * d * ws.ravel())))
+    uls = [u.eval(flat, l) for l in orders]
+    errs = [ul - sl for ul, sl in zip(uls, eval_spline_many(s, flat, orders))]
+    return flat, ws.ravel(), uls, errs
 
 
-def spline_norm(s: Spline, l: int = 0) -> float:
-    """Broken L2 norm of the l-th derivative of a spline."""
+def error_norm(
+    u: SmoothFunction, s: Spline, l: int | Sequence[int] = 0
+) -> float | list[float]:
+    """Broken L2 norm of the l-th derivative of (u - s).
+
+    For a sequence of orders ``l``, the list of their norms, with s
+    evaluated once for all of them.
+    """
+    ls = [l] if np.ndim(l) == 0 else list(l)
+    if max(ls, default=0) > u.max_order:
+        raise ValueError(f"requires l <= max_order={u.max_order}: got l={max(ls)}")
+    _, w, _, errs = _report_grid(u, s, ls)
+    norms = [_norm(d, w) for d in errs]
+    return norms[0] if np.ndim(l) == 0 else norms
+
+
+def spline_norm(s: Spline, l: int | Sequence[int] = 0) -> float | list[float]:
+    """Broken L2 norm of the l-th derivative of a spline; for a sequence of
+    orders, the list of their norms from one evaluation of ``s``."""
     xs, ws = mesh_points(s.space.breakpoints, default_order(s.space.degree))
+    w = ws.ravel()
     d = eval_spline_many(s, xs.ravel(), l)
-    return float(math.sqrt(np.sum(d * d * ws.ravel())))
+    return _norm(d, w) if np.ndim(l) == 0 else [_norm(dl, w) for dl in d]
 
 
 def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
@@ -180,8 +206,8 @@ def convergence_study(
         space = make_space(p, k, xi)
         s = apply_projector(projector, space, q, u)
         hs.append(xi.h)
-        for l in l_set:
-            errors[l].append(error_norm(u, s, l))
+        for l, err in zip(l_set, error_norm(u, s, l_set)):
+            errors[l].append(err)
     return ConvergenceTable(meta, hs, errors)
 
 
@@ -225,8 +251,8 @@ def rq_difference_study(
             p >= 3 * q - 1
             and float(np.max(np.abs(diff.coeffs))) <= 1e-9 * scale
         )
-        for l in l_set:
-            errors[l].append(spline_norm(diff, l))
+        for l, norm in zip(l_set, spline_norm(diff, l_set)):
+            errors[l].append(norm)
     return ConvergenceTable(meta, hs, errors, zero_flags=flags)
 
 
@@ -278,13 +304,21 @@ def moment_report(u: SmoothFunction, s: Spline, q: int) -> list[MomentResidual]:
     vanishes when it contains P_{2q+i}.  For spline spaces containment of
     P_d just means p >= d.
     """
-    space = s.space
-    p = space.degree
-    n = default_order(p, space.breakpoints)
-    xs, ws = mesh_points(space.breakpoints, n)
-    flat, wflat = xs.ravel(), ws.ravel()
-    uls = [u.eval(flat, l) for l in range(q + 1)]
-    errs = [ul - eval_spline_many(s, flat, l) for l, ul in enumerate(uls)]
+    return _moment_residuals(s.space.degree, q, *_report_grid(u, s, range(q + 1)))
+
+
+def project_report(
+    u: SmoothFunction, s: Spline, q: int, l_max: int
+) -> tuple[dict[int, float], list[MomentResidual]]:
+    """The :func:`error_norm` of every order l <= l_max and the
+    :func:`moment_report`, from one evaluation of u^(l) and s^(l),
+    l <= max(q, l_max), on the error-norm grid."""
+    flat, w, uls, errs = _report_grid(u, s, range(max(q, l_max) + 1))
+    errors = {l: _norm(errs[l], w) for l in range(l_max + 1)}
+    return errors, _moment_residuals(s.space.degree, q, flat, w, uls, errs)
+
+
+def _moment_residuals(p, q, flat, wflat, uls, errs) -> list[MomentResidual]:
     terms = [("mean", l, errs[l], uls[l], p >= 2 * q - l) for l in range(q + 1)]
     terms += [
         ("moment", i, errs[0] * flat**i, uls[0] * flat**i, p >= 2 * q + i)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
-from .mesh import Breakpoints, make_space
-from .projectors import q_project, ritz_correction, ritz_project
+from .mesh import Breakpoints, make_space, poly_to_spline
+from .projectors import q_project, ritz_correction
 from .quadrature import ENV_ORDER, default_order
 from .analysis import _fmt, apply_projector
 
@@ -57,16 +57,15 @@ def cmd_project(args) -> int:
     k = args.p - 1 if args.k is None else args.k
     xi = _make_breakpoints(args)
     space = make_space(args.p, k, xi)
-    if args.projector == "ritz":
+    if args.projector == "ritz":  # ritz_project's correction route, keeping the correction
         qu = q_project(space, args.q, u)
-        s = ritz_project(space, args.q, u, qu=qu)
         corr = ritz_correction(space, args.q, u, qu)
+        s = qu if args.q == 0 else qu + poly_to_spline(corr, space)
     else:
         s, corr = apply_projector(args.projector, space, args.q, u), None
     l_max = min(args.q, u.max_order) if args.projector != "l2" else 0
-    errors = {l: analysis.error_norm(u, s, l) for l in range(l_max + 1)}
+    errors, mrep = analysis.project_report(u, s, args.q, l_max)
     brep = analysis.boundary_report(u, s, args.q)
-    mrep = analysis.moment_report(u, s, args.q)
     out = Path(args.out)
 
     if args.format == "json":

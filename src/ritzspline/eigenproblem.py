@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .analysis import _fmt
 from .mesh import Breakpoints, SplineSpace, make_space
@@ -30,6 +29,14 @@ from .quadrature import BandedSymmetric, gram_matrix
 # stable solver stays within a small multiple of eps (about 24 eps seen
 # for p <= 8 and up to 800 elements).
 BACKWARD_ERROR_TOL = 1e-12
+
+
+def eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's dense generalized symmetric-definite eigensolver, with scipy
+    imported on the first call: loading it takes longer than a small solve."""
+    from scipy.linalg import eigh as scipy_eigh
+
+    return scipy_eigh(a, b)
 
 
 def _sech(m: float) -> float:

@@ -12,7 +12,9 @@ quadrature error.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -78,7 +80,7 @@ class Breakpoints:
     def num_interior(self) -> int:
         return self.points.size - 2
 
-    @property
+    @cached_property
     def h(self) -> float:
         return float(np.max(np.diff(self.points)))
 
@@ -260,52 +262,70 @@ class Polynomial:
 
 
 def _basis_table(
-    space: SplineSpace, xs, deriv: int = 0, side: str = "auto"
+    space: SplineSpace, xs, orders: Sequence[int], side: str = "auto"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero basis derivative values at every point of ``xs``.
+    """Nonzero basis derivative values at every point of ``xs``, for several
+    derivative orders at once.
 
     Returns ``(first, vals)``: ``first[m]`` is the index of the first of the
-    p+1 basis functions that may be nonzero at point m, and ``vals[m, j]``
-    the deriv-th derivative of basis function ``first[m] + j`` there.  The
-    span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it
+    p+1 basis functions that may be nonzero at point m, and ``vals[i, m, j]``
+    the ``orders[i]``-th derivative of basis function ``first[m] + j`` there.
+    The span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it
     (``side='left'``: (t_i, t_{i+1}], the limit from below), clamped to the
     first/last nonempty span at the domain ends, so ``'auto'`` is
     right-continuous inside and left-continuous at ``b``.
 
-    The degree-(p - deriv) values come from the Cox-de Boor recurrence; each
-    further degree step applies the derivative recurrence
+    One span search, one knot-window gather and one Cox-de Boor sweep serve
+    every order d: the sweep leaves a copy of its degree-(p - d) table, on
+    which each further degree step applies the derivative recurrence
     D B_{i,j} = j (B_{i,j-1} / (t_{i+j} - t_i) - B_{i+1,j-1} / (t_{i+j+1} - t_{i+1})),
     whose denominators are those of the Cox-de Boor step and stay positive
-    on a nonempty span.  Loops run over the degree only.
+    on a nonempty span.  Each order's values are those of a sweep for that
+    order alone, bit for bit.  Loops run over the degree only.
     """
     a, b = space.interval
     x = np.asarray(xs, dtype=float).ravel()
     outside = (x < a) | (x > b)
     if np.any(outside):
         raise ValueError(f"x={x[np.argmax(outside)]} outside [{a}, {b}]")
-    if deriv < 0:
+    orders = [int(d) for d in orders]
+    if any(d < 0 for d in orders):
         raise ValueError("requires deriv >= 0")
     if side not in ("auto", "left", "right"):
         raise ValueError("side must be 'auto', 'left' or 'right'")
     p, t = space.degree, space.knots
     span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
     np.clip(span, p, t.size - p - 2, out=span)
-    vals = np.zeros((x.size, p + 1))
-    if deriv > p:
+    vals = np.zeros((len(orders), x.size, p + 1))
+    slot: dict[int, int] = {}  # first index of each order; higher derivatives vanish
+    for i, d in enumerate(orders):
+        if d <= p:
+            slot.setdefault(d, i)
+    if not slot:
         return span - p, vals
-    vals[:, 0] = 1.0
     x = x[:, None]
     window = t[span[:, None] + np.arange(1 - p, p + 1)]  # t[span+1-p] .. t[span+p]
-    for j in range(1, p + 1):
-        hi, lo = window[:, p : p + j], window[:, p - j : p]
-        if j <= p - deriv:
-            temp = vals[:, :j] / (hi - lo)
-            vals[:, :j] = (hi - x) * temp
-            vals[:, 1 : j + 1] += (x - lo) * temp
-        else:
-            temp = j * vals[:, :j] / (hi - lo)
-            vals[:, :j] = -temp
-            vals[:, 1 : j + 1] += temp
+    low = min(slot)
+    table = vals[slot[low]]  # the sweep ends in the lowest order's slot
+    table[:, 0] = 1.0
+    for j in range(p - low + 1):
+        if j:
+            hi, lo = window[:, p : p + j], window[:, p - j : p]
+            temp = table[:, :j] / (hi - lo)
+            table[:, :j] = (hi - x) * temp
+            table[:, 1 : j + 1] += (x - lo) * temp
+        if p - j in slot and p - j != low:
+            vals[slot[p - j]] = table
+    for d, i in slot.items():
+        table = vals[i]
+        for j in range(p - d + 1, p + 1):
+            hi, lo = window[:, p : p + j], window[:, p - j : p]
+            temp = j * table[:, :j] / (hi - lo)
+            table[:, :j] = -temp
+            table[:, 1 : j + 1] += temp
+    for i, d in enumerate(orders):
+        if d in slot and i != slot[d]:
+            vals[i] = vals[slot[d]]
     return span - p, vals
 
 
@@ -320,8 +340,8 @@ def eval_basis(
     breakpoints and left-continuous at ``b``; pass ``side='left'`` or
     ``side='right'`` to force a one-sided limit.
     """
-    first, vals = _basis_table(space, [x], deriv, side)
-    return int(first[0]), vals[0]
+    first, vals = _basis_table(space, [x], (deriv,), side)
+    return int(first[0]), vals[0, 0]
 
 
 def eval_spline(s: Spline, x: float, deriv: int = 0, side: str = "auto") -> float:
@@ -330,12 +350,20 @@ def eval_spline(s: Spline, x: float, deriv: int = 0, side: str = "auto") -> floa
     return float(np.dot(s.coeffs[first : first + s.space.degree + 1], vals))
 
 
-def eval_spline_many(s: Spline, xs: np.ndarray, deriv: int = 0) -> np.ndarray:
-    """Vectorized :func:`eval_spline` over an array of points."""
+def eval_spline_many(
+    s: Spline, xs: np.ndarray, deriv: int | Sequence[int] = 0
+) -> np.ndarray:
+    """Vectorized :func:`eval_spline` over an array of points.
+
+    ``deriv`` may also be a sequence of orders: the result then stacks one
+    array per order along a new first axis, all from one basis sweep.
+    """
     xs = np.asarray(xs, dtype=float)
-    first, vals = _basis_table(s.space, xs, deriv)
+    orders = np.atleast_1d(deriv)
+    first, vals = _basis_table(s.space, xs, orders)
     coeffs = s.coeffs[first[:, None] + np.arange(s.space.degree + 1)]
-    return np.sum(coeffs * vals, axis=1).reshape(xs.shape)
+    out = np.sum(coeffs * vals, axis=2)
+    return out.reshape(xs.shape if np.ndim(deriv) == 0 else (orders.size, *xs.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +405,12 @@ def integrate_from_left(s: Spline) -> Spline:
 def _dual_coefficients(space: SplineSpace, derivs_at, degree: int) -> np.ndarray:
     """B-spline coefficients of a function known to lie in ``space``.
 
-    ``derivs_at(taus, m)`` must return the m-th derivative at every point of
-    ``taus``; derivatives past the function's ``degree`` vanish and are not
-    asked for.  For each basis index the dual functional is evaluated at the
-    midpoint of the widest knot span inside the basis support, where the
-    integrand is a single polynomial piece:
+    ``derivs_at(taus, orders)`` must return, for each m in ``orders``, the
+    m-th derivative at every point of ``taus``; derivatives past the
+    function's ``degree`` vanish and are not asked for.  For each basis
+    index the dual functional is evaluated at the midpoint of the widest
+    knot span inside the basis support, where the integrand is a single
+    polynomial piece:
 
         c_i = sum_m e_m(t_{i+1} - tau, ..., t_{i+p} - tau) f^(m)(tau) (p-m)!/p!
 
@@ -397,8 +426,9 @@ def _dual_coefficients(space: SplineSpace, derivs_at, degree: int) -> np.ndarray
         e[:, 1:] = e[:, 1:] + v[:, None] * e[:, :-1]
     pfac = factorial(p)
     coeffs = np.zeros(space.dim)
-    for m in range(min(p, degree) + 1):
-        coeffs += e[:, m] * derivs_at(taus, m) * (factorial(p - m) / pfac)
+    orders = range(min(p, degree) + 1)
+    for m, f in zip(orders, derivs_at(taus, orders)):
+        coeffs += e[:, m] * f * (factorial(p - m) / pfac)
     return coeffs
 
 
@@ -406,7 +436,8 @@ def poly_to_spline(poly: Polynomial, space: SplineSpace) -> Spline:
     """Exact B-spline coefficients of a polynomial inside ``space``."""
     a, b = space.interval
     pa, pb = poly.interval
-    if not (np.isclose(pa, a) and np.isclose(pb, b)):
+    close = lambda x, y: abs(x - y) <= 1e-8 + 1e-5 * abs(y)  # numpy.isclose's test
+    if not (close(pa, a) and close(pb, b)):
         raise ValueError("polynomial interval differs from the space interval")
     if poly.degree_bound > space.degree:
         nz = np.nonzero(poly.coeffs)[0]
@@ -414,7 +445,8 @@ def poly_to_spline(poly: Polynomial, space: SplineSpace) -> Spline:
             raise ValueError(
                 f"polynomial degree {nz[-1]} exceeds space degree {space.degree}"
             )
-    return Spline(space, _dual_coefficients(space, poly.eval, poly.degree_bound))
+    derivs_at = lambda taus, orders: [poly.eval(taus, m) for m in orders]
+    return Spline(space, _dual_coefficients(space, derivs_at, poly.degree_bound))
 
 
 def embed(s: Spline, target: SplineSpace) -> Spline:
@@ -424,7 +456,7 @@ def embed(s: Spline, target: SplineSpace) -> Spline:
             "target is not a superspace: requires same breakpoints, "
             f"target p >= {s.space.degree} and target k <= {s.space.smoothness}"
         )
-    derivs_at = lambda taus, m: eval_spline_many(s, taus, m)
+    derivs_at = lambda taus, orders: eval_spline_many(s, taus, orders)
     return Spline(target, _dual_coefficients(target, derivs_at, s.space.degree))
 
 

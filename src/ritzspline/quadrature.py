@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solveh_banded
 
 from .mesh import Breakpoints, SplineSpace, _basis_table, _frozen
 
@@ -142,6 +141,8 @@ class BandedSymmetric:
         return float(np.max(sums))
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
+        from scipy.linalg import solveh_banded  # imported on first solve: slow to load
+
         return solveh_banded(self.bands, rhs, lower=True)
 
 
@@ -153,14 +154,14 @@ def _element_basis(
     ``xs`` holds the Gauss points of each element, one row per element as
     from :func:`mesh_points`, so every row must share one span.
     """
-    first, vals = _basis_table(space, xs, deriv)
+    first, vals = _basis_table(space, xs, (deriv,))
     first = first.reshape(xs.shape)
     if np.any(first != first[:, :1]):
         raise ValueError(
             "requires elements wide enough in double precision that no Gauss "
             "point rounds onto a breakpoint"
         )
-    return first[:, 0], vals.reshape(*xs.shape, -1)
+    return first[:, 0], vals[0].reshape(*xs.shape, -1)
 
 
 def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> BandedSymmetric:

@@ -10,6 +10,7 @@ from ritzspline.analysis import (
     error_norm,
     function_seminorm,
     moment_report,
+    project_report,
     rq_difference_study,
     spline_norm,
 )
@@ -22,7 +23,7 @@ from ritzspline.mesh import (
     make_space,
     poly_to_spline,
 )
-from ritzspline.projectors import q_project, ritz_project
+from ritzspline.projectors import l2_project, q_project, ritz_project
 from ritzspline.quadrature import default_order, mesh_points
 
 from conftest import random_breakpoints, random_smooth
@@ -142,6 +143,42 @@ def test_difference_study_matches_ritz_project_exactly():
         diff = ritz_project(space, 2, u) - q_project(space, 2, u)
         assert tab.errors[0][i] == spline_norm(diff, 0)
         assert tab.errors[1][i] == spline_norm(diff, 1)
+
+
+def _norm_per_order(d, w):
+    return float(np.sqrt(np.sum(d * d * w)))
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0])
+def test_studies_match_per_order_loops(grading):
+    """Bit for bit against loops that evaluate u and s anew for every order."""
+    u = builtin("runge")
+    l_set = (2, 0, 1)
+    err = convergence_study(u, "ritz", 4, 3, 2, l_set, levels=3, grading=grading)
+    diff = rq_difference_study(u, 4, 3, 2, l_set, levels=3, grading=grading)
+    for i, j in enumerate(range(1, 4)):
+        space = make_space(4, 3, Breakpoints.uniform(2**j, grading=grading))
+        qs = q_project(space, 2, u)
+        s = ritz_project(space, 2, u)
+        xs, ws = mesh_points(space.breakpoints, default_order(4, space.breakpoints))
+        flat, w = xs.ravel(), ws.ravel()
+        exact_xs, exact_ws = mesh_points(space.breakpoints, default_order(4))
+        for l in l_set:
+            d = u.eval(flat, l) - eval_spline_many(s, flat, l)
+            assert err.errors[l][i] == _norm_per_order(d, w)
+            d = eval_spline_many(s - qs, exact_xs.ravel(), l)
+            assert diff.errors[l][i] == _norm_per_order(d, exact_ws.ravel())
+
+
+def test_norms_take_a_sequence_of_orders(rng):
+    space = make_space(3, 1, random_breakpoints(rng, 3))
+    u = random_smooth(rng)
+    s = l2_project(space, u)
+    assert error_norm(u, s, [1, 0, 3]) == [error_norm(u, s, l) for l in (1, 0, 3)]
+    assert spline_norm(s, (2, 4)) == [spline_norm(s, 2), spline_norm(s, 4)]
+    assert error_norm(u, s, ()) == [] and spline_norm(s, []) == []
+    with pytest.raises(ValueError, match="max_order"):
+        error_norm(u, s, [0, u.max_order + 1])
 
 
 def test_difference_study_flags_coincident_projectors():
@@ -280,3 +317,10 @@ def test_moment_report_matches_per_order_sums(rng, q):
     for r, (_, _, res, ref) in zip(got, want):
         assert r.residual == abs(float(res))
         assert r.scaled == abs(float(res)) / max(1.0, abs(float(ref)))
+    for l_max in range(q + 1):
+        errors, moments = project_report(u, s, q, l_max)
+        assert moments == got
+        assert errors == {l: error_norm(u, s, l) for l in range(l_max + 1)}
+        for l in range(l_max + 1):
+            d = u.eval(flat, l) - eval_spline_many(s, flat, l)
+            assert errors[l] == float(np.sqrt(np.sum(d * d * wflat)))

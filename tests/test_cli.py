@@ -362,3 +362,93 @@ def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
     assert record == {
         "load_vector": 9, "gram_matrix": 9, "error_norms": 9, "override": True,
     }
+
+
+# ---------------------------------------------------------------------------
+# work done per call
+# ---------------------------------------------------------------------------
+
+
+def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
+    """u^(l) once per order on the error-norm grid (u^(0) once more, inside
+    the one Ritz correction) and s once for all orders."""
+    from collections import Counter
+
+    import ritzspline.analysis as analysis
+    import ritzspline.cli as cli
+    import ritzspline.projectors as projectors
+    from ritzspline.functions import SmoothFunction, builtin
+    from ritzspline.mesh import Breakpoints
+    from ritzspline.quadrature import default_order
+
+    base = builtin("sin4x")
+    eval_spline_many, ritz_correction = analysis.eval_spline_many, cli.ritz_correction
+    u_calls, s_calls, corrections = Counter(), Counter(), []
+
+    def evaluator(x, d):
+        u_calls[d, np.size(x)] += 1
+        return base.evaluator(x, d)
+
+    def counted_eval_spline_many(s, xs, deriv=0):
+        s_calls[np.size(xs)] += 1
+        return eval_spline_many(s, xs, deriv)
+
+    def counted_correction(*args):
+        corrections.append(args)
+        return ritz_correction(*args)
+
+    monkeypatch.setattr(
+        cli, "resolve_function", lambda name: SmoothFunction(evaluator, base.max_order, name)
+    )
+    monkeypatch.setattr(analysis, "eval_spline_many", counted_eval_spline_many)
+    monkeypatch.setattr(cli, "ritz_correction", counted_correction)
+    monkeypatch.setattr(projectors, "ritz_correction", counted_correction)
+    rc = run(
+        [
+            "project", "--function", "sin4x", "--p", "3", "--q", "2", "--projector",
+            "ritz", "--uniform", "15", "--format", "json", "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert rc == 0
+    n = 16 * default_order(3, Breakpoints.uniform(16))
+    assert len(corrections) == 1
+    assert {l: u_calls[l, n] for l in range(4)} == {0: 2, 1: 1, 2: 1, 3: 0}
+    assert s_calls == {n: 1}
+
+
+def test_scipy_is_imported_only_by_solves(tmp_path):
+    """Import, constants, --help and exit-2 paths never load scipy; eig does."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import json, sys
+from ritzspline.cli import main
+seen = {"import": "scipy" in sys.modules}
+main(["constants", "--table", "d", "--p", "3"])
+seen["constants"] = "scipy" in sys.modules
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+seen["help"] = "scipy" in sys.modules
+rc = main(["project", "--function", "sin4x", "--p", "3", "--q", "9", "--out", "x"])
+seen["exit_2"] = [rc, "scipy" in sys.modules]
+rc = main(["eig", "--p", "3", "--elements", "8", "--out", "eig"])
+seen["eig"] = [rc, "scipy" in sys.modules]
+print(json.dumps(seen))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {
+        "import": False, "constants": False, "help": False,
+        "exit_2": [2, False], "eig": [0, True],
+    }

@@ -17,7 +17,7 @@ from ritzspline.mesh import (
     poly_to_spline,
     spline_to_poly,
 )
-from ritzspline.mesh import _dual_coefficients
+from ritzspline.mesh import _basis_table, _dual_coefficients
 
 from conftest import random_breakpoints, random_space, random_spline
 
@@ -195,6 +195,68 @@ def test_eval_spline_many_matches_scipy_bspline(p):
                 want = BSpline(space.knots, s.coeffs, p)(xs, nu=d)
                 gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 assert gap <= 1e-12, (k, grading, d, gap)
+
+
+def _single_order_table(space, xs, deriv, side):
+    """One derivative order alone: Cox-de Boor to degree p - deriv, then
+    deriv derivative steps, in the kernel's operand order."""
+    p, t = space.degree, space.knots
+    x = np.asarray(xs, dtype=float).ravel()
+    span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
+    span = np.clip(span, p, t.size - p - 2)
+    vals = np.zeros((x.size, p + 1))
+    if deriv > p:
+        return span - p, vals
+    vals[:, 0] = 1.0
+    x = x[:, None]
+    window = t[span[:, None] + np.arange(1 - p, p + 1)]
+    for j in range(1, p + 1):
+        hi, lo = window[:, p : p + j], window[:, p - j : p]
+        if j <= p - deriv:
+            temp = vals[:, :j] / (hi - lo)
+            vals[:, :j] = (hi - x) * temp
+            vals[:, 1 : j + 1] += (x - lo) * temp
+        else:
+            temp = j * vals[:, :j] / (hi - lo)
+            vals[:, :j] = -temp
+            vals[:, 1 : j + 1] += temp
+    return span - p, vals
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
+def test_multi_order_basis_table_matches_single_orders(p):
+    """One sweep for many orders gives each order's own sweep, bit for bit:
+    orders shuffled and repeated, every side, graded and far-off meshes."""
+    r = np.random.default_rng(2000 + p)
+    meshes = (
+        Breakpoints.uniform(5, -0.5, 2.0, grading=3.0),
+        Breakpoints.uniform(3, 1e6, 1e6 + 1.0),
+        random_breakpoints(r, 4),
+    )
+    for xi in meshes:
+        for k in sorted({-1, p // 2 - 1, p - 1}):
+            space = make_space(p, k, xi)
+            xs = np.concatenate([r.uniform(xi.a, xi.b, 30), xi.points])
+            orders = list(r.permutation(p + 2)) + [0, p + 1, p // 2]
+            for side in ("auto", "left", "right"):
+                first, vals = _basis_table(space, xs, orders, side)
+                assert vals.shape == (len(orders), xs.size, p + 1)
+                for d, got in zip(orders, vals):
+                    want_first, want = _single_order_table(space, xs, d, side)
+                    assert np.array_equal(first, want_first)
+                    assert np.array_equal(got, want), (xi.a, k, side, d)
+            s = random_spline(r, space)
+            grid = xs.reshape(-1, 1)
+            many = eval_spline_many(s, grid, orders)
+            assert many.shape == (len(orders), *grid.shape)
+            for d, got in zip(orders, many):
+                assert np.array_equal(got, eval_spline_many(s, grid, int(d)))
+
+
+def test_basis_table_rejects_negative_order():
+    space = make_space(2, 1, Breakpoints.uniform(2))
+    with pytest.raises(ValueError, match="deriv >= 0"):
+        _basis_table(space, [0.5], (0, -1))
 
 
 def test_unit_spline_everywhere(rng):
@@ -387,18 +449,34 @@ def test_poly_roundtrip(rng):
 
 
 def test_dual_coefficients_skip_vanishing_orders_exactly(rng):
-    """Stopping at the source degree drops exact zeros: bit-identical output."""
+    """Stopping at the source degree drops exact zeros, and embed's one
+    multi-order evaluation matches one evaluation per order: bit-identical."""
     for p in (1, 3, 5, 8):
         xi = random_breakpoints(rng, 4)
         space = make_space(p, p - 1, xi)
         for deg in range(min(p, 3)):
             pol = Polynomial(rng.normal(size=deg + 1), space.interval)
-            full = _dual_coefficients(space, pol.eval, p)
+            per_order = lambda x, orders: [pol.eval(x, m) for m in orders]
+            full = _dual_coefficients(space, per_order, p)
             assert np.array_equal(poly_to_spline(pol, space).coeffs, full)
         s = random_spline(rng, make_space(p - 1, p - 2, xi))
         target = make_space(p, p - 2, xi)
-        full = _dual_coefficients(target, lambda x, m: eval_spline_many(s, x, m), p)
+        per_order = lambda x, orders: [eval_spline_many(s, x, m) for m in orders]
+        full = _dual_coefficients(target, per_order, p)
         assert np.array_equal(embed(s, target).coeffs, full)
+
+
+def test_poly_to_spline_interval_check_matches_isclose():
+    """The endpoint test is numpy.isclose's, on Python floats."""
+    space = make_space(2, 1, Breakpoints.uniform(3, 1e3, 1e3 + 2.0))
+    for b, ok in ((1e3 + 2.0 + 9e-3, True), (1e3 + 2.0 + 1.1e-2, False)):
+        assert bool(np.isclose(b, space.interval[1])) is ok
+        pol = Polynomial([1.0, 2.0], (1e3, b))
+        if ok:
+            poly_to_spline(pol, space)
+        else:
+            with pytest.raises(ValueError, match="interval differs"):
+                poly_to_spline(pol, space)
 
 
 def test_poly_to_spline_rejects_high_degree():
