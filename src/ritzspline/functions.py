@@ -97,15 +97,17 @@ class Call:
 
 Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow, Call]
 
-# The pool holds strong references, so child ids in keys stay unique.
+# The pool holds strong references, so child ids in keys stay unique.  It is
+# never pruned: it grows with every distinct node ever built.
 _POOL: dict[tuple, Expr] = {}
 
 
 def _interned(key: tuple, make: Callable[[], Expr]) -> Expr:
     node = _POOL.get(key)
     if node is None:
-        node = make()
-        _POOL[key] = node
+        # setdefault is one atomic dict operation: threads racing on a new
+        # key all get the node inserted first.
+        node = _POOL.setdefault(key, make())
     return node
 
 

@@ -268,7 +268,7 @@ def _basis_table(
     derivative orders at once.
 
     Returns ``(first, vals)``: ``first[m]`` is the index of the first of the
-    p+1 basis functions that may be nonzero at point m, and ``vals[i, m, j]``
+    p+1 basis functions that may be nonzero at point m, and ``vals[i, j, m]``
     the ``orders[i]``-th derivative of basis function ``first[m] + j`` there.
     The span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it
     (``side='left'``: (t_i, t_{i+1}], the limit from below), clamped to the
@@ -282,6 +282,11 @@ def _basis_table(
     whose denominators are those of the Cox-de Boor step and stay positive
     on a nonempty span.  Each order's values are those of a sweep for that
     order alone, bit for bit.  Loops run over the degree only.
+
+    The tables are degree-major: the knot window is (2p, npts) and each
+    order's table (p+1, npts), so every step of the recurrence is a ufunc
+    over whole contiguous rows of npts points rather than over p+1-wide
+    strided slices.  The layout changes no operand and no operation order.
     """
     a, b = space.interval
     x = np.asarray(xs, dtype=float).ravel()
@@ -296,33 +301,32 @@ def _basis_table(
     p, t = space.degree, space.knots
     span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
     np.clip(span, p, t.size - p - 2, out=span)
-    vals = np.zeros((len(orders), x.size, p + 1))
+    vals = np.zeros((len(orders), p + 1, x.size))
     slot: dict[int, int] = {}  # first index of each order; higher derivatives vanish
     for i, d in enumerate(orders):
         if d <= p:
             slot.setdefault(d, i)
     if not slot:
         return span - p, vals
-    x = x[:, None]
-    window = t[span[:, None] + np.arange(1 - p, p + 1)]  # t[span+1-p] .. t[span+p]
+    window = t[np.arange(1 - p, p + 1)[:, None] + span]  # t[span+1-p] .. t[span+p]
     low = min(slot)
     table = vals[slot[low]]  # the sweep ends in the lowest order's slot
-    table[:, 0] = 1.0
+    table[0] = 1.0
     for j in range(p - low + 1):
         if j:
-            hi, lo = window[:, p : p + j], window[:, p - j : p]
-            temp = table[:, :j] / (hi - lo)
-            table[:, :j] = (hi - x) * temp
-            table[:, 1 : j + 1] += (x - lo) * temp
+            hi, lo = window[p : p + j], window[p - j : p]
+            temp = table[:j] / (hi - lo)
+            table[:j] = (hi - x) * temp
+            table[1 : j + 1] += (x - lo) * temp
         if p - j in slot and p - j != low:
             vals[slot[p - j]] = table
     for d, i in slot.items():
         table = vals[i]
         for j in range(p - d + 1, p + 1):
-            hi, lo = window[:, p : p + j], window[:, p - j : p]
-            temp = j * table[:, :j] / (hi - lo)
-            table[:, :j] = -temp
-            table[:, 1 : j + 1] += temp
+            hi, lo = window[p : p + j], window[p - j : p]
+            temp = j * table[:j] / (hi - lo)
+            table[:j] = -temp
+            table[1 : j + 1] += temp
     for i, d in enumerate(orders):
         if d in slot and i != slot[d]:
             vals[i] = vals[slot[d]]
@@ -341,7 +345,7 @@ def eval_basis(
     ``side='right'`` to force a one-sided limit.
     """
     first, vals = _basis_table(space, [x], (deriv,), side)
-    return int(first[0]), vals[0, 0]
+    return int(first[0]), vals[0, :, 0]
 
 
 def eval_spline(s: Spline, x: float, deriv: int = 0, side: str = "auto") -> float:
@@ -361,8 +365,8 @@ def eval_spline_many(
     xs = np.asarray(xs, dtype=float)
     orders = np.atleast_1d(deriv)
     first, vals = _basis_table(s.space, xs, orders)
-    coeffs = s.coeffs[first[:, None] + np.arange(s.space.degree + 1)]
-    out = np.sum(coeffs * vals, axis=2)
+    coeffs = s.coeffs[np.arange(s.space.degree + 1)[:, None] + first]
+    out = np.sum(coeffs * vals, axis=1)
     return out.reshape(xs.shape if np.ndim(deriv) == 0 else (orders.size, *xs.shape))
 
 
@@ -414,19 +418,21 @@ def _dual_coefficients(space: SplineSpace, derivs_at, degree: int) -> np.ndarray
 
         c_i = sum_m e_m(t_{i+1} - tau, ..., t_{i+p} - tau) f^(m)(tau) (p-m)!/p!
 
-    The elementary symmetric values e_m are built one knot at a time.
+    The elementary symmetric values e_m are built one knot at a time, and
+    only for the orders asked for: e_m depends on e_0 .. e_m alone.
     """
     p, t = space.degree, space.knots
+    top = min(p, degree)
     rows = np.arange(space.dim)[:, None] + np.arange(p + 1)
     j = rows[:, 0] + np.argmax(t[rows + 1] - t[rows], axis=1)
     taus = 0.5 * (t[j] + t[j + 1])
-    e = np.zeros((space.dim, p + 1))
+    e = np.zeros((space.dim, top + 1))
     e[:, 0] = 1.0
     for v in (t[rows[:, 1:]] - taus[:, None]).T:
         e[:, 1:] = e[:, 1:] + v[:, None] * e[:, :-1]
     pfac = factorial(p)
     coeffs = np.zeros(space.dim)
-    orders = range(min(p, degree) + 1)
+    orders = range(top + 1)
     for m, f in zip(orders, derivs_at(taus, orders)):
         coeffs += e[:, m] * f * (factorial(p - m) / pfac)
     return coeffs

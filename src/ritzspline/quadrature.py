@@ -152,7 +152,10 @@ def _element_basis(
     """First basis index per element and (elements, n, p+1) derivative values.
 
     ``xs`` holds the Gauss points of each element, one row per element as
-    from :func:`mesh_points`, so every row must share one span.
+    from :func:`mesh_points`, so every row must share one span.  The
+    kernel's degree-major table is copied point-major, as the einsum
+    contractions below take it: contracted in place, the load vector's sums
+    would run in another order and change in their last bits.
     """
     first, vals = _basis_table(space, xs, (deriv,))
     first = first.reshape(xs.shape)
@@ -161,7 +164,7 @@ def _element_basis(
             "requires elements wide enough in double precision that no Gauss "
             "point rounds onto a breakpoint"
         )
-    return first[:, 0], vals[0].reshape(*xs.shape, -1)
+    return first[:, 0], np.ascontiguousarray(vals[0].T).reshape(*xs.shape, -1)
 
 
 def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> BandedSymmetric:

@@ -19,6 +19,7 @@ from ritzspline.mesh import (
     Breakpoints,
     Polynomial,
     Spline,
+    eval_spline,
     eval_spline_many,
     make_space,
     poly_to_spline,
@@ -262,6 +263,22 @@ def test_boundary_report_flags_and_residuals():
     assert not by_key2[("b", 0)].applicable
     assert by_key2[("b", 0)].residual == pytest.approx(2.0, abs=1e-9)
     assert by_key2[("b", 1)].applicable  # p=2 >= 2q-l-1 for l=1
+
+
+def test_boundary_report_matches_eval_spline_loop(rng):
+    """One basis table per endpoint gives the residuals of one eval_spline
+    call per endpoint and order, bit for bit."""
+    for p, q in ((0, 1), (1, 2), (3, 2), (4, 3), (8, 3), (20, 4)):
+        xi = random_breakpoints(rng, 3, a=-1.0, b=2.0)
+        space = make_space(p, p - 1, xi)
+        s = Spline(space, rng.normal(size=space.dim))
+        u = random_smooth(rng)
+        rep = boundary_report(u, s, q)
+        assert len(rep) == 2 * q
+        for r in rep:
+            x = xi.a if r.endpoint == "a" else xi.b
+            want = abs(eval_spline(s, x, r.l) - u.eval(x, r.l))
+            assert r.residual == want, (p, q, r)
 
 
 def test_boundary_report_random_cases(rng):

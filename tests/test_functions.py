@@ -18,11 +18,60 @@ from ritzspline.functions import (
     resolve_function,
     to_source,
 )
+from ritzspline.functions import _POOL, _interned
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+
+def test_interned_keeps_the_node_inserted_first():
+    """A node built while another thread interns the same key loses: both
+    callers get the node that was inserted first."""
+    key = ("test-race",)
+    first = Const(1.0)
+
+    def make():
+        _POOL[key] = first  # the other thread wins the race meanwhile
+        return Const(1.0)
+
+    try:
+        assert _interned(key, make) is first
+        assert _interned(key, lambda: Const(2.0)) is first
+    finally:
+        del _POOL[key]
+
+
+def test_threads_parsing_one_expression_share_its_nodes():
+    """More threads than cores parse the same new expressions at once, with a
+    short switch interval: every thread gets the same root node, which a lost
+    interning race would break."""
+    import sys
+    import threading
+
+    n_threads, rounds = 8, 40
+    roots = [[None] * rounds for _ in range(n_threads)]
+    barrier = threading.Barrier(n_threads, timeout=10)
+
+    def work(i):
+        for r in range(rounds):
+            barrier.wait()
+            roots[i][r] = parse(f"sin({r}.25*x)*(x+{r}.5)^3-exp(x/{r}.75)+{r}.125")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for r in range(rounds):
+        assert all(row[r] is roots[0][r] for row in roots), r
 
 
 def test_parse_sin4x_shape():

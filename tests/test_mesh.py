@@ -199,7 +199,8 @@ def test_eval_spline_many_matches_scipy_bspline(p):
 
 def _single_order_table(space, xs, deriv, side):
     """One derivative order alone: Cox-de Boor to degree p - deriv, then
-    deriv derivative steps, in the kernel's operand order."""
+    deriv derivative steps, in the kernel's operand order.  Point-major,
+    (npts, p+1), unlike the kernel's degree-major tables."""
     p, t = space.degree, space.knots
     x = np.asarray(xs, dtype=float).ravel()
     span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
@@ -225,8 +226,9 @@ def _single_order_table(space, xs, deriv, side):
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
 def test_multi_order_basis_table_matches_single_orders(p):
-    """One sweep for many orders gives each order's own sweep, bit for bit:
-    orders shuffled and repeated, every side, graded and far-off meshes."""
+    """One degree-major sweep for many orders gives each order's own
+    point-major sweep, bit for bit: orders shuffled and repeated, every side,
+    graded and far-off meshes."""
     r = np.random.default_rng(2000 + p)
     meshes = (
         Breakpoints.uniform(5, -0.5, 2.0, grading=3.0),
@@ -240,17 +242,43 @@ def test_multi_order_basis_table_matches_single_orders(p):
             orders = list(r.permutation(p + 2)) + [0, p + 1, p // 2]
             for side in ("auto", "left", "right"):
                 first, vals = _basis_table(space, xs, orders, side)
-                assert vals.shape == (len(orders), xs.size, p + 1)
+                assert vals.shape == (len(orders), p + 1, xs.size)
                 for d, got in zip(orders, vals):
                     want_first, want = _single_order_table(space, xs, d, side)
                     assert np.array_equal(first, want_first)
-                    assert np.array_equal(got, want), (xi.a, k, side, d)
+                    assert np.array_equal(got.T, want), (xi.a, k, side, d)
             s = random_spline(r, space)
             grid = xs.reshape(-1, 1)
             many = eval_spline_many(s, grid, orders)
             assert many.shape == (len(orders), *grid.shape)
             for d, got in zip(orders, many):
                 assert np.array_equal(got, eval_spline_many(s, grid, int(d)))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 6, 7, 8, 13, 20])
+def test_eval_spline_many_matches_point_major_contraction(p):
+    """The sum over the degree axis of the degree-major tables against the
+    point-major contraction, np.sum over the last axis: bit for bit up to
+    p = 6, where numpy adds the p+1 terms in the same order.  From p = 7 on
+    numpy's pairwise summation groups them differently, and two orders of
+    summing the p+1 products c_j B_j differ by at most 2p eps sum_j |c_j B_j|."""
+    r = np.random.default_rng(3000 + p)
+    eps = np.finfo(float).eps
+    for xi in (random_breakpoints(r, 5), Breakpoints.uniform(4, -1.0, 3.0, grading=2.5)):
+        for k in sorted({-1, p // 2 - 1, p - 1}):
+            space = make_space(p, k, xi)
+            s = random_spline(r, space)
+            xs = np.concatenate([r.uniform(xi.a, xi.b, 200), xi.points])
+            orders = list(range(p + 2))
+            first, vals = _basis_table(space, xs, orders)
+            terms = s.coeffs[first[:, None] + np.arange(p + 1)] * vals.transpose(0, 2, 1)
+            want = np.sum(terms, axis=2)
+            got = eval_spline_many(s, xs, orders)
+            if p <= 6:
+                assert np.array_equal(got, want), k
+            else:
+                bound = 2 * p * eps * np.sum(np.abs(terms), axis=2)
+                assert np.all(np.abs(got - want) <= bound), k
 
 
 def test_basis_table_rejects_negative_order():
@@ -448,8 +476,28 @@ def test_poly_roundtrip(rng):
     np.testing.assert_allclose(back.coeffs, pol.coeffs, rtol=1e-9, atol=1e-10)
 
 
+def _dual_coefficients_full(space, derivs_at):
+    """The dual-functional formula with the whole elementary-symmetric table
+    and every order 0..p, vanishing or not."""
+    from math import factorial
+
+    p, t = space.degree, space.knots
+    rows = np.arange(space.dim)[:, None] + np.arange(p + 1)
+    j = rows[:, 0] + np.argmax(t[rows + 1] - t[rows], axis=1)
+    taus = 0.5 * (t[j] + t[j + 1])
+    e = np.zeros((space.dim, p + 1))
+    e[:, 0] = 1.0
+    for v in (t[rows[:, 1:]] - taus[:, None]).T:
+        e[:, 1:] = e[:, 1:] + v[:, None] * e[:, :-1]
+    coeffs = np.zeros(space.dim)
+    for m in range(p + 1):
+        coeffs += e[:, m] * derivs_at(taus, [m])[0] * (factorial(p - m) / factorial(p))
+    return coeffs
+
+
 def test_dual_coefficients_skip_vanishing_orders_exactly(rng):
-    """Stopping at the source degree drops exact zeros, and embed's one
+    """Stopping at the source degree drops exact zeros, both in the orders
+    asked for and in the elementary-symmetric table, and embed's one
     multi-order evaluation matches one evaluation per order: bit-identical."""
     for p in (1, 3, 5, 8):
         xi = random_breakpoints(rng, 4)
@@ -459,11 +507,13 @@ def test_dual_coefficients_skip_vanishing_orders_exactly(rng):
             per_order = lambda x, orders: [pol.eval(x, m) for m in orders]
             full = _dual_coefficients(space, per_order, p)
             assert np.array_equal(poly_to_spline(pol, space).coeffs, full)
+            assert np.array_equal(_dual_coefficients_full(space, per_order), full)
         s = random_spline(rng, make_space(p - 1, p - 2, xi))
         target = make_space(p, p - 2, xi)
         per_order = lambda x, orders: [eval_spline_many(s, x, m) for m in orders]
         full = _dual_coefficients(target, per_order, p)
         assert np.array_equal(embed(s, target).coeffs, full)
+        assert np.array_equal(_dual_coefficients_full(target, per_order), full)
 
 
 def test_poly_to_spline_interval_check_matches_isclose():
