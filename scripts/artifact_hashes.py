@@ -16,6 +16,7 @@ identical, so comparing a change with its parent is one diff:
     python3 scripts/artifact_hashes.py /path/to/parent-checkout > old.txt
     diff old.txt new.txt
 
+`artifact_diff.py` shows whether files that differ agree to roundoff.
 The optional argument names the checkout whose `src/` is imported (default:
 the one holding this script).  Run both on the same machine with the same
 BLAS thread settings.  RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any
@@ -78,20 +79,19 @@ def runs() -> list[tuple[str, list[str]]]:
     return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", nargs="?", type=Path,
-                        default=Path(__file__).resolve().parents[1],
-                        help="source checkout whose src/ is imported")
-    args = parser.parse_args()
-    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+def write_runs(dest: Path) -> int:
+    """Run the matrix with the `ritzspline` found on sys.path, writing every
+    artifact under dest and each run's stdout to `<run id>/stdout`.
+
+    Returns the number of runs that did not exit 0.
+    """
     os.environ.pop("RITZ_SPLINE_QUAD_ORDER", None)
     from ritzspline.cli import main as cli_main
 
-    digests: dict[str, str] = {}
     failed = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # relative --out paths keep stdout free of the temp path
+    home = os.getcwd()
+    os.chdir(dest)  # relative --out paths keep stdout free of the temp path
+    try:
         for run_id, argv in runs():
             captured = io.StringIO()
             with contextlib.redirect_stdout(captured):
@@ -99,12 +99,26 @@ def main() -> int:
             if rc != 0:
                 print(f"{run_id}: exit {rc}", file=sys.stderr)
                 failed += 1
-            digests[f"{run_id}/stdout"] = hashlib.sha256(
-                captured.getvalue().encode()
-            ).hexdigest()
-        for path in Path(".").rglob("*"):
-            if path.is_file():
-                digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+            Path(run_id).mkdir(parents=True, exist_ok=True)
+            Path(run_id, "stdout").write_bytes(captured.getvalue().encode())
+    finally:
+        os.chdir(home)
+    return failed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1],
+                        help="source checkout whose src/ is imported")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        failed = write_runs(Path(tmp))
+        digests = {
+            path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in Path(tmp).rglob("*") if path.is_file()
+        }
     for path in sorted(digests):
         print(f"{digests[path]}  {path}")
     return 1 if failed else 0

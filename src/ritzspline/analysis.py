@@ -172,6 +172,8 @@ class ConvergenceTable:
 def _study_meshes(
     levels: int, interval: tuple[float, float], grading: float
 ) -> list[Breakpoints]:
+    if levels < 1:
+        raise ValueError(f"requires levels >= 1: got {levels}")
     a, b = interval
     return [
         Breakpoints.uniform(2**i, a, b, grading=grading) for i in range(1, levels + 1)

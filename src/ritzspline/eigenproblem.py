@@ -216,6 +216,8 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
     backward error (see :func:`backward_errors`) below BACKWARD_ERROR_TOL;
     this checks the eigensolver, not the assembly.
     """
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("requires threshold in (0, 1]")
     space, keep = constrained_space(p, xi)
     lo, hi = int(keep[0]), int(keep[-1]) + 1  # keep is one contiguous range
     stiff = gram_matrix(space, 2).principal(lo, hi)
@@ -243,6 +245,4 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
 
 def outlier_report(p: int, xi: Breakpoints, error_threshold: float = 0.10) -> SpectrumReport:
     """Spectrum report juxtaposing predicted and observed outliers."""
-    if not 0.0 < error_threshold <= 1.0:
-        raise ValueError("requires threshold in (0, 1]")
     return solve_biharmonic(p, xi, threshold=error_threshold)

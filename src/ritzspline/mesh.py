@@ -59,6 +59,8 @@ class Breakpoints:
             raise ValueError("requires at least 1 element")
         if b <= a:
             raise ValueError("requires b > a")
+        if not 0.0 < grading < np.inf:
+            raise ValueError(f"requires a finite grading > 0: got {grading}")
         s = np.linspace(0.0, 1.0, elements + 1)
         if grading != 1.0:
             s = s**grading

@@ -1,20 +1,21 @@
 """Projectors onto spline spaces: L2, boundary-interpolating, Ritz, and
 the mean-preserving variant.
 
-The boundary-interpolating projector of order q matches the first q
-derivatives at the left endpoint, is a Galerkin projection in the order-q
-semi-inner product, and reproduces the right-endpoint data whenever the
-degree is large enough.  It is computed in closed form: project the q-th
-derivative onto the q-times derived spline space, integrate q times from
-the left, and add the Taylor polynomial of the data at a.  The classical
-Ritz projector of the same order differs from it by a polynomial of degree
-q - 1, recovered either as a polynomial correction or by solving the
-constrained (saddle-point) Galerkin system in derived coordinates, where it
-splits into a banded L2 solve and a q x q moment system; the two routes are
-kept as mutual oracles.
+The three Ritz-type projectors of order q share one assembly: L2-project
+u^(q) onto the q-times derived space, integrate q times from the left, and
+add the value s^(i)(a) as the constant of integration at each order i.
+They differ only in those values.  The boundary-interpolating projector
+takes u^(i)(a) for all i < q; the classical Ritz projector fixes all q by
+moments against the first q Legendre polynomials (its saddle-point system
+in derived coordinates); the mean-preserving variant fixes only the
+constant that way.  The Ritz projector is also computed as the boundary
+projection plus a degree-(q-1) polynomial correction; that route is kept
+as an independent oracle.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 import numpy as np
 from numpy.linalg import solve as dense_solve
@@ -34,7 +35,6 @@ from .mesh import (
 from .quadrature import (
     default_order,
     gram_matrix,
-    inner_product,
     load_vector,
     mesh_points,
 )
@@ -107,17 +107,6 @@ def poly_l2_project(
     )
 
 
-def taylor_polynomial(u: SmoothFunction, q: int, interval: tuple[float, float]) -> Polynomial:
-    """Taylor polynomial of degree q-1 of ``u`` at the left endpoint."""
-    a, _ = interval
-    coeffs = np.zeros(max(q, 1))
-    fact = 1.0
-    for ell in range(q):
-        coeffs[ell] = u.eval(a, ell) / fact
-        fact *= ell + 1
-    return Polynomial(coeffs, interval)
-
-
 def _check_order(space: SplineSpace, q: int, u: SmoothFunction) -> None:
     if q < 0:
         raise ValueError("requires q >= 0")
@@ -138,35 +127,57 @@ def derived_space(space: SplineSpace, q: int) -> SplineSpace:
     return make_space(space.degree - q, space.smoothness - q, space.breakpoints)
 
 
+def _integrate(s: Spline, values) -> Spline:
+    """Integrate from the left len(values) times, adding values[i] after the
+    step that reaches order i; the clamped basis sums to one."""
+    for v in reversed(values):
+        s = integrate_from_left(s)
+        s = Spline(s.space, s.coeffs + v)
+    return s
+
+
+def _ritz_type(space: SplineSpace, q: int, u: SmoothFunction, m: int) -> Spline:
+    """Order-q Ritz-type projection: s^(q) is the L2 projection w of u^(q)
+    onto the q-times derived space, and s^(i)(a) = u^(i)(a) for m <= i < q.
+
+    The lower part sum_{i<m} c_i (x-a)^i is fixed by the moments
+    (u - s, g_j) = 0, j < m, against the shifted Legendre polynomials: the
+    triangular system M c = r, M_ji = ((x-a)^i, g_j), r_j = (u - t, g_j),
+    where t is s without that part.  With m = q this is the Ritz
+    saddle-point system in derived coordinates: the polynomials span the
+    kernel of the order-q stiffness and, M being nonsingular, the
+    multipliers vanish.
+    """
+    _check_order(space, q, u)
+    a, b = space.interval
+    w = l2_project(derived_space(space, q), u.derivative(q))
+    s = _integrate(w, [u.eval(a, i) for i in range(m, q)])
+    if m == 0:
+        return s
+    xs, ws = mesh_points(space.breakpoints, default_order(space.degree, space.breakpoints))
+    x = xs.ravel()
+    # rows: g_j times the Gauss weights; p + 1 >= m points per element make M exact
+    tested = npleg.legvander(2.0 * (x - a) / (b - a) - 1.0, m - 1).T * ws.ravel()
+    moments = tested @ (x[:, None] - a) ** np.arange(m)
+    t = _integrate(s, np.zeros(m))
+    resid = u.eval(x) - eval_spline_many(t, x)
+    c = dense_solve(moments, tested @ resid)
+    return _integrate(s, [factorial(i) * ci for i, ci in enumerate(c)])  # s^(i)(a) = i! c_i
+
+
 def q_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     """Boundary-interpolating Ritz-type projection of order q.
 
-    Closed form of the one-step recursion: L2-project the q-th derivative
-    onto the q-times derived space, integrate from the left q times, and add
-    the left-endpoint Taylor polynomial of degree q-1.
+    Closed form of the one-step recursion Q_q u = u(a) + J Q_{q-1} u':
+    L2-project the q-th derivative onto the q-times derived space and
+    integrate from the left q times, adding u^(i)(a) at each order i.
     """
-    _check_order(space, q, u)
-    if q == 0:
-        return l2_project(space, u)
-    w = l2_project(derived_space(space, q), u.derivative(q))
-    s = w
-    for _ in range(q):
-        s = integrate_from_left(s)
-    return s + poly_to_spline(taylor_polynomial(u, q, space.interval), space)
+    return _ritz_type(space, q, u, 0)
 
 
 def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     """Mean-preserving variant: the constant term is fixed by (s, 1) = (u, 1)."""
-    _check_order(space, q, u)
-    if q == 0:
-        return l2_project(space, u)
-    inner = q_project(derived_space(space, 1), q - 1, u.derivative(1))
-    v = integrate_from_left(inner)
-    xi = space.breakpoints
-    residual = lambda x: u.eval(x) - eval_spline_many(v, x)
-    n = default_order(space.degree, xi)
-    c = inner_product(residual, lambda x: 1.0, xi, n) / (xi.b - xi.a)
-    return v + poly_to_spline(Polynomial([c], space.interval), space)
+    return _ritz_type(space, q, u, min(q, 1))
 
 
 def ritz_correction(
@@ -186,31 +197,6 @@ def ritz_correction(
     n = default_order(space.degree, space.breakpoints)
     residual = lambda x: u.eval(x) - eval_spline_many(qu, x)
     return poly_l2_project(q - 1, residual, space.interval, space.breakpoints, n)
-
-
-def _ritz_saddle(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
-    """Ritz projection from the saddle-point system: order-q stiffness plus
-    q moment constraints against the shifted Legendre polynomials g_j.
-
-    With s = J^q w + sum_i c_i (x-a)^i, w in the q-times derived space and J
-    integration from the left, s^(q) = w: the stiffness block is the derived
-    Gram matrix, the polynomials span its kernel and, M being nonsingular,
-    the multipliers vanish.  What remains is the banded L2 solve for w and
-    the triangular system M c = r, M_ji = ((x-a)^i, g_j), r_j = (u - J^q w, g_j).
-    """
-    s = l2_project(derived_space(space, q), u.derivative(q))
-    for _ in range(q):
-        s = integrate_from_left(s)
-    if q == 0:
-        return s
-    a, b = space.interval
-    xs, ws = mesh_points(space.breakpoints, default_order(space.degree, space.breakpoints))
-    x = xs.ravel()
-    # rows: g_j times the Gauss weights; p + 1 >= q points per element make M exact
-    tested = npleg.legvander(2.0 * (x - a) / (b - a) - 1.0, q - 1).T * ws.ravel()
-    moments = tested @ (x[:, None] - a) ** np.arange(q)
-    c = dense_solve(moments, tested @ (u.eval(x) - eval_spline_many(s, x)))
-    return s + poly_to_spline(Polynomial(c, space.interval), space)
 
 
 def ritz_project(
@@ -236,5 +222,5 @@ def ritz_project(
         corr = ritz_correction(space, q, u, qu)
         return qu + poly_to_spline(corr, space)
     if method == "saddle":
-        return _ritz_saddle(space, q, u)
+        return _ritz_type(space, q, u, q)
     raise ValueError(f"unknown method '{method}' (expected 'correction' or 'saddle')")

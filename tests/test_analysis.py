@@ -128,6 +128,15 @@ def test_l2_error_monotone_under_refinement():
     assert all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_studies_reject_levels_below_one(levels):
+    u = builtin("sin4x")
+    with pytest.raises(ValueError, match="levels >= 1"):
+        convergence_study(u, "q", 2, 1, 1, (0,), levels=levels)
+    with pytest.raises(ValueError, match="levels >= 1"):
+        rq_difference_study(u, 2, 1, 1, (0,), levels=levels)
+
+
 def test_difference_study_orders():
     u = builtin("sin4x")
     tab = rq_difference_study(u, 3, 2, 2, (0, 1), levels=5)

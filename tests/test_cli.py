@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,37 @@ def test_converge_rejects_l_above_q(tmp_path, capsys):
     )
     assert rc == 2
     assert "l <= q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grading", ["-1", "0", "nan", "inf"])
+def test_converge_rejects_nonpositive_grading(tmp_path, capsys, grading):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(
+            [
+                "converge", "--function", "sin(4*x)", "--p-list", "2", "--q", "1",
+                "--l-list", "0", "--levels", "2", "--grading", grading,
+                "--out", str(tmp_path / "g"),
+            ]
+        )
+    assert rc == 2
+    assert "grading" in capsys.readouterr().err
+    assert not caught
+
+
+@pytest.mark.parametrize("study", ["error", "rq-diff"])
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_converge_rejects_levels_below_one(tmp_path, capsys, study, levels):
+    out = tmp_path / "lv"
+    rc = run(
+        [
+            "converge", "--function", "sin(4*x)", "--p-list", "2", "--q", "1",
+            "--l-list", "0", "--levels", levels, "--study", study, "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "levels >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_converge_rq_diff_study(tmp_path):

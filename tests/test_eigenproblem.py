@@ -289,6 +289,13 @@ def test_threshold_validation():
         outlier_report(3, Breakpoints.uniform(8), error_threshold=0.0)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.5, float("nan")])
+def test_solve_biharmonic_rejects_threshold_outside_unit_interval(threshold):
+    # outside (0, 1] every mode (-1) or none (nan) would be flagged an outlier
+    with pytest.raises(ValueError, match=r"threshold in \(0, 1\]"):
+        solve_biharmonic(3, Breakpoints.uniform(20), threshold=threshold)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the spectral cutoff marks modes whose error bound decays, not a "

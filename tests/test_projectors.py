@@ -21,7 +21,6 @@ from ritzspline.projectors import (
     qtilde_project,
     ritz_correction,
     ritz_project,
-    taylor_polynomial,
 )
 from ritzspline.quadrature import (
     default_order,
@@ -115,6 +114,23 @@ def test_order1_projection_onto_linears_interpolates_endpoints(rng):
         )
 
 
+# (target, p, q, elements, interval) for Q~ at q >= 2: degree 20 and an
+# interval far from 0
+QTILDE_CASES = [
+    ("sin4x", 20, 2, 4, (0.0, 1.0)),
+    ("runge", 20, 3, 8, (0.0, 1.0)),
+    ("sin4x", 4, 3, 16, (1e6, 1e6 + 1.0)),
+    ("sin4x", 5, 2, 8, (1e6, 1e6 + 1.0)),
+]
+
+
+def _qtilde_cases():
+    return [
+        (make_space(p, p - 1, Breakpoints.uniform(n, a, b)), q, builtin(name))
+        for name, p, q, n, (a, b) in QTILDE_CASES
+    ]
+
+
 def test_mean_preserving_variant(rng):
     u = smooth_mix(1.3, 4.7, 0.8, 1.1, [0.2, -1.0, 0.5, 0.1])
     p1, p2 = make_space(1, 0, UNIT), make_space(2, 1, UNIT)
@@ -128,11 +144,14 @@ def test_mean_preserving_variant(rng):
         float(np.sum((u.eval(xs.ravel()) - eval_spline_many(qs, xs.ravel())) * ws.ravel()))
     )
     assert mean_err > 1e-6
-    qt = qtilde_project(p1, 1, u)
-    mean_err_t = abs(
-        float(np.sum((u.eval(xs.ravel()) - eval_spline_many(qt, xs.ravel())) * ws.ravel()))
-    )
-    assert mean_err_t < 1e-10 * max(1.0, abs(u.eval(0.5)))
+    # (u - Q~_q u, 1) = 0, here and on the q >= 2 cases
+    for space, q, v in [(p1, 1, u)] + _qtilde_cases():
+        xs, ws = mesh_points(space.breakpoints, 30)
+        qt = qtilde_project(space, q, v)
+        mean_err_t = abs(
+            float(np.sum((v.eval(xs.ravel()) - eval_spline_many(qt, xs.ravel())) * ws.ravel()))
+        )
+        assert mean_err_t < 1e-10 * max(1.0, abs(v.eval(sum(space.interval) / 2)))
 
 
 def test_mean_preserving_fixes_constants(rng):
@@ -281,13 +300,14 @@ def test_galerkin_orthogonality(rng):
 
 
 def test_commuting_with_derivative(rng):
-    for _ in range(6):
-        space, q = _setup(rng)
-        u = random_smooth(rng)
-        left = derive(q_project(space, q, u))
+    # derive(Q_q u) = derive(Q~_q u) = Q_{q-1} u', the defining recursion
+    cases = [(*_setup(rng), random_smooth(rng)) for _ in range(6)] + _qtilde_cases()
+    for space, q, u in cases:
         right = q_project(derived_space(space, 1), q - 1, u.derivative(1))
         scale = max(1.0, float(np.max(np.abs(right.coeffs))))
-        assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-10 * scale
+        for project in (q_project, qtilde_project):
+            left = derive(project(space, q, u))
+            assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-10 * scale
 
 
 def test_moment_conservation(rng):
@@ -465,8 +485,3 @@ def test_unknown_ritz_method():
     with pytest.raises(ValueError, match="method"):
         ritz_project(make_space(2, 1, UNIT), 1, builtin("sin4x"), method="direct")
 
-
-def test_taylor_polynomial():
-    u = builtin("exp")
-    t = taylor_polynomial(u, 3, (0.0, 1.0))
-    np.testing.assert_allclose(t.coeffs, [1.0, 1.0, 0.5], atol=1e-14)
