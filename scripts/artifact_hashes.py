@@ -2,7 +2,7 @@
 """sha256 of every artifact and every stdout of a fixed matrix of CLI runs.
 
 The runs cover `project` (all four projectors, q = 0..3, CSV and JSON, on a
-uniform, a nonuniform and a shifted mesh), `converge` (error studies for
+uniform, a nonuniform, a shifted mesh and one on [1e6, 1e6+1]), `converge` (error studies for
 every projector and rq-diff studies for q = 1..3, uniform and graded) and
 `eig` (p = 2..5 on 20, 50 and 100 elements, plus coarse meshes that keep at
 most p basis functions).  Each run calls `ritzspline.cli.main` in this
@@ -37,6 +37,7 @@ PROJECT_MESHES = {
     "uniform": ["--uniform", "7"],
     "nonuniform": ["--breakpoints", "0,0.1,0.35,0.4,0.7,0.85,1"],
     "shifted": ["--uniform", "5", "--interval", "1", "3"],
+    "far": ["--uniform", "7", "--interval", "1000000", "1000001"],
 }
 PROJECTORS = ("l2", "q", "ritz", "qtilde")
 RQ_DEGREES = {1: "2,3", 2: "2,3,4,5", 3: "3,5,8"}

@@ -58,7 +58,6 @@ from .eigenproblem import (
     SpectrumReport,
     clamped_beam_eigenvalues,
     constrained_space,
-    outlier_report,
     predict_non_outliers,
     solve_biharmonic,
 )

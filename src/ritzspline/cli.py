@@ -240,7 +240,7 @@ def cmd_constants(args) -> int:
 
 def cmd_eig(args) -> int:
     xi = Breakpoints.uniform(args.elements)
-    report = eigenproblem.outlier_report(args.p, xi, args.threshold)
+    report = eigenproblem.solve_biharmonic(args.p, xi, args.threshold)
     out = Path(args.out)
     _write(out / "spectrum.csv", report.to_csv())
     _write(out / "spectrum.json", report.to_json())

@@ -241,8 +241,3 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
         asymptotic=asymptotic_eigenvalues(n),
         backward_error=float(eta[worst]),
     )
-
-
-def outlier_report(p: int, xi: Breakpoints, error_threshold: float = 0.10) -> SpectrumReport:
-    """Spectrum report juxtaposing predicted and observed outliers."""
-    return solve_biharmonic(p, xi, threshold=error_threshold)

@@ -491,7 +491,15 @@ class SmoothFunction:
                 f"requires 0 <= deriv <= max_order={self.max_order}: got {deriv}"
             )
         arr = np.asarray(x, dtype=float)
-        out = np.asarray(self.evaluator(arr, deriv), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(self.evaluator(arr, deriv), dtype=float)
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = np.broadcast_to(arr, out.shape)[~finite][0]
+            raise ValueError(
+                f"requires u finite on the interval: derivative {deriv} of "
+                f"{self.description} is {out[~finite][0]} at x={float(bad)}"
+            )
         return out if arr.ndim else float(out)
 
     def derivative(self, n: int = 1) -> "SmoothFunction":

@@ -234,29 +234,6 @@ class Polynomial:
             out = out * t + ci
         return out if out.ndim else float(out)
 
-    def derivative(self) -> "Polynomial":
-        c = self.coeffs[1:] * np.arange(1, self.coeffs.size)
-        if c.size == 0:
-            c = np.zeros(1)
-        return Polynomial(c, self.interval)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.interval != other.interval:
-            raise ValueError("polynomials on different intervals")
-        n = max(self.coeffs.size, other.coeffs.size)
-        c = np.zeros(n)
-        c[: self.coeffs.size] += self.coeffs
-        c[: other.coeffs.size] += other.coeffs
-        return Polynomial(c, self.interval)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: float) -> "Polynomial":
-        return Polynomial(self.coeffs * float(scalar), self.interval)
-
-    __rmul__ = __mul__
-
 
 # ---------------------------------------------------------------------------
 # Basis evaluation (Cox-de Boor recurrence with derivatives)

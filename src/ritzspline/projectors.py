@@ -10,7 +10,9 @@ moments against the first q Legendre polynomials (its saddle-point system
 in derived coordinates); the mean-preserving variant fixes only the
 constant that way.  The Ritz projector is also computed as the boundary
 projection plus a degree-(q-1) polynomial correction; that route is kept
-as an independent oracle.
+as a cross-check of the assembly.  Both routes fix their polynomial part
+with the one polynomial L2 projection, ``poly_l2_project``, which the
+closed-form tests and the dense-KKT reference check independently.
 """
 
 from __future__ import annotations
@@ -47,64 +49,23 @@ def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
     return Spline(space, gram_matrix(space).solve_spd(rhs))
 
 
-def _legendre_coefficients(
-    deg: int, f, interval: tuple[float, float], xi: Breakpoints, n: int
-) -> np.ndarray:
-    """Coefficients of the L2 projection onto P_deg in the Legendre basis."""
-    a, b = interval
-    xs, ws = mesh_points(xi, n)
-    flat = xs.ravel()
-    mapped = 2.0 * (flat - a) / (b - a) - 1.0
-    vander = npleg.legvander(mapped, deg)
-    fv = np.asarray(f(flat)) * ws.ravel()
-    raw = vander.T @ fv
-    scale = (2.0 * np.arange(deg + 1) + 1.0) / (b - a)
-    return raw * scale
+def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> Polynomial:
+    """L2 projection of the vectorized callable ``f`` onto polynomials of
+    degree <= deg on (xi.a, xi.b), in the shifted monomials (x-a)^i.
 
-
-def _legendre_to_polynomial(coeffs: np.ndarray, interval: tuple[float, float]) -> Polynomial:
-    a, b = interval
-    mono_s = npleg.leg2poly(np.atleast_1d(coeffs))  # monomials in s = 2(x-a)/(b-a) - 1
-    scale = 2.0 / (b - a)
-    # Horner composition with s = scale*(x-a) - 1, in (x-a) coefficient form
-    out = np.zeros(mono_s.size)
-    for c in mono_s[::-1]:
-        shifted = -out
-        shifted[1:] += scale * out[:-1]
-        shifted[0] += c
-        out = shifted
-    return Polynomial(out, interval)
-
-
-def poly_l2_project(
-    deg: int,
-    u,
-    interval: tuple[float, float],
-    xi: Breakpoints | None = None,
-    n: int | None = None,
-) -> Polynomial:
-    """L2 projection onto polynomials of degree <= deg via Legendre expansion.
-
-    ``u`` may be a smooth function, a spline (integrated exactly over its own
-    breakpoints), or a plain vectorized callable.
+    Solves M c = r with M_ji = ((x-a)^i, g_j) and r_j = (f, g_j) against the
+    shifted Legendre polynomials g_j, using the n-point Gauss rule on each
+    element of xi; M is exact once n > deg.
     """
-    if deg < 0:
-        return Polynomial(np.zeros(1), interval)
-    if isinstance(u, Spline):
-        if xi is None:
-            xi = u.space.breakpoints
-        if n is None:
-            n = default_order((u.space.degree + deg) // 2)
-        f = lambda x: eval_spline_many(u, x)
-    else:
-        if xi is None:
-            xi = Breakpoints(np.array(interval, dtype=float))
-        if n is None:
-            n = default_order(deg, xi)
-        f = u.as_integrand() if isinstance(u, SmoothFunction) else u
-    return _legendre_to_polynomial(
-        _legendre_coefficients(deg, f, interval, xi, n), interval
-    )
+    a, b = xi.a, xi.b
+    xs, ws = mesh_points(xi, n)
+    x = xs.ravel()
+    t = x - a
+    tested = npleg.legvander(2.0 * t / (b - a) - 1.0, deg).T * ws.ravel()
+    powers = np.ones((deg + 1, x.size))  # rows (x-a)^i; products cost far less than pow
+    for i in range(1, deg + 1):
+        powers[i] = powers[i - 1] * t
+    return Polynomial(dense_solve(tested @ powers.T, tested @ f(x)), (a, b))
 
 
 def _check_order(space: SplineSpace, q: int, u: SmoothFunction) -> None:
@@ -141,27 +102,23 @@ def _ritz_type(space: SplineSpace, q: int, u: SmoothFunction, m: int) -> Spline:
     onto the q-times derived space, and s^(i)(a) = u^(i)(a) for m <= i < q.
 
     The lower part sum_{i<m} c_i (x-a)^i is fixed by the moments
-    (u - s, g_j) = 0, j < m, against the shifted Legendre polynomials: the
-    triangular system M c = r, M_ji = ((x-a)^i, g_j), r_j = (u - t, g_j),
-    where t is s without that part.  With m = q this is the Ritz
-    saddle-point system in derived coordinates: the polynomials span the
-    kernel of the order-q stiffness and, M being nonsingular, the
-    multipliers vanish.
+    (u - s, g_j) = 0, j < m, against the shifted Legendre polynomials: it is
+    the polynomial L2 projection of u - t onto degree m - 1, where t is s
+    without that part.  With m = q this is the Ritz saddle-point system in
+    derived coordinates: the polynomials span the kernel of the order-q
+    stiffness and, the moment matrix being nonsingular, the multipliers
+    vanish.
     """
     _check_order(space, q, u)
-    a, b = space.interval
+    a = space.breakpoints.a
     w = l2_project(derived_space(space, q), u.derivative(q))
     s = _integrate(w, [u.eval(a, i) for i in range(m, q)])
     if m == 0:
         return s
-    xs, ws = mesh_points(space.breakpoints, default_order(space.degree, space.breakpoints))
-    x = xs.ravel()
-    # rows: g_j times the Gauss weights; p + 1 >= m points per element make M exact
-    tested = npleg.legvander(2.0 * (x - a) / (b - a) - 1.0, m - 1).T * ws.ravel()
-    moments = tested @ (x[:, None] - a) ** np.arange(m)
     t = _integrate(s, np.zeros(m))
-    resid = u.eval(x) - eval_spline_many(t, x)
-    c = dense_solve(moments, tested @ resid)
+    resid = lambda x: u.eval(x) - eval_spline_many(t, x)
+    n = default_order(space.degree, space.breakpoints)  # n >= p + 1 >= m: M exact
+    c = poly_l2_project(m - 1, resid, space.breakpoints, n).coeffs
     return _integrate(s, [factorial(i) * ci for i, ci in enumerate(c)])  # s^(i)(a) = i! c_i
 
 
@@ -196,7 +153,7 @@ def ritz_correction(
         qu = q_project(space, q, u)
     n = default_order(space.degree, space.breakpoints)
     residual = lambda x: u.eval(x) - eval_spline_many(qu, x)
-    return poly_l2_project(q - 1, residual, space.interval, space.breakpoints, n)
+    return poly_l2_project(q - 1, residual, space.breakpoints, n)
 
 
 def ritz_project(

@@ -167,6 +167,31 @@ def test_converge_rejects_nonpositive_grading(tmp_path, capsys, grading):
     assert not caught
 
 
+@pytest.mark.parametrize("function", ["exp", "exp(x)"])
+def test_project_rejects_overflowing_function(tmp_path, function):
+    # a separate process, so any numpy warning would reach stderr as printed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "ritzspline.cli", "project", "--function", function,
+            "--p", "3", "--q", "1", "--interval", "1e6", "1000001", "--uniform", "3",
+            "--out", "x",
+        ],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "requires u finite on the interval" in proc.stderr
+    assert "x=1000000.0" in proc.stderr
+    assert "infs or NaNs" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize("study", ["error", "rq-diff"])
 @pytest.mark.parametrize("levels", ["0", "-1"])
 def test_converge_rejects_levels_below_one(tmp_path, capsys, study, levels):
@@ -342,7 +367,7 @@ def test_internal_failure_is_exit_1(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic breakage")
 
-    monkeypatch.setattr(cli.eigenproblem, "outlier_report", boom)
+    monkeypatch.setattr(cli.eigenproblem, "solve_biharmonic", boom)
     rc = run(["eig", "--p", "3", "--elements", "8", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "internal error" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from ritzspline.eigenproblem import (
     backward_errors,
     clamped_beam_eigenvalues,
     constrained_space,
-    outlier_report,
     predict_non_outliers,
     solve_biharmonic,
 )
@@ -159,12 +158,12 @@ def test_prediction_never_exceeds_count():
 
 
 def test_report_threshold_one_has_no_observed_outliers():
-    rep = outlier_report(3, Breakpoints.uniform(16), error_threshold=1.0)
+    rep = solve_biharmonic(3, Breakpoints.uniform(16), threshold=1.0)
     assert rep.observed_outliers == []
 
 
 def test_observed_outliers_form_trailing_range():
-    rep = outlier_report(3, Breakpoints.uniform(16))
+    rep = solve_biharmonic(3, Breakpoints.uniform(16))
     out = rep.observed_outliers
     if out:
         lo = min(out)
@@ -286,7 +285,7 @@ def test_backward_error_guard_rejects_wrong_pair(monkeypatch):
 
 def test_threshold_validation():
     with pytest.raises(ValueError):
-        outlier_report(3, Breakpoints.uniform(8), error_threshold=0.0)
+        solve_biharmonic(3, Breakpoints.uniform(8), threshold=0.0)
 
 
 @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.5, float("nan")])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,17 @@ def test_eval_order_guard():
         f.eval(0.0, 13)
     with pytest.raises(ValueError):
         f.eval(0.0, -1)
+
+
+@pytest.mark.parametrize("src,value", [("exp(x)", "inf"), ("exp(x)-exp(2*x)", "nan")])
+def test_eval_names_the_first_nonfinite_value(src, value):
+    # overflow (inf) and inf - inf (nan) raise no numpy warning, only this error
+    f = from_expression(src)
+    xs = np.array([[0.0, 1.0, 800.0], [900.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match=rf"finite .*derivative 1 of {re.escape(src)} is {value} at x=800.0"):
+        f.eval(xs, 1)
+    with pytest.raises(ValueError, match=rf"derivative 0 of .* at x=900.0"):
+        f.eval(900.0)
 
 
 def test_resolve_function_prefers_builtin():

@@ -6,6 +6,7 @@ from ritzspline.analysis import error_norm, spline_norm
 from ritzspline.functions import builtin
 from ritzspline.mesh import (
     Breakpoints,
+    Polynomial,
     Spline,
     derive,
     eval_spline,
@@ -214,26 +215,38 @@ def test_l2_error_within_smoothest_space_bound():
 
 def test_poly_projection_of_square():
     u = smooth_mix(0.0, 1.0, 0.0, 0.0, [0.0, 0.0, 1.0, 0.0])  # x^2
-    pol = poly_l2_project(1, u, (0.0, 1.0))
+    pol = poly_l2_project(1, u.eval, UNIT, default_order(1, UNIT))
     np.testing.assert_allclose(pol.coeffs, [-1 / 6, 1.0], atol=1e-12)
 
 
+# one element, far from 0, away from 0, graded
+POLY_MESHES = [
+    UNIT,
+    Breakpoints.uniform(8, 1e6, 1e6 + 1.0),
+    Breakpoints.uniform(6, 1.0, 3.0),
+    Breakpoints.uniform(16, grading=3.0),
+]
+
+
 def test_poly_projection_idempotent(rng):
-    coeffs = rng.normal(size=4)
-    u = smooth_mix(0.0, 1.0, 0.0, 0.0, coeffs)
-    pol = poly_l2_project(3, u, (0.0, 1.0))
-    np.testing.assert_allclose(pol.coeffs, coeffs, atol=1e-12)
+    for xi in POLY_MESHES:
+        for deg in range(9):
+            want = Polynomial(rng.normal(size=deg + 1), (xi.a, xi.b))
+            got = poly_l2_project(deg, want.eval, xi, default_order(deg))
+            scale = np.max(np.abs(want.coeffs))
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * scale, (xi.a, deg)
 
 
 def test_poly_projection_mean_of_sin():
-    pol = poly_l2_project(0, builtin("sin4x"), (0.0, 1.0))
+    pol = poly_l2_project(0, builtin("sin4x").eval, UNIT, default_order(0, UNIT))
     np.testing.assert_allclose(pol.coeffs, [(1 - np.cos(4.0)) / 4], atol=1e-13)
 
 
 def test_poly_projection_of_spline_input(rng):
     space = make_space(2, 0, random_breakpoints(rng, 2))
     s = Spline(space, rng.normal(size=space.dim))
-    pol = poly_l2_project(2, s, space.interval)
+    # spline times degree-2 Legendre: degree 4, exact with 3 points per element
+    pol = poly_l2_project(2, lambda x: eval_spline_many(s, x), space.breakpoints, 3)
     # projection residual is orthogonal to P_2 (check against monomials)
     xs, ws = mesh_points(space.breakpoints, 24)
     flat, wflat = xs.ravel(), ws.ravel()
@@ -397,6 +410,17 @@ def test_correction_equals_saddle(rng):
         assert np.max(np.abs(r1.coeffs - r2.coeffs)) <= 1e-8 * scale
 
 
+def test_correction_equals_saddle_far_from_zero():
+    # both routes share one polynomial projection, so on [1e6, 1e6+1] they
+    # agree to roundoff of the coefficients
+    space = make_space(4, 3, Breakpoints.uniform(8, 1e6, 1e6 + 1.0))
+    u = builtin("sin4x")
+    r1 = ritz_project(space, 4, u, method="correction")
+    r2 = ritz_project(space, 4, u, method="saddle")
+    scale = float(np.max(np.abs(r1.coeffs)))
+    assert np.max(np.abs(r1.coeffs - r2.coeffs)) <= 1e-13 * scale
+
+
 def _dense_kkt_ritz(space, q, u):
     """Reference Ritz projection: the dense KKT system in B-spline
     coordinates, order-q stiffness bordered by the moments against the
@@ -479,6 +503,12 @@ def test_q_zero_is_plain_l2(rng):
     np.testing.assert_allclose(
         ritz_project(space, 0, u).coeffs, l2_project(space, u).coeffs, atol=1e-12
     )
+
+
+def test_overflowing_function_rejected():
+    space = make_space(3, 2, Breakpoints.uniform(4, 1e6, 1e6 + 1.0))
+    with pytest.raises(ValueError, match=r"requires u finite on the interval.*exp\(x\)"):
+        l2_project(space, builtin("exp"))
 
 
 def test_unknown_ritz_method():
