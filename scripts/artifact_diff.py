@@ -3,12 +3,22 @@
 
 Runs the `artifact_hashes.runs()` matrix once per checkout, each in its own
 subprocess that imports that checkout's `src/`, and compares every artifact
-and every run's stdout.  Numbers are compared as numbers.  For each file
-that differs, one line gives its path, the largest absolute difference
-between corresponding numbers, and that difference divided by the largest
-absolute number in the file:
+and every run's stdout.  Numbers are compared as numbers, and each
+difference is divided by the largest absolute value of its own column: a
+CSV column, a JSON key (list indices dropped, so `boundary.residual` holds
+the residual of every boundary row), or the whole file for SVG and stdout.
+For each file that differs, one line names the difference with the largest
+such ratio, its column and its absolute size:
 
     python3 scripts/artifact_diff.py /path/to/parent-checkout [NEW]
+
+Rows that are roundoff noise by construction are listed apart, after the
+others:
+
+- every row of an rq-diff file `rq-diff-q<q>-*/rq-diff_p<p>_l<l>.csv` with
+  l >= q (R - Q is a polynomial of degree q - 1) or p >= 3q - 1 (R = Q);
+- the `moment` rows of a `ritz` run's `moments.csv` and `report.json`
+  (the moment conditions make them zero).
 
 NEW defaults to the checkout holding this script.  `artifact_hashes.py`
 says whether two files differ at all; this says whether they agree to
@@ -18,6 +28,7 @@ or when a run does not exit 0; numeric differences alone exit 0.
 """
 
 import argparse
+import json
 import re
 import subprocess
 import sys
@@ -37,8 +48,79 @@ def write_artifacts(checkout: Path, dest: Path) -> bool:
     return subprocess.run(cmd).returncode == 0
 
 
+# rq-diff study file: run id holds q, file name holds p and l
+RQ_FILE = re.compile(r"rq-diff-q(\d+)-[^/]*/rq-diff_p(\d+)_l(\d+)\.csv$")
+
+
+def _is_noise(path: str, row: dict) -> bool:
+    """Whether a row of the file at path is roundoff noise by construction."""
+    rq = RQ_FILE.search(path)
+    if rq:
+        q, p, l = map(int, rq.groups())
+        return l >= q or p >= 3 * q - 1
+    return "-ritz-" in path and row.get("kind") == "moment"
+
+
+def _json_cells(path: str, node, key: str = "", row: dict | None = None):
+    if isinstance(node, dict):
+        for name, value in node.items():
+            yield from _json_cells(path, value, f"{key}.{name}" if key else name, node)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _json_cells(path, value, key, row)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield key, float(node), _is_noise(path, row or {})
+
+
+def cells(path: str, text: str) -> list[tuple[str, float, bool]]:
+    """(column, value, noise) for every number of a file, in file order."""
+    if path.endswith(".json"):
+        return list(_json_cells(path, json.loads(text)))
+    if not path.endswith(".csv"):
+        return [("(whole file)", float(v), False) for v in NUMBER.findall(text)]
+    header, *lines = text.splitlines()
+    names = header.split(",")
+    out = []
+    for line in lines:
+        row = dict(zip(names, line.split(",")))
+        noise = _is_noise(path, row)
+        out += [(name, float(v), noise) for name, v in row.items() if NUMBER.fullmatch(v)]
+    return out
+
+
+def _worst(path: str, old_cells, new_cells) -> dict[bool, str]:
+    """Per class (noise or not), the difference with the largest ratio to
+    its column's largest absolute value, as report text."""
+    top: dict[str, float] = {}
+    for (name, x, _), (_, y, _) in zip(old_cells, new_cells):
+        top[name] = max(top.get(name, 0.0), abs(x), abs(y))
+    worst: dict[bool, tuple[float, float, str]] = {}
+    for (name, x, noise), (_, y, _) in zip(old_cells, new_cells):
+        if not (x == y or (x != x and y != y)):  # equal, or nan on both sides
+            diff = abs(x - y)
+            here = (diff / top[name], diff, name)
+            worst[noise] = max(worst.get(noise, here), here)
+    return {
+        noise: f"{path}  rel_to_column_max={rel:.3e}  column={name}  abs_diff={diff:.3e}"
+        for noise, (rel, diff, name) in worst.items()
+    }
+
+
+def _noise_only(path: str, a: str, b: str) -> bool:
+    """Whether every line that differs between two CSV texts is a noise row."""
+    la, lb = a.splitlines(), b.splitlines()
+    if not path.endswith(".csv") or len(la) != len(lb) or la[0] != lb[0]:
+        return False
+    names = la[0].split(",")
+    return all(
+        _is_noise(path, dict(zip(names, x.split(","))))
+        for x, y in zip(la[1:], lb[1:]) if x != y
+    )
+
+
 def compare(old: Path, new: Path) -> int:
-    """Print one line per differing file; 1 on a missing file or a text difference."""
+    """Print one line per differing file, then the known noise rows apart;
+    1 on a missing file or a text difference."""
     files = {
         side: {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
         for side, root in (("old", old), ("new", new))
@@ -48,20 +130,29 @@ def compare(old: Path, new: Path) -> int:
         print(f"{path}: only in {'old' if path in files['old'] else 'new'}")
         status = 1
     differing = 0
+    noise_lines = []
     for path in sorted(files["old"] & files["new"]):
         a, b = (old / path).read_text(), (new / path).read_text()
         if a == b:
             continue
         differing += 1
         if NUMBER.split(a) != NUMBER.split(b):
-            print(f"{path}: text differs")
+            if _noise_only(path, a, b):
+                noise_lines.append(f"{path}: text differs")
+            else:
+                print(f"{path}: text differs")
             status = 1
             continue
-        xs = [float(v) for v in NUMBER.findall(a)]
-        ys = [float(v) for v in NUMBER.findall(b)]
-        diff = max(abs(x - y) for x, y in zip(xs, ys))
-        top = max(max(abs(x), abs(y)) for x, y in zip(xs, ys))
-        print(f"{path}  max_abs_diff={diff:.3e}  rel_to_file_max={diff / top:.3e}")
+        worst = _worst(path, cells(path, a), cells(path, b))
+        if False in worst:
+            print(worst[False])
+        if True in worst:
+            noise_lines.append(worst[True])
+        if not worst:
+            print(f"{path}: numbers equal, formatting differs")
+    if noise_lines:
+        print("known noise rows:")
+        print("\n".join(noise_lines))
     common = len(files["old"] & files["new"])
     print(f"{differing} of {common} common files differ", file=sys.stderr)
     return status

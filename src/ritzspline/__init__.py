@@ -3,7 +3,6 @@ explicit error constants, and a spectral outlier lab."""
 
 from .mesh import (
     Breakpoints,
-    Polynomial,
     Spline,
     SplineSpace,
     derive,

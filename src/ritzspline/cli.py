@@ -47,6 +47,14 @@ def _write(path: Path, content: str) -> None:
     print(path)
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row; floats through ``_fmt``, other fields as ``str``."""
+    lines = [header] + [
+        ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows
+    ]
+    _write(path, "\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # project
 # ---------------------------------------------------------------------------
@@ -89,33 +97,19 @@ def cmd_project(args) -> int:
             "moments": [vars(r) for r in mrep],
         }
         if corr is not None:
-            payload["correction"] = list(corr.coeffs)
+            payload["correction"] = list(corr)
         _write(out / "report.json", json.dumps(payload, indent=2) + "\n")
         return 0
 
-    coeff_lines = ["index,coefficient"] + [
-        f"{i},{_fmt(c)}" for i, c in enumerate(s.coeffs)
-    ]
-    _write(out / "coefficients.csv", "\n".join(coeff_lines) + "\n")
-    knot_lines = ["index,knot"] + [f"{i},{_fmt(t)}" for i, t in enumerate(space.knots)]
-    _write(out / "knots.csv", "\n".join(knot_lines) + "\n")
-    err_lines = ["l,error"] + [f"{l},{_fmt(errors[l])}" for l in sorted(errors)]
-    _write(out / "errors.csv", "\n".join(err_lines) + "\n")
-    b_lines = ["endpoint,l,residual,scaled,applicable"] + [
-        f"{r.endpoint},{r.l},{_fmt(r.residual)},{_fmt(r.scaled)},{int(r.applicable)}"
-        for r in brep
-    ]
-    _write(out / "boundary.csv", "\n".join(b_lines) + "\n")
-    m_lines = ["kind,index,residual,scaled,applicable"] + [
-        f"{r.kind},{r.index},{_fmt(r.residual)},{_fmt(r.scaled)},{int(r.applicable)}"
-        for r in mrep
-    ]
-    _write(out / "moments.csv", "\n".join(m_lines) + "\n")
+    _write_csv(out / "coefficients.csv", "index,coefficient", enumerate(s.coeffs))
+    _write_csv(out / "knots.csv", "index,knot", enumerate(space.knots))
+    _write_csv(out / "errors.csv", "l,error", ((l, errors[l]) for l in sorted(errors)))
+    _write_csv(out / "boundary.csv", "endpoint,l,residual,scaled,applicable",
+               ((r.endpoint, r.l, r.residual, r.scaled, int(r.applicable)) for r in brep))
+    _write_csv(out / "moments.csv", "kind,index,residual,scaled,applicable",
+               ((r.kind, r.index, r.residual, r.scaled, int(r.applicable)) for r in mrep))
     if corr is not None:
-        c_lines = ["power,coefficient"] + [
-            f"{i},{_fmt(c)}" for i, c in enumerate(corr.coeffs)
-        ]
-        _write(out / "correction.csv", "\n".join(c_lines) + "\n")
+        _write_csv(out / "correction.csv", "power,coefficient", enumerate(corr))
     return 0
 
 
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("--k", type=int, default=None, help="smoothness (default p-1)")
     p_proj.add_argument("--q", type=int, default=0, help="projector order")
     p_proj.add_argument(
-        "--projector", choices=("l2", "q", "ritz", "qtilde"), default="q"
+        "--projector", choices=tuple(analysis._PROJECTORS), default="q"
     )
     p_proj.add_argument("--breakpoints", default=None, help="comma-separated abscissae")
     p_proj.add_argument(
@@ -301,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, default=5)
     p_conv.add_argument("--study", choices=("error", "rq-diff"), default="error")
     p_conv.add_argument(
-        "--projector", choices=("l2", "q", "ritz", "qtilde"), default="q"
+        "--projector", choices=tuple(analysis._PROJECTORS), default="q"
     )
     p_conv.add_argument(
         "--interval", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B")

@@ -8,6 +8,12 @@ the one with ``(p - 1, k - 1)`` over the same breakpoints, and integration
 from the left endpoint inverts it; both act exactly on B-spline
 coefficients, so the calculus between neighbouring spaces is free of
 quadrature error.
+
+A polynomial is a plain coefficient array ``c`` in the shifted monomials,
+p(x) = sum_i c_i (x-a)^i with ``a`` the left end of the breakpoints, and is
+evaluated as ``numpy.polynomial.polynomial.polyval(x - a, c)``;
+:func:`poly_to_spline` and :func:`spline_to_poly` convert between that form
+and B-spline coefficients.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from functools import cached_property
 from math import factorial
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 # Gram/stiffness conditioning in double precision degrades past this degree.
 MAX_DEGREE = 20
@@ -196,43 +203,6 @@ class Spline:
             self.space.degree != other.space.degree
         ):
             raise ValueError("splines live in different spaces")
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial on [a, b] with coefficients for the shifted monomials (x-a)^i.
-
-    The length of the coefficient vector only bounds the degree; leading
-    coefficients may vanish.
-    """
-
-    coeffs: np.ndarray
-    interval: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        a, b = self.interval
-        if not b > a:
-            raise ValueError("requires b > a")
-        object.__setattr__(self, "coeffs", _frozen(c))
-        object.__setattr__(self, "interval", (float(a), float(b)))
-
-    @property
-    def degree_bound(self) -> int:
-        return self.coeffs.size - 1
-
-    def eval(self, x, deriv: int = 0):
-        """Value of the deriv-th derivative at x (scalar or array)."""
-        c = self.coeffs
-        for _ in range(deriv):
-            c = c[1:] * np.arange(1, c.size)
-            if c.size == 0:
-                c = np.zeros(1)
-        t = np.asarray(x, dtype=float) - self.interval[0]
-        out = np.zeros_like(t)
-        for ci in c[::-1]:
-            out = out * t + ci
-        return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +387,16 @@ def _dual_coefficients(space: SplineSpace, derivs_at, degree: int) -> np.ndarray
     return coeffs
 
 
-def poly_to_spline(poly: Polynomial, space: SplineSpace) -> Spline:
-    """Exact B-spline coefficients of a polynomial inside ``space``."""
-    a, b = space.interval
-    pa, pb = poly.interval
-    close = lambda x, y: abs(x - y) <= 1e-8 + 1e-5 * abs(y)  # numpy.isclose's test
-    if not (close(pa, a) and close(pb, b)):
-        raise ValueError("polynomial interval differs from the space interval")
-    if poly.degree_bound > space.degree:
-        nz = np.nonzero(poly.coeffs)[0]
-        if nz.size and nz[-1] > space.degree:
-            raise ValueError(
-                f"polynomial degree {nz[-1]} exceeds space degree {space.degree}"
-            )
-    derivs_at = lambda taus, orders: [poly.eval(taus, m) for m in orders]
-    return Spline(space, _dual_coefficients(space, derivs_at, poly.degree_bound))
+def poly_to_spline(coeffs, space: SplineSpace) -> Spline:
+    """Exact B-spline coefficients of the polynomial sum_i coeffs[i] (x-a)^i,
+    a the left end of ``space``, inside ``space``."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    nz = np.nonzero(c)[0]
+    if nz.size and nz[-1] > space.degree:
+        raise ValueError(f"polynomial degree {nz[-1]} exceeds space degree {space.degree}")
+    a = space.breakpoints.a
+    derivs_at = lambda taus, orders: [npp.polyval(taus - a, npp.polyder(c, m)) for m in orders]
+    return Spline(space, _dual_coefficients(space, derivs_at, c.size - 1))
 
 
 def embed(s: Spline, target: SplineSpace) -> Spline:
@@ -445,27 +410,12 @@ def embed(s: Spline, target: SplineSpace) -> Spline:
     return Spline(target, _dual_coefficients(target, derivs_at, s.space.degree))
 
 
-def spline_to_poly(s: Spline, element: int = 0) -> Polynomial:
-    """Local polynomial of ``s`` on one element, in shifted monomial form.
+def spline_to_poly(s: Spline) -> np.ndarray:
+    """Coefficients c_i = s^(i)(a)/i! of the first element's polynomial of
+    ``s`` in the shifted monomials (x-a)^i.
 
     With no interior breakpoints this is the global polynomial of the spline.
     """
-    pts = s.space.breakpoints.points
-    if not 0 <= element < s.space.breakpoints.num_elements:
-        raise ValueError("element index out of range")
-    a = s.space.breakpoints.a
-    x0, x1 = pts[element], pts[element + 1]
-    mid = 0.5 * (x0 + x1)
     p = s.space.degree
-    # Taylor coefficients at the element midpoint, re-expanded around a:
-    # sum_m t_m (x - mid)^m with t_m = s^(m)(mid)/m! and x - mid = (x-a) - d.
-    taylor = np.array([eval_spline(s, mid, m) / factorial(m) for m in range(p + 1)])
-    d = mid - a
-    shifted = np.zeros(p + 1)
-    power = np.zeros(p + 1)  # running expansion of (x - mid)^m in (x-a)^j
-    power[0] = 1.0
-    for m, tm in enumerate(taylor):
-        shifted += tm * power
-        power[1 : p + 1] = power[0:p] - d * power[1 : p + 1]
-        power[0] *= -d
-    return Polynomial(shifted, s.space.interval)
+    derivs = eval_spline_many(s, [s.space.breakpoints.a], range(p + 1))[:, 0]
+    return derivs / [factorial(i) for i in range(p + 1)]

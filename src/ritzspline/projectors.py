@@ -12,7 +12,9 @@ constant that way.  The Ritz projector is also computed as the boundary
 projection plus a degree-(q-1) polynomial correction; that route is kept
 as a cross-check of the assembly.  Both routes fix their polynomial part
 with the one polynomial L2 projection, ``poly_l2_project``, which the
-closed-form tests and the dense-KKT reference check independently.
+closed-form tests and the dense-KKT reference check independently.  A
+polynomial part is a coefficient array c in the shifted monomials (x-a)^i,
+a the left end of the breakpoints, evaluated with ``npp.polyval(x - a, c)``.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from math import factorial
 import numpy as np
 from numpy.linalg import solve as dense_solve
 from numpy.polynomial import legendre as npleg
+from numpy.polynomial import polynomial as npp
 
 from .functions import SmoothFunction
 from .mesh import (
     Breakpoints,
-    Polynomial,
     Spline,
     SplineSpace,
     eval_spline_many,
@@ -49,9 +51,9 @@ def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
     return Spline(space, gram_matrix(space).solve_spd(rhs))
 
 
-def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> Polynomial:
+def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> np.ndarray:
     """L2 projection of the vectorized callable ``f`` onto polynomials of
-    degree <= deg on (xi.a, xi.b), in the shifted monomials (x-a)^i.
+    degree <= deg on (xi.a, xi.b): the coefficients of (x-a)^i, i = 0..deg.
 
     Solves M c = r with M_ji = ((x-a)^i, g_j) and r_j = (f, g_j) against the
     shifted Legendre polynomials g_j, using the n-point Gauss rule on each
@@ -62,10 +64,7 @@ def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> Polynomial:
     x = xs.ravel()
     t = x - a
     tested = npleg.legvander(2.0 * t / (b - a) - 1.0, deg).T * ws.ravel()
-    powers = np.ones((deg + 1, x.size))  # rows (x-a)^i; products cost far less than pow
-    for i in range(1, deg + 1):
-        powers[i] = powers[i - 1] * t
-    return Polynomial(dense_solve(tested @ powers.T, tested @ f(x)), (a, b))
+    return dense_solve(tested @ npp.polyvander(t, deg), tested @ f(x))
 
 
 def _check_order(space: SplineSpace, q: int, u: SmoothFunction) -> None:
@@ -118,7 +117,7 @@ def _ritz_type(space: SplineSpace, q: int, u: SmoothFunction, m: int) -> Spline:
     t = _integrate(s, np.zeros(m))
     resid = lambda x: u.eval(x) - eval_spline_many(t, x)
     n = default_order(space.degree, space.breakpoints)  # n >= p + 1 >= m: M exact
-    c = poly_l2_project(m - 1, resid, space.breakpoints, n).coeffs
+    c = poly_l2_project(m - 1, resid, space.breakpoints, n)
     return _integrate(s, [factorial(i) * ci for i, ci in enumerate(c)])  # s^(i)(a) = i! c_i
 
 
@@ -139,8 +138,9 @@ def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
 
 def ritz_correction(
     space: SplineSpace, q: int, u: SmoothFunction, qu: Spline | None = None
-) -> Polynomial:
-    """Degree-(q-1) polynomial equal to the Ritz minus the boundary projection.
+) -> np.ndarray:
+    """Coefficients in (x-a)^i of the degree-(q-1) polynomial equal to the
+    Ritz minus the boundary projection.
 
     It is the polynomial L2 projection of the boundary-projection error and
     vanishes identically when the space contains all polynomials of degree
@@ -148,7 +148,7 @@ def ritz_correction(
     """
     _check_order(space, q, u)
     if q == 0:
-        return Polynomial(np.zeros(1), space.interval)
+        return np.zeros(1)
     if qu is None:
         qu = q_project(space, q, u)
     n = default_order(space.degree, space.breakpoints)

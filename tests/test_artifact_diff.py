@@ -24,9 +24,62 @@ def test_numeric_differences_are_reported_not_failed(tmp_path, capsys):
                                    "run/stdout": "run/err_p8_l0.csv\n"})
     assert artifact_diff.compare(old, new) == 0
     line = capsys.readouterr().out.strip()
-    assert line.startswith("run/err_p8_l0.csv ")
-    # 5e-4 absolute, over the file's largest number 0.5
-    assert "max_abs_diff=5.000e-04" in line and "rel_to_file_max=1.000e-03" in line
+    # 5e-4 absolute, over the largest number of its own column, 2.5e-3
+    assert line == ("run/err_p8_l0.csv  rel_to_column_max=2.000e-01  column=err_l0"
+                    "  abs_diff=5.000e-04")
+
+
+def test_index_column_does_not_dilute_the_difference(tmp_path, capsys):
+    """An index of 1001 once divided a residual difference of 5e-4 to 5e-7."""
+    old = _tree(tmp_path / "old", {"b.csv": "index,residual\n1000,1.0e-3\n1001,2.0e-3\n",
+                                   "r.json": '{"index": 1001, "errors": {"l0": 2.0e-3}}\n'})
+    new = _tree(tmp_path / "new", {"b.csv": "index,residual\n1000,1.5e-3\n1001,2.0e-3\n",
+                                   "r.json": '{"index": 1001, "errors": {"l0": 1.5e-3}}\n'})
+    assert artifact_diff.compare(old, new) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "b.csv  rel_to_column_max=2.500e-01  column=residual  abs_diff=5.000e-04",
+        "r.json  rel_to_column_max=2.500e-01  column=errors.l0  abs_diff=5.000e-04",
+    ]
+
+
+def test_known_noise_rows_are_listed_apart(tmp_path, capsys):
+    rq = "converge/rq-diff-q2-g1/rq-diff_p{}_l{}.csv"
+    moments = "kind,index,residual,scaled,applicable\nmean,0,{},1e-3,1\nmoment,1,{},1e-3,1\n"
+    report = ('{{"moments": [{{"kind": "mean", "residual": {}}}, '
+              '{{"kind": "moment", "residual": {}}}]}}')
+    old = _tree(tmp_path / "old", {
+        rq.format(2, 1): "h,err_l1\n0.5,1e-3\n", rq.format(2, 2): "h,err_l2\n0.5,1e-15\n",
+        rq.format(5, 0): "h,err_l0\n0.5,1e-16\n", rq.format(3, 2): "h,err_l2\n0.5,1e-15\n",
+        "project/u-ritz-q2-csv/moments.csv": moments.format("1e-3", "1e-15"),
+        "project/u-ritz-q2-json/report.json": report.format("1e-3", "1e-15"),
+        "project/u-q-q2-csv/moments.csv": moments.format("1e-3", "1e-15"),
+    })
+    new = _tree(tmp_path / "new", {
+        rq.format(2, 1): "h,err_l1\n0.5,2e-3\n", rq.format(2, 2): "h,err_l2\n0.5,2e-15\n",
+        rq.format(5, 0): "h,err_l0\n0.5,2e-16\n", rq.format(3, 2): "h,err_l2\n0.5,nan\n",
+        "project/u-ritz-q2-csv/moments.csv": moments.format("2e-3", "2e-15"),
+        "project/u-ritz-q2-json/report.json": report.format("1e-3", "2e-15"),
+        "project/u-q-q2-csv/moments.csv": moments.format("1e-3", "2e-15"),
+    })
+    assert artifact_diff.compare(old, new) == 1  # the nan is a text difference
+    out = capsys.readouterr().out.splitlines()
+    split = out.index("known noise rows:")
+    regular, noise = out[:split], out[split + 1 :]
+    assert [line.split()[0] for line in regular] == [
+        "converge/rq-diff-q2-g1/rq-diff_p2_l1.csv",
+        "project/u-q-q2-csv/moments.csv",  # moment rows of other projectors are not noise
+        "project/u-ritz-q2-csv/moments.csv",
+    ]
+    assert "column=residual  abs_diff=1.000e-03" in regular[2]
+    assert [line.split()[0] for line in noise] == [
+        "converge/rq-diff-q2-g1/rq-diff_p2_l2.csv",
+        "converge/rq-diff-q2-g1/rq-diff_p3_l2.csv:",
+        "converge/rq-diff-q2-g1/rq-diff_p5_l0.csv",
+        "project/u-ritz-q2-csv/moments.csv",
+        "project/u-ritz-q2-json/report.json",
+    ]
+    assert noise[1].endswith("text differs")
+    assert "column=moments.residual  abs_diff=1.000e-15" in noise[4]
 
 
 @pytest.mark.parametrize("old_files,new_files,message", [

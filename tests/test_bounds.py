@@ -356,3 +356,60 @@ def test_measured_projector_difference_within_proven_bound():
             assert spline_norm(diff, l) <= coeff * semi * (1 + 1e-9), (p, q, l)
         # beyond the projector order the difference vanishes identically
         assert spline_norm(diff, q) <= 1e-9 * max(1.0, spline_norm(diff, 0))
+
+
+# graded meshes as in the bound sweeps: coarse cells at b (0.5) or at a (2, 3)
+GRADED = ((6, 0.5), (8, 2.0), (16, 3.0))
+
+
+def _q_sweep(meshes):
+    """(u, xi, p, k, q, r, Q u) over sin4x and runge, p = 2..5, every k and
+    q <= min(k + 1, 3), with r = p + 1.
+
+    Both functions are smooth and outside every spline space, so the bounds
+    are positive.  A u inside the space (x6 at p >= 6) makes them zero and
+    leaves the measured error at roundoff; that case needs a derived
+    roundoff floor and is not swept here.
+    """
+    from ritzspline.functions import builtin
+    from ritzspline.mesh import Breakpoints, make_space
+    from ritzspline.projectors import q_project
+
+    for name in ("sin4x", "runge"):
+        u = builtin(name)
+        for elements, grading in meshes:
+            xi = Breakpoints.uniform(elements, grading=grading)
+            for p in range(2, 6):
+                for k in range(-1, p):
+                    for q in range(min(k + 1, 3) + 1):
+                        space = make_space(p, k, xi)
+                        yield u, xi, p, k, q, p + 1, q_project(space, q, u)
+
+
+def test_measured_errors_within_bounds_on_graded_meshes():
+    from ritzspline.analysis import error_norm, function_seminorm
+
+    for u, xi, p, k, q, r, s in _q_sweep(GRADED):
+        semi = function_seminorm(u, r, xi)
+        for l in range(q + 1):
+            if p < max(r - 1, 2 * q - l - 1):
+                continue
+            coeff = error_coefficient(BoundQuery(p=p, k=k, q=q, l=l, r=r, h=xi.h))
+            assert error_norm(u, s, l) <= coeff * semi * (1 + 1e-9), (
+                u.description, xi.num_elements, p, k, q, l,
+            )
+
+
+def test_measured_broken_errors_within_bounds():
+    """The broken norms q < l <= r, on uniform and graded meshes."""
+    from ritzspline.analysis import error_norm, function_seminorm
+
+    for u, xi, p, k, q, r, s in _q_sweep(((4, 1.0), (8, 1.0), *GRADED)):
+        semi = function_seminorm(u, r, xi)
+        for l in range(q + 1, r + 1):
+            coeff = broken_error_coefficient(
+                BoundQuery(p=p, k=k, q=q, l=l, r=r, h=xi.h, h_min=xi.h_min)
+            )
+            assert error_norm(u, s, l) <= coeff * semi * (1 + 1e-9), (
+                u.description, xi.num_elements, p, k, q, l,
+            )
