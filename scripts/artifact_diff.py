@@ -17,8 +17,15 @@ others:
 
 - every row of an rq-diff file `rq-diff-q<q>-*/rq-diff_p<p>_l<l>.csv` with
   l >= q (R - Q is a polynomial of degree q - 1) or p >= 3q - 1 (R = Q);
+- every number of an rq-diff plot `rq-diff-q<q>-*/rq-diff.svg`, which
+  draws those rows too (its other series are compared through their CSV
+  files);
 - the `moment` rows of a `ritz` run's `moments.csv` and `report.json`
-  (the moment conditions make them zero).
+  (the moment conditions make them zero);
+- the polynomial correction of a `ritz` run with p >= 3q - 1, where R = Q:
+  all of `correction.csv` and the `correction` key of `report.json`.  Every
+  `project` run of the matrix has p = PROJECT_P = 4, so these are the q = 1
+  runs.
 
 NEW defaults to the checkout holding this script.  `artifact_hashes.py`
 says whether two files differ at all; this says whether they agree to
@@ -50,14 +57,26 @@ def write_artifacts(checkout: Path, dest: Path) -> bool:
 
 # rq-diff study file: run id holds q, file name holds p and l
 RQ_FILE = re.compile(r"rq-diff-q(\d+)-[^/]*/rq-diff_p(\d+)_l(\d+)\.csv$")
+RQ_PLOT = re.compile(r"rq-diff-q\d+-[^/]*/rq-diff\.svg$")
+# a ritz projection's correction: run id holds q
+CORRECTION = re.compile(r"-ritz-q(\d+)-[^/]*/(correction\.csv|report\.json)$")
+PROJECT_P = 4  # the degree of every `project` run in artifact_hashes.runs()
 
 
-def _is_noise(path: str, row: dict) -> bool:
-    """Whether a row of the file at path is roundoff noise by construction."""
+def _is_noise(path: str, row: dict, key: str = "") -> bool:
+    """Whether a row of the file at path (for JSON, the value under key)
+    is roundoff noise by construction."""
     rq = RQ_FILE.search(path)
     if rq:
         q, p, l = map(int, rq.groups())
         return l >= q or p >= 3 * q - 1
+    if RQ_PLOT.search(path):
+        return True
+    corr = CORRECTION.search(path)
+    if corr and PROJECT_P >= 3 * int(corr.group(1)) - 1 and (
+        corr.group(2) == "correction.csv" or key == "correction"
+    ):
+        return True
     return "-ritz-" in path and row.get("kind") == "moment"
 
 
@@ -69,7 +88,7 @@ def _json_cells(path: str, node, key: str = "", row: dict | None = None):
         for value in node:
             yield from _json_cells(path, value, key, row)
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield key, float(node), _is_noise(path, row or {})
+        yield key, float(node), _is_noise(path, row or {}, key)
 
 
 def cells(path: str, text: str) -> list[tuple[str, float, bool]]:
@@ -77,7 +96,8 @@ def cells(path: str, text: str) -> list[tuple[str, float, bool]]:
     if path.endswith(".json"):
         return list(_json_cells(path, json.loads(text)))
     if not path.endswith(".csv"):
-        return [("(whole file)", float(v), False) for v in NUMBER.findall(text)]
+        noise = _is_noise(path, {})
+        return [("(whole file)", float(v), noise) for v in NUMBER.findall(text)]
     header, *lines = text.splitlines()
     names = header.split(",")
     out = []
@@ -107,7 +127,9 @@ def _worst(path: str, old_cells, new_cells) -> dict[bool, str]:
 
 
 def _noise_only(path: str, a: str, b: str) -> bool:
-    """Whether every line that differs between two CSV texts is a noise row."""
+    """Whether every line that differs between two texts is a noise row."""
+    if _is_noise(path, {}):  # the whole file is noise
+        return True
     la, lb = a.splitlines(), b.splitlines()
     if not path.endswith(".csv") or len(la) != len(lb) or la[0] != lb[0]:
         return False

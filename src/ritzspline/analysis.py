@@ -27,6 +27,41 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _dumps(obj: Any, indent: str = "") -> str:
+    """What ``json.dumps`` writes for ``obj`` at ``indent=2``, byte for byte,
+    from json's C encoder.
+
+    An indent makes CPython's json fall back to its pure-Python encoder.
+    Here dicts and lists holding containers are laid out level by level,
+    and each list of scalars is one C-encoder call whose item separator
+    carries the newline and the indent: the encoder escapes every newline
+    inside a string, so ",\\n" can only be a separator.  Keys must be
+    ``str``: indent-2 json would quote any other key, a bare call would not.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{json.dumps(key)}: {_dumps(value, inner)}")
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(isinstance(v, (dict, list, tuple)) for v in obj):
+            items = [_dumps(value, inner) for value in obj]
+        else:
+            items = [json.dumps(obj, separators=(sep, ": "))[1:-1]]
+        opening, closing = "[", "]"
+    else:
+        return json.dumps(obj)
+    return f"{opening}\n{inner}{sep.join(items)}\n{indent}{closing}"
+
+
 def _norm(d: np.ndarray, w: np.ndarray) -> float:
     return float(math.sqrt(np.sum(d * d * w)))
 
@@ -161,7 +196,7 @@ class ConvergenceTable:
         }
         if self.zero_flags is not None:
             payload["exact_zero"] = self.zero_flags
-        return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        return _dumps(payload) + "\n"
 
     def subtable(self, l: int) -> "ConvergenceTable":
         return ConvergenceTable(

@@ -6,12 +6,17 @@ message names the violated requirement), 1 for internal failures.  All
 CSV/JSON output is deterministic: identical flags give identical bytes.
 The environment variable RITZ_SPLINE_QUAD_ORDER overrides every default
 quadrature order; a value below the exact order of an integral exits 2.
+
+:func:`main` may be called any number of times in one process: the calls
+share one argument parser, built on the first call, and each call's
+options start from the defaults.  Every JSON artifact is byte-identical to
+``json.dumps`` at ``indent=2`` (see ``analysis._dumps``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 from pathlib import Path
@@ -23,7 +28,7 @@ from .functions import resolve_function
 from .mesh import Breakpoints, make_space, poly_to_spline
 from .projectors import q_project, ritz_correction
 from .quadrature import ENV_ORDER, default_order
-from .analysis import _fmt, apply_projector
+from .analysis import _dumps, _fmt, apply_projector
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -98,7 +103,7 @@ def cmd_project(args) -> int:
         }
         if corr is not None:
             payload["correction"] = list(corr)
-        _write(out / "report.json", json.dumps(payload, indent=2) + "\n")
+        _write(out / "report.json", _dumps(payload) + "\n")
         return 0
 
     _write_csv(out / "coefficients.csv", "index,coefficient", enumerate(s.coeffs))
@@ -259,7 +264,10 @@ def cmd_eig(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and shared by every
+    later :func:`main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="ritzspline",
         description="Spline projection with boundary interpolation and explicit "
@@ -330,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -14,14 +14,13 @@ h * lambda^(1/4) < pi marks the modes expected to be resolved by the mesh.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .analysis import _fmt
+from .analysis import _dumps, _fmt
 from .mesh import Breakpoints, SplineSpace, make_space
 from .quadrature import BandedSymmetric, gram_matrix
 
@@ -189,7 +188,7 @@ class SpectrumReport:
             "predicted_flag": self.predicted_flags.tolist(),
             "observed_flag": self.observed_flags.tolist(),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _dumps(payload) + "\n"
 
 
 def backward_errors(

@@ -1,11 +1,15 @@
 import json
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import numpy as np
 from numpy.polynomial import polynomial as npp
 import pytest
 
+from ritzspline import analysis, cli, eigenproblem
 from ritzspline.analysis import (
     ConvergenceTable,
+    _dumps,
     boundary_report,
     convergence_study,
     error_norm,
@@ -247,6 +251,72 @@ def test_single_row_table_has_no_orders():
     with pytest.raises(ValueError):
         tab.final_order(0)
     assert "eoc_l0" in tab.to_csv().splitlines()[0]
+
+
+# strings the C encoder must escape, so that a ",\n" + indent separator
+# can never be mistaken for part of one
+AWKWARD = ["\n", ",\n    ", ",\n  ", '"', 'say "hi"\n', "\\", "\t\r", "π ≈ 3.14", "λ–μ", "😀", ""]
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(max_size=8),
+    st.sampled_from(AWKWARD),
+)
+KEYS = st.text(max_size=6) | st.sampled_from(AWKWARD)
+JSON_LIKE = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(KEYS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_LIKE)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[], {}], "d": [1, {"e": []}, [2.5, None]]})
+@example([{"x": 1.0}, {"y": [True, False]}])
+@example([1, [2, [3, [4]]], "\n", {"k": ",\n    "}])
+@example({"nan": [float("nan"), float("inf"), -float("inf")], "f": np.float64(0.1)})
+@example((1, (2, 3), {"t": (4,)}))
+def test_dumps_is_indent_2_json(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": [{None: 1}]}, [{1.5: "x"}], {("t",): 0}])
+def test_dumps_rejects_non_str_keys(value):
+    with pytest.raises(TypeError, match="keys must be str"):
+        _dumps(value)
+
+
+def test_real_payloads_are_indent_2_json(tmp_path, monkeypatch):
+    """The three JSON writers, each fed a real payload: an eig spectrum, an
+    rq-diff table with exact-zero flags, and a ritz report with its
+    correction."""
+    seen = []
+
+    def spy(obj, indent=""):
+        if not indent:  # a writer's call, not _dumps's own recursion
+            seen.append(obj)
+        return _dumps(obj, indent)
+
+    for module in (analysis, eigenproblem, cli):
+        monkeypatch.setattr(module, "_dumps", spy)
+    eigenproblem.solve_biharmonic(3, Breakpoints.uniform(20)).to_json()
+    rq_difference_study(builtin("sin4x"), 2, 1, 1, (0, 1), levels=3).to_json()
+    argv = ["project", "--function", "sin4x", "--p", "4", "--q", "2", "--projector",
+            "ritz", "--uniform", "7", "--format", "json", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    spectrum, table, report = seen
+    assert len(spectrum["lambda_h"]) == 19
+    assert table["exact_zero"] == [True, True, True]
+    assert len(report["correction"]) == 2 and report["moments"]
+    for payload in seen:
+        assert _dumps(payload) == json.dumps(payload, indent=2)
+    assert (tmp_path / "report.json").read_text() == json.dumps(report, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

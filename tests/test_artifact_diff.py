@@ -47,39 +47,72 @@ def test_known_noise_rows_are_listed_apart(tmp_path, capsys):
     moments = "kind,index,residual,scaled,applicable\nmean,0,{},1e-3,1\nmoment,1,{},1e-3,1\n"
     report = ('{{"moments": [{{"kind": "mean", "residual": {}}}, '
               '{{"kind": "moment", "residual": {}}}]}}')
+    ritz = '{{"p": 4, "coefficients": [{}, 1.0], "correction": [{}, 2e-21]}}'
+    correction = "power,coefficient\n0,{}\n1,2e-21\n"
+    svg = '<svg><path d="M 10 {} L 20 30"/></svg>\n'
     old = _tree(tmp_path / "old", {
         rq.format(2, 1): "h,err_l1\n0.5,1e-3\n", rq.format(2, 2): "h,err_l2\n0.5,1e-15\n",
         rq.format(5, 0): "h,err_l0\n0.5,1e-16\n", rq.format(3, 2): "h,err_l2\n0.5,1e-15\n",
+        "converge/rq-diff-q2-g1/rq-diff.svg": svg.format("40.5"),
+        "converge/error-q-g1/error.svg": svg.format("40.5"),
         "project/u-ritz-q2-csv/moments.csv": moments.format("1e-3", "1e-15"),
         "project/u-ritz-q2-json/report.json": report.format("1e-3", "1e-15"),
         "project/u-q-q2-csv/moments.csv": moments.format("1e-3", "1e-15"),
+        "project/u-ritz-q1-csv/correction.csv": correction.format("1e-21"),
+        "project/u-ritz-q1-json/report.json": ritz.format("0.5", "1e-21"),
+        "project/u-ritz-q2-csv/correction.csv": correction.format("1e-3"),
     })
     new = _tree(tmp_path / "new", {
         rq.format(2, 1): "h,err_l1\n0.5,2e-3\n", rq.format(2, 2): "h,err_l2\n0.5,2e-15\n",
         rq.format(5, 0): "h,err_l0\n0.5,2e-16\n", rq.format(3, 2): "h,err_l2\n0.5,nan\n",
+        "converge/rq-diff-q2-g1/rq-diff.svg": svg.format("40.75"),
+        "converge/error-q-g1/error.svg": svg.format("40.75"),
         "project/u-ritz-q2-csv/moments.csv": moments.format("2e-3", "2e-15"),
         "project/u-ritz-q2-json/report.json": report.format("1e-3", "2e-15"),
         "project/u-q-q2-csv/moments.csv": moments.format("1e-3", "2e-15"),
+        "project/u-ritz-q1-csv/correction.csv": correction.format("1.5e-21"),
+        "project/u-ritz-q1-json/report.json": ritz.format("0.75", "1.5e-21"),
+        "project/u-ritz-q2-csv/correction.csv": correction.format("2e-3"),
     })
     assert artifact_diff.compare(old, new) == 1  # the nan is a text difference
     out = capsys.readouterr().out.splitlines()
     split = out.index("known noise rows:")
     regular, noise = out[:split], out[split + 1 :]
     assert [line.split()[0] for line in regular] == [
+        "converge/error-q-g1/error.svg",  # plots of other studies are not noise
         "converge/rq-diff-q2-g1/rq-diff_p2_l1.csv",
         "project/u-q-q2-csv/moments.csv",  # moment rows of other projectors are not noise
+        "project/u-ritz-q1-json/report.json",  # its coefficients are not noise
+        "project/u-ritz-q2-csv/correction.csv",  # R != Q at p = 4, q = 2
         "project/u-ritz-q2-csv/moments.csv",
     ]
-    assert "column=residual  abs_diff=1.000e-03" in regular[2]
+    assert "column=coefficients  abs_diff=2.500e-01" in regular[3]
+    assert "column=residual  abs_diff=1.000e-03" in regular[5]
     assert [line.split()[0] for line in noise] == [
+        "converge/rq-diff-q2-g1/rq-diff.svg",
         "converge/rq-diff-q2-g1/rq-diff_p2_l2.csv",
         "converge/rq-diff-q2-g1/rq-diff_p3_l2.csv:",
         "converge/rq-diff-q2-g1/rq-diff_p5_l0.csv",
+        "project/u-ritz-q1-csv/correction.csv",
+        "project/u-ritz-q1-json/report.json",
         "project/u-ritz-q2-csv/moments.csv",
         "project/u-ritz-q2-json/report.json",
     ]
-    assert noise[1].endswith("text differs")
-    assert "column=moments.residual  abs_diff=1.000e-15" in noise[4]
+    assert noise[2].endswith("text differs")
+    assert "column=coefficient  abs_diff=5.000e-22" in noise[4]
+    assert "column=correction  abs_diff=5.000e-22" in noise[5]
+    assert "column=moments.residual  abs_diff=1.000e-15" in noise[7]
+
+
+def test_project_degree_matches_the_hash_matrix():
+    """The correction noise rows rest on the degree of the matrix's project runs."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_hashes", SCRIPT.with_name("artifact_hashes.py"))
+    hashes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hashes)
+    degrees = {argv[argv.index("--p") + 1] for run_id, argv in hashes.runs()
+               if run_id.startswith("project/")}
+    assert degrees == {str(artifact_diff.PROJECT_P)}
 
 
 @pytest.mark.parametrize("old_files,new_files,message", [

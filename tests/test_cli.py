@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ritzspline.cli import main
+from ritzspline.cli import build_parser, main
 
 
 def run(argv):
@@ -359,6 +359,50 @@ def test_byte_identical_reruns(tmp_path):
         assert rc == 0
     assert (a / "error_p2_l0.csv").read_bytes() == (b / "error_p2_l0.csv").read_bytes()
     assert (a / "error.svg").read_bytes() == (b / "error.svg").read_bytes()
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_parser_is_shared_and_calls_start_from_defaults(tmp_path, monkeypatch, capsys):
+    """A call's options do not leak into the next call in the same process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    assert build_parser() is build_parser()
+    base = ["project", "--function", "sin4x", "--p", "4", "--q", "2",
+            "--projector", "ritz", "--out", "out"]
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    inproc.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(inproc)
+    assert run(base[:-1] + ["first", "--k", "2", "--format", "json",
+                            "--interval", "1", "3"]) == 0
+    capsys.readouterr()
+    assert run(base) == 0
+    stdout = capsys.readouterr().out
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; from ritzspline.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *base], cwd=fresh, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert stdout == proc.stdout
+    assert "coefficients.csv" in stdout
+    assert _tree_bytes(inproc / "out") == _tree_bytes(fresh / "out")
+
+
+def test_failed_parse_does_not_break_the_next_call(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["project", "--function", "sin4x", "--p", "3", "--no-such-option"])
+    assert exc.value.code == 2
+    assert run(["eig", "--p", "3", "--elements", "8", "--out", str(tmp_path)]) == 0
 
 
 def test_internal_failure_is_exit_1(tmp_path, monkeypatch, capsys):
