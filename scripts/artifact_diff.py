@@ -22,10 +22,12 @@ others:
   files);
 - the `moment` rows of a `ritz` run's `moments.csv` and `report.json`
   (the moment conditions make them zero);
-- the polynomial correction of a `ritz` run with p >= 3q - 1, where R = Q:
-  all of `correction.csv` and the `correction` key of `report.json`.  Every
-  `project` run of the matrix has p = PROJECT_P = 4, so these are the q = 1
-  runs.
+- in a `ritz` run with p >= 3q - 1, where R = Q, the polynomial correction
+  (all of `correction.csv` and the `correction` key of `report.json`) and
+  the applicable boundary residuals (those rows of `boundary.csv` and of the
+  `boundary` key of `report.json`: R interpolates u there as Q does).
+  Every `project` run of the matrix has p = PROJECT_P = 4, so these are the
+  q = 1 runs.
 
 NEW defaults to the checkout holding this script.  `artifact_hashes.py`
 says whether two files differ at all; this says whether they agree to
@@ -58,8 +60,8 @@ def write_artifacts(checkout: Path, dest: Path) -> bool:
 # rq-diff study file: run id holds q, file name holds p and l
 RQ_FILE = re.compile(r"rq-diff-q(\d+)-[^/]*/rq-diff_p(\d+)_l(\d+)\.csv$")
 RQ_PLOT = re.compile(r"rq-diff-q\d+-[^/]*/rq-diff\.svg$")
-# a ritz projection's correction: run id holds q
-CORRECTION = re.compile(r"-ritz-q(\d+)-[^/]*/(correction\.csv|report\.json)$")
+# a ritz projection's correction and boundary residuals: run id holds q
+RITZ_FILE = re.compile(r"-ritz-q(\d+)-[^/]*/(correction\.csv|boundary\.csv|report\.json)$")
 PROJECT_P = 4  # the degree of every `project` run in artifact_hashes.runs()
 
 
@@ -72,11 +74,15 @@ def _is_noise(path: str, row: dict, key: str = "") -> bool:
         return l >= q or p >= 3 * q - 1
     if RQ_PLOT.search(path):
         return True
-    corr = CORRECTION.search(path)
-    if corr and PROJECT_P >= 3 * int(corr.group(1)) - 1 and (
-        corr.group(2) == "correction.csv" or key == "correction"
-    ):
-        return True
+    ritz = RITZ_FILE.search(path)
+    if ritz and PROJECT_P >= 3 * int(ritz.group(1)) - 1:  # R = Q
+        name = ritz.group(2)
+        if name == "correction.csv" or key == "correction":
+            return True
+        if (name == "boundary.csv" and row.get("applicable") == "1") or (
+            key.startswith("boundary.") and row.get("applicable") is True
+        ):
+            return True
     return "-ritz-" in path and row.get("kind") == "moment"
 
 

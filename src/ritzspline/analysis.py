@@ -27,15 +27,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# Types the C encoder writes exactly as indent-2 json does inside a container.
+_SCALARS = {str, int, float, bool, type(None), np.float64}
+
+
 def _dumps(obj: Any, indent: str = "") -> str:
     """What ``json.dumps`` writes for ``obj`` at ``indent=2``, byte for byte,
     from json's C encoder.
 
     An indent makes CPython's json fall back to its pure-Python encoder.
     Here dicts and lists holding containers are laid out level by level,
-    and each list of scalars is one C-encoder call whose item separator
-    carries the newline and the indent: the encoder escapes every newline
-    inside a string, so ",\\n" can only be a separator.  Keys must be
+    and each dict or list of scalars is one C-encoder call whose item
+    separator carries the newline and the indent: the encoder escapes every
+    newline inside a string, so ",\\n" can only be a separator.  Keys must be
     ``str``: indent-2 json would quote any other key, a bare call would not.
     """
     inner = indent + "  "
@@ -43,19 +47,21 @@ def _dumps(obj: Any, indent: str = "") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key, value in obj.items():
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{json.dumps(key)}: {_dumps(value, inner)}")
+        if set(map(type, obj.values())) <= _SCALARS:
+            items = [json.dumps(obj, separators=(sep, ": "))[1:-1]]
+        else:
+            items = [f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
         opening, closing = "{", "}"
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if any(isinstance(v, (dict, list, tuple)) for v in obj):
-            items = [_dumps(value, inner) for value in obj]
-        else:
+        if set(map(type, obj)) <= _SCALARS:
             items = [json.dumps(obj, separators=(sep, ": "))[1:-1]]
+        else:
+            items = [_dumps(value, inner) for value in obj]
         opening, closing = "[", "]"
     else:
         return json.dumps(obj)
@@ -70,14 +76,13 @@ def _report_grid(u: SmoothFunction, s: Spline, orders: Sequence[int]):
     """Gauss points and weights over the mesh of ``s``, at the order of its
     error norms, with u^(l) and (u - s)^(l) there for every l in ``orders``.
 
-    u is evaluated once per order and s once for all orders.
+    u and s are each evaluated once for all orders.
     """
     n = default_order(s.space.degree, s.space.breakpoints)
     xs, ws = mesh_points(s.space.breakpoints, n)
     flat = xs.ravel()
-    uls = [u.eval(flat, l) for l in orders]
-    errs = [ul - sl for ul, sl in zip(uls, eval_spline_many(s, flat, orders))]
-    return flat, ws.ravel(), uls, errs
+    uls = u.eval(flat, orders)
+    return flat, ws.ravel(), uls, uls - eval_spline_many(s, flat, orders)
 
 
 def error_norm(
@@ -308,27 +313,29 @@ def boundary_report(u: SmoothFunction, s: Spline, q: int) -> list[BoundaryResidu
     The left endpoint is matched by construction; the right endpoint is
     guaranteed only when p >= 2q - l - 1, and the flag records that.
 
-    One basis table per endpoint serves every order; each value is the dot
-    product :func:`eval_spline` takes, so the residuals are its bit for bit.
+    One basis table at both endpoints serves every order, and u is
+    evaluated once per endpoint for all orders.  Each value of s is the dot
+    product :func:`eval_spline` takes, on contiguous basis values as it has,
+    and u is evaluated at a scalar x as ``u.eval(x, l)`` is (numpy's array
+    power differs from its scalar power in the last bit), so the residuals
+    are those of per-order calls bit for bit.
     """
     a, b = s.space.interval
     p = s.space.degree
-    values = {}  # endpoint -> [s^(l)(x) for l < q]
-    for x in (a, b):
-        first, vals = _basis_table(s.space, [x], range(q))
-        coeffs = s.coeffs[first[0] : first[0] + p + 1]
-        values[x] = [float(np.dot(coeffs, v[:, 0])) for v in vals]
+    first, vals = _basis_table(s.space, [a, b], range(q))
+    # got[e][l]: s^(l) at endpoint e, one contiguous (p+1)-vector per dot
+    cols = np.ascontiguousarray(vals.transpose(2, 0, 1))
+    got = [
+        [float(np.dot(s.coeffs[f : f + p + 1], v)) for v in col]
+        for f, col in zip(first.tolist(), cols)
+    ]
+    want = [u.eval(x, range(q)).tolist() for x in (a, b)]
     out = []
     for l in range(q):
-        for endpoint, x, applicable in (
-            ("a", a, True),
-            ("b", b, p >= 2 * q - l - 1),
-        ):
-            want = u.eval(x, l)
-            got = values[x][l]
-            res = abs(got - want)
+        for e, (endpoint, applicable) in enumerate((("a", True), ("b", p >= 2 * q - l - 1))):
+            res = abs(got[e][l] - want[e][l])
             out.append(
-                BoundaryResidual(endpoint, l, res, res / max(1.0, abs(want)), applicable)
+                BoundaryResidual(endpoint, l, res, res / max(1.0, abs(want[e][l])), applicable)
             )
     return out
 

@@ -95,14 +95,14 @@ def cmd_project(args) -> int:
                 "error_norms": default_order(args.p, xi),
                 "override": ENV_ORDER in os.environ,
             },
-            "knots": list(space.knots),
-            "coefficients": list(s.coeffs),
+            "knots": space.knots.tolist(),
+            "coefficients": s.coeffs.tolist(),
             "errors": {f"l{l}": errors[l] for l in sorted(errors)},
             "boundary": [vars(r) for r in brep],
             "moments": [vars(r) for r in mrep],
         }
         if corr is not None:
-            payload["correction"] = list(corr)
+            payload["correction"] = corr.tolist()
         _write(out / "report.json", _dumps(payload) + "\n")
         return 0
 

@@ -14,15 +14,20 @@ the derivative stays inside the node kinds.
 
 AST nodes are hash-consed: building the same node twice yields the same
 object, so repeated derivatives form a shared DAG instead of an
-exponentially unfolded tree, and the differentiation, folding and
-evaluation passes are memoized per node.
+exponentially unfolded tree, and the differentiation and folding passes are
+memoized per node.  Evaluation compiles the union DAG of a set of roots,
+such as the derivatives of several orders, into one cached post-order
+program of numpy operations, each shared node one step; a call runs that
+program without walking the tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -154,49 +159,113 @@ _CALLS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def evaluate(ast: Expr, x) -> np.ndarray:
-    """Evaluate the AST at x (scalar or array); division by zero raises."""
-    arr = np.asarray(x, dtype=float)
-    memo: dict[int, np.ndarray] = {}
+def _div(num, den):
+    if np.equal(den, 0.0).any():
+        raise ExpressionError("division by zero during evaluation")
+    return num / den
 
-    def rec(node: Expr) -> np.ndarray:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+
+def _pow(base, n: int):
+    if n < 0 and np.equal(base, 0.0).any():
+        raise ExpressionError("division by zero during evaluation")
+    e = float(n) if n < 0 else n
+    if isinstance(base, float):
+        # a constant: numpy's array power, which overflows to inf; float64's
+        # scalar power differs from it in the last bit for some bases
+        return np.power(base, e)
+    return base**e
+
+
+_BINARY: dict[type, Callable] = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _div}
+
+
+def _post_order(roots: tuple[Expr, ...]) -> list[Expr]:
+    """Every node reachable from ``roots``, once, each after its children."""
+    order: list[Expr] = []
+    seen: set[int] = set()
+
+    def visit(node: Expr) -> None:
+        if id(node) in seen:
+            return
+        seen.add(id(node))
         match node:
-            case Const(v):
-                out = np.full_like(arr, v)
-            case Var():
-                out = arr
-            case Add(l, r):
-                out = rec(l) + rec(r)
-            case Sub(l, r):
-                out = rec(l) - rec(r)
-            case Mul(l, r):
-                out = rec(l) * rec(r)
-            case Div(l, r):
-                den = rec(r)
-                if np.any(den == 0.0):
-                    raise ExpressionError("division by zero during evaluation")
-                out = rec(l) / den
-            case Pow(b, n):
-                base = rec(b)
-                if n < 0 and np.any(base == 0.0):
-                    raise ExpressionError("division by zero during evaluation")
-                out = base**float(n) if n < 0 else base**n
-            case Call(f, a):
-                out = _CALLS[f](rec(a))
+            case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
+                visit(l)
+                visit(r)
+            case Pow(b, _):
+                visit(b)
+            case Call(_, a):
+                visit(a)
+            case Const(_) | Var():
+                pass
             case _:
                 raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = out
-        return out
+        order.append(node)
 
-    try:
-        return rec(ast)
-    finally:
-        # rec refers to itself through its closure, so the memo would live
-        # until the next cycle collection; free the node values now.
-        memo.clear()
+    for root in roots:
+        visit(root)
+    return order
+
+
+@lru_cache(maxsize=256)
+def _program(roots: tuple[Expr, ...]) -> tuple[tuple[float, ...], tuple, tuple[int, ...]]:
+    """Straight-line program over the union DAG of the interned ``roots``.
+
+    Returns ``(consts, steps, outs)``.  A run keeps one value per slot: x in
+    slot 0, the constants in the next slots, then one slot per step, where a
+    step ``(op, i, j)`` holds ``op(slot i, slot j)``, or ``op(slot i)`` when
+    j is None.  ``outs`` names the slot of each root.  A node shared by
+    several roots is one step, computed once per run.  Constants stay Python
+    floats: numpy combines them with an array exactly as it combines an
+    array full of them, and a step on constants alone, which only an
+    unfolded tree holds, runs the same ufunc on them.
+    """
+    order = _post_order(roots)
+    consts = [node for node in order if isinstance(node, Const)]
+    slot = {id(node): i for i, node in enumerate(consts, start=1)}
+    steps: list[tuple] = []
+    for node in order:
+        match node:
+            case Var():
+                slot[id(node)] = 0
+                continue
+            case Const(_):
+                continue
+            case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
+                step = (_BINARY[type(node)], slot[id(l)], slot[id(r)])
+            case Pow(b, n):
+                step = (partial(_pow, n=n), slot[id(b)], None)
+            case Call(f, a):
+                step = (_CALLS[f], slot[id(a)], None)
+        slot[id(node)] = 1 + len(consts) + len(steps)
+        steps.append(step)
+    return (
+        tuple(node.value for node in consts),
+        tuple(steps),
+        tuple(slot[id(root)] for root in roots),
+    )
+
+
+def evaluate_many(roots: Sequence[Expr], x) -> list[np.ndarray]:
+    """Evaluate each AST of ``roots`` at x (scalar or array), running one
+    program over their union DAG; division by zero raises.
+
+    Every result has the shape of x, also for a root that is a constant.
+    """
+    arr = np.asarray(x, dtype=float)
+    consts, steps, outs = _program(tuple(roots))
+    vals = [arr, *consts]
+    for op, i, j in steps:
+        vals.append(op(vals[i]) if j is None else op(vals[i], vals[j]))
+    return [
+        v if getattr(v, "shape", None) == arr.shape else np.full_like(arr, v)
+        for v in map(vals.__getitem__, outs)
+    ]
+
+
+def evaluate(ast: Expr, x) -> np.ndarray:
+    """Evaluate the AST at x (scalar or array); division by zero raises."""
+    return evaluate_many((ast,), x)[0]
 
 
 @lru_cache(maxsize=None)
@@ -485,22 +554,43 @@ class SmoothFunction:
     max_order: int
     description: str
 
-    def eval(self, x, deriv: int = 0):
-        if not 0 <= deriv <= self.max_order:
-            raise ValueError(
-                f"requires 0 <= deriv <= max_order={self.max_order}: got {deriv}"
-            )
+    def _derivatives(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+        """The derivatives of several orders at x, one evaluator call each."""
+        return [self.evaluator(x, d) for d in orders]
+
+    def eval(self, x, deriv: int | Sequence[int] = 0):
+        """The deriv-th derivative at x: a float for scalar x, else an array
+        shaped like x.
+
+        ``deriv`` may also be a sequence of orders: the result then stacks
+        one array per order along a new first axis, as ``eval_spline_many``
+        does.  The evaluator is called once per order, and a parsed
+        expression serves all of them from one program.  Every value must be
+        finite; the error names the first nonfinite one, its order and x.
+        """
+        single = isinstance(deriv, (int, np.integer))
+        orders = (deriv,) if single else tuple(deriv)
+        for d in orders:
+            if not 0 <= d <= self.max_order:
+                raise ValueError(
+                    f"requires 0 <= deriv <= max_order={self.max_order}: got {d}"
+                )
         arr = np.asarray(x, dtype=float)
+        out = np.empty((len(orders), *arr.shape))
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(self.evaluator(arr, deriv), dtype=float)
-        finite = np.isfinite(out)
-        if not finite.all():
-            bad = np.broadcast_to(arr, out.shape)[~finite][0]
-            raise ValueError(
-                f"requires u finite on the interval: derivative {deriv} of "
-                f"{self.description} is {out[~finite][0]} at x={float(bad)}"
-            )
-        return out if arr.ndim else float(out)
+            for i, v in enumerate(self._derivatives(arr, orders)):
+                out[i] = v
+        if not np.isfinite(out).all():
+            for d, row in zip(orders, out):
+                bad = ~np.isfinite(row)
+                if bad.any():
+                    raise ValueError(
+                        f"requires u finite on the interval: derivative {d} of "
+                        f"{self.description} is {row[bad][0]} at x={float(arr[bad][0])}"
+                    )
+        if not single:
+            return out
+        return float(out[0]) if not arr.ndim else out[0]
 
     def derivative(self, n: int = 1) -> "SmoothFunction":
         """The n-th derivative as a new function (orders shift down by n)."""
@@ -517,13 +607,24 @@ class SmoothFunction:
         return lambda x: self.eval(x, deriv)
 
 
+@dataclass(frozen=True)
+class _Expression(SmoothFunction):
+    """A parsed expression, folded: the orders of one ``eval`` call are
+    evaluated by one program over the union DAG of their derivatives."""
+
+    ast: Expr = field(repr=False)
+
+    def _derivatives(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+        return evaluate_many([nth_derivative(self.ast, d) for d in orders], x)
+
+
 def from_ast(ast: Expr, description: str) -> SmoothFunction:
     folded = fold(ast)
 
     def evaluator(x: np.ndarray, d: int) -> np.ndarray:
         return evaluate(nth_derivative(folded, d), x)
 
-    return SmoothFunction(evaluator, MAX_SYMBOLIC_ORDER, description)
+    return _Expression(evaluator, MAX_SYMBOLIC_ORDER, description, folded)
 
 
 def from_expression(src: str) -> SmoothFunction:

@@ -249,7 +249,8 @@ def _basis_table(
         raise ValueError("side must be 'auto', 'left' or 'right'")
     p, t = space.degree, space.knots
     span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
-    np.clip(span, p, t.size - p - 2, out=span)
+    np.maximum(span, p, out=span)
+    np.minimum(span, t.size - p - 2, out=span)
     vals = np.zeros((len(orders), p + 1, x.size))
     slot: dict[int, int] = {}  # first index of each order; higher derivatives vanish
     for i, d in enumerate(orders):

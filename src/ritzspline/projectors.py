@@ -111,7 +111,7 @@ def _ritz_type(space: SplineSpace, q: int, u: SmoothFunction, m: int) -> Spline:
     _check_order(space, q, u)
     a = space.breakpoints.a
     w = l2_project(derived_space(space, q), u.derivative(q))
-    s = _integrate(w, [u.eval(a, i) for i in range(m, q)])
+    s = _integrate(w, u.eval(a, range(m, q)))
     if m == 0:
         return s
     t = _integrate(s, np.zeros(m))

@@ -185,8 +185,12 @@ def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> Ban
     first, vals = _element_basis(space, xs, deriv)
     local = np.einsum("eni,en,enj->eij", vals, ws, vals)
     row, col = np.tril_indices(p + 1)
-    bands = np.zeros((p + 1, space.dim))
-    np.add.at(bands, (row - col, first[:, None] + col), local[:, row, col])
+    # entry (row, col) of element e lands in bands[row - col, first[e] + col];
+    # bincount sums in index order, as np.add.at would
+    flat = (row - col) * space.dim + (first[:, None] + col)
+    bands = np.bincount(
+        flat.ravel(), local[:, row, col].ravel(), minlength=(p + 1) * space.dim
+    ).reshape(p + 1, space.dim)
     return BandedSymmetric(_frozen(bands), space.dim, p)
 
 
@@ -198,6 +202,5 @@ def load_vector(
     first, vals = _element_basis(space, xs, deriv)
     fw = (np.asarray(f(xs.ravel())) * ws.ravel()).reshape(xs.shape)
     local = np.einsum("eni,en->ei", vals, fw)
-    out = np.zeros(space.dim)
-    np.add.at(out, first[:, None] + np.arange(space.degree + 1), local)
-    return out
+    index = first[:, None] + np.arange(space.degree + 1)
+    return np.bincount(index.ravel(), local.ravel(), minlength=space.dim)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 from hypothesis import example, given, settings
@@ -19,7 +20,7 @@ from ritzspline.analysis import (
     rq_difference_study,
     spline_norm,
 )
-from ritzspline.functions import SmoothFunction, builtin
+from ritzspline.functions import SmoothFunction, builtin, from_expression
 from ritzspline.mesh import (
     Breakpoints,
     Spline,
@@ -31,7 +32,7 @@ from ritzspline.mesh import (
 from ritzspline.projectors import l2_project, q_project, ritz_project
 from ritzspline.quadrature import default_order, mesh_points
 
-from conftest import random_breakpoints, random_smooth
+from conftest import random_breakpoints, random_smooth, smooth_mix
 
 UNIT = Breakpoints(np.array([0.0, 1.0]))
 
@@ -281,6 +282,9 @@ JSON_LIKE = st.recursive(
 @example([{"x": 1.0}, {"y": [True, False]}])
 @example([1, [2, [3, [4]]], "\n", {"k": ",\n    "}])
 @example({"nan": [float("nan"), float("inf"), -float("inf")], "f": np.float64(0.1)})
+@example({"f": np.float64(0.1), "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
+          "none": None, "yes": True, "no": False, 'say "hi"\n': 1, ",\n    ": "\n", "": 2.5})
+@example([{"endpoint": "b", "l": 1, "residual": np.float64(1e-300), "applicable": False}, {}])
 @example((1, (2, 3), {"t": (4,)}))
 def test_dumps_is_indent_2_json(value):
     assert _dumps(value) == json.dumps(value, indent=2)
@@ -342,20 +346,36 @@ def test_boundary_report_flags_and_residuals():
     assert by_key2[("b", 1)].applicable  # p=2 >= 2q-l-1 for l=1
 
 
+_BOUNDARY_MESHES = {
+    "random": lambda rng: random_breakpoints(rng, 3, a=-1.0, b=2.0),
+    "uniform": lambda rng: Breakpoints.uniform(6),
+    "graded": lambda rng: Breakpoints.uniform(8, grading=3.0),
+    "far": lambda rng: Breakpoints.uniform(5, 1e6, 1e6 + 1.0),
+}
+
+
 def test_boundary_report_matches_eval_spline_loop(rng):
-    """One basis table per endpoint gives the residuals of one eval_spline
-    call per endpoint and order, bit for bit."""
-    for p, q in ((0, 1), (1, 2), (3, 2), (4, 3), (8, 3), (20, 4)):
-        xi = random_breakpoints(rng, 3, a=-1.0, b=2.0)
-        space = make_space(p, p - 1, xi)
-        s = Spline(space, rng.normal(size=space.dim))
-        u = random_smooth(rng)
-        rep = boundary_report(u, s, q)
-        assert len(rep) == 2 * q
-        for r in rep:
-            x = xi.a if r.endpoint == "a" else xi.b
-            want = abs(eval_spline(s, x, r.l) - u.eval(x, r.l))
-            assert r.residual == want, (p, q, r)
+    """One basis table and one evaluation of u per endpoint give the
+    residuals of one eval_spline and one scalar u.eval call per endpoint
+    and order, bit for bit, for a closed-form u and a parsed one."""
+    for mesh, make in _BOUNDARY_MESHES.items():
+        xi = make(rng)
+        far = mesh == "far"  # exp(x) overflows there
+        targets = (
+            smooth_mix(1.3, 4.0, 0.7, 1e-6, rng.normal(size=4)) if far else random_smooth(rng),
+            from_expression("sin(3*x)+x^3/(1+x^2)" if far else "exp(x/4)*sin(3*x)+x^5/(1+x^2)"),
+        )
+        cases = [(p, q) for p in range(9) for q in range(1, 4)] + [(20, 4)] * (mesh == "random")
+        for (p, q), u in itertools.product(cases, targets):
+            space = make_space(p, p - 1, xi)
+            s = Spline(space, rng.normal(size=space.dim))
+            rep = boundary_report(u, s, q)
+            assert len(rep) == 2 * q
+            for r in rep:
+                x = xi.a if r.endpoint == "a" else xi.b
+                want = u.eval(x, r.l)
+                res = abs(eval_spline(s, x, r.l) - want)
+                assert (r.residual, r.scaled) == (res, res / max(1.0, abs(want))), (mesh, p, q, r)
 
 
 def test_boundary_report_random_cases(rng):

@@ -49,6 +49,8 @@ def test_known_noise_rows_are_listed_apart(tmp_path, capsys):
               '{{"kind": "moment", "residual": {}}}]}}')
     ritz = '{{"p": 4, "coefficients": [{}, 1.0], "correction": [{}, 2e-21]}}'
     correction = "power,coefficient\n0,{}\n1,2e-21\n"
+    boundary = "endpoint,l,residual,scaled,applicable\na,0,{0},{0},1\nb,0,{1},{1},{2}\n"
+    ritz_boundary = '{{"boundary": [{{"endpoint": "b", "l": 0, "residual": {}, "applicable": true}}]}}'
     svg = '<svg><path d="M 10 {} L 20 30"/></svg>\n'
     old = _tree(tmp_path / "old", {
         rq.format(2, 1): "h,err_l1\n0.5,1e-3\n", rq.format(2, 2): "h,err_l2\n0.5,1e-15\n",
@@ -61,6 +63,9 @@ def test_known_noise_rows_are_listed_apart(tmp_path, capsys):
         "project/u-ritz-q1-csv/correction.csv": correction.format("1e-21"),
         "project/u-ritz-q1-json/report.json": ritz.format("0.5", "1e-21"),
         "project/u-ritz-q2-csv/correction.csv": correction.format("1e-3"),
+        "project/u-ritz-q1-csv/boundary.csv": boundary.format("1e-21", "0.5", 0),
+        "project/u-ritz-q2-csv/boundary.csv": boundary.format("1e-3", "1e-3", 1),
+        "project/v-ritz-q1-json/report.json": ritz_boundary.format("1e-21"),
     })
     new = _tree(tmp_path / "new", {
         rq.format(2, 1): "h,err_l1\n0.5,2e-3\n", rq.format(2, 2): "h,err_l2\n0.5,2e-15\n",
@@ -73,6 +78,9 @@ def test_known_noise_rows_are_listed_apart(tmp_path, capsys):
         "project/u-ritz-q1-csv/correction.csv": correction.format("1.5e-21"),
         "project/u-ritz-q1-json/report.json": ritz.format("0.75", "1.5e-21"),
         "project/u-ritz-q2-csv/correction.csv": correction.format("2e-3"),
+        "project/u-ritz-q1-csv/boundary.csv": boundary.format("3e-21", "0.25", 0),
+        "project/u-ritz-q2-csv/boundary.csv": boundary.format("2e-3", "1e-3", 1),
+        "project/v-ritz-q1-json/report.json": ritz_boundary.format("4e-21"),
     })
     assert artifact_diff.compare(old, new) == 1  # the nan is a text difference
     out = capsys.readouterr().out.splitlines()
@@ -82,26 +90,34 @@ def test_known_noise_rows_are_listed_apart(tmp_path, capsys):
         "converge/error-q-g1/error.svg",  # plots of other studies are not noise
         "converge/rq-diff-q2-g1/rq-diff_p2_l1.csv",
         "project/u-q-q2-csv/moments.csv",  # moment rows of other projectors are not noise
+        "project/u-ritz-q1-csv/boundary.csv",  # a row flagged not applicable is not noise
         "project/u-ritz-q1-json/report.json",  # its coefficients are not noise
-        "project/u-ritz-q2-csv/correction.csv",  # R != Q at p = 4, q = 2
+        "project/u-ritz-q2-csv/boundary.csv",  # R != Q at p = 4, q = 2
+        "project/u-ritz-q2-csv/correction.csv",
         "project/u-ritz-q2-csv/moments.csv",
     ]
-    assert "column=coefficients  abs_diff=2.500e-01" in regular[3]
-    assert "column=residual  abs_diff=1.000e-03" in regular[5]
+    assert "abs_diff=2.500e-01" in regular[3]
+    assert "column=coefficients  abs_diff=2.500e-01" in regular[4]
+    assert "abs_diff=1.000e-03" in regular[5]
+    assert "column=residual  abs_diff=1.000e-03" in regular[7]
     assert [line.split()[0] for line in noise] == [
         "converge/rq-diff-q2-g1/rq-diff.svg",
         "converge/rq-diff-q2-g1/rq-diff_p2_l2.csv",
         "converge/rq-diff-q2-g1/rq-diff_p3_l2.csv:",
         "converge/rq-diff-q2-g1/rq-diff_p5_l0.csv",
+        "project/u-ritz-q1-csv/boundary.csv",  # applicable rows at p >= 3q - 1
         "project/u-ritz-q1-csv/correction.csv",
         "project/u-ritz-q1-json/report.json",
         "project/u-ritz-q2-csv/moments.csv",
         "project/u-ritz-q2-json/report.json",
+        "project/v-ritz-q1-json/report.json",
     ]
     assert noise[2].endswith("text differs")
-    assert "column=coefficient  abs_diff=5.000e-22" in noise[4]
-    assert "column=correction  abs_diff=5.000e-22" in noise[5]
-    assert "column=moments.residual  abs_diff=1.000e-15" in noise[7]
+    assert "abs_diff=2.000e-21" in noise[4]
+    assert "column=coefficient  abs_diff=5.000e-22" in noise[5]
+    assert "column=correction  abs_diff=5.000e-22" in noise[6]
+    assert "column=moments.residual  abs_diff=1.000e-15" in noise[8]
+    assert "column=boundary.residual  abs_diff=3.000e-21" in noise[9]
 
 
 def test_project_degree_matches_the_hash_matrix():

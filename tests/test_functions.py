@@ -6,21 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ritzspline.functions import (
+    Add,
     Call,
     Const,
+    Div,
     ExpressionError,
     Mul,
+    Pow,
+    Sub,
     Var,
     builtin,
+    const,
     differentiate,
     evaluate,
+    evaluate_many,
+    fold,
     from_expression,
+    mul,
     nth_derivative,
     parse,
+    power,
     resolve_function,
     to_source,
 )
-from ritzspline.functions import _POOL, _interned
+from ritzspline.functions import _CALLS, _POOL, _interned
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +207,160 @@ def test_print_parse_roundtrip_evaluates_identically(seed):
     np.testing.assert_allclose(
         evaluate(again, xs), evaluate(ast, xs), rtol=1e-12, atol=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against a tree walk
+# ---------------------------------------------------------------------------
+
+
+def _walk(ast, x):
+    """Reference evaluator: a recursive walk with a per-call memo, constants
+    as arrays full of their value."""
+    arr = np.asarray(x, dtype=float)
+    memo = {}
+
+    def rec(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        match node:
+            case Const(v):
+                out = np.full_like(arr, v)
+            case Var():
+                out = arr
+            case Add(l, r):
+                out = rec(l) + rec(r)
+            case Sub(l, r):
+                out = rec(l) - rec(r)
+            case Mul(l, r):
+                out = rec(l) * rec(r)
+            case Div(l, r):
+                den = rec(r)
+                if np.any(den == 0.0):
+                    raise ExpressionError("division by zero during evaluation")
+                out = rec(l) / den
+            case Pow(b, n):
+                base = rec(b)
+                if n < 0 and np.any(base == 0.0):
+                    raise ExpressionError("division by zero during evaluation")
+                out = base ** float(n) if n < 0 else base**n
+            case Call(f, a):
+                out = _CALLS[f](rec(a))
+        memo[id(node)] = out
+        return out
+
+    return rec(ast)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_LEAVES = st.sampled_from(["x", "0.5", "1.25", "2", "3", "0.1"])
+
+
+def _grow(inner):
+    pair = st.tuples(inner, inner)
+    return st.one_of(
+        pair.map("({0[0]}+{0[1]})".format),
+        pair.map("({0[0]}-{0[1]})".format),
+        pair.map("({0[0]}*{0[1]})".format),
+        pair.map("({0[0]}/(({0[1]})^2+1))".format),  # denominators stay >= 1
+        st.tuples(inner, st.integers(0, 4)).map("({0[0]})^{0[1]}".format),
+        inner.map("sin({})".format),
+        inner.map("cos({})".format),
+        inner.map("exp(({})/4)".format),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _grow, max_leaves=8)
+_INTERVALS = st.sampled_from([(0.0, 1.0), (1.0, 3.0)])
+
+
+@st.composite
+def _points(draw):
+    a, b = draw(_INTERVALS)
+    point = st.floats(a, b)
+    shape = draw(st.sampled_from(["0-d", "2-point", "array"]))
+    if shape == "0-d":
+        return np.array(draw(point))
+    size = 2 if shape == "2-point" else draw(st.integers(3, 40))
+    return np.array(draw(st.lists(point, min_size=size, max_size=size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    src=_EXPRESSIONS,
+    orders=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+    x=_points(),
+)
+def test_eval_of_orders_is_the_tree_walk_bit_for_bit(src, orders, x):
+    """One program for several orders gives each order's values of a walk of
+    that order's tree alone, for 0-d, 2-point and longer x."""
+    f = from_expression(src)
+    tree = parse(src)
+    folded = fold(tree)
+    with np.errstate(all="ignore"):
+        want = [_walk(nth_derivative(folded, d), x) for d in orders]
+        # the unfolded tree keeps its constant-only subtrees
+        assert np.array_equal(_bits(evaluate(tree, x)), _bits(_walk(tree, x)))
+    if not all(np.isfinite(w).all() for w in want):
+        with pytest.raises(ValueError, match="requires u finite"):
+            f.eval(x, orders)
+        return
+    got = f.eval(x, orders)
+    assert got.shape == (len(orders), *x.shape)
+    for d, row, w in zip(orders, got, want):
+        assert np.array_equal(_bits(row), _bits(np.broadcast_to(w, x.shape))), d
+        single = f.eval(x, d)
+        assert np.array_equal(_bits(single), _bits(w)), d
+    for root, w in zip(evaluate_many([nth_derivative(folded, d) for d in orders], x), want):
+        assert np.array_equal(_bits(root), _bits(w))
+
+
+def test_constant_powers_of_an_unfolded_tree_match_the_walk():
+    """A constant-only power, left by ``parse`` without ``fold``, is numpy's
+    array power, as on an array full of the constant: float64's scalar power
+    differs from it in the last bit for some bases."""
+    x = np.linspace(1.0, 3.0, 7)
+    for c in np.random.default_rng(0).uniform(1.0, 3.0, 200):
+        trees = [parse(f"{float(c)!r}^{n}*x") for n in (2, 3, 4)]
+        trees += [mul(power(const(c), n), parse("x")) for n in (-1, -2, -3)]
+        for tree in trees:
+            assert np.array_equal(_bits(evaluate(tree, x)), _bits(_walk(tree, x))), tree
+            assert np.array_equal(_bits(evaluate(tree, 2.0)), _bits(_walk(tree, 2.0))), tree
+
+
+def test_constant_roots_fill_the_shape_of_x():
+    x = np.linspace(0.0, 1.0, 5)
+    seventh, sixth = evaluate_many([nth_derivative(parse("x^6"), d) for d in (7, 6)], x)
+    assert seventh.shape == sixth.shape == x.shape
+    assert np.all(seventh == 0.0) and np.all(sixth == 720.0)
+    assert evaluate(parse("2^3+1"), 0.5) == 9.0
+    with np.errstate(over="ignore"):  # a constant power overflows as numpy's does
+        assert evaluate(parse("10^400"), np.zeros(2)).tolist() == [np.inf, np.inf]
+
+
+def test_division_by_zero_raises_for_any_order_set():
+    f = from_expression("1/(x-1)")
+    for orders in ([0], [2, 0], [1, 3]):
+        with pytest.raises(ExpressionError, match="division by zero"):
+            f.eval(np.array([0.0, 1.0]), orders)
+    assert f.eval(np.array([0.0, 2.0]), [1, 0]).tolist() == [[-1.0, -1.0], [-1.0, 1.0]]
+    with pytest.raises(ExpressionError, match="division by zero"):
+        evaluate_many([parse("x"), parse("x/0")], 1.0)
+
+
+def test_eval_of_orders_names_the_first_order_that_is_not_finite():
+    """sin(exp(x)) and its first derivative are finite at x = 709.5, its
+    second derivative overflows there."""
+    f = from_expression("sin(exp(x))")
+    x = np.array([0.0, 709.5])
+    assert np.isfinite(f.eval(x, [1, 0])).all()
+    for orders, named in (([0, 2, 1], 2), ([1, 3, 2], 3), ([2, 3], 2)):
+        with pytest.raises(ValueError, match=rf"derivative {named} of sin\(exp\(x\)\) is \S+ at x=709.5"):
+            f.eval(x, orders)
+    assert f.eval(x, []).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ritzspline.quadrature import (
     mesh_points,
     resolve_order,
 )
+from ritzspline.quadrature import _element_basis
 
 from conftest import random_breakpoints
 
@@ -187,6 +188,34 @@ def test_load_vector_sums_to_interval_length(rng):
     space = make_space(3, 2, random_breakpoints(rng, 4))
     lv = load_vector(space, lambda x: np.ones_like(x), 6)
     assert lv.sum() == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 5, 8])
+def test_assembly_matches_an_element_loop(rng, p):
+    """The Gram bands and the load vector are the element contributions
+    added in element order, bit for bit."""
+    f = lambda x: np.sin(3.0 * x) - x
+    for k in sorted({-1, p - 1}):
+        space = make_space(p, k, random_breakpoints(rng, 4))
+        for deriv in range(min(p, 2) + 1):
+            xs, ws = mesh_points(space.breakpoints, default_order(p))
+            first, vals = _element_basis(space, xs, deriv)
+            local = np.einsum("eni,en,enj->eij", vals, ws, vals)
+            bands = np.zeros((p + 1, space.dim))
+            for e, f0 in enumerate(first):
+                for i in range(p + 1):
+                    for j in range(i + 1):
+                        bands[i - j, f0 + j] += local[e, i, j]
+            assert np.array_equal(gram_matrix(space, deriv).bands, bands), (k, deriv)
+
+            n = default_order(p, space.breakpoints)
+            xs, ws = mesh_points(space.breakpoints, n)
+            first, vals = _element_basis(space, xs, deriv)
+            local = np.einsum("eni,en->ei", vals, (f(xs.ravel()) * ws.ravel()).reshape(xs.shape))
+            load = np.zeros(space.dim)
+            for e, f0 in enumerate(first):
+                load[f0 : f0 + p + 1] += local[e]
+            assert np.array_equal(load_vector(space, f, n, deriv), load), (k, deriv)
 
 
 def test_gram_requires_enough_points():
