@@ -4,8 +4,9 @@
 The runs cover `project` (all four projectors, q = 0..3, CSV and JSON, on a
 uniform, a nonuniform, a shifted mesh and one on [1e6, 1e6+1] for sin4x, and
 on the first three for a parsed expression), `converge` (error studies for
-every projector and rq-diff studies for q = 1..3, uniform and graded) and
-`eig` (p = 2..5 on 20, 50 and 100 elements, plus coarse meshes that keep at
+every projector, and for `q` and `ritz` on the parsed expression, and rq-diff
+studies for q = 1..3, uniform and graded; plus the error studies of sin4x to
+256 elements that `perfbench` times) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus coarse meshes that keep at
 most p basis functions).  Each run calls `ritzspline.cli.main` in this
 process and writes under a temporary directory; one `sha256  path` line is
 printed per file written and per run's stdout, sorted by path.
@@ -70,12 +71,27 @@ def runs() -> list[tuple[str, list[str]]]:
                  "--l-list", "0,1,2", "--levels", "5", "--projector", projector,
                  "--grading", grading],
             ))
+        for projector in ("q", "ritz"):
+            out.append((
+                f"converge/expr-error-{projector}-g{grading}",
+                ["converge", "--function", EXPRESSION, "--p-list", "2,3,4", "--q", "2",
+                 "--l-list", "0,1,2", "--levels", "5", "--projector", projector,
+                 "--grading", grading],
+            ))
         for q, p_list in RQ_DEGREES.items():
             out.append((
                 f"converge/rq-diff-q{q}-g{grading}",
                 ["converge", "--function", "sin4x", "--p-list", p_list, "--q", str(q),
                  "--l-list", ",".join(map(str, range(q + 1))), "--levels", "4",
                  "--study", "rq-diff", "--grading", grading],
+            ))
+    for projector in ("q", "ritz"):
+        for p in (2, 3, 4):
+            out.append((
+                f"converge/sin4x-{projector}-p{p}-levels8",
+                ["converge", "--function", "sin4x", "--p-list", str(p), "--k", "max",
+                 "--q", "2", "--l-list", "0,1,2", "--levels", "8", "--study", "error",
+                 "--projector", projector],
             ))
     for p, elements in EIG_CASES:
         out.append((f"eig/p{p}-n{elements}",

@@ -18,9 +18,22 @@ from typing import Any
 import numpy as np
 
 from .functions import SmoothFunction
-from .mesh import Breakpoints, Spline, _basis_table, eval_spline_many, make_space
-from .projectors import q_project, l2_project, qtilde_project, ritz_project
-from .quadrature import default_order, mesh_points
+from .mesh import Breakpoints, Spline, _basis_table, make_space
+from .projectors import (
+    _check_order,
+    l2_projections,
+    q_projections,
+    qtilde_projections,
+    ritz_project,
+)
+from .quadrature import (
+    GridTable,
+    default_order,
+    error_grid_sample,
+    grid_tables,
+    mesh_points,
+    sample_error_grids,
+)
 
 
 def _fmt(x: float) -> str:
@@ -72,17 +85,33 @@ def _norm(d: np.ndarray, w: np.ndarray) -> float:
     return float(math.sqrt(np.sum(d * d * w)))
 
 
-def _report_grid(u: SmoothFunction, s: Spline, orders: Sequence[int]):
+def _report_grid(
+    u: SmoothFunction, s: Spline, orders: Sequence[int], sample: GridTable | None = None
+):
     """Gauss points and weights over the mesh of ``s``, at the order of its
     error norms, with u^(l) and (u - s)^(l) there for every l in ``orders``.
 
-    u and s are each evaluated once for all orders.
+    They come from ``sample``, the sample of the space of s on that grid
+    (:func:`quadrature.sample_error_grids`), holding every order; without
+    one, u and s are each evaluated once for all orders.
     """
-    n = default_order(s.space.degree, s.space.breakpoints)
-    xs, ws = mesh_points(s.space.breakpoints, n)
-    flat = xs.ravel()
-    uls = u.eval(flat, orders)
-    return flat, ws.ravel(), uls, uls - eval_spline_many(s, flat, orders)
+    sample = error_grid_sample(u, s.space, orders, sample)
+    uls = sample.u_values(orders)
+    return sample.points.ravel(), sample.weights.ravel(), uls, uls - sample.spline(s, orders)
+
+
+def _check_norm_orders(u: SmoothFunction, ls: Sequence[int]) -> None:
+    if max(ls, default=0) > u.max_order:
+        raise ValueError(f"requires l <= max_order={u.max_order}: got l={max(ls)}")
+
+
+def _error_norms(
+    u: SmoothFunction, s: Spline, ls: Sequence[int], sample: GridTable | None = None
+) -> list[float]:
+    """The :func:`error_norm` of every order in ``ls``, each summed over the
+    grid of s alone."""
+    _, w, _, errs = _report_grid(u, s, ls, sample)
+    return [_norm(d, w) for d in errs]
 
 
 def error_norm(
@@ -94,20 +123,23 @@ def error_norm(
     evaluated once for all of them.
     """
     ls = [l] if np.ndim(l) == 0 else list(l)
-    if max(ls, default=0) > u.max_order:
-        raise ValueError(f"requires l <= max_order={u.max_order}: got l={max(ls)}")
-    _, w, _, errs = _report_grid(u, s, ls)
-    norms = [_norm(d, w) for d in errs]
+    _check_norm_orders(u, ls)
+    norms = _error_norms(u, s, ls)
     return norms[0] if np.ndim(l) == 0 else norms
+
+
+def _spline_norms(s: Spline, ls: Sequence[int], table: GridTable) -> list[float]:
+    w = table.weights.ravel()
+    return [_norm(d, w) for d in table.spline(s, ls)]
 
 
 def spline_norm(s: Spline, l: int | Sequence[int] = 0) -> float | list[float]:
     """Broken L2 norm of the l-th derivative of a spline; for a sequence of
     orders, the list of their norms from one evaluation of ``s``."""
-    xs, ws = mesh_points(s.space.breakpoints, default_order(s.space.degree))
-    w = ws.ravel()
-    d = eval_spline_many(s, xs.ravel(), l)
-    return _norm(d, w) if np.ndim(l) == 0 else [_norm(dl, w) for dl in d]
+    ls = [l] if np.ndim(l) == 0 else list(l)
+    (table,) = grid_tables([s.space], [default_order(s.space.degree)], ls)
+    norms = _spline_norms(s, ls, table)
+    return norms[0] if np.ndim(l) == 0 else norms
 
 
 def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
@@ -117,22 +149,34 @@ def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
 
+# Each projects u onto several spaces of one degree and smoothness: it takes
+# (spaces, q, u, samples), samples[i] being the sample of spaces[i] on its
+# error-norm grid holding order 0, or None.  Only the projectors that
+# evaluate u - s on that grid read it.
 _PROJECTORS = {
-    "l2": lambda space, q, u: l2_project(space, u),
-    "q": q_project,
-    "ritz": ritz_project,
-    "qtilde": qtilde_project,
+    "l2": lambda spaces, q, u, samples: l2_projections(spaces, u),
+    "q": lambda spaces, q, u, samples: q_projections(spaces, q, u),
+    "ritz": lambda spaces, q, u, samples: [
+        ritz_project(space, q, u, qu=qu, sample=sample)
+        for space, qu, sample in zip(spaces, q_projections(spaces, q, u), samples)
+    ],
+    "qtilde": qtilde_projections,
 }
 
 
-def apply_projector(name: str, space, q: int, u: SmoothFunction) -> Spline:
+def _projector(name: str):
     try:
-        proj = _PROJECTORS[name]
+        return _PROJECTORS[name]
     except KeyError:
         raise ValueError(
             f"unknown projector '{name}'; available: {', '.join(sorted(_PROJECTORS))}"
         ) from None
-    return proj(space, q, u)
+
+
+def apply_projector(
+    name: str, space, q: int, u: SmoothFunction, sample: GridTable | None = None
+) -> Spline:
+    return _projector(name)([space], q, u, [sample])[0]
 
 
 @dataclass
@@ -231,7 +275,13 @@ def convergence_study(
     interval: tuple[float, float] = (0.0, 1.0),
     grading: float = 1.0,
 ) -> ConvergenceTable:
-    """Errors of the chosen projector on dyadically refined uniform meshes."""
+    """Errors of the chosen projector on dyadically refined uniform meshes.
+
+    Every level is built first and sampled once: one evaluation of u and
+    one basis sweep cover all error grids, and one sweep all L2 projections
+    of u^(q).  Each level's numbers are those of that level alone, bit for
+    bit.
+    """
     meta = {
         "study": "error",
         "function": u.description,
@@ -242,15 +292,17 @@ def convergence_study(
         "interval": list(interval),
         "grading": grading,
     }
-    hs: list[float] = []
+    spaces = [make_space(p, k, xi) for xi in _study_meshes(levels, interval, grading)]
+    project = _projector(projector)
+    if projector != "l2":
+        _check_order(spaces[0], q, u)
+    _check_norm_orders(u, l_set)
+    samples = sample_error_grids(u, spaces, sorted({0, *l_set}))
     errors: dict[int, list[float]] = {l: [] for l in l_set}
-    for xi in _study_meshes(levels, interval, grading):
-        space = make_space(p, k, xi)
-        s = apply_projector(projector, space, q, u)
-        hs.append(xi.h)
-        for l, err in zip(l_set, error_norm(u, s, l_set)):
+    for s, sample in zip(project(spaces, q, u, samples), samples):
+        for l, err in zip(l_set, _error_norms(u, s, l_set, sample)):
             errors[l].append(err)
-    return ConvergenceTable(meta, hs, errors)
+    return ConvergenceTable(meta, [space.breakpoints.h for space in spaces], errors)
 
 
 def rq_difference_study(
@@ -279,22 +331,25 @@ def rq_difference_study(
         "grading": grading,
         "zero_expected": p >= 3 * q - 1,
     }
-    hs: list[float] = []
-    errors: dict[int, list[float]] = {l: [] for l in l_set}
+    spaces = [make_space(p, k, xi) for xi in _study_meshes(levels, interval, grading)]
+    _check_order(spaces[0], q, u)
+    samples = sample_error_grids(u, spaces, (0,))
+    diffs: list[Spline] = []
     flags: list[bool] = []
-    for xi in _study_meshes(levels, interval, grading):
-        space = make_space(p, k, xi)
-        qs = q_project(space, q, u)
-        rs = ritz_project(space, q, u, qu=qs)
-        diff = rs - qs
-        hs.append(xi.h)
+    for space, qs, sample in zip(spaces, q_projections(spaces, q, u), samples):
+        diff = ritz_project(space, q, u, qu=qs, sample=sample) - qs
+        diffs.append(diff)
         scale = max(1.0, float(np.max(np.abs(qs.coeffs))))
         flags.append(
             p >= 3 * q - 1
             and float(np.max(np.abs(diff.coeffs))) <= 1e-9 * scale
         )
-        for l, norm in zip(l_set, spline_norm(diff, l_set)):
+    errors: dict[int, list[float]] = {l: [] for l in l_set}
+    tables = grid_tables(spaces, [default_order(p)] * len(spaces), l_set)
+    for diff, table in zip(diffs, tables):
+        for l, norm in zip(l_set, _spline_norms(diff, l_set, table)):
             errors[l].append(norm)
+    hs = [space.breakpoints.h for space in spaces]
     return ConvergenceTable(meta, hs, errors, zero_flags=flags)
 
 
@@ -322,7 +377,7 @@ def boundary_report(u: SmoothFunction, s: Spline, q: int) -> list[BoundaryResidu
     """
     a, b = s.space.interval
     p = s.space.degree
-    first, vals = _basis_table(s.space, [a, b], range(q))
+    first, vals = _basis_table([s.space], [[a, b]], range(q))
     # got[e][l]: s^(l) at endpoint e, one contiguous (p+1)-vector per dot
     cols = np.ascontiguousarray(vals.transpose(2, 0, 1))
     got = [
@@ -360,12 +415,13 @@ def moment_report(u: SmoothFunction, s: Spline, q: int) -> list[MomentResidual]:
 
 
 def project_report(
-    u: SmoothFunction, s: Spline, q: int, l_max: int
+    u: SmoothFunction, s: Spline, q: int, l_max: int, sample: GridTable | None = None
 ) -> tuple[dict[int, float], list[MomentResidual]]:
     """The :func:`error_norm` of every order l <= l_max and the
     :func:`moment_report`, from one evaluation of u^(l) and s^(l),
-    l <= max(q, l_max), on the error-norm grid."""
-    flat, w, uls, errs = _report_grid(u, s, range(max(q, l_max) + 1))
+    l <= max(q, l_max), on the error-norm grid: from ``sample`` when given,
+    the sample of the space of s there holding those orders."""
+    flat, w, uls, errs = _report_grid(u, s, range(max(q, l_max) + 1), sample)
     errors = {l: _norm(errs[l], w) for l in range(l_max + 1)}
     return errors, _moment_residuals(s.space.degree, q, flat, w, uls, errs)
 

@@ -26,8 +26,8 @@ import numpy as np
 from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
 from .mesh import Breakpoints, make_space, poly_to_spline
-from .projectors import q_project, ritz_correction
-from .quadrature import ENV_ORDER, default_order
+from .projectors import _check_order, q_project, ritz_correction
+from .quadrature import ENV_ORDER, default_order, sample_error_grids
 from .analysis import _dumps, _fmt, apply_projector
 
 
@@ -70,14 +70,21 @@ def cmd_project(args) -> int:
     k = args.p - 1 if args.k is None else args.k
     xi = _make_breakpoints(args)
     space = make_space(args.p, k, xi)
+    l_max = min(args.q, u.max_order) if args.projector != "l2" else 0
+    # ritz and qtilde evaluate u - s on the error-norm grid: one sample of u
+    # and of the basis there serves the projection and the report
+    orders, sample, corr = range(max(args.q, l_max) + 1), None, None
     if args.projector == "ritz":  # ritz_project's correction route, keeping the correction
         qu = q_project(space, args.q, u)
-        corr = ritz_correction(space, args.q, u, qu)
+        (sample,) = sample_error_grids(u, [space], orders)
+        corr = ritz_correction(space, args.q, u, qu, sample)
         s = qu if args.q == 0 else qu + poly_to_spline(corr, space)
     else:
-        s, corr = apply_projector(args.projector, space, args.q, u), None
-    l_max = min(args.q, u.max_order) if args.projector != "l2" else 0
-    errors, mrep = analysis.project_report(u, s, args.q, l_max)
+        if args.projector == "qtilde":
+            _check_order(space, args.q, u)
+            (sample,) = sample_error_grids(u, [space], orders)
+        s = apply_projector(args.projector, space, args.q, u, sample)
+    errors, mrep = analysis.project_report(u, s, args.q, l_max, sample)
     brep = analysis.boundary_report(u, s, args.q)
     out = Path(args.out)
 

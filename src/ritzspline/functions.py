@@ -334,7 +334,9 @@ def fold(ast: Expr) -> Expr:
         case Call(f, a):
             a = fold(a)
             if isinstance(a, Const):
-                return const(float(_CALLS[f](a.value)))
+                # an overflow or a nan folds to a constant that eval rejects
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return const(float(_CALLS[f](a.value)))
             return call(f, a)
     raise TypeError(f"unknown node {ast!r}")
 

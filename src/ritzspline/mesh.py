@@ -97,6 +97,12 @@ class Breakpoints:
     def h_min(self) -> float:
         return float(np.min(np.diff(self.points)))
 
+    @cached_property
+    def gauss_grids(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Gauss points and weights of this mesh by rule order, filled by
+        ``quadrature.mesh_points`` and kept as long as the mesh."""
+        return {}
+
     def element_of(self, x: float) -> int:
         """Index j with x in [x_j, x_{j+1}); the last element is closed at b."""
         if x < self.a or x > self.b:
@@ -211,22 +217,31 @@ class Spline:
 
 
 def _basis_table(
-    space: SplineSpace, xs, orders: Sequence[int], side: str = "auto"
+    spaces: Sequence[SplineSpace],
+    xs: Sequence,
+    orders: Sequence[int],
+    side: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero basis derivative values at every point of ``xs``, for several
-    derivative orders at once.
+    """Nonzero basis derivative values at every point of ``xs[i]`` in
+    ``spaces[i]``, for several spaces of one degree and several derivative
+    orders at once.
 
-    Returns ``(first, vals)``: ``first[m]`` is the index of the first of the
-    p+1 basis functions that may be nonzero at point m, and ``vals[i, j, m]``
+    Returns ``(first, vals)`` over the points of every space in turn:
+    ``first[m]`` is the index, within its own space, of the first of the p+1
+    basis functions that may be nonzero at point m, and ``vals[i, j, m]``
     the ``orders[i]``-th derivative of basis function ``first[m] + j`` there.
     The span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it
     (``side='left'``: (t_i, t_{i+1}], the limit from below), clamped to the
     first/last nonempty span at the domain ends, so ``'auto'`` is
     right-continuous inside and left-continuous at ``b``.
 
-    One span search, one knot-window gather and one Cox-de Boor sweep serve
-    every order d: the sweep leaves a copy of its degree-(p - d) table, on
-    which each further degree step applies the derivative recurrence
+    One knot-window gather and one Cox-de Boor sweep serve every point and
+    every order d.  Each point gathers the 2p knots around its span from its
+    own space's knots, and every step is pointwise, so a call for several
+    spaces gives each space the values of a call for it alone, bit for bit;
+    a call for one space is the one-element case.  The sweep leaves a copy
+    of its degree-(p - d) table, on which each further degree step applies
+    the derivative recurrence
     D B_{i,j} = j (B_{i,j-1} / (t_{i+j} - t_i) - B_{i+1,j-1} / (t_{i+j+1} - t_{i+1})),
     whose denominators are those of the Cox-de Boor step and stay positive
     on a nonempty span.  Each order's values are those of a sweep for that
@@ -237,20 +252,31 @@ def _basis_table(
     over whole contiguous rows of npts points rather than over p+1-wide
     strided slices.  The layout changes no operand and no operation order.
     """
-    a, b = space.interval
-    x = np.asarray(xs, dtype=float).ravel()
-    outside = (x < a) | (x > b)
-    if np.any(outside):
-        raise ValueError(f"x={x[np.argmax(outside)]} outside [{a}, {b}]")
+    p = spaces[0].degree
+    if any(space.degree != p for space in spaces):
+        raise ValueError("requires spaces of one degree")
     orders = [int(d) for d in orders]
     if any(d < 0 for d in orders):
         raise ValueError("requires deriv >= 0")
     if side not in ("auto", "left", "right"):
         raise ValueError("side must be 'auto', 'left' or 'right'")
-    p, t = space.degree, space.knots
-    span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
-    np.maximum(span, p, out=span)
-    np.minimum(span, t.size - p - 2, out=span)
+    steps = np.arange(1 - p, p + 1)[:, None]
+    points, spans, windows = [], [], []
+    for space, pts in zip(spaces, xs, strict=True):
+        a, b = space.interval
+        x = np.asarray(pts, dtype=float).ravel()
+        outside = (x < a) | (x > b)
+        if np.any(outside):
+            raise ValueError(f"x={x[np.argmax(outside)]} outside [{a}, {b}]")
+        t = space.knots
+        span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
+        np.maximum(span, p, out=span)
+        np.minimum(span, t.size - p - 2, out=span)
+        points.append(x)
+        spans.append(span)
+        windows.append(t[steps + span])  # t[span+1-p] .. t[span+p]
+    x, span = np.concatenate(points), np.concatenate(spans)
+    window = np.concatenate(windows, axis=1)
     vals = np.zeros((len(orders), p + 1, x.size))
     slot: dict[int, int] = {}  # first index of each order; higher derivatives vanish
     for i, d in enumerate(orders):
@@ -258,7 +284,6 @@ def _basis_table(
             slot.setdefault(d, i)
     if not slot:
         return span - p, vals
-    window = t[np.arange(1 - p, p + 1)[:, None] + span]  # t[span+1-p] .. t[span+p]
     low = min(slot)
     table = vals[slot[low]]  # the sweep ends in the lowest order's slot
     table[0] = 1.0
@@ -294,7 +319,7 @@ def eval_basis(
     breakpoints and left-continuous at ``b``; pass ``side='left'`` or
     ``side='right'`` to force a one-sided limit.
     """
-    first, vals = _basis_table(space, [x], (deriv,), side)
+    first, vals = _basis_table([space], [[x]], (deriv,), side)
     return int(first[0]), vals[0, :, 0]
 
 
@@ -314,10 +339,15 @@ def eval_spline_many(
     """
     xs = np.asarray(xs, dtype=float)
     orders = np.atleast_1d(deriv)
-    first, vals = _basis_table(s.space, xs, orders)
-    coeffs = s.coeffs[np.arange(s.space.degree + 1)[:, None] + first]
-    out = np.sum(coeffs * vals, axis=1)
+    out = _contract(s, *_basis_table([s.space], [xs], orders))
     return out.reshape(xs.shape if np.ndim(deriv) == 0 else (orders.size, *xs.shape))
+
+
+def _contract(s: Spline, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Values of ``s`` from a basis table of its space: ``out[i, m]`` is
+    sum_j c_{first[m] + j} vals[i, j, m], summed over j in order."""
+    coeffs = s.coeffs[np.arange(s.space.degree + 1)[:, None] + first]
+    return np.sum(coeffs * vals, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,33 @@ def test_studies_match_per_order_loops(grading):
             assert diff.errors[l][i] == _norm_per_order(d, exact_ws.ravel())
 
 
+@pytest.mark.parametrize("projector", ["l2", "q", "ritz", "qtilde"])
+@pytest.mark.parametrize("grading", [1.0, 2.0])
+def test_batched_study_is_each_level_alone(projector, grading):
+    """A study samples all its levels at once; every level's errors, Ritz
+    correction and projection are those of a level sampled alone, bit for
+    bit, for a builtin and a parsed target."""
+    from ritzspline.projectors import q_projections, ritz_correction
+    from ritzspline.quadrature import sample_error_grids
+
+    l_set = (1, 0, 2)
+    for u in (builtin("sin4x"), from_expression("exp(x)*sin(3*x)+x^5/(1+x^2)")):
+        tab = convergence_study(u, projector, 3, 2, 2, l_set, levels=4, grading=grading)
+        meshes = [Breakpoints.uniform(2**j, grading=grading) for j in range(1, 5)]
+        spaces = [make_space(3, 2, xi) for xi in meshes]
+        samples = sample_error_grids(u, spaces, (0, 1, 2))
+        qss = q_projections(spaces, 2, u)
+        for i, (space, sample, qs) in enumerate(zip(spaces, samples, qss)):
+            s = analysis.apply_projector(projector, space, 2, u)
+            assert [tab.errors[l][i] for l in l_set] == error_norm(u, s, l_set)
+            sampled = analysis.apply_projector(projector, space, 2, u, sample)
+            assert np.array_equal(sampled.coeffs, s.coeffs)
+            assert np.array_equal(qs.coeffs, q_project(space, 2, u).coeffs)
+            assert np.array_equal(
+                ritz_correction(space, 2, u, qs, sample), ritz_correction(space, 2, u)
+            )
+
+
 def test_norms_take_a_sequence_of_orders(rng):
     space = make_space(3, 1, random_breakpoints(rng, 3))
     u = random_smooth(rng)

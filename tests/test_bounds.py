@@ -413,3 +413,26 @@ def test_measured_broken_errors_within_bounds():
             assert error_norm(u, s, l) <= coeff * semi * (1 + 1e-9), (
                 u.description, xi.num_elements, p, k, q, l,
             )
+
+
+def test_measured_projector_difference_within_bound_on_graded_meshes():
+    """|d^l (Ru - Qu)| against difference_coefficient on the graded meshes,
+    l < q, wherever the coefficient is stated (p >= max(r - 1, 2q - 1))."""
+    from ritzspline.analysis import function_seminorm, spline_norm
+    from ritzspline.projectors import ritz_project
+
+    checked = 0
+    for u, xi, p, k, q, r, qs in _q_sweep(GRADED):
+        if q == 0 or p < max(r - 1, 2 * q - 1):
+            continue
+        diff = ritz_project(qs.space, q, u, qu=qs) - qs
+        semi = function_seminorm(u, r, xi)
+        for l in range(q):
+            coeff = difference_coefficient(
+                BoundQuery(p=p, k=k, q=q, l=l, r=r, h=xi.h, length=xi.b - xi.a)
+            )
+            assert spline_norm(diff, l) <= coeff * semi * (1 + 1e-9), (
+                u.description, xi.num_elements, p, k, q, l,
+            )
+            checked += 1
+    assert checked == 246

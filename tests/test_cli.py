@@ -471,28 +471,31 @@ def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
 
 
 def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
-    """u^(l) once per order on the error-norm grid (u^(0) once more, inside
-    the one Ritz correction) and s once for all orders."""
+    """u^(l) once per order on the error-norm grid and one basis sweep there:
+    the Ritz correction and the report read the same sample.  Every basis
+    sweep of the run is counted, by whichever module makes it."""
     from collections import Counter
 
     import ritzspline.analysis as analysis
     import ritzspline.cli as cli
+    import ritzspline.mesh as mesh
     import ritzspline.projectors as projectors
+    import ritzspline.quadrature as quadrature
     from ritzspline.functions import SmoothFunction, builtin
     from ritzspline.mesh import Breakpoints
     from ritzspline.quadrature import default_order
 
     base = builtin("sin4x")
-    eval_spline_many, ritz_correction = analysis.eval_spline_many, cli.ritz_correction
-    u_calls, s_calls, corrections = Counter(), Counter(), []
+    basis_table, ritz_correction = mesh._basis_table, cli.ritz_correction
+    u_calls, sweeps, corrections = Counter(), Counter(), []
 
     def evaluator(x, d):
         u_calls[d, np.size(x)] += 1
         return base.evaluator(x, d)
 
-    def counted_eval_spline_many(s, xs, deriv=0):
-        s_calls[np.size(xs)] += 1
-        return eval_spline_many(s, xs, deriv)
+    def counted_basis_table(spaces, xs, *args):
+        sweeps[tuple(np.size(x) for x in xs)] += 1
+        return basis_table(spaces, xs, *args)
 
     def counted_correction(*args):
         corrections.append(args)
@@ -501,7 +504,8 @@ def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli, "resolve_function", lambda name: SmoothFunction(evaluator, base.max_order, name)
     )
-    monkeypatch.setattr(analysis, "eval_spline_many", counted_eval_spline_many)
+    for module in (mesh, quadrature, analysis):
+        monkeypatch.setattr(module, "_basis_table", counted_basis_table)
     monkeypatch.setattr(cli, "ritz_correction", counted_correction)
     monkeypatch.setattr(projectors, "ritz_correction", counted_correction)
     rc = run(
@@ -513,8 +517,11 @@ def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
     assert rc == 0
     n = 16 * default_order(3, Breakpoints.uniform(16))
     assert len(corrections) == 1
-    assert {l: u_calls[l, n] for l in range(4)} == {0: 2, 1: 1, 2: 1, 3: 0}
-    assert s_calls == {n: 1}
+    assert {l: u_calls[l, n] for l in range(4)} == {0: 1, 1: 1, 2: 1, 3: 0}
+    # the L2 step on the degree-1 derived space, its load and Gram grids in
+    # one sweep; the error grid; the two endpoints of the boundary report
+    n_load, n_gram = 16 * default_order(1, Breakpoints.uniform(16)), 16 * default_order(1)
+    assert sweeps == {(n_load, n_gram): 1, (n,): 1, (2,): 1}
 
 
 def test_scipy_is_imported_only_by_solves(tmp_path):

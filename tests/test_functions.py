@@ -240,7 +240,9 @@ def _walk(ast, x):
                     raise ExpressionError("division by zero during evaluation")
                 out = rec(l) / den
             case Pow(b, n):
-                base = rec(b)
+                # as an array: on 0-d x the walk's values are numpy scalars,
+                # whose ** rounds differently from the array power
+                base = np.asarray(rec(b))
                 if n < 0 and np.any(base == 0.0):
                     raise ExpressionError("division by zero during evaluation")
                 out = base ** float(n) if n < 0 else base**n
@@ -438,3 +440,12 @@ def test_resolve_function_prefers_builtin():
     np.testing.assert_allclose(
         resolve_function("x6").eval(xs), resolve_function("x^6").eval(xs), atol=1e-14
     )
+
+
+@pytest.mark.parametrize("src", ["exp(exp(exp(2^4/4)/4)/4)", "sin(exp(1000))"])
+def test_a_constant_call_that_overflows_folds_without_a_warning(src):
+    """Folding exp of a large constant (inf) or sin of inf (nan) raises no
+    numpy warning; evaluating the function then names the nonfinite value."""
+    f = from_expression(src)
+    with pytest.raises(ValueError, match="requires u finite"):
+        f.eval(np.array([0.0, 0.5]), 0)

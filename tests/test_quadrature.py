@@ -14,12 +14,12 @@ from ritzspline.quadrature import (
     default_order,
     gauss_rule,
     gram_matrix,
+    grid_tables,
     inner_product,
     load_vector,
     mesh_points,
     resolve_order,
 )
-from ritzspline.quadrature import _element_basis
 
 from conftest import random_breakpoints
 
@@ -198,8 +198,9 @@ def test_assembly_matches_an_element_loop(rng, p):
     for k in sorted({-1, p - 1}):
         space = make_space(p, k, random_breakpoints(rng, 4))
         for deriv in range(min(p, 2) + 1):
-            xs, ws = mesh_points(space.breakpoints, default_order(p))
-            first, vals = _element_basis(space, xs, deriv)
+            (table,) = grid_tables([space], [default_order(p)], (deriv,))
+            ws = table.weights
+            first, vals = table.element_basis(deriv)
             local = np.einsum("eni,en,enj->eij", vals, ws, vals)
             bands = np.zeros((p + 1, space.dim))
             for e, f0 in enumerate(first):
@@ -209,8 +210,9 @@ def test_assembly_matches_an_element_loop(rng, p):
             assert np.array_equal(gram_matrix(space, deriv).bands, bands), (k, deriv)
 
             n = default_order(p, space.breakpoints)
-            xs, ws = mesh_points(space.breakpoints, n)
-            first, vals = _element_basis(space, xs, deriv)
+            (table,) = grid_tables([space], [n], (deriv,))
+            xs, ws = table.points, table.weights
+            first, vals = table.element_basis(deriv)
             local = np.einsum("eni,en->ei", vals, (f(xs.ravel()) * ws.ravel()).reshape(xs.shape))
             load = np.zeros(space.dim)
             for e, f0 in enumerate(first):
@@ -341,3 +343,115 @@ def test_mesh_points_shapes():
     assert xs.shape == (2, 4)
     assert ws.sum() == pytest.approx(1.0)
     assert np.all((xs >= 0) & (xs <= 1))
+
+
+def test_mesh_points_are_kept_read_only_on_the_mesh():
+    """One frozen grid per mesh instance and order, equal to a fresh
+    computation; an equal mesh built anew gets its own."""
+    xi = Breakpoints.uniform(5, 1.0, 3.0, grading=2.0)
+    for n in (1, 4, 11, MAX_ORDER):
+        xs, ws = mesh_points(xi, n)
+        rule = gauss_rule(n)
+        a, b = xi.points[:-1, None], xi.points[1:, None]
+        half = 0.5 * (b - a)
+        assert np.array_equal(xs, half * rule.nodes + 0.5 * (a + b))
+        assert np.array_equal(ws, half * rule.weights)
+        assert not xs.flags.writeable and not ws.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0, 0] = 0.0
+        again = mesh_points(xi, n)
+        assert again[0] is xs and again[1] is ws
+        fresh = mesh_points(Breakpoints(xi.points.copy()), n)
+        assert fresh[0] is not xs and np.array_equal(fresh[0], xs)
+
+
+def test_solve_spd_raises_on_nonfinite_and_indefinite_input():
+    from scipy.linalg import LinAlgError
+
+    from ritzspline.quadrature import BandedSymmetric
+
+    for bandwidth in (1, 2):
+        bands = np.zeros((bandwidth + 1, 4))
+        bands[0] = 2.0
+        bands[1, :3] = -1.0
+        spd = BandedSymmetric(bands, 4, bandwidth)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spd.solve_spd(np.array([1.0, np.nan, 0.0, 0.0]))
+        bad = bands.copy()
+        bad[0, 1] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            BandedSymmetric(bad, 4, bandwidth).solve_spd(np.ones(4))
+        indefinite = bands.copy()
+        indefinite[0, 2] = -1.0
+        with pytest.raises(LinAlgError, match="not positive definite"):
+            BandedSymmetric(indefinite, 4, bandwidth).solve_spd(np.ones(4))
+
+
+def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
+    """Gram matrices and load vectors from a table shared by several spaces,
+    grids and orders are those of per-call tables, bit for bit."""
+    f = lambda x: np.sin(3.0 * x) - x
+    for p in (1, 3, 5):
+        spaces = [
+            make_space(p, p - 1, random_breakpoints(rng, 4)),
+            make_space(p, -1, Breakpoints.uniform(6, 1e6, 1e6 + 1.0)),
+            make_space(p, p // 2 - 1, Breakpoints.uniform(8, grading=3.0)),
+        ]
+        ns = [default_order(p), default_order(p, spaces[1].breakpoints), p + 2]
+        orders = sorted({0, 1, min(p, 2)})
+        for space, n, table in zip(spaces, ns, grid_tables(spaces, ns, orders)):
+            for d in orders:
+                assert np.array_equal(
+                    gram_matrix(space, d, n, table).bands, gram_matrix(space, d, n).bands
+                )
+                assert np.array_equal(
+                    load_vector(space, f, n, d, table), load_vector(space, f, n, d)
+                )
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_stiffness_and_mass_from_one_table(p):
+    """The eigenproblem's matrices from one table with orders (2, 0) are the
+    separately assembled ones, bit for bit."""
+    for elements in (20, 50, 200):
+        space = make_space(p, p - 1, Breakpoints.uniform(elements))
+        n = default_order(p)
+        (table,) = grid_tables([space], [n], (2, 0))
+        for d in (2, 0):
+            want = gram_matrix(space, d).bands
+            assert np.array_equal(gram_matrix(space, d, n, table).bands, want)
+
+
+def test_a_table_of_another_space_or_grid_is_rejected():
+    """A table or sample made for one space is refused by every function
+    taking one for another space of the same degree, or another grid."""
+    from ritzspline.analysis import project_report
+    from ritzspline.projectors import q_project, ritz_correction, ritz_project
+    from ritzspline.quadrature import sample_error_grids
+
+    u = builtin("sin4x")
+    space = make_space(3, 2, Breakpoints.uniform(8))
+    (table,) = grid_tables([space], [4], (0,))
+    (sample,) = sample_error_grids(u, [space], range(3))
+    for other in (
+        make_space(3, 2, Breakpoints.uniform(9)),
+        make_space(3, 2, Breakpoints.uniform(8, grading=2.0)),
+        make_space(3, 1, Breakpoints.uniform(8)),
+    ):
+        with pytest.raises(ValueError, match="table of the space"):
+            gram_matrix(other, 0, 4, table)
+        with pytest.raises(ValueError, match="table of the space"):
+            load_vector(other, np.sin, 4, 0, table)
+        with pytest.raises(ValueError, match="table of the space"):
+            ritz_correction(other, 2, u, sample=sample)
+        with pytest.raises(ValueError, match="table of the space"):
+            ritz_project(other, 2, u, sample=sample)
+        with pytest.raises(ValueError, match="table of the space"):
+            apply_projector("qtilde", other, 2, u, sample)
+        with pytest.raises(ValueError, match="table of the space"):
+            project_report(u, q_project(other, 2, u), 2, 2, sample)
+    with pytest.raises(ValueError, match="table of the space"):
+        gram_matrix(space, 0, 5, table)
+    (coarse,) = grid_tables([space], [4], (0,))
+    with pytest.raises(ValueError, match="table of the space"):
+        ritz_correction(space, 2, u, sample=coarse)
