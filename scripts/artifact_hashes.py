@@ -5,11 +5,15 @@ The runs cover `project` (all four projectors, q = 0..3, CSV and JSON, on a
 uniform, a nonuniform, a shifted mesh and one on [1e6, 1e6+1] for sin4x, and
 on the first three for a parsed expression), `converge` (error studies for
 every projector, and for `q` and `ritz` on the parsed expression, and rq-diff
-studies for q = 1..3, uniform and graded; plus the error studies of sin4x to
-256 elements that `perfbench` times) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus coarse meshes that keep at
-most p basis functions).  Each run calls `ritzspline.cli.main` in this
-process and writes under a temporary directory; one `sha256  path` line is
-printed per file written and per run's stdout, sorted by path.
+studies for q = 1..3, uniform and graded; the error studies of sin4x to 256
+elements that `perfbench` times; and the study shapes at the edges of the
+level-batched algebra: `ritz` at q = 0 and 1, `qtilde` at q = 3, `q` and
+`ritz` with `--k fixed:1`, every projector and rq-diff on [1e6, 1e6+1] and
+with `--levels 1`) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus
+coarse meshes that keep at most p basis functions).  That is 1,361 hashes.
+Each run calls `ritzspline.cli.main` in this process and writes under a
+temporary directory; one `sha256  path` line is printed per file written
+and per run's stdout, sorted by path.
 
 Two checkouts give the same artifacts exactly when their outputs are
 identical, so comparing a change with its parent is one diff:
@@ -85,6 +89,48 @@ def runs() -> list[tuple[str, list[str]]]:
                  "--l-list", ",".join(map(str, range(q + 1))), "--levels", "4",
                  "--study", "rq-diff", "--grading", grading],
             ))
+    # study shapes at the edges of the batched level algebra
+    for q in (0, 1):
+        out.append((
+            f"converge/error-ritz-q{q}",
+            ["converge", "--function", "runge", "--p-list", "2,3,4", "--q", str(q),
+             "--l-list", ",".join(map(str, range(q + 1))), "--levels", "5",
+             "--projector", "ritz"],
+        ))
+    out.append((
+        "converge/error-qtilde-q3",
+        ["converge", "--function", "runge", "--p-list", "3,4,5", "--q", "3",
+         "--l-list", "0,1,2,3", "--levels", "5", "--projector", "qtilde"],
+    ))
+    for projector in ("q", "ritz"):
+        out.append((
+            f"converge/error-{projector}-kfixed1",
+            ["converge", "--function", "runge", "--p-list", "3,4,5", "--k", "fixed:1",
+             "--q", "2", "--l-list", "0,1,2", "--levels", "5", "--projector", projector],
+        ))
+    far = ["--interval", "1000000", "1000001"]
+    for projector in PROJECTORS:
+        out.append((
+            f"converge/error-{projector}-far",
+            ["converge", "--function", "sin4x", "--p-list", "2,3,4", "--q", "2",
+             "--l-list", "0,1,2", "--levels", "5", "--projector", projector, *far],
+        ))
+    out.append((
+        "converge/rq-diff-far",
+        ["converge", "--function", "sin4x", "--p-list", "2,3,4", "--q", "2",
+         "--l-list", "0,1,2", "--levels", "4", "--study", "rq-diff", *far],
+    ))
+    for projector in PROJECTORS:
+        out.append((
+            f"converge/error-{projector}-levels1",
+            ["converge", "--function", "runge", "--p-list", "2,3", "--q", "2",
+             "--l-list", "0,1,2", "--levels", "1", "--projector", projector],
+        ))
+    out.append((
+        "converge/rq-diff-levels1",
+        ["converge", "--function", "sin4x", "--p-list", "2,3", "--q", "2",
+         "--l-list", "0,1,2", "--levels", "1", "--study", "rq-diff"],
+    ))
     for projector in ("q", "ritz"):
         for p in (2, 3, 4):
             out.append((

@@ -13,6 +13,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -24,7 +25,7 @@ from .projectors import (
     l2_projections,
     q_projections,
     qtilde_projections,
-    ritz_project,
+    ritz_projections,
 )
 from .quadrature import (
     GridTable,
@@ -81,37 +82,24 @@ def _dumps(obj: Any, indent: str = "") -> str:
     return f"{opening}\n{inner}{sep.join(items)}\n{indent}{closing}"
 
 
-def _norm(d: np.ndarray, w: np.ndarray) -> float:
-    return float(math.sqrt(np.sum(d * d * w)))
-
-
 def _report_grid(
     u: SmoothFunction, s: Spline, orders: Sequence[int], sample: GridTable | None = None
-):
-    """Gauss points and weights over the mesh of ``s``, at the order of its
-    error norms, with u^(l) and (u - s)^(l) there for every l in ``orders``.
+) -> tuple[GridTable, np.ndarray, np.ndarray]:
+    """The sample of the space of ``s`` on the Gauss grid of its error norms,
+    with u^(l) and (u - s)^(l) there for every l in ``orders``.
 
-    They come from ``sample``, the sample of the space of s on that grid
-    (:func:`quadrature.sample_error_grids`), holding every order; without
-    one, u and s are each evaluated once for all orders.
+    The sample is ``sample`` when given (:func:`quadrature.sample_error_grids`),
+    holding every order; without one, u and s are each evaluated once for
+    all orders.
     """
-    sample = error_grid_sample(u, s.space, orders, sample)
+    sample = error_grid_sample(u, [s.space], orders, sample)
     uls = sample.u_values(orders)
-    return sample.points.ravel(), sample.weights.ravel(), uls, uls - sample.spline(s, orders)
+    return sample, uls, uls - sample.spline(s.coeffs, orders)
 
 
 def _check_norm_orders(u: SmoothFunction, ls: Sequence[int]) -> None:
     if max(ls, default=0) > u.max_order:
         raise ValueError(f"requires l <= max_order={u.max_order}: got l={max(ls)}")
-
-
-def _error_norms(
-    u: SmoothFunction, s: Spline, ls: Sequence[int], sample: GridTable | None = None
-) -> list[float]:
-    """The :func:`error_norm` of every order in ``ls``, each summed over the
-    grid of s alone."""
-    _, w, _, errs = _report_grid(u, s, ls, sample)
-    return [_norm(d, w) for d in errs]
 
 
 def error_norm(
@@ -124,21 +112,24 @@ def error_norm(
     """
     ls = [l] if np.ndim(l) == 0 else list(l)
     _check_norm_orders(u, ls)
-    norms = _error_norms(u, s, ls)
+    sample = sample_error_grids(u, [s.space], ls)
+    (norms,) = sample.norms(sample.u_values(ls) - sample.spline(s.coeffs, ls))
     return norms[0] if np.ndim(l) == 0 else norms
 
 
-def _spline_norms(s: Spline, ls: Sequence[int], table: GridTable) -> list[float]:
-    w = table.weights.ravel()
-    return [_norm(d, w) for d in table.spline(s, ls)]
+def _spline_norms(spaces, coeffs: np.ndarray, ls: Sequence[int]) -> list[list[float]]:
+    """Per space, the :func:`spline_norm` of every order in ``ls`` of the
+    splines with joined coefficients ``coeffs``: one basis sweep and one
+    contraction for all, each norm summed over its own space's grid."""
+    (table,) = grid_tables(spaces, [[default_order(spaces[0].degree)] * len(spaces)], ls)
+    return table.norms(table.spline(coeffs, ls))
 
 
 def spline_norm(s: Spline, l: int | Sequence[int] = 0) -> float | list[float]:
     """Broken L2 norm of the l-th derivative of a spline; for a sequence of
     orders, the list of their norms from one evaluation of ``s``."""
     ls = [l] if np.ndim(l) == 0 else list(l)
-    (table,) = grid_tables([s.space], [default_order(s.space.degree)], ls)
-    norms = _spline_norms(s, ls, table)
+    (norms,) = _spline_norms([s.space], s.coeffs, ls)
     return norms[0] if np.ndim(l) == 0 else norms
 
 
@@ -149,17 +140,14 @@ def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
 
-# Each projects u onto several spaces of one degree and smoothness: it takes
-# (spaces, q, u, samples), samples[i] being the sample of spaces[i] on its
-# error-norm grid holding order 0, or None.  Only the projectors that
-# evaluate u - s on that grid read it.
+# Each projects u onto several spaces of one degree: it takes (spaces, q, u,
+# sample), sample being the sample of the spaces on their error-norm grids
+# holding order 0, or None.  Only the projectors that evaluate u - s on
+# those grids read it.
 _PROJECTORS = {
-    "l2": lambda spaces, q, u, samples: l2_projections(spaces, u),
-    "q": lambda spaces, q, u, samples: q_projections(spaces, q, u),
-    "ritz": lambda spaces, q, u, samples: [
-        ritz_project(space, q, u, qu=qu, sample=sample)
-        for space, qu, sample in zip(spaces, q_projections(spaces, q, u), samples)
-    ],
+    "l2": lambda spaces, q, u, sample: l2_projections(spaces, u),
+    "q": lambda spaces, q, u, sample: q_projections(spaces, q, u),
+    "ritz": lambda spaces, q, u, sample: ritz_projections(spaces, q, u, sample=sample),
     "qtilde": qtilde_projections,
 }
 
@@ -176,7 +164,7 @@ def _projector(name: str):
 def apply_projector(
     name: str, space, q: int, u: SmoothFunction, sample: GridTable | None = None
 ) -> Spline:
-    return _projector(name)([space], q, u, [sample])[0]
+    return _projector(name)([space], q, u, sample)[0]
 
 
 @dataclass
@@ -277,10 +265,11 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Errors of the chosen projector on dyadically refined uniform meshes.
 
-    Every level is built first and sampled once: one evaluation of u and
-    one basis sweep cover all error grids, and one sweep all L2 projections
-    of u^(q).  Each level's numbers are those of that level alone, bit for
-    bit.
+    Every level is built first and the levels are projected and measured
+    together: one evaluation of u and one basis sweep cover all error
+    grids, one assembly and solve all L2 projections of u^(q), and one
+    contraction all errors.  Each level's numbers are those of that level
+    alone, bit for bit.
     """
     meta = {
         "study": "error",
@@ -297,10 +286,11 @@ def convergence_study(
     if projector != "l2":
         _check_order(spaces[0], q, u)
     _check_norm_orders(u, l_set)
-    samples = sample_error_grids(u, spaces, sorted({0, *l_set}))
+    sample = sample_error_grids(u, spaces, sorted({0, *l_set}))
+    coeffs = np.concatenate([s.coeffs for s in project(spaces, q, u, sample)])
     errors: dict[int, list[float]] = {l: [] for l in l_set}
-    for s, sample in zip(project(spaces, q, u, samples), samples):
-        for l, err in zip(l_set, _error_norms(u, s, l_set, sample)):
+    for norms in sample.norms(sample.u_values(l_set) - sample.spline(coeffs, l_set)):
+        for l, err in zip(l_set, norms):
             errors[l].append(err)
     return ConvergenceTable(meta, [space.breakpoints.h for space in spaces], errors)
 
@@ -333,21 +323,20 @@ def rq_difference_study(
     }
     spaces = [make_space(p, k, xi) for xi in _study_meshes(levels, interval, grading)]
     _check_order(spaces[0], q, u)
-    samples = sample_error_grids(u, spaces, (0,))
-    diffs: list[Spline] = []
-    flags: list[bool] = []
-    for space, qs, sample in zip(spaces, q_projections(spaces, q, u), samples):
-        diff = ritz_project(space, q, u, qu=qs, sample=sample) - qs
-        diffs.append(diff)
-        scale = max(1.0, float(np.max(np.abs(qs.coeffs))))
-        flags.append(
-            p >= 3 * q - 1
-            and float(np.max(np.abs(diff.coeffs))) <= 1e-9 * scale
-        )
+    sample = sample_error_grids(u, spaces, (0,))
+    qs = q_projections(spaces, q, u)
+    qc = np.concatenate([s.coeffs for s in qs])
+    diff = np.concatenate([s.coeffs for s in ritz_projections(spaces, q, u, qs, sample)]) - qc
+    starts = list(accumulate((space.dim for space in spaces[:-1]), initial=0))
+    tops = np.maximum.reduceat(np.abs(qc), starts)
+    peaks = np.maximum.reduceat(np.abs(diff), starts)
+    flags = [
+        p >= 3 * q - 1 and float(peak) <= 1e-9 * max(1.0, float(top))
+        for peak, top in zip(peaks, tops)
+    ]
     errors: dict[int, list[float]] = {l: [] for l in l_set}
-    tables = grid_tables(spaces, [default_order(p)] * len(spaces), l_set)
-    for diff, table in zip(diffs, tables):
-        for l, norm in zip(l_set, _spline_norms(diff, l_set, table)):
+    for norms in _spline_norms(spaces, diff, l_set):
+        for l, norm in zip(l_set, norms):
             errors[l].append(norm)
     hs = [space.breakpoints.h for space in spaces]
     return ConvergenceTable(meta, hs, errors, zero_flags=flags)
@@ -411,7 +400,8 @@ def moment_report(u: SmoothFunction, s: Spline, q: int) -> list[MomentResidual]:
     vanishes when it contains P_{2q+i}.  For spline spaces containment of
     P_d just means p >= d.
     """
-    return _moment_residuals(s.space.degree, q, *_report_grid(u, s, range(q + 1)))
+    sample, uls, errs = _report_grid(u, s, range(q + 1))
+    return _moment_residuals(s.space.degree, q, sample, uls, errs)
 
 
 def project_report(
@@ -421,12 +411,13 @@ def project_report(
     :func:`moment_report`, from one evaluation of u^(l) and s^(l),
     l <= max(q, l_max), on the error-norm grid: from ``sample`` when given,
     the sample of the space of s there holding those orders."""
-    flat, w, uls, errs = _report_grid(u, s, range(max(q, l_max) + 1), sample)
-    errors = {l: _norm(errs[l], w) for l in range(l_max + 1)}
-    return errors, _moment_residuals(s.space.degree, q, flat, w, uls, errs)
+    sample, uls, errs = _report_grid(u, s, range(max(q, l_max) + 1), sample)
+    (norms,) = sample.norms(errs[: l_max + 1])
+    return dict(enumerate(norms)), _moment_residuals(s.space.degree, q, sample, uls, errs)
 
 
-def _moment_residuals(p, q, flat, wflat, uls, errs) -> list[MomentResidual]:
+def _moment_residuals(p, q, sample: GridTable, uls, errs) -> list[MomentResidual]:
+    flat, wflat = sample.points, sample.weights
     terms = [("mean", l, errs[l], uls[l], p >= 2 * q - l) for l in range(q + 1)]
     terms += [
         ("moment", i, errs[0] * flat**i, uls[0] * flat**i, p >= 2 * q + i)

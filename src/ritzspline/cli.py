@@ -76,13 +76,13 @@ def cmd_project(args) -> int:
     orders, sample, corr = range(max(args.q, l_max) + 1), None, None
     if args.projector == "ritz":  # ritz_project's correction route, keeping the correction
         qu = q_project(space, args.q, u)
-        (sample,) = sample_error_grids(u, [space], orders)
+        sample = sample_error_grids(u, [space], orders)
         corr = ritz_correction(space, args.q, u, qu, sample)
         s = qu if args.q == 0 else qu + poly_to_spline(corr, space)
     else:
         if args.projector == "qtilde":
             _check_order(space, args.q, u)
-            (sample,) = sample_error_grids(u, [space], orders)
+            sample = sample_error_grids(u, [space], orders)
         s = apply_projector(args.projector, space, args.q, u, sample)
     errors, mrep = analysis.project_report(u, s, args.q, l_max, sample)
     brep = analysis.boundary_report(u, s, args.q)

@@ -220,7 +220,7 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
     space, keep = constrained_space(p, xi)
     lo, hi = int(keep[0]), int(keep[-1]) + 1  # keep is one contiguous range
     n = default_order(p)  # the exact grid of both matrices, tabulated once
-    (table,) = grid_tables([space], [n], (2, 0))
+    (table,) = grid_tables([space], [[n]], (2, 0))
     stiff = gram_matrix(space, 2, n, table).principal(lo, hi)
     mass = gram_matrix(space, 0, n, table).principal(lo, hi)
     lam, vecs = eigh(stiff.to_dense(), mass.to_dense())  # ascending

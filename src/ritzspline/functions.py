@@ -327,7 +327,10 @@ def fold(ast: Expr) -> Expr:
             if n == 1:
                 return b
             if isinstance(b, Const) and not (b.value == 0.0 and n < 0):
-                return const(float(b.value) ** float(n))
+                try:
+                    return const(float(b.value) ** float(n))
+                except OverflowError:  # past the double range: an inf that eval rejects
+                    return const(math.copysign(math.inf, b.value) if n % 2 else math.inf)
             if isinstance(b, Pow):
                 return fold(power(b.base, b.exponent * n))
             return power(b, n)

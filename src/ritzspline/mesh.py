@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import factorial
 
 import numpy as np
@@ -339,15 +340,25 @@ def eval_spline_many(
     """
     xs = np.asarray(xs, dtype=float)
     orders = np.atleast_1d(deriv)
-    out = _contract(s, *_basis_table([s.space], [xs], orders))
+    out = _contract(s.coeffs, *_basis_table([s.space], [xs], orders))
     return out.reshape(xs.shape if np.ndim(deriv) == 0 else (orders.size, *xs.shape))
 
 
-def _contract(s: Spline, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Values of ``s`` from a basis table of its space: ``out[i, m]`` is
-    sum_j c_{first[m] + j} vals[i, j, m], summed over j in order."""
-    coeffs = s.coeffs[np.arange(s.space.degree + 1)[:, None] + first]
-    return np.sum(coeffs * vals, axis=1)
+def _contract(coeffs: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Values of a spline from a basis table: ``out[i, m]`` is
+    sum_j c_{first[m] + j} vals[i, j, m], summed over j in order.
+
+    For a table of several spaces, ``coeffs`` joins one spline of each, their
+    bases numbered in turn, and ``first`` is numbered likewise; every value
+    is a sum over its own point's column, so each spline's values are those
+    of a table of its space alone, bit for bit."""
+    return np.sum(coeffs[np.arange(vals.shape[1])[:, None] + first] * vals, axis=1)
+
+
+def splines(spaces: Sequence[SplineSpace], coeffs: np.ndarray) -> list[Spline]:
+    """The spline of each space from their joined coefficients."""
+    ends = list(accumulate((space.dim for space in spaces), initial=0))
+    return [Spline(space, coeffs[lo:hi]) for space, lo, hi in zip(spaces, ends, ends[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +383,25 @@ def derive(s: Spline) -> Spline:
 
 def integrate_from_left(s: Spline) -> Spline:
     """Antiderivative of ``s`` vanishing at ``a``, in the (p+1, k+1) space."""
-    target = s.space.antiderived()
-    p = s.space.degree
-    t = s.space.knots
-    c = s.coeffs
-    out = np.zeros(target.dim)
-    out[1:] = np.cumsum(c * (t[p + 1 :] - t[: s.space.dim]) / (p + 1))
-    return Spline(target, out)
+    return Spline(s.space.antiderived(), _antiderivatives([s.space], s.coeffs))
+
+
+def _antiderivatives(spaces: Sequence[SplineSpace], coeffs: np.ndarray) -> np.ndarray:
+    """Joined coefficients of the antiderivatives vanishing at ``a`` of the
+    splines with joined coefficients ``coeffs`` in spaces of one degree p:
+    c^+_{i+1} = sum_{j<=i} c_j (t_{j+p+1} - t_j) / (p + 1), with c^+_0 = 0.
+
+    The running sums are one row-wise cumsum on a (spaces, max dim) array
+    padded with zeros after each row, so every sum runs over its own space's
+    terms alone and is that of a call for that space, bit for bit."""
+    p = spaces[0].degree
+    gaps = np.concatenate([space.knots[p + 1 :] - space.knots[: space.dim] for space in spaces])
+    dims = np.array([[space.dim] for space in spaces])
+    cols = np.arange(dims.max() + 1)
+    rows = np.zeros((dims.size, cols.size))
+    rows[:, 1:][cols[:-1] < dims] = coeffs * gaps / (p + 1)
+    rows[:, 1:] = np.cumsum(rows[:, 1:], axis=1)
+    return rows[cols <= dims]
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +409,41 @@ def integrate_from_left(s: Spline) -> Spline:
 # ---------------------------------------------------------------------------
 
 
-def _dual_coefficients(space: SplineSpace, derivs_at, degree: int) -> np.ndarray:
-    """B-spline coefficients of a function known to lie in ``space``.
+def _dual_coefficients(spaces: Sequence[SplineSpace], derivs_at, degree: int) -> np.ndarray:
+    """Joined B-spline coefficients of a function known to lie in each of
+    several spaces of one degree p (one function per space, their bases
+    numbered in turn as in one joined coefficient vector).
 
     ``derivs_at(taus, orders)`` must return, for each m in ``orders``, the
-    m-th derivative at every point of ``taus``; derivatives past the
-    function's ``degree`` vanish and are not asked for.  For each basis
-    index the dual functional is evaluated at the midpoint of the widest
-    knot span inside the basis support, where the integrand is a single
-    polynomial piece:
+    m-th derivative at every point of ``taus``, one point per basis function
+    in the joined numbering, each of its own space's function; derivatives
+    past the functions' ``degree`` vanish and are not asked for.  For each
+    basis index the dual functional is evaluated at the midpoint of the
+    widest knot span inside the basis support, where the integrand is a
+    single polynomial piece:
 
         c_i = sum_m e_m(t_{i+1} - tau, ..., t_{i+p} - tau) f^(m)(tau) (p-m)!/p!
 
     The elementary symmetric values e_m are built one knot at a time, and
-    only for the orders asked for: e_m depends on e_0 .. e_m alone.
+    only for the orders asked for: e_m depends on e_0 .. e_m alone.  Every
+    step acts per basis function, so each space gets the coefficients of a
+    call for it alone, bit for bit.
     """
-    p, t = space.degree, space.knots
+    p = spaces[0].degree
     top = min(p, degree)
-    rows = np.arange(space.dim)[:, None] + np.arange(p + 1)
+    t = np.concatenate([space.knots for space in spaces])
+    # the first knot of each basis function: every space has dim + p + 1 knots
+    dims = [space.dim for space in spaces]
+    k = np.arange(sum(dims)) + np.arange(len(dims)).repeat(dims) * (p + 1)
+    rows = k[:, None] + np.arange(p + 1)
     j = rows[:, 0] + np.argmax(t[rows + 1] - t[rows], axis=1)
     taus = 0.5 * (t[j] + t[j + 1])
-    e = np.zeros((space.dim, top + 1))
+    e = np.zeros((k.size, top + 1))
     e[:, 0] = 1.0
     for v in (t[rows[:, 1:]] - taus[:, None]).T:
         e[:, 1:] = e[:, 1:] + v[:, None] * e[:, :-1]
     pfac = factorial(p)
-    coeffs = np.zeros(space.dim)
+    coeffs = np.zeros(k.size)
     orders = range(top + 1)
     for m, f in zip(orders, derivs_at(taus, orders)):
         coeffs += e[:, m] * f * (factorial(p - m) / pfac)
@@ -422,12 +454,25 @@ def poly_to_spline(coeffs, space: SplineSpace) -> Spline:
     """Exact B-spline coefficients of the polynomial sum_i coeffs[i] (x-a)^i,
     a the left end of ``space``, inside ``space``."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    nz = np.nonzero(c)[0]
-    if nz.size and nz[-1] > space.degree:
-        raise ValueError(f"polynomial degree {nz[-1]} exceeds space degree {space.degree}")
-    a = space.breakpoints.a
-    derivs_at = lambda taus, orders: [npp.polyval(taus - a, npp.polyder(c, m)) for m in orders]
-    return Spline(space, _dual_coefficients(space, derivs_at, c.size - 1))
+    return Spline(space, _poly_coefficients(c[None], [space]))
+
+
+def _poly_coefficients(cs: np.ndarray, spaces: Sequence[SplineSpace]) -> np.ndarray:
+    """Joined B-spline coefficients of the polynomial sum_i cs[j, i] (x-a_j)^i
+    in each space j of one degree, a_j its left end: one dual-functional
+    pass, Horner's rule run with each basis function's own row of ``cs``."""
+    nz = np.nonzero(np.any(cs != 0.0, axis=0))[0]
+    if nz.size and nz[-1] > spaces[0].degree:
+        raise ValueError(
+            f"polynomial degree {nz[-1]} exceeds space degree {spaces[0].degree}"
+        )
+    level = np.arange(len(spaces)).repeat([space.dim for space in spaces])
+    a = np.array([space.breakpoints.a for space in spaces])[level]
+    rows = cs.T[:, level]
+    derivs_at = lambda taus, orders: [
+        npp.polyval(taus - a, npp.polyder(rows, m), tensor=False) for m in orders
+    ]
+    return _dual_coefficients(spaces, derivs_at, cs.shape[1] - 1)
 
 
 def embed(s: Spline, target: SplineSpace) -> Spline:
@@ -438,7 +483,7 @@ def embed(s: Spline, target: SplineSpace) -> Spline:
             f"target p >= {s.space.degree} and target k <= {s.space.smoothness}"
         )
     derivs_at = lambda taus, orders: eval_spline_many(s, taus, orders)
-    return Spline(target, _dual_coefficients(target, derivs_at, s.space.degree))
+    return Spline(target, _dual_coefficients([target], derivs_at, s.space.degree))
 
 
 def spline_to_poly(s: Spline) -> np.ndarray:

@@ -15,6 +15,15 @@ with the one polynomial L2 projection, ``poly_l2_project``, which the
 closed-form tests and the dense-KKT reference check independently.  A
 polynomial part is a coefficient array c in the shifted monomials (x-a)^i,
 a the left end of the breakpoints, evaluated with ``npp.polyval(x - a, c)``.
+
+Every projector is computed for a list of spaces of one degree at once, the
+levels of a convergence study, as one array program on their joined
+coefficient vector: one assembly and banded solve for all L2 projections,
+one padded ``cumsum`` per integration, one Vandermonde build and one
+stacked solve for all polynomial fits, one change of basis for all
+corrections.  Sums whose rounding depends on their length stay per space,
+so each projection is that of its space alone, bit for bit; the one-space
+functions are the one-element case.
 """
 
 from __future__ import annotations
@@ -32,19 +41,20 @@ from .mesh import (
     Breakpoints,
     Spline,
     SplineSpace,
-    integrate_from_left,
+    _antiderivatives,
+    _poly_coefficients,
     make_space,
-    poly_to_spline,
+    splines,
 )
 from .quadrature import (
     GridTable,
     default_order,
     error_grid_sample,
-    eval_on_grids,
     grid_tables,
-    gram_matrix,
-    load_vector,
+    gram_bands,
+    load_values,
     mesh_points,
+    solve_blocks,
 )
 
 
@@ -54,22 +64,25 @@ def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
 
 
 def l2_projections(spaces: Sequence[SplineSpace], u: SmoothFunction) -> list[Spline]:
-    """:func:`l2_project` of u onto each of several spaces of one degree.
+    """:func:`l2_project` of u onto each of several spaces of one degree."""
+    return splines(spaces, _l2_coefficients(spaces, u))
+
+
+def _l2_coefficients(spaces: Sequence[SplineSpace], u: SmoothFunction) -> np.ndarray:
+    """Joined coefficients of the L2 projections of u onto spaces of one
+    degree, as one block-diagonal system.
 
     One basis sweep tabulates the load grid and the exact Gram grid of every
-    space, and one ``u.eval`` call samples u on all load grids.  Assembly
-    and solve stay per space, so each projection is that of a call for its
-    space alone, bit for bit.
+    space, one ``u.eval`` call samples u on all load grids, and one
+    assembly and one banded solve serve every space.  Each sum runs over a
+    space's own terms in its own order, so each projection is that of a call
+    for its space alone, bit for bit.
     """
     p, count = spaces[0].degree, len(spaces)
-    ns, m = [default_order(p, space.breakpoints) for space in spaces], default_order(p)
-    tables = grid_tables([*spaces, *spaces], [*ns, *[m] * count], (0,))
-    fxs = eval_on_grids(u, [table.points for table in tables[:count]], 0)
-    out = []
-    for space, n, load, gram, fx in zip(spaces, ns, tables[:count], tables[count:], fxs):
-        rhs = load_vector(space, fx, n, 0, load)
-        out.append(Spline(space, gram_matrix(space, 0, m, gram).solve_spd(rhs)))
-    return out
+    ns = [default_order(p, space.breakpoints) for space in spaces]
+    load, gram = grid_tables(spaces, [ns, [default_order(p)] * count], (0,))
+    rhs = load_values(load, u.eval(load.points, 0), 0)
+    return solve_blocks(gram_bands(gram, 0), rhs, [space.dim for space in spaces])
 
 
 def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> np.ndarray:
@@ -80,26 +93,53 @@ def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> np.ndarray:
     shifted Legendre polynomials g_j, using the n-point Gauss rule on each
     element of xi; M is exact once n > deg.
     """
-    return _poly_fit(deg, f(mesh_points(xi, n)[0].ravel()), xi, n)
-
-
-def _poly_fit(deg: int, values: np.ndarray, xi: Breakpoints, n: int) -> np.ndarray:
-    """:func:`poly_l2_project` of the function taking ``values`` at the
-    flattened n-point Gauss grid of xi."""
-    a, b = xi.a, xi.b
     xs, ws = mesh_points(xi, n)
-    t = xs.ravel() - a
-    tested = npleg.legvander(2.0 * t / (b - a) - 1.0, deg).T * ws.ravel()
-    return dense_solve(tested @ npp.polyvander(t, deg), tested @ values)
+    return _poly_fits(deg, f(xs.ravel()), [xi], xs.ravel(), ws.ravel(), (0, xs.size))[0]
 
 
-def _residual_fit(deg: int, u: SmoothFunction, s: Spline, sample: GridTable | None) -> np.ndarray:
+def _poly_fits(
+    deg: int,
+    values: np.ndarray,
+    meshes: Sequence[Breakpoints],
+    points: np.ndarray,
+    weights: np.ndarray,
+    ends: Sequence[int],
+) -> np.ndarray:
+    """:func:`poly_l2_project` on each mesh, row i for meshes[i], of the
+    function taking ``values`` at ``points``: the joined flattened Gauss
+    grids of the meshes, those of meshes[i] being points[ends[i]:ends[i+1]],
+    with their ``weights``.
+
+    The Vandermonde matrices are built once on the joined grids, pointwise;
+    the moment sums are the products ``tested @ ...`` of each mesh's own
+    columns, and one stacked solve takes every moment system.
+    """
+    sizes = np.diff(ends)
+    t = points - np.array([xi.a for xi in meshes]).repeat(sizes)
+    width = np.array([xi.b - xi.a for xi in meshes]).repeat(sizes)
+    tested = npleg.legvander(2.0 * t / width - 1.0, deg).T * weights
+    powers = npp.polyvander(t, deg)
+    cols = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    moments = np.array([tested[:, c] @ powers[c] for c in cols])
+    rhs = np.array([tested[:, c] @ values[c] for c in cols])
+    return dense_solve(moments, rhs[..., None])[..., 0]
+
+
+def _residual_fits(
+    deg: int,
+    u: SmoothFunction,
+    spaces: Sequence[SplineSpace],
+    coeffs: np.ndarray,
+    sample: GridTable | None,
+) -> np.ndarray:
     """Polynomial L2 projection of u - s onto degree ``deg`` on the error-norm
-    grid of the space of s, from ``sample`` (u^(0) and the order-0 table of
-    that space there) or, without one, from a new sample."""
-    sample = error_grid_sample(u, s.space, (0,), sample)
-    resid = sample.u_values((0,))[0] - sample.spline(s, (0,))[0]
-    return _poly_fit(deg, resid, sample.space.breakpoints, sample.points.shape[1])
+    grid of each space, row i for spaces[i], s the splines with joined
+    coefficients ``coeffs``, from ``sample`` (u^(0) and the order-0 table of
+    the spaces there) or, without one, from a new sample."""
+    sample = error_grid_sample(u, spaces, (0,), sample)
+    resid = sample.u_values((0,))[0] - sample.spline(coeffs, (0,))[0]
+    meshes = [space.breakpoints for space in spaces]
+    return _poly_fits(deg, resid, meshes, sample.points, sample.weights, sample.ends)
 
 
 def _check_order(space: SplineSpace, q: int, u: SmoothFunction) -> None:
@@ -122,13 +162,16 @@ def derived_space(space: SplineSpace, q: int) -> SplineSpace:
     return make_space(space.degree - q, space.smoothness - q, space.breakpoints)
 
 
-def _integrate(s: Spline, values) -> Spline:
-    """Integrate from the left len(values) times, adding values[i] after the
-    step that reaches order i; the clamped basis sums to one."""
-    for v in reversed(values):
-        s = integrate_from_left(s)
-        s = Spline(s.space, s.coeffs + v)
-    return s
+def _integrate(chain: Sequence[Sequence[SplineSpace]], lo: int, coeffs, values) -> np.ndarray:
+    """Integrate the splines with joined coefficients ``coeffs`` in the
+    spaces chain[lo] from the left len(values) times, adding values[i], one
+    value per space, after the step that reaches order i; the clamped basis
+    sums to one.  chain[j + 1] holds the antiderived spaces of chain[j]."""
+    for step, v in enumerate(reversed(values)):
+        spaces = chain[lo + step]
+        coeffs = _antiderivatives(spaces, coeffs)
+        coeffs = coeffs + v.repeat([space.dim + 1 for space in spaces])
+    return coeffs
 
 
 def _ritz_types(
@@ -136,11 +179,11 @@ def _ritz_types(
     q: int,
     u: SmoothFunction,
     m: int,
-    samples: Sequence[GridTable | None],
-) -> list[Spline]:
-    """Order-q Ritz-type projection onto each of several spaces of one
-    degree: s^(q) is the L2 projection w of u^(q) onto the q-times derived
-    space, and s^(i)(a) = u^(i)(a) for m <= i < q.
+    sample: GridTable | None,
+) -> np.ndarray:
+    """Joined coefficients of the order-q Ritz-type projection onto each of
+    several spaces of one degree: s^(q) is the L2 projection w of u^(q)
+    onto the q-times derived space, and s^(i)(a) = u^(i)(a) for m <= i < q.
 
     The lower part sum_{i<m} c_i (x-a)^i is fixed by the moments
     (u - s, g_j) = 0, j < m, against the shifted Legendre polynomials: it is
@@ -148,23 +191,25 @@ def _ritz_types(
     without that part.  With m = q this is the Ritz saddle-point system in
     derived coordinates: the polynomials span the kernel of the order-q
     stiffness and, the moment matrix being nonsingular, the multipliers
-    vanish.  ``samples[i]``, when not None, is the sample of ``spaces[i]`` on
-    its error-norm grid (:func:`quadrature.sample_error_grids`), holding
-    order 0.  The L2 projections share one basis sweep
-    (:func:`l2_projections`); everything else is per space.
+    vanish.  ``sample``, when given, is the sample of the spaces on their
+    error-norm grids (:func:`quadrature.sample_error_grids`), holding order
+    0.  Every step is one array program over all spaces, each space's
+    coefficients those of a call for it alone, bit for bit; u^(i)(a) is
+    evaluated once per distinct left end a.
     """
     for space in spaces:
         _check_order(space, q, u)
-    ws = l2_projections([derived_space(space, q) for space in spaces], u.derivative(q))
-    out = []
-    for space, w, sample in zip(spaces, ws, samples, strict=True):
-        s = _integrate(w, u.eval(space.breakpoints.a, range(m, q)))
-        if m:
-            t = _integrate(s, np.zeros(m))
-            c = _residual_fit(m - 1, u, t, sample)  # n >= p + 1 >= m Gauss points: M exact
-            s = _integrate(s, [factorial(i) * ci for i, ci in enumerate(c)])  # s^(i)(a) = i! c_i
-        out.append(s)
-    return out
+    chain = [[derived_space(space, q - i) for space in spaces] for i in range(q)]
+    chain.append(list(spaces))
+    s = _l2_coefficients(chain[0], u.derivative(q))
+    lefts = [space.breakpoints.a for space in spaces]
+    at = {a: u.eval(a, range(m, q)) for a in dict.fromkeys(lefts)}
+    s = _integrate(chain, 0, s, np.array([at[a] for a in lefts]).T)
+    if m:
+        t = _integrate(chain, q - m, s, np.zeros((m, len(spaces))))
+        c = _residual_fits(m - 1, u, spaces, t, sample)  # n >= p + 1 >= m points: M exact
+        s = _integrate(chain, q - m, s, [factorial(i) * ci for i, ci in enumerate(c.T)])
+    return s
 
 
 def q_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
@@ -178,25 +223,24 @@ def q_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
 
 
 def q_projections(spaces: Sequence[SplineSpace], q: int, u: SmoothFunction) -> list[Spline]:
-    """:func:`q_project` onto each of several spaces of one degree, with the
-    L2 projections of u^(q) sharing one basis sweep."""
-    return _ritz_types(spaces, q, u, 0, [None] * len(spaces))
+    """:func:`q_project` onto each of several spaces of one degree."""
+    return splines(spaces, _ritz_types(spaces, q, u, 0, None))
 
 
 def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     """Mean-preserving variant: the constant term is fixed by (s, 1) = (u, 1)."""
-    return qtilde_projections([space], q, u, [None])[0]
+    return qtilde_projections([space], q, u)[0]
 
 
 def qtilde_projections(
     spaces: Sequence[SplineSpace],
     q: int,
     u: SmoothFunction,
-    samples: Sequence[GridTable | None],
+    sample: GridTable | None = None,
 ) -> list[Spline]:
-    """:func:`qtilde_project` onto each of several spaces of one degree, with
-    the L2 projections of u^(q) sharing one basis sweep."""
-    return _ritz_types(spaces, q, u, min(q, 1), samples)
+    """:func:`qtilde_project` onto each of several spaces of one degree;
+    ``sample`` as for :func:`ritz_projections`."""
+    return splines(spaces, _ritz_types(spaces, q, u, min(q, 1), sample))
 
 
 def ritz_correction(
@@ -220,7 +264,7 @@ def ritz_correction(
         return np.zeros(1)
     if qu is None:
         qu = q_project(space, q, u)
-    return _residual_fit(q - 1, u, qu, sample)
+    return _residual_fits(q - 1, u, [space], qu.coeffs, sample)[0]
 
 
 def ritz_project(
@@ -229,23 +273,42 @@ def ritz_project(
     u: SmoothFunction,
     method: str = "correction",
     qu: Spline | None = None,
-    sample: GridTable | None = None,
 ) -> Spline:
     """Classical Ritz projection of order q.
 
     ``method='correction'`` adds the polynomial correction to the
     boundary-interpolating projection, ``qu`` when given; ``method='saddle'``
     solves the constrained Galerkin system in derived coordinates and serves
-    as an independent check.  ``sample`` as for :func:`ritz_correction`.
+    as an independent check.
     """
     _check_order(space, q, u)
     if method == "correction":
-        if qu is None:
-            qu = q_project(space, q, u)
-        if q == 0:
-            return qu
-        corr = ritz_correction(space, q, u, qu, sample)
-        return qu + poly_to_spline(corr, space)
+        return ritz_projections([space], q, u, None if qu is None else [qu])[0]
     if method == "saddle":
-        return _ritz_types([space], q, u, q, [sample])[0]
+        return splines([space], _ritz_types([space], q, u, q, None))[0]
     raise ValueError(f"unknown method '{method}' (expected 'correction' or 'saddle')")
+
+
+def ritz_projections(
+    spaces: Sequence[SplineSpace],
+    q: int,
+    u: SmoothFunction,
+    qus: Sequence[Spline] | None = None,
+    sample: GridTable | None = None,
+) -> list[Spline]:
+    """:func:`ritz_project` onto each of several spaces of one degree by the
+    correction route, from their boundary projections ``qus`` when given.
+
+    ``sample``, when given, is the sample of the spaces on their error-norm
+    grids (:func:`quadrature.sample_error_grids`) holding order 0.  All
+    corrections come from one residual fit and one change of basis.
+    """
+    if qus is None:
+        qus = q_projections(spaces, q, u)
+    if q == 0:
+        return list(qus)
+    for space in spaces:
+        _check_order(space, q, u)
+    qc = np.concatenate([qu.coeffs for qu in qus])
+    corr = _residual_fits(q - 1, u, spaces, qc, sample)
+    return splines(spaces, qc + _poly_coefficients(corr, spaces))

@@ -12,10 +12,16 @@ every default order, but never below the exact one.
 The Gauss grid of a mesh at one order is computed once and kept, frozen, on
 that ``Breakpoints`` instance: it lives as long as the mesh object and is
 never shared with an equal mesh built elsewhere.  A :class:`GridTable`
-holds the basis values of a space on such a grid; :func:`grid_tables`
-builds the tables of several spaces of one degree from one basis sweep,
-and :func:`sample_error_grids` adds the values of u on the error-norm
-grids, so a study samples each of its levels once.
+holds the basis values of several spaces of one degree on such grids, their
+bases numbered in turn as in one joined coefficient vector;
+:func:`grid_tables` builds it from one basis sweep, and
+:func:`sample_error_grids` adds the values of u on the error-norm grids, so
+a study samples each of its levels once.  :func:`gram_bands` and
+:func:`load_values` assemble the systems of all the table's spaces at once,
+the Gram matrices as one block-diagonal band that :func:`solve_blocks`
+solves; each space's entries and solution are those of its own system, bit
+for bit.  :func:`gram_matrix` and :func:`load_vector` are the one-space
+case.
 """
 
 from __future__ import annotations
@@ -25,13 +31,14 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functions import SmoothFunction
-from .mesh import Breakpoints, Spline, SplineSpace, _basis_table, _contract, _frozen
+from .mesh import Breakpoints, SplineSpace, _basis_table, _contract, _frozen
 
 MAX_ORDER = 64
 ENV_ORDER = "RITZ_SPLINE_QUAD_ORDER"
@@ -163,17 +170,48 @@ class BandedSymmetric:
         return solveh_banded(self.bands, rhs, lower=True)
 
 
+# From this bandwidth on, OpenBLAS's x86-64 dot product sums 16 or more terms
+# in SIMD lanes, so the banded triangular solve would round the last rows of
+# a block differently inside a longer system: such blocks are solved apart.
+SIMD_DOT_LENGTH = 16
+
+
+def solve_blocks(matrix: BandedSymmetric, rhs: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """``matrix.solve_spd(rhs)`` for a block-diagonal ``matrix`` whose
+    diagonal blocks have sizes ``dims``, their couplings zero.
+
+    Each block's solution is that of a solve of its block alone, bit for
+    bit: below SIMD_DOT_LENGTH one banded solve serves all blocks, since
+    every sum of the factorization and of the two triangular solves then
+    runs in order and a zero coupling adds an exact zero; from it on, each
+    block is solved by itself.
+    """
+    if matrix.bandwidth < SIMD_DOT_LENGTH:
+        return matrix.solve_spd(rhs)
+    ends = list(accumulate(dims, initial=0))
+    return np.concatenate([
+        BandedSymmetric(matrix.bands[:, lo:hi], hi - lo, matrix.bandwidth).solve_spd(rhs[lo:hi])
+        for lo, hi in zip(ends, ends[1:])
+    ])
+
+
 @dataclass(frozen=True)
 class GridTable:
-    """The basis of one space on the n-point Gauss grid of its mesh.
+    """The bases of several spaces of one degree on Gauss grids of their
+    meshes, the ns[i]-point grid for spaces[i].
 
-    ``points`` and ``weights`` are :func:`mesh_points` of the mesh, and
-    ``first`` and ``vals`` the basis table at the flattened points, with
-    ``vals[i]`` for order ``orders[i]`` as ``mesh._basis_table`` returns it.
-    ``u``, when the table is a sample of u, holds u^(orders[i]) there.
+    ``points`` and ``weights`` join the flattened :func:`mesh_points` of
+    every mesh, those of spaces[i] being ``points[ends[i]:ends[i + 1]]``.
+    ``first`` and ``vals`` are the basis table there, with ``vals[i]`` for
+    order ``orders[i]`` as ``mesh._basis_table`` returns it, but ``first``
+    numbers the bases of the spaces in turn, as one joined coefficient
+    vector holds a spline of each.  ``u``, when the table is a sample of u,
+    holds u^(orders[i]) at the points.
     """
 
-    space: SplineSpace
+    spaces: tuple[SplineSpace, ...]
+    ns: tuple[int, ...]
+    ends: tuple[int, ...]
     points: np.ndarray
     weights: np.ndarray
     orders: tuple[int, ...]
@@ -181,11 +219,12 @@ class GridTable:
     vals: np.ndarray
     u: np.ndarray | None = None
 
-    def of(self, space: SplineSpace, n: int) -> GridTable:
-        """This table, once checked to be of ``space`` on the n-point grid:
-        another space's table would index the coefficients wrongly."""
-        if self.points.shape[1] != n or not (
-            space.degree == self.space.degree and np.array_equal(space.knots, self.space.knots)
+    def of(self, spaces: Sequence[SplineSpace], ns: Sequence[int]) -> GridTable:
+        """This table, once checked to be of ``spaces`` on their ns-point
+        grids: another space's table would index the coefficients wrongly."""
+        if tuple(ns) != self.ns or not all(
+            space is mine or (space.degree == mine.degree and np.array_equal(space.knots, mine.knots))
+            for space, mine in zip(spaces, self.spaces, strict=True)
         ):
             raise ValueError("requires the table of the space on its n-point Gauss grid")
         return self
@@ -194,88 +233,111 @@ class GridTable:
         return [self.orders.index(d) for d in orders]
 
     def u_values(self, orders: Sequence[int]) -> np.ndarray:
-        """u^(l) at the flattened points, one row per l in ``orders``."""
+        """u^(l) at the points, one row per l in ``orders``."""
         return self.u[self._rows(orders)]
 
-    def spline(self, s: Spline, orders: Sequence[int]) -> np.ndarray:
-        """s^(l) at the flattened points, one row per l in ``orders``, for s
-        in the table's space: what ``eval_spline_many`` gives, bit for bit."""
-        return _contract(s, self.first, self.vals[self._rows(orders)])
+    def spline(self, coeffs: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+        """s^(l) at the points, one row per l in ``orders``, for the splines
+        of the table's spaces with joined coefficients ``coeffs``: what
+        ``eval_spline_many`` gives for each, bit for bit."""
+        return _contract(coeffs, self.first, self.vals[self._rows(orders)])
 
-    def element_basis(self, deriv: int) -> tuple[np.ndarray, np.ndarray]:
+    def norms(self, d: np.ndarray) -> list[list[float]]:
+        """Per space, the broken L2 norm over its own points of each row of
+        ``d``, values at the points: each a pairwise sum over that space's
+        contiguous points alone, as for a table of it alone."""
+        sq = d * d * self.weights
+        return [
+            [float(math.sqrt(np.sum(row[lo:hi]))) for row in sq]
+            for lo, hi in zip(self.ends, self.ends[1:])
+        ]
+
+    def runs(self) -> list[tuple[int, slice]]:
+        """The maximal runs of consecutive spaces on one grid order: that
+        order n and the slice of their points."""
+        out, lo = [], 0
+        for hi in range(1, len(self.ns) + 1):
+            if hi == len(self.ns) or self.ns[hi] != self.ns[lo]:
+                out.append((self.ns[lo], slice(self.ends[lo], self.ends[hi])))
+                lo = hi
+        return out
+
+    def element_basis(
+        self, deriv: int, n: int, points: slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
         """First basis index per element and (elements, n, p+1) values of
-        the deriv-th basis derivatives.
+        the deriv-th basis derivatives, for the ``points`` of a run of spaces
+        on the n-point grid.
 
         Every row of Gauss points must share one span.  The degree-major
         table is copied point-major, as the einsum contractions of the
         assembly take it: contracted in place, the load vector's sums would
         run in another order and change in their last bits.
         """
-        first = self.first.reshape(self.points.shape)
+        first = self.first[points].reshape(-1, n)
         if np.any(first != first[:, :1]):
             raise ValueError(
                 "requires elements wide enough in double precision that no Gauss "
                 "point rounds onto a breakpoint"
             )
-        vals = self.vals[self.orders.index(deriv)]
-        return first[:, 0], np.ascontiguousarray(vals.T).reshape(*self.points.shape, -1)
+        vals = np.ascontiguousarray(self.vals[self.orders.index(deriv)][:, points].T)
+        return first[:, 0], vals.reshape(-1, n, vals.shape[1])
 
 
 def grid_tables(
-    spaces: Sequence[SplineSpace], ns: Sequence[int], orders: Sequence[int]
+    spaces: Sequence[SplineSpace], ns: Sequence[Sequence[int]], orders: Sequence[int]
 ) -> list[GridTable]:
-    """The table of each space on the ns[i]-point Gauss grid of its mesh, at
-    every order in ``orders``: one basis sweep for all of them, so the
-    spaces must share one degree."""
-    orders = tuple(int(d) for d in orders)
-    grids = [mesh_points(space.breakpoints, n) for space, n in zip(spaces, ns, strict=True)]
-    first, vals = _basis_table(spaces, [xs for xs, _ in grids], orders)
+    """The table of the spaces on the ns[j][i]-point Gauss grid of the mesh
+    of spaces[i], for every j, at every order in ``orders``: one basis sweep
+    for all of them, so the spaces must share one degree."""
+    spaces, orders = tuple(spaces), tuple(int(d) for d in orders)
+    grids = [[mesh_points(space.breakpoints, n) for space, n in zip(spaces, row, strict=True)]
+             for row in ns]
+    first, vals = _basis_table(spaces * len(grids), [xs for row in grids for xs, _ in row], orders)
+    starts = np.array(list(accumulate((space.dim for space in spaces[:-1]), initial=0)))
     tables, lo = [], 0
-    for space, (xs, ws) in zip(spaces, grids):
-        hi = lo + xs.size
-        tables.append(GridTable(space, xs, ws, orders, first[lo:hi], vals[:, :, lo:hi]))
+    for row, grid in zip(ns, grids):
+        sizes = [xs.size for xs, _ in grid]
+        ends = tuple(accumulate(sizes, initial=0))
+        hi = lo + ends[-1]
+        tables.append(GridTable(
+            spaces, tuple(row), ends,
+            np.concatenate([xs.ravel() for xs, _ in grid]),
+            np.concatenate([ws.ravel() for _, ws in grid]),
+            orders, first[lo:hi] + starts.repeat(sizes), vals[:, :, lo:hi],
+        ))
         lo = hi
     return tables
 
 
-def eval_on_grids(
-    u: SmoothFunction, grids: Sequence[np.ndarray], deriv: int | Sequence[int]
-) -> list[np.ndarray]:
-    """``u.eval(xs.ravel(), deriv)`` for every xs in ``grids``, from one call
-    on all their points.
-
-    Every ufunc of the evaluation acts point by point, so each grid's values
-    are those of a call for it alone, bit for bit.
-    """
-    flat = [xs.ravel() for xs in grids]
-    values = u.eval(np.concatenate(flat), deriv)
-    ends = np.cumsum([0, *(x.size for x in flat)]).tolist()
-    return [values[..., lo:hi] for lo, hi in zip(ends, ends[1:])]
-
-
 def sample_error_grids(
     u: SmoothFunction, spaces: Sequence[SplineSpace], orders: Sequence[int]
-) -> list[GridTable]:
-    """Tables of the spaces on their error-norm grids, the
+) -> GridTable:
+    """The table of the spaces on their error-norm grids, the
     ``default_order(p, xi)``-point grid of each mesh, with u^(l) there for
     every l in ``orders``: one ``u.eval`` call and one basis sweep for all.
+    Every ufunc of the evaluation acts point by point, so each space's
+    values are those of a sample of it alone, bit for bit.
     """
     orders = tuple(int(d) for d in orders)
     ns = [default_order(space.degree, space.breakpoints) for space in spaces]
-    grids = [mesh_points(space.breakpoints, n)[0] for space, n in zip(spaces, ns)]
-    uls = eval_on_grids(u, grids, orders)  # first: u.eval names a bad order
-    return [replace(table, u=ul) for table, ul in zip(grid_tables(spaces, ns, orders), uls)]
+    points = [mesh_points(space.breakpoints, n)[0].ravel() for space, n in zip(spaces, ns)]
+    ul = u.eval(np.concatenate(points), orders)  # first: u.eval names a bad order
+    (table,) = grid_tables(spaces, [ns], orders)
+    return replace(table, u=ul)
 
 
 def error_grid_sample(
-    u: SmoothFunction, space: SplineSpace, orders: Sequence[int], sample: GridTable | None
+    u: SmoothFunction,
+    spaces: Sequence[SplineSpace],
+    orders: Sequence[int],
+    sample: GridTable | None,
 ) -> GridTable:
-    """``sample``, checked to be of ``space`` on its error-norm grid, or
+    """``sample``, checked to be of ``spaces`` on their error-norm grids, or
     without one a new :func:`sample_error_grids` sample of u there."""
     if sample is None:
-        (sample,) = sample_error_grids(u, [space], orders)
-        return sample
-    return sample.of(space, default_order(space.degree, space.breakpoints))
+        return sample_error_grids(u, spaces, orders)
+    return sample.of(spaces, [default_order(space.degree, space.breakpoints) for space in spaces])
 
 
 @lru_cache(maxsize=None)
@@ -300,39 +362,51 @@ def gram_matrix(
         n = default_order(p)
     if n < p + 1:
         raise ValueError("requires n >= p + 1 for exact spline products")
-    _, ws = mesh_points(space.breakpoints, n)
     if table is None:
-        (table,) = grid_tables([space], [n], (deriv,))
-    first, vals = table.of(space, n).element_basis(deriv)
-    local = np.einsum("eni,en,enj->eij", vals, ws, vals)
+        (table,) = grid_tables([space], [[n]], (deriv,))
+    return gram_bands(table.of([space], [n]), deriv)
+
+
+def gram_bands(table: GridTable, deriv: int) -> BandedSymmetric:
+    """The Gram matrix of the deriv-th basis derivatives of all the table's
+    spaces, on one grid order, joined block-diagonally: one einsum and one
+    bincount for every element, each entry summed in element order as in a
+    space's own matrix, and the couplings between spaces zero."""
+    (n,) = set(table.ns)
+    p, dim = table.spaces[0].degree, sum(space.dim for space in table.spaces)
+    first, vals = table.element_basis(deriv, n)
+    local = np.einsum("eni,en,enj->eij", vals, table.weights.reshape(-1, n), vals)
     row, col = _tril_indices(p + 1)
     # entry (row, col) of element e lands in bands[row - col, first[e] + col];
     # bincount sums in index order, as np.add.at would
-    flat = (row - col) * space.dim + (first[:, None] + col)
+    flat = (row - col) * dim + (first[:, None] + col)
     bands = np.bincount(
-        flat.ravel(), local[:, row, col].ravel(), minlength=(p + 1) * space.dim
-    ).reshape(p + 1, space.dim)
-    return BandedSymmetric(_frozen(bands), space.dim, p)
+        flat.ravel(), local[:, row, col].ravel(), minlength=(p + 1) * dim
+    ).reshape(p + 1, dim)
+    return BandedSymmetric(_frozen(bands), dim, p)
 
 
-def load_vector(
-    space: SplineSpace,
-    f: Integrand | np.ndarray,
-    n: int,
-    deriv: int = 0,
-    table: GridTable | None = None,
-) -> np.ndarray:
+def load_vector(space: SplineSpace, f: Integrand | np.ndarray, n: int, deriv: int = 0) -> np.ndarray:
     """Vector of inner products (f, d^deriv b_i) over the space's mesh.
 
-    ``f`` is the integrand or its values at the flattened n-point grid;
-    ``table`` as for :func:`gram_matrix`.
+    ``f`` is the integrand or its values at the flattened n-point grid.
     """
-    xs, ws = mesh_points(space.breakpoints, n)
-    if table is None:
-        (table,) = grid_tables([space], [n], (deriv,))
-    first, vals = table.of(space, n).element_basis(deriv)
-    fx = f if isinstance(f, np.ndarray) else np.asarray(f(xs.ravel()))
-    fw = (fx * ws.ravel()).reshape(xs.shape)
-    local = np.einsum("eni,en->ei", vals, fw)
-    index = first[:, None] + np.arange(space.degree + 1)
-    return np.bincount(index.ravel(), local.ravel(), minlength=space.dim)
+    (table,) = grid_tables([space], [[n]], (deriv,))
+    fx = f if isinstance(f, np.ndarray) else np.asarray(f(table.points))
+    return load_values(table, fx, deriv)
+
+
+def load_values(table: GridTable, fx: np.ndarray, deriv: int) -> np.ndarray:
+    """The joined load vectors (f, d^deriv b_i) of all the table's spaces,
+    from f's values ``fx`` at the points: one einsum per run of spaces on
+    one grid order and one bincount, each entry summed in element order as
+    in a space's own vector."""
+    fw = fx * table.weights
+    p = table.spaces[0].degree
+    index, local = [], []
+    for n, points in table.runs():
+        first, vals = table.element_basis(deriv, n, points)
+        local.append(np.einsum("eni,en->ei", vals, fw[points].reshape(-1, n)).ravel())
+        index.append((first[:, None] + np.arange(p + 1)).ravel())
+    dim = sum(space.dim for space in table.spaces)
+    return np.bincount(np.concatenate(index), np.concatenate(local), minlength=dim)

@@ -197,9 +197,9 @@ def test_batched_study_is_each_level_alone(projector, grading):
         tab = convergence_study(u, projector, 3, 2, 2, l_set, levels=4, grading=grading)
         meshes = [Breakpoints.uniform(2**j, grading=grading) for j in range(1, 5)]
         spaces = [make_space(3, 2, xi) for xi in meshes]
-        samples = sample_error_grids(u, spaces, (0, 1, 2))
         qss = q_projections(spaces, 2, u)
-        for i, (space, sample, qs) in enumerate(zip(spaces, samples, qss)):
+        for i, (space, qs) in enumerate(zip(spaces, qss)):
+            sample = sample_error_grids(u, [space], (0, 1, 2))
             s = analysis.apply_projector(projector, space, 2, u)
             assert [tab.errors[l][i] for l in l_set] == error_norm(u, s, l_set)
             sampled = analysis.apply_projector(projector, space, 2, u, sample)

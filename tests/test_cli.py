@@ -91,6 +91,20 @@ def test_project_bad_expression_exit_2(tmp_path, capsys):
     assert "unknown identifier" in capsys.readouterr().err
 
 
+def test_project_overflowing_constant_power_exit_2(tmp_path, capsys):
+    """A folded constant power past the double range fails on the named
+    finiteness precondition, as exp(1000) does, not as an internal error."""
+    for function in ("(1e200)^2*x", "exp(1000)*x"):
+        rc = run(
+            [
+                "project", "--function", function, "--p", "2", "--q", "1",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        assert "requires u finite" in capsys.readouterr().err
+
+
 def test_project_explicit_breakpoints(tmp_path):
     out = tmp_path / "bp"
     rc = run(

@@ -442,6 +442,21 @@ def test_resolve_function_prefers_builtin():
     )
 
 
+@pytest.mark.parametrize(
+    "src,value",
+    [("(1e200)^2*x", np.inf), ("(0-1e200)^3*x", -np.inf), ("(0-1e200)^2*x", np.inf)],
+)
+def test_a_constant_power_that_overflows_folds_to_inf(src, value):
+    """Folding a constant power past the double range gives the signed inf
+    of the power, not Python's OverflowError; evaluating the function then
+    names the nonfinite value."""
+    f = from_expression(src)
+    with pytest.raises(ValueError, match="requires u finite"):
+        f.eval(np.array([0.5, 1.0]), 0)
+    with pytest.raises(ValueError, match=f"is {value}"):
+        f.eval(np.array([0.5]), 0)
+
+
 @pytest.mark.parametrize("src", ["exp(exp(exp(2^4/4)/4)/4)", "sin(exp(1000))"])
 def test_a_constant_call_that_overflows_folds_without_a_warning(src):
     """Folding exp of a large constant (inf) or sin of inf (nan) raises no

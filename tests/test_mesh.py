@@ -574,13 +574,13 @@ def test_dual_coefficients_skip_vanishing_orders_exactly(rng):
             per_order = lambda x, orders: [
                 npp.polyval(x - xi.a, npp.polyder(pol, m)) for m in orders
             ]
-            full = _dual_coefficients(space, per_order, p)
+            full = _dual_coefficients([space], per_order, p)
             assert np.array_equal(poly_to_spline(pol, space).coeffs, full)
             assert np.array_equal(_dual_coefficients_full(space, per_order), full)
         s = random_spline(rng, make_space(p - 1, p - 2, xi))
         target = make_space(p, p - 2, xi)
         per_order = lambda x, orders: [eval_spline_many(s, x, m) for m in orders]
-        full = _dual_coefficients(target, per_order, p)
+        full = _dual_coefficients([target], per_order, p)
         assert np.array_equal(embed(s, target).coeffs, full)
         assert np.array_equal(_dual_coefficients_full(target, per_order), full)
 

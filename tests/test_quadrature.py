@@ -198,9 +198,10 @@ def test_assembly_matches_an_element_loop(rng, p):
     for k in sorted({-1, p - 1}):
         space = make_space(p, k, random_breakpoints(rng, 4))
         for deriv in range(min(p, 2) + 1):
-            (table,) = grid_tables([space], [default_order(p)], (deriv,))
-            ws = table.weights
-            first, vals = table.element_basis(deriv)
+            m = default_order(p)
+            (table,) = grid_tables([space], [[m]], (deriv,))
+            ws = table.weights.reshape(-1, m)
+            first, vals = table.element_basis(deriv, m)
             local = np.einsum("eni,en,enj->eij", vals, ws, vals)
             bands = np.zeros((p + 1, space.dim))
             for e, f0 in enumerate(first):
@@ -210,10 +211,10 @@ def test_assembly_matches_an_element_loop(rng, p):
             assert np.array_equal(gram_matrix(space, deriv).bands, bands), (k, deriv)
 
             n = default_order(p, space.breakpoints)
-            (table,) = grid_tables([space], [n], (deriv,))
+            (table,) = grid_tables([space], [[n]], (deriv,))
             xs, ws = table.points, table.weights
-            first, vals = table.element_basis(deriv)
-            local = np.einsum("eni,en->ei", vals, (f(xs.ravel()) * ws.ravel()).reshape(xs.shape))
+            first, vals = table.element_basis(deriv, n)
+            local = np.einsum("eni,en->ei", vals, (f(xs) * ws).reshape(-1, n))
             load = np.zeros(space.dim)
             for e, f0 in enumerate(first):
                 load[f0 : f0 + p + 1] += local[e]
@@ -388,25 +389,33 @@ def test_solve_spd_raises_on_nonfinite_and_indefinite_input():
 
 
 def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
-    """Gram matrices and load vectors from a table shared by several spaces,
-    grids and orders are those of per-call tables, bit for bit."""
+    """The joined Gram bands and load vectors of a table shared by several
+    spaces, grids and orders are each space's own, bit for bit, the Gram
+    blocks uncoupled."""
+    from ritzspline.quadrature import gram_bands, load_values
+
     f = lambda x: np.sin(3.0 * x) - x
     for p in (1, 3, 5):
         spaces = [
             make_space(p, p - 1, random_breakpoints(rng, 4)),
             make_space(p, -1, Breakpoints.uniform(6, 1e6, 1e6 + 1.0)),
             make_space(p, p // 2 - 1, Breakpoints.uniform(8, grading=3.0)),
+            make_space(p, p - 1, Breakpoints.uniform(16, grading=3.0)),
         ]
-        ns = [default_order(p), default_order(p, spaces[1].breakpoints), p + 2]
+        ns = [default_order(p), default_order(p, spaces[1].breakpoints), p + 2, p + 2]
+        m = p + 3
         orders = sorted({0, 1, min(p, 2)})
-        for space, n, table in zip(spaces, ns, grid_tables(spaces, ns, orders)):
-            for d in orders:
-                assert np.array_equal(
-                    gram_matrix(space, d, n, table).bands, gram_matrix(space, d, n).bands
-                )
-                assert np.array_equal(
-                    load_vector(space, f, n, d, table), load_vector(space, f, n, d)
-                )
+        load, gram = grid_tables(spaces, [ns, [m] * len(spaces)], orders)
+        starts = np.cumsum([0, *(space.dim for space in spaces)])
+        for d in orders:
+            bands = gram_bands(gram, d).bands
+            loads = load_values(load, f(load.points), d)
+            for space, n, lo, hi in zip(spaces, ns, starts, starts[1:]):
+                want = gram_matrix(space, d, m).bands
+                assert np.array_equal(bands[:, lo:hi], want)
+                for i in range(1, p + 1):  # couplings to the next space
+                    assert not bands[i, hi - i : hi].any()
+                assert np.array_equal(loads[lo:hi], load_vector(space, f, n, d))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -416,7 +425,7 @@ def test_stiffness_and_mass_from_one_table(p):
     for elements in (20, 50, 200):
         space = make_space(p, p - 1, Breakpoints.uniform(elements))
         n = default_order(p)
-        (table,) = grid_tables([space], [n], (2, 0))
+        (table,) = grid_tables([space], [[n]], (2, 0))
         for d in (2, 0):
             want = gram_matrix(space, d).bands
             assert np.array_equal(gram_matrix(space, d, n, table).bands, want)
@@ -426,13 +435,13 @@ def test_a_table_of_another_space_or_grid_is_rejected():
     """A table or sample made for one space is refused by every function
     taking one for another space of the same degree, or another grid."""
     from ritzspline.analysis import project_report
-    from ritzspline.projectors import q_project, ritz_correction, ritz_project
+    from ritzspline.projectors import q_project, qtilde_projections, ritz_correction
     from ritzspline.quadrature import sample_error_grids
 
     u = builtin("sin4x")
     space = make_space(3, 2, Breakpoints.uniform(8))
-    (table,) = grid_tables([space], [4], (0,))
-    (sample,) = sample_error_grids(u, [space], range(3))
+    (table,) = grid_tables([space], [[4]], (0,))
+    sample = sample_error_grids(u, [space], range(3))
     for other in (
         make_space(3, 2, Breakpoints.uniform(9)),
         make_space(3, 2, Breakpoints.uniform(8, grading=2.0)),
@@ -441,17 +450,15 @@ def test_a_table_of_another_space_or_grid_is_rejected():
         with pytest.raises(ValueError, match="table of the space"):
             gram_matrix(other, 0, 4, table)
         with pytest.raises(ValueError, match="table of the space"):
-            load_vector(other, np.sin, 4, 0, table)
-        with pytest.raises(ValueError, match="table of the space"):
             ritz_correction(other, 2, u, sample=sample)
         with pytest.raises(ValueError, match="table of the space"):
-            ritz_project(other, 2, u, sample=sample)
+            qtilde_projections([space, other], 2, u, sample_error_grids(u, [space, space], [0]))
         with pytest.raises(ValueError, match="table of the space"):
             apply_projector("qtilde", other, 2, u, sample)
         with pytest.raises(ValueError, match="table of the space"):
             project_report(u, q_project(other, 2, u), 2, 2, sample)
     with pytest.raises(ValueError, match="table of the space"):
         gram_matrix(space, 0, 5, table)
-    (coarse,) = grid_tables([space], [4], (0,))
+    (coarse,) = grid_tables([space], [[4]], (0,))
     with pytest.raises(ValueError, match="table of the space"):
         ritz_correction(space, 2, u, sample=coarse)
