@@ -13,7 +13,6 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -325,17 +324,14 @@ def rq_difference_study(
     _check_order(spaces[0], q, u)
     sample = sample_error_grids(u, spaces, (0,))
     qs = q_projections(spaces, q, u)
-    qc = np.concatenate([s.coeffs for s in qs])
-    diff = np.concatenate([s.coeffs for s in ritz_projections(spaces, q, u, qs, sample)]) - qc
-    starts = list(accumulate((space.dim for space in spaces[:-1]), initial=0))
-    tops = np.maximum.reduceat(np.abs(qc), starts)
-    peaks = np.maximum.reduceat(np.abs(diff), starts)
+    diffs = [r.coeffs - s.coeffs for r, s in zip(ritz_projections(spaces, q, u, qs, sample), qs)]
     flags = [
-        p >= 3 * q - 1 and float(peak) <= 1e-9 * max(1.0, float(top))
-        for peak, top in zip(peaks, tops)
+        p >= 3 * q - 1
+        and float(np.max(np.abs(diff))) <= 1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))
+        for diff, s in zip(diffs, qs)
     ]
     errors: dict[int, list[float]] = {l: [] for l in l_set}
-    for norms in _spline_norms(spaces, diff, l_set):
+    for norms in _spline_norms(spaces, np.concatenate(diffs), l_set):
         for l, norm in zip(l_set, norms):
             errors[l].append(norm)
     hs = [space.breakpoints.h for space in spaces]

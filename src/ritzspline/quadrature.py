@@ -18,10 +18,10 @@ bases numbered in turn as in one joined coefficient vector;
 :func:`sample_error_grids` adds the values of u on the error-norm grids, so
 a study samples each of its levels once.  :func:`gram_bands` and
 :func:`load_values` assemble the systems of all the table's spaces at once,
-the Gram matrices as one block-diagonal band that :func:`solve_blocks`
-solves; each space's entries and solution are those of its own system, bit
-for bit.  :func:`gram_matrix` and :func:`load_vector` are the one-space
-case.
+the Gram matrices as one block-diagonal band whose blocks
+:func:`solve_blocks` solves one by one; each space's entries and solution
+are those of its own system, bit for bit.  :func:`gram_matrix` and
+:func:`load_vector` are the one-space case.
 """
 
 from __future__ import annotations
@@ -170,28 +170,14 @@ class BandedSymmetric:
         return solveh_banded(self.bands, rhs, lower=True)
 
 
-# From this bandwidth on, OpenBLAS's x86-64 dot product sums 16 or more terms
-# in SIMD lanes, so the banded triangular solve would round the last rows of
-# a block differently inside a longer system: such blocks are solved apart.
-SIMD_DOT_LENGTH = 16
-
-
 def solve_blocks(matrix: BandedSymmetric, rhs: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """``matrix.solve_spd(rhs)`` for a block-diagonal ``matrix`` whose
-    diagonal blocks have sizes ``dims``, their couplings zero.
-
-    Each block's solution is that of a solve of its block alone, bit for
-    bit: below SIMD_DOT_LENGTH one banded solve serves all blocks, since
-    every sum of the factorization and of the two triangular solves then
-    runs in order and a zero coupling adds an exact zero; from it on, each
-    block is solved by itself.
-    """
-    if matrix.bandwidth < SIMD_DOT_LENGTH:
-        return matrix.solve_spd(rhs)
+    diagonal blocks have sizes ``dims``, their couplings zero: each block
+    solved by itself, so its solution is that of its own system, bit for
+    bit, whatever order the BLAS sums in."""
     ends = list(accumulate(dims, initial=0))
     return np.concatenate([
-        BandedSymmetric(matrix.bands[:, lo:hi], hi - lo, matrix.bandwidth).solve_spd(rhs[lo:hi])
-        for lo, hi in zip(ends, ends[1:])
+        matrix.principal(lo, hi).solve_spd(rhs[lo:hi]) for lo, hi in zip(ends, ends[1:])
     ])
 
 
