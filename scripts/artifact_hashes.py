@@ -4,13 +4,13 @@
 The runs cover `project` (all four projectors, q = 0..3, CSV and JSON, on a
 uniform, a nonuniform, a shifted mesh and one on [1e6, 1e6+1] for sin4x, and
 on the first three for a parsed expression), `converge` (error studies for
-every projector, and for `q` and `ritz` on the parsed expression, and rq-diff
+every projector on runge and on the parsed expression, and rq-diff
 studies for q = 1..3, uniform and graded; the error studies of sin4x to 256
 elements that `perfbench` times; and the study shapes at the edges of the
 level-batched algebra: `ritz` at q = 0 and 1, `qtilde` at q = 3, `q` and
 `ritz` with `--k fixed:1`, every projector and rq-diff on [1e6, 1e6+1] and
 with `--levels 1`) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus
-coarse meshes that keep at most p basis functions).  That is 1,361 hashes.
+coarse meshes that keep at most p basis functions).  That is 1,405 hashes.
 Each run calls `ritzspline.cli.main` in this process and writes under a
 temporary directory; one `sha256  path` line is printed per file written
 and per run's stdout, sorted by path.
@@ -75,7 +75,7 @@ def runs() -> list[tuple[str, list[str]]]:
                  "--l-list", "0,1,2", "--levels", "5", "--projector", projector,
                  "--grading", grading],
             ))
-        for projector in ("q", "ritz"):
+        for projector in PROJECTORS:
             out.append((
                 f"converge/expr-error-{projector}-g{grading}",
                 ["converge", "--function", EXPRESSION, "--p-list", "2,3,4", "--q", "2",

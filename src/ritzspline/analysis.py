@@ -26,14 +26,7 @@ from .projectors import (
     qtilde_projections,
     ritz_projections,
 )
-from .quadrature import (
-    GridTable,
-    default_order,
-    error_grid_sample,
-    grid_tables,
-    mesh_points,
-    sample_error_grids,
-)
+from .quadrature import GridTable, Levels, default_order, grid_tables, mesh_points
 
 
 def _fmt(x: float) -> str:
@@ -81,24 +74,18 @@ def _dumps(obj: Any, indent: str = "") -> str:
     return f"{opening}\n{inner}{sep.join(items)}\n{indent}{closing}"
 
 
-def _report_grid(
-    u: SmoothFunction, s: Spline, orders: Sequence[int], sample: GridTable | None = None
-) -> tuple[GridTable, np.ndarray, np.ndarray]:
-    """The sample of the space of ``s`` on the Gauss grid of its error norms,
-    with u^(l) and (u - s)^(l) there for every l in ``orders``.
-
-    The sample is ``sample`` when given (:func:`quadrature.sample_error_grids`),
-    holding every order; without one, u and s are each evaluated once for
-    all orders.
-    """
-    sample = error_grid_sample(u, [s.space], orders, sample)
-    uls = sample.u_values(orders)
-    return sample, uls, uls - sample.spline(s.coeffs, orders)
-
-
 def _check_norm_orders(u: SmoothFunction, ls: Sequence[int]) -> None:
     if max(ls, default=0) > u.max_order:
         raise ValueError(f"requires l <= max_order={u.max_order}: got l={max(ls)}")
+
+
+def _check_list(name: str, values: Sequence[int]) -> None:
+    """Require a nonempty list of distinct values, each of which names one
+    column or file of a study."""
+    if not values:
+        raise ValueError(f"requires a nonempty {name}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"requires distinct values in {name}: got {list(values)}")
 
 
 def error_norm(
@@ -111,7 +98,7 @@ def error_norm(
     """
     ls = [l] if np.ndim(l) == 0 else list(l)
     _check_norm_orders(u, ls)
-    sample = sample_error_grids(u, [s.space], ls)
+    sample = Levels(u, [s.space], ls).sample
     (norms,) = sample.norms(sample.u_values(ls) - sample.spline(s.coeffs, ls))
     return norms[0] if np.ndim(l) == 0 else norms
 
@@ -139,14 +126,14 @@ def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
 
-# Each projects u onto several spaces of one degree: it takes (spaces, q, u,
-# sample), sample being the sample of the spaces on their error-norm grids
-# holding order 0, or None.  Only the projectors that evaluate u - s on
-# those grids read it.
+# Each takes (levels, q) and projects u onto every level.  What they
+# evaluate on the levels' error-norm grids (the L2 load, the residual that
+# the Ritz correction and Q-tilde fit) comes from ``levels.sample``, which
+# the error norms and reports then read too.
 _PROJECTORS = {
-    "l2": lambda spaces, q, u, sample: l2_projections(spaces, u),
-    "q": lambda spaces, q, u, sample: q_projections(spaces, q, u),
-    "ritz": lambda spaces, q, u, sample: ritz_projections(spaces, q, u, sample=sample),
+    "l2": lambda levels, q: l2_projections(levels),
+    "q": q_projections,
+    "ritz": ritz_projections,
     "qtilde": qtilde_projections,
 }
 
@@ -160,10 +147,8 @@ def _projector(name: str):
         ) from None
 
 
-def apply_projector(
-    name: str, space, q: int, u: SmoothFunction, sample: GridTable | None = None
-) -> Spline:
-    return _projector(name)([space], q, u, sample)[0]
+def apply_projector(name: str, space, q: int, u: SmoothFunction) -> Spline:
+    return _projector(name)(Levels(u, [space]), q)[0]
 
 
 @dataclass
@@ -268,8 +253,9 @@ def convergence_study(
     together: one evaluation of u and one basis sweep cover all error
     grids, one assembly and solve all L2 projections of u^(q), and one
     contraction all errors.  Each level's numbers are those of that level
-    alone, bit for bit.
+    alone, bit for bit.  ``l_set`` lists distinct orders.
     """
+    _check_list("l_set", l_set)
     meta = {
         "study": "error",
         "function": u.description,
@@ -285,8 +271,9 @@ def convergence_study(
     if projector != "l2":
         _check_order(spaces[0], q, u)
     _check_norm_orders(u, l_set)
-    sample = sample_error_grids(u, spaces, sorted({0, *l_set}))
-    coeffs = np.concatenate([s.coeffs for s in project(spaces, q, u, sample)])
+    levels = Levels(u, spaces, l_set)
+    sample = levels.sample  # first: its u.eval names a bad order or a nonfinite u
+    coeffs = np.concatenate([s.coeffs for s in project(levels, q)])
     errors: dict[int, list[float]] = {l: [] for l in l_set}
     for norms in sample.norms(sample.u_values(l_set) - sample.spline(coeffs, l_set)):
         for l, err in zip(l_set, norms):
@@ -307,8 +294,10 @@ def rq_difference_study(
     """Norms of the difference between the Ritz and boundary projections.
 
     Rows are flagged exact-zero when the space contains all polynomials up
-    to degree 3q - 1, where the two projectors coincide.
+    to degree 3q - 1, where the two projectors coincide.  ``l_set`` lists
+    distinct orders.
     """
+    _check_list("l_set", l_set)
     meta = {
         "study": "rq-diff",
         "function": u.description,
@@ -322,9 +311,9 @@ def rq_difference_study(
     }
     spaces = [make_space(p, k, xi) for xi in _study_meshes(levels, interval, grading)]
     _check_order(spaces[0], q, u)
-    sample = sample_error_grids(u, spaces, (0,))
-    qs = q_projections(spaces, q, u)
-    diffs = [r.coeffs - s.coeffs for r, s in zip(ritz_projections(spaces, q, u, qs, sample), qs)]
+    levels = Levels(u, spaces)
+    qs = q_projections(levels, q)
+    diffs = [r.coeffs - s.coeffs for r, s in zip(ritz_projections(levels, q, qs), qs)]
     flags = [
         p >= 3 * q - 1
         and float(np.max(np.abs(diff))) <= 1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))
@@ -396,20 +385,24 @@ def moment_report(u: SmoothFunction, s: Spline, q: int) -> list[MomentResidual]:
     vanishes when it contains P_{2q+i}.  For spline spaces containment of
     P_d just means p >= d.
     """
-    sample, uls, errs = _report_grid(u, s, range(q + 1))
-    return _moment_residuals(s.space.degree, q, sample, uls, errs)
+    return project_report(Levels(u, [s.space], range(q + 1)), s, q, 0)[1]
 
 
 def project_report(
-    u: SmoothFunction, s: Spline, q: int, l_max: int, sample: GridTable | None = None
+    levels: Levels, s: Spline, q: int, l_max: int
 ) -> tuple[dict[int, float], list[MomentResidual]]:
     """The :func:`error_norm` of every order l <= l_max and the
-    :func:`moment_report`, from one evaluation of u^(l) and s^(l),
-    l <= max(q, l_max), on the error-norm grid: from ``sample`` when given,
-    the sample of the space of s there holding those orders."""
-    sample, uls, errs = _report_grid(u, s, range(max(q, l_max) + 1), sample)
+    :func:`moment_report` of s, a spline in the one space of ``levels``,
+    from the levels' sample: u^(l) and s^(l), l <= max(q, l_max), are each
+    evaluated once there, so ``levels.orders`` must hold those orders."""
+    (space,) = levels.spaces
+    if s.space.degree != space.degree or not np.array_equal(s.space.knots, space.knots):
+        raise ValueError("requires a spline in the space of the level")
+    sample, orders = levels.sample, range(max(q, l_max) + 1)
+    uls = sample.u_values(orders)
+    errs = uls - sample.spline(s.coeffs, orders)
     (norms,) = sample.norms(errs[: l_max + 1])
-    return dict(enumerate(norms)), _moment_residuals(s.space.degree, q, sample, uls, errs)
+    return dict(enumerate(norms)), _moment_residuals(space.degree, q, sample, uls, errs)
 
 
 def _moment_residuals(p, q, sample: GridTable, uls, errs) -> list[MomentResidual]:

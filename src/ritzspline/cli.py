@@ -26,9 +26,9 @@ import numpy as np
 from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
 from .mesh import Breakpoints, make_space, poly_to_spline
-from .projectors import _check_order, q_project, ritz_correction
-from .quadrature import ENV_ORDER, default_order, sample_error_grids
-from .analysis import _dumps, _fmt, apply_projector
+from .projectors import q_projections, ritz_corrections
+from .quadrature import ENV_ORDER, Levels, default_order
+from .analysis import _check_list, _dumps, _fmt, _projector
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -71,20 +71,17 @@ def cmd_project(args) -> int:
     xi = _make_breakpoints(args)
     space = make_space(args.p, k, xi)
     l_max = min(args.q, u.max_order) if args.projector != "l2" else 0
-    # ritz and qtilde evaluate u - s on the error-norm grid: one sample of u
-    # and of the basis there serves the projection and the report
-    orders, sample, corr = range(max(args.q, l_max) + 1), None, None
-    if args.projector == "ritz":  # ritz_project's correction route, keeping the correction
-        qu = q_project(space, args.q, u)
-        sample = sample_error_grids(u, [space], orders)
-        corr = ritz_correction(space, args.q, u, qu, sample)
-        s = qu if args.q == 0 else qu + poly_to_spline(corr, space)
+    # one sample of u and of the basis on the error-norm grid serves the
+    # projection and the report
+    levels = Levels(u, [space], range(max(args.q, l_max) + 1))
+    corr = None
+    if args.projector == "ritz":  # the correction route, keeping the correction
+        qus = q_projections(levels, args.q)
+        (corr,) = ritz_corrections(levels, args.q, qus)
+        s = qus[0] if args.q == 0 else qus[0] + poly_to_spline(corr, space)
     else:
-        if args.projector == "qtilde":
-            _check_order(space, args.q, u)
-            sample = sample_error_grids(u, [space], orders)
-        s = apply_projector(args.projector, space, args.q, u, sample)
-    errors, mrep = analysis.project_report(u, s, args.q, l_max, sample)
+        (s,) = _projector(args.projector)(levels, args.q)
+    errors, mrep = analysis.project_report(levels, s, args.q, l_max)
     brep = analysis.boundary_report(u, s, args.q)
     out = Path(args.out)
 
@@ -142,6 +139,8 @@ def cmd_converge(args) -> int:
     u = resolve_function(args.function)
     p_list = _parse_int_list(args.p_list)
     l_list = tuple(_parse_int_list(args.l_list))
+    _check_list("--p-list", p_list)
+    _check_list("--l-list", l_list)
     if args.study == "error" and any(l > args.q for l in l_list):
         raise ValueError("requires l <= q for --study error")
     out = Path(args.out)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import _dumps, _fmt
 from .mesh import Breakpoints, SplineSpace, make_space
-from .quadrature import BandedSymmetric, default_order, grid_tables, gram_matrix
+from .quadrature import BandedSymmetric, default_order, grid_tables, gram_bands
 
 # Largest accepted normwise backward error of an eigenpair; a backward
 # stable solver stays within a small multiple of eps (about 24 eps seen
@@ -221,8 +221,8 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
     lo, hi = int(keep[0]), int(keep[-1]) + 1  # keep is one contiguous range
     n = default_order(p)  # the exact grid of both matrices, tabulated once
     (table,) = grid_tables([space], [[n]], (2, 0))
-    stiff = gram_matrix(space, 2, n, table).principal(lo, hi)
-    mass = gram_matrix(space, 0, n, table).principal(lo, hi)
+    stiff = gram_bands(table, 2).principal(lo, hi)
+    mass = gram_bands(table, 0).principal(lo, hi)
     lam, vecs = eigh(stiff.to_dense(), mass.to_dense())  # ascending
     eta = backward_errors(stiff, mass, lam, vecs)
     worst = int(np.argmax(eta))

@@ -16,14 +16,17 @@ closed-form tests and the dense-KKT reference check independently.  A
 polynomial part is a coefficient array c in the shifted monomials (x-a)^i,
 a the left end of the breakpoints, evaluated with ``npp.polyval(x - a, c)``.
 
-Every projector is computed for a list of spaces of one degree at once, the
-levels of a convergence study, as one array program on their joined
-coefficient vector: one assembly and banded solve for all L2 projections,
-one padded ``cumsum`` per integration, one Vandermonde build and one
-stacked solve for all polynomial fits, one change of basis for all
-corrections.  Sums whose rounding depends on their length stay per space,
-so each projection is that of its space alone, bit for bit; the one-space
-functions are the one-element case.
+Every projector is computed for a :class:`quadrature.Levels`, u on a list
+of spaces of one degree (the levels of a convergence study), as one array
+program on their joined coefficient vector: one assembly and banded solve
+for all L2 projections, one padded ``cumsum`` per integration, one
+Vandermonde build and one stacked solve for all polynomial fits, one change
+of basis for all corrections.  What is evaluated on the levels' error-norm
+grids, the L2 load of u and the residual u - s that the Ritz correction and
+the mean-preserving variant fit, comes from the one ``Levels.sample``,
+which the error report then reads too.  Sums whose rounding depends on
+their length stay per space, so each projection is that of its space
+alone, bit for bit; the one-space functions are the one-element case.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .mesh import (
 )
 from .quadrature import (
     GridTable,
+    Levels,
     default_order,
-    error_grid_sample,
     grid_tables,
     gram_bands,
     load_values,
@@ -60,29 +63,26 @@ from .quadrature import (
 
 def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
     """Best L2 approximation of ``u`` in the space (banded normal equations)."""
-    return l2_projections([space], u)[0]
+    return l2_projections(Levels(u, [space]))[0]
 
 
-def l2_projections(spaces: Sequence[SplineSpace], u: SmoothFunction) -> list[Spline]:
-    """:func:`l2_project` of u onto each of several spaces of one degree."""
-    return splines(spaces, _l2_coefficients(spaces, u))
+def l2_projections(levels: Levels) -> list[Spline]:
+    """:func:`l2_project` of u onto each level: the load from the levels'
+    sample, whose grid is the load grid, and only the exact Gram grid
+    tabulated anew."""
+    load, p = levels.sample, levels.spaces[0].degree
+    (gram,) = grid_tables(levels.spaces, [[default_order(p)] * len(levels.spaces)], (0,))
+    return splines(levels.spaces, _l2_coefficients(load, gram))
 
 
-def _l2_coefficients(spaces: Sequence[SplineSpace], u: SmoothFunction) -> np.ndarray:
-    """Joined coefficients of the L2 projections of u onto spaces of one
-    degree, as one block-diagonal system.
-
-    One basis sweep tabulates the load grid and the exact Gram grid of every
-    space, one ``u.eval`` call samples u on all load grids, and one
-    assembly and one banded solve serve every space.  Each sum runs over a
-    space's own terms in its own order, so each projection is that of a call
-    for its space alone, bit for bit.
-    """
-    p, count = spaces[0].degree, len(spaces)
-    ns = [default_order(p, space.breakpoints) for space in spaces]
-    load, gram = grid_tables(spaces, [ns, [default_order(p)] * count], (0,))
-    rhs = load_values(load, u.eval(load.points, 0), 0)
-    return solve_blocks(gram_bands(gram, 0), rhs, [space.dim for space in spaces])
+def _l2_coefficients(load: GridTable, gram: GridTable) -> np.ndarray:
+    """Joined coefficients of the L2 projections of the function sampled by
+    ``load`` (its u^(0)) onto the table's spaces, with their Gram grid table
+    ``gram``: one assembly and one banded solve for every space.  Each sum
+    runs over a space's own terms in its own order, so each projection is
+    that of a call for its space alone, bit for bit."""
+    rhs = load_values(load, load.u_values((0,))[0], 0)
+    return solve_blocks(gram_bands(gram, 0), rhs, [space.dim for space in load.spaces])
 
 
 def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> np.ndarray:
@@ -125,20 +125,13 @@ def _poly_fits(
     return dense_solve(moments, rhs[..., None])[..., 0]
 
 
-def _residual_fits(
-    deg: int,
-    u: SmoothFunction,
-    spaces: Sequence[SplineSpace],
-    coeffs: np.ndarray,
-    sample: GridTable | None,
-) -> np.ndarray:
+def _residual_fits(deg: int, levels: Levels, coeffs: np.ndarray) -> np.ndarray:
     """Polynomial L2 projection of u - s onto degree ``deg`` on the error-norm
-    grid of each space, row i for spaces[i], s the splines with joined
-    coefficients ``coeffs``, from ``sample`` (u^(0) and the order-0 table of
-    the spaces there) or, without one, from a new sample."""
-    sample = error_grid_sample(u, spaces, (0,), sample)
+    grid of each level, row i for levels.spaces[i], s the splines with
+    joined coefficients ``coeffs``, from the levels' sample."""
+    sample = levels.sample
     resid = sample.u_values((0,))[0] - sample.spline(coeffs, (0,))[0]
-    meshes = [space.breakpoints for space in spaces]
+    meshes = [space.breakpoints for space in levels.spaces]
     return _poly_fits(deg, resid, meshes, sample.points, sample.weights, sample.ends)
 
 
@@ -174,16 +167,10 @@ def _integrate(chain: Sequence[Sequence[SplineSpace]], lo: int, coeffs, values) 
     return coeffs
 
 
-def _ritz_types(
-    spaces: Sequence[SplineSpace],
-    q: int,
-    u: SmoothFunction,
-    m: int,
-    sample: GridTable | None,
-) -> np.ndarray:
-    """Joined coefficients of the order-q Ritz-type projection onto each of
-    several spaces of one degree: s^(q) is the L2 projection w of u^(q)
-    onto the q-times derived space, and s^(i)(a) = u^(i)(a) for m <= i < q.
+def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
+    """Joined coefficients of the order-q Ritz-type projection onto each
+    level: s^(q) is the L2 projection w of u^(q) onto the q-times derived
+    space, and s^(i)(a) = u^(i)(a) for m <= i < q.
 
     The lower part sum_{i<m} c_i (x-a)^i is fixed by the moments
     (u - s, g_j) = 0, j < m, against the shifted Legendre polynomials: it is
@@ -191,23 +178,27 @@ def _ritz_types(
     without that part.  With m = q this is the Ritz saddle-point system in
     derived coordinates: the polynomials span the kernel of the order-q
     stiffness and, the moment matrix being nonsingular, the multipliers
-    vanish.  ``sample``, when given, is the sample of the spaces on their
-    error-norm grids (:func:`quadrature.sample_error_grids`), holding order
-    0.  Every step is one array program over all spaces, each space's
+    vanish.  The L2 step tabulates its load grid, where it samples u^(q),
+    and its exact Gram grid in one sweep; the lower part reads the levels'
+    sample.  Every step is one array program over all spaces, each space's
     coefficients those of a call for it alone, bit for bit; u^(i)(a) is
     evaluated once per distinct left end a.
     """
+    spaces, u = levels.spaces, levels.u
     for space in spaces:
         _check_order(space, q, u)
     chain = [[derived_space(space, q - i) for space in spaces] for i in range(q)]
     chain.append(list(spaces))
-    s = _l2_coefficients(chain[0], u.derivative(q))
+    p = spaces[0].degree - q
+    load_ns = [default_order(p, space.breakpoints) for space in spaces]
+    ns = [load_ns, [default_order(p)] * len(spaces)]
+    s = _l2_coefficients(*grid_tables(chain[0], ns, (0,), u.derivative(q)))
     lefts = [space.breakpoints.a for space in spaces]
     at = {a: u.eval(a, range(m, q)) for a in dict.fromkeys(lefts)}
     s = _integrate(chain, 0, s, np.array([at[a] for a in lefts]).T)
     if m:
         t = _integrate(chain, q - m, s, np.zeros((m, len(spaces))))
-        c = _residual_fits(m - 1, u, spaces, t, sample)  # n >= p + 1 >= m points: M exact
+        c = _residual_fits(m - 1, levels, t)  # n >= p + 1 >= m points: M exact
         s = _integrate(chain, q - m, s, [factorial(i) * ci for i, ci in enumerate(c.T)])
     return s
 
@@ -219,52 +210,48 @@ def q_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     L2-project the q-th derivative onto the q-times derived space and
     integrate from the left q times, adding u^(i)(a) at each order i.
     """
-    return q_projections([space], q, u)[0]
+    return q_projections(Levels(u, [space]), q)[0]
 
 
-def q_projections(spaces: Sequence[SplineSpace], q: int, u: SmoothFunction) -> list[Spline]:
-    """:func:`q_project` onto each of several spaces of one degree."""
-    return splines(spaces, _ritz_types(spaces, q, u, 0, None))
+def q_projections(levels: Levels, q: int) -> list[Spline]:
+    """:func:`q_project` of u onto each level."""
+    return splines(levels.spaces, _ritz_types(levels, q, 0))
 
 
 def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     """Mean-preserving variant: the constant term is fixed by (s, 1) = (u, 1)."""
-    return qtilde_projections([space], q, u)[0]
+    return qtilde_projections(Levels(u, [space]), q)[0]
 
 
-def qtilde_projections(
-    spaces: Sequence[SplineSpace],
-    q: int,
-    u: SmoothFunction,
-    sample: GridTable | None = None,
-) -> list[Spline]:
-    """:func:`qtilde_project` onto each of several spaces of one degree;
-    ``sample`` as for :func:`ritz_projections`."""
-    return splines(spaces, _ritz_types(spaces, q, u, min(q, 1), sample))
+def qtilde_projections(levels: Levels, q: int) -> list[Spline]:
+    """:func:`qtilde_project` of u onto each level."""
+    return splines(levels.spaces, _ritz_types(levels, q, min(q, 1)))
 
 
 def ritz_correction(
-    space: SplineSpace,
-    q: int,
-    u: SmoothFunction,
-    qu: Spline | None = None,
-    sample: GridTable | None = None,
+    space: SplineSpace, q: int, u: SmoothFunction, qu: Spline | None = None
 ) -> np.ndarray:
     """Coefficients in (x-a)^i of the degree-(q-1) polynomial equal to the
-    Ritz minus the boundary projection.
+    Ritz minus the boundary projection ``qu`` (computed when not given).
 
     It is the polynomial L2 projection of the boundary-projection error and
     vanishes identically when the space contains all polynomials of degree
-    3q - 1.  ``sample``, when given, is the space's sample on its error-norm
-    grid (:func:`quadrature.sample_error_grids`) holding order 0; u and qu
-    are then not evaluated again.
+    3q - 1.
     """
-    _check_order(space, q, u)
+    return ritz_corrections(Levels(u, [space]), q, None if qu is None else [qu])[0]
+
+
+def ritz_corrections(levels: Levels, q: int, qus: Sequence[Spline] | None = None) -> np.ndarray:
+    """:func:`ritz_correction` of each level, row i for levels.spaces[i],
+    from their boundary projections ``qus`` when given: one residual fit on
+    the levels' sample for all."""
+    for space in levels.spaces:
+        _check_order(space, q, levels.u)
     if q == 0:
-        return np.zeros(1)
-    if qu is None:
-        qu = q_project(space, q, u)
-    return _residual_fits(q - 1, u, [space], qu.coeffs, sample)[0]
+        return np.zeros((len(levels.spaces), 1))
+    if qus is None:
+        qus = q_projections(levels, q)
+    return _residual_fits(q - 1, levels, np.concatenate([qu.coeffs for qu in qus]))
 
 
 def ritz_project(
@@ -282,33 +269,24 @@ def ritz_project(
     as an independent check.
     """
     _check_order(space, q, u)
+    levels = Levels(u, [space])
     if method == "correction":
-        return ritz_projections([space], q, u, None if qu is None else [qu])[0]
+        return ritz_projections(levels, q, None if qu is None else [qu])[0]
     if method == "saddle":
-        return splines([space], _ritz_types([space], q, u, q, None))[0]
+        return splines([space], _ritz_types(levels, q, q))[0]
     raise ValueError(f"unknown method '{method}' (expected 'correction' or 'saddle')")
 
 
 def ritz_projections(
-    spaces: Sequence[SplineSpace],
-    q: int,
-    u: SmoothFunction,
-    qus: Sequence[Spline] | None = None,
-    sample: GridTable | None = None,
+    levels: Levels, q: int, qus: Sequence[Spline] | None = None
 ) -> list[Spline]:
-    """:func:`ritz_project` onto each of several spaces of one degree by the
-    correction route, from their boundary projections ``qus`` when given.
-
-    ``sample``, when given, is the sample of the spaces on their error-norm
-    grids (:func:`quadrature.sample_error_grids`) holding order 0.  All
-    corrections come from one residual fit and one change of basis.
-    """
+    """:func:`ritz_project` of u onto each level by the correction route,
+    from their boundary projections ``qus`` when given: all corrections from
+    one residual fit and one change of basis."""
     if qus is None:
-        qus = q_projections(spaces, q, u)
+        qus = q_projections(levels, q)
     if q == 0:
         return list(qus)
-    for space in spaces:
-        _check_order(space, q, u)
+    corr = ritz_corrections(levels, q, qus)
     qc = np.concatenate([qu.coeffs for qu in qus])
-    corr = _residual_fits(q - 1, u, spaces, qc, sample)
-    return splines(spaces, qc + _poly_coefficients(corr, spaces))
+    return splines(levels.spaces, qc + _poly_coefficients(corr, levels.spaces))

@@ -14,14 +14,16 @@ that ``Breakpoints`` instance: it lives as long as the mesh object and is
 never shared with an equal mesh built elsewhere.  A :class:`GridTable`
 holds the basis values of several spaces of one degree on such grids, their
 bases numbered in turn as in one joined coefficient vector;
-:func:`grid_tables` builds it from one basis sweep, and
-:func:`sample_error_grids` adds the values of u on the error-norm grids, so
-a study samples each of its levels once.  :func:`gram_bands` and
-:func:`load_values` assemble the systems of all the table's spaces at once,
-the Gram matrices as one block-diagonal band whose blocks
-:func:`solve_blocks` solves one by one; each space's entries and solution
-are those of its own system, bit for bit.  :func:`gram_matrix` and
-:func:`load_vector` are the one-space case.
+:func:`grid_tables` builds it from one basis sweep.  :class:`Levels` is u
+on several spaces of one degree, the levels of a study or one space: its
+``sample``, built on first use, is their table on the error-norm grids with
+u there, and it is the only sample of u there that the projectors and
+reports read, so each level is sampled once and no table can meet another
+space.  :func:`gram_bands` and :func:`load_values` assemble the systems of
+all the table's spaces at once, the Gram matrices as one block-diagonal
+band whose blocks :func:`solve_blocks` solves one by one; each space's
+entries and solution are those of its own system, bit for bit.
+:func:`gram_matrix` and :func:`load_vector` are the one-space case.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable
 
@@ -205,16 +207,6 @@ class GridTable:
     vals: np.ndarray
     u: np.ndarray | None = None
 
-    def of(self, spaces: Sequence[SplineSpace], ns: Sequence[int]) -> GridTable:
-        """This table, once checked to be of ``spaces`` on their ns-point
-        grids: another space's table would index the coefficients wrongly."""
-        if tuple(ns) != self.ns or not all(
-            space is mine or (space.degree == mine.degree and np.array_equal(space.knots, mine.knots))
-            for space, mine in zip(spaces, self.spaces, strict=True)
-        ):
-            raise ValueError("requires the table of the space on its n-point Gauss grid")
-        return self
-
     def _rows(self, orders: Sequence[int]) -> list[int]:
         return [self.orders.index(d) for d in orders]
 
@@ -271,59 +263,65 @@ class GridTable:
 
 
 def grid_tables(
-    spaces: Sequence[SplineSpace], ns: Sequence[Sequence[int]], orders: Sequence[int]
+    spaces: Sequence[SplineSpace],
+    ns: Sequence[Sequence[int]],
+    orders: Sequence[int],
+    u: SmoothFunction | None = None,
 ) -> list[GridTable]:
     """The table of the spaces on the ns[j][i]-point Gauss grid of the mesh
     of spaces[i], for every j, at every order in ``orders``: one basis sweep
-    for all of them, so the spaces must share one degree."""
+    for all of them, so the spaces must share one degree.
+
+    With ``u``, the first table also holds u^(l) at its points for every l
+    in ``orders``: one ``u.eval`` call on its joined points, made before the
+    sweep so that u.eval names a bad order.  Every ufunc of the evaluation
+    acts point by point, so each space's values are those of a table of it
+    alone, bit for bit.
+    """
     spaces, orders = tuple(spaces), tuple(int(d) for d in orders)
     grids = [[mesh_points(space.breakpoints, n) for space, n in zip(spaces, row, strict=True)]
              for row in ns]
+    points = [np.concatenate([xs.ravel() for xs, _ in grid]) for grid in grids]
+    ul = None if u is None else u.eval(points[0], orders)
     first, vals = _basis_table(spaces * len(grids), [xs for row in grids for xs, _ in row], orders)
     starts = np.array(list(accumulate((space.dim for space in spaces[:-1]), initial=0)))
     tables, lo = [], 0
-    for row, grid in zip(ns, grids):
+    for row, grid, joined in zip(ns, grids, points):
         sizes = [xs.size for xs, _ in grid]
         ends = tuple(accumulate(sizes, initial=0))
         hi = lo + ends[-1]
         tables.append(GridTable(
-            spaces, tuple(row), ends,
-            np.concatenate([xs.ravel() for xs, _ in grid]),
+            spaces, tuple(row), ends, joined,
             np.concatenate([ws.ravel() for _, ws in grid]),
             orders, first[lo:hi] + starts.repeat(sizes), vals[:, :, lo:hi],
+            ul if lo == 0 else None,
         ))
         lo = hi
     return tables
 
 
-def sample_error_grids(
-    u: SmoothFunction, spaces: Sequence[SplineSpace], orders: Sequence[int]
-) -> GridTable:
-    """The table of the spaces on their error-norm grids, the
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """The function u on several spaces of one degree: the levels of a
+    convergence study, or the one space of a projection.
+
+    ``sample`` is their :class:`GridTable` on the error-norm grids, the
     ``default_order(p, xi)``-point grid of each mesh, with u^(l) there for
-    every l in ``orders``: one ``u.eval`` call and one basis sweep for all.
-    Every ufunc of the evaluation acts point by point, so each space's
-    values are those of a sample of it alone, bit for bit.
+    every l in ``orders`` and l = 0: one ``u.eval`` call and one basis sweep
+    for all levels, made on first use.  The projectors read order 0 there
+    (the L2 load, the Ritz correction, the mean of Q-tilde) and the reports
+    every order.
     """
-    orders = tuple(int(d) for d in orders)
-    ns = [default_order(space.degree, space.breakpoints) for space in spaces]
-    points = [mesh_points(space.breakpoints, n)[0].ravel() for space, n in zip(spaces, ns)]
-    ul = u.eval(np.concatenate(points), orders)  # first: u.eval names a bad order
-    (table,) = grid_tables(spaces, [ns], orders)
-    return replace(table, u=ul)
 
+    u: SmoothFunction
+    spaces: Sequence[SplineSpace]
+    orders: Sequence[int] = ()
 
-def error_grid_sample(
-    u: SmoothFunction,
-    spaces: Sequence[SplineSpace],
-    orders: Sequence[int],
-    sample: GridTable | None,
-) -> GridTable:
-    """``sample``, checked to be of ``spaces`` on their error-norm grids, or
-    without one a new :func:`sample_error_grids` sample of u there."""
-    if sample is None:
-        return sample_error_grids(u, spaces, orders)
-    return sample.of(spaces, [default_order(space.degree, space.breakpoints) for space in spaces])
+    @cached_property
+    def sample(self) -> GridTable:
+        ns = [default_order(space.degree, space.breakpoints) for space in self.spaces]
+        (table,) = grid_tables(self.spaces, [ns], sorted({0, *self.orders}), self.u)
+        return table
 
 
 @lru_cache(maxsize=None)
@@ -331,15 +329,12 @@ def _tril_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(size)
 
 
-def gram_matrix(
-    space: SplineSpace, deriv: int = 0, n: int | None = None, table: GridTable | None = None
-) -> BandedSymmetric:
+def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> BandedSymmetric:
     """Banded Gram matrix of the deriv-th basis derivatives.
 
     For deriv = 0 the matrix is symmetric positive definite; for deriv = q
     >= 1 it is positive semidefinite with the degree-(q-1) polynomials in
-    its kernel.  ``table``, when given, is the space's table on the
-    n-point grid and holds order ``deriv``.
+    its kernel.
     """
     p = space.degree
     if deriv > p:
@@ -348,9 +343,8 @@ def gram_matrix(
         n = default_order(p)
     if n < p + 1:
         raise ValueError("requires n >= p + 1 for exact spline products")
-    if table is None:
-        (table,) = grid_tables([space], [[n]], (deriv,))
-    return gram_bands(table.of([space], [n]), deriv)
+    (table,) = grid_tables([space], [[n]], (deriv,))
+    return gram_bands(table, deriv)
 
 
 def gram_bands(table: GridTable, deriv: int) -> BandedSymmetric:

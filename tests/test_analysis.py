@@ -30,7 +30,7 @@ from ritzspline.mesh import (
     poly_to_spline,
 )
 from ritzspline.projectors import l2_project, q_project, ritz_project
-from ritzspline.quadrature import default_order, mesh_points
+from ritzspline.quadrature import Levels, default_order, mesh_points
 
 from conftest import random_breakpoints, random_smooth, smooth_mix
 
@@ -188,25 +188,25 @@ def test_studies_match_per_order_loops(grading):
 def test_batched_study_is_each_level_alone(projector, grading):
     """A study samples all its levels at once; every level's errors, Ritz
     correction and projection are those of a level sampled alone, bit for
-    bit, for a builtin and a parsed target."""
-    from ritzspline.projectors import q_projections, ritz_correction
-    from ritzspline.quadrature import sample_error_grids
+    bit, whichever orders its sample holds, for a builtin and a parsed
+    target."""
+    from ritzspline.projectors import q_projections, ritz_correction, ritz_corrections
 
     l_set = (1, 0, 2)
     for u in (builtin("sin4x"), from_expression("exp(x)*sin(3*x)+x^5/(1+x^2)")):
         tab = convergence_study(u, projector, 3, 2, 2, l_set, levels=4, grading=grading)
         meshes = [Breakpoints.uniform(2**j, grading=grading) for j in range(1, 5)]
         spaces = [make_space(3, 2, xi) for xi in meshes]
-        qss = q_projections(spaces, 2, u)
+        qss = q_projections(Levels(u, spaces), 2)
         for i, (space, qs) in enumerate(zip(spaces, qss)):
-            sample = sample_error_grids(u, [space], (0, 1, 2))
+            level = Levels(u, [space], (0, 1, 2))
             s = analysis.apply_projector(projector, space, 2, u)
             assert [tab.errors[l][i] for l in l_set] == error_norm(u, s, l_set)
-            sampled = analysis.apply_projector(projector, space, 2, u, sample)
+            (sampled,) = analysis._projector(projector)(level, 2)
             assert np.array_equal(sampled.coeffs, s.coeffs)
             assert np.array_equal(qs.coeffs, q_project(space, 2, u).coeffs)
             assert np.array_equal(
-                ritz_correction(space, 2, u, qs, sample), ritz_correction(space, 2, u)
+                ritz_corrections(level, 2, [qs])[0], ritz_correction(space, 2, u)
             )
 
 
@@ -459,9 +459,39 @@ def test_moment_report_matches_per_order_sums(rng, q):
         assert r.residual == abs(float(res))
         assert r.scaled == abs(float(res)) / max(1.0, abs(float(ref)))
     for l_max in range(q + 1):
-        errors, moments = project_report(u, s, q, l_max)
+        errors, moments = project_report(Levels(u, [space], range(q + 1)), s, q, l_max)
         assert moments == got
         assert errors == {l: error_norm(u, s, l) for l in range(l_max + 1)}
         for l in range(l_max + 1):
             d = u.eval(flat, l) - eval_spline_many(s, flat, l)
             assert errors[l] == float(np.sqrt(np.sum(d * d * wflat)))
+
+
+def test_project_report_rejects_a_spline_of_another_space():
+    """The report reads its level's sample: a spline of another space of
+    the same degree would be measured against the wrong basis."""
+    u = builtin("sin4x")
+    level = Levels(u, [make_space(3, 2, Breakpoints.uniform(8))], range(3))
+    for other in (
+        make_space(3, 2, Breakpoints.uniform(9)),
+        make_space(3, 2, Breakpoints.uniform(8, grading=2.0)),
+        make_space(3, 1, Breakpoints.uniform(8)),
+        make_space(2, 1, Breakpoints.uniform(8)),
+    ):
+        with pytest.raises(ValueError, match="requires a spline in the space of the level"):
+            project_report(level, q_project(other, 2, u), 2, 2)
+
+
+@pytest.mark.parametrize("l_set,message", [
+    ((0, 0), r"requires distinct values in l_set: got \[0, 0\]"),
+    ((1, 0, 1), r"requires distinct values in l_set: got \[1, 0, 1\]"),
+    ((), "requires a nonempty l_set"),
+])
+def test_studies_reject_repeated_or_empty_orders(l_set, message):
+    """A repeated order would list its errors twice against one h per level,
+    and no order gives an empty table."""
+    u = builtin("sin4x")
+    with pytest.raises(ValueError, match=message):
+        convergence_study(u, "q", 3, 2, 2, l_set, 3)
+    with pytest.raises(ValueError, match=message):
+        rq_difference_study(u, 3, 2, 2, l_set, 3)

@@ -22,10 +22,12 @@ from ritzspline.projectors import (
     q_projections,
     qtilde_project,
     qtilde_projections,
+    ritz_correction,
+    ritz_corrections,
     ritz_project,
     ritz_projections,
 )
-from ritzspline.quadrature import BandedSymmetric, sample_error_grids, solve_blocks
+from ritzspline.quadrature import BandedSymmetric, Levels, solve_blocks
 
 # u^(d) of sin(3x) + cos(2x), exact to any order and finite far from 0
 WAVE = SmoothFunction(
@@ -72,15 +74,18 @@ def test_block_diagonal_solve_is_each_block_alone(rng, bandwidth):
 
 
 def _check_projections(spaces, qs_range):
-    """L2, Q, Q-tilde and Ritz of the spaces at every q in ``qs_range``,
-    against one call per space."""
-    _same(l2_projections(spaces, WAVE), [l2_project(s, WAVE) for s in spaces])
-    sample = sample_error_grids(WAVE, spaces, (0,))
+    """L2, Q, Q-tilde, Ritz and the Ritz corrections of the spaces at every
+    q in ``qs_range``, against one call per space."""
+    levels = Levels(WAVE, spaces)
+    _same(l2_projections(levels), [l2_project(s, WAVE) for s in spaces])
     for q in qs_range:
-        qs = q_projections(spaces, q, WAVE)
+        qs = q_projections(levels, q)
         _same(qs, [q_project(s, q, WAVE) for s in spaces])
-        _same(qtilde_projections(spaces, q, WAVE, sample), [qtilde_project(s, q, WAVE) for s in spaces])
-        _same(ritz_projections(spaces, q, WAVE, qs, sample), [ritz_project(s, q, WAVE) for s in spaces])
+        _same(qtilde_projections(levels, q), [qtilde_project(s, q, WAVE) for s in spaces])
+        _same(ritz_projections(levels, q, qs), [ritz_project(s, q, WAVE) for s in spaces])
+        corrections = ritz_corrections(levels, q, qs)
+        for got, space in zip(corrections, spaces, strict=True):
+            assert np.array_equal(got, ritz_correction(space, q, WAVE))
 
 
 @pytest.mark.parametrize("kind", sorted(MESHES))

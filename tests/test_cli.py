@@ -165,6 +165,31 @@ def test_converge_rejects_l_above_q(tmp_path, capsys):
     assert "l <= q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "p_list,l_list,message",
+    [
+        ("3", "0,0", "requires distinct values in --l-list: got [0, 0]"),
+        ("", "0", "requires a nonempty --p-list"),
+        ("3", "", "requires a nonempty --l-list"),
+        ("3,3", "0", "requires distinct values in --p-list: got [3, 3]"),
+    ],
+)
+@pytest.mark.parametrize("study", ["error", "rq-diff"])
+def test_converge_rejects_repeated_or_empty_lists(tmp_path, capsys, study, p_list, l_list, message):
+    """Each p names a file and each l a column and a file: a repeated or
+    missing one would write a table twice, or no table and an empty plot."""
+    out = tmp_path / "x"
+    rc = run(
+        [
+            "converge", "--function", "sin4x", "--p-list", p_list, "--q", "2",
+            "--l-list", l_list, "--levels", "2", "--study", study, "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grading", ["-1", "0", "nan", "inf"])
 def test_converge_rejects_nonpositive_grading(tmp_path, capsys, grading):
     with warnings.catch_warnings(record=True) as caught:
@@ -484,23 +509,20 @@ def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
-    """u^(l) once per order on the error-norm grid and one basis sweep there:
-    the Ritz correction and the report read the same sample.  Every basis
-    sweep of the run is counted, by whichever module makes it."""
+def _count_project_run(tmp_path, monkeypatch, projector):
+    """Run ``project`` for sin4x, p = 3, q = 2 on 16 elements, counting the
+    evaluator calls of u by (order, points), every basis sweep by its point
+    counts, by whichever module makes it, and the Ritz correction calls."""
     from collections import Counter
 
     import ritzspline.analysis as analysis
     import ritzspline.cli as cli
     import ritzspline.mesh as mesh
-    import ritzspline.projectors as projectors
     import ritzspline.quadrature as quadrature
     from ritzspline.functions import SmoothFunction, builtin
-    from ritzspline.mesh import Breakpoints
-    from ritzspline.quadrature import default_order
 
     base = builtin("sin4x")
-    basis_table, ritz_correction = mesh._basis_table, cli.ritz_correction
+    basis_table, ritz_corrections = mesh._basis_table, cli.ritz_corrections
     u_calls, sweeps, corrections = Counter(), Counter(), []
 
     def evaluator(x, d):
@@ -511,24 +533,33 @@ def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
         sweeps[tuple(np.size(x) for x in xs)] += 1
         return basis_table(spaces, xs, *args)
 
-    def counted_correction(*args):
+    def counted_corrections(*args):
         corrections.append(args)
-        return ritz_correction(*args)
+        return ritz_corrections(*args)
 
     monkeypatch.setattr(
         cli, "resolve_function", lambda name: SmoothFunction(evaluator, base.max_order, name)
     )
     for module in (mesh, quadrature, analysis):
         monkeypatch.setattr(module, "_basis_table", counted_basis_table)
-    monkeypatch.setattr(cli, "ritz_correction", counted_correction)
-    monkeypatch.setattr(projectors, "ritz_correction", counted_correction)
+    monkeypatch.setattr(cli, "ritz_corrections", counted_corrections)
     rc = run(
         [
             "project", "--function", "sin4x", "--p", "3", "--q", "2", "--projector",
-            "ritz", "--uniform", "15", "--format", "json", "--out", str(tmp_path / "r"),
+            projector, "--uniform", "15", "--format", "json", "--out", str(tmp_path / "r"),
         ]
     )
     assert rc == 0
+    return u_calls, sweeps, corrections
+
+
+def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
+    """u^(l) once per order on the error-norm grid and one basis sweep there:
+    the Ritz correction and the report read the same sample."""
+    from ritzspline.mesh import Breakpoints
+    from ritzspline.quadrature import default_order
+
+    u_calls, sweeps, corrections = _count_project_run(tmp_path, monkeypatch, "ritz")
     n = 16 * default_order(3, Breakpoints.uniform(16))
     assert len(corrections) == 1
     assert {l: u_calls[l, n] for l in range(4)} == {0: 1, 1: 1, 2: 1, 3: 0}
@@ -536,6 +567,22 @@ def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
     # one sweep; the error grid; the two endpoints of the boundary report
     n_load, n_gram = 16 * default_order(1, Breakpoints.uniform(16)), 16 * default_order(1)
     assert sweeps == {(n_load, n_gram): 1, (n,): 1, (2,): 1}
+
+
+def test_project_l2_evaluates_the_report_grid_once(tmp_path, monkeypatch):
+    """The L2 load grid is the error-norm grid: u^(0) is evaluated there
+    once, for the load and the report together, and only the exact Gram
+    grid is tabulated besides it."""
+    from ritzspline.mesh import Breakpoints
+    from ritzspline.quadrature import default_order
+
+    u_calls, sweeps, corrections = _count_project_run(tmp_path, monkeypatch, "l2")
+    n = 16 * default_order(3, Breakpoints.uniform(16))
+    assert not corrections
+    # besides the error grid, only u and u' at the two endpoints
+    assert u_calls == {(0, n): 1, (1, n): 1, (2, n): 1, (0, 1): 2, (1, 1): 2}
+    # the error grid; the exact Gram grid; the endpoints of the boundary report
+    assert sweeps == {(n,): 1, (16 * default_order(3),): 1, (2,): 1}
 
 
 def test_scipy_is_imported_only_by_solves(tmp_path):

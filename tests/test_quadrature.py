@@ -422,43 +422,13 @@ def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
 def test_stiffness_and_mass_from_one_table(p):
     """The eigenproblem's matrices from one table with orders (2, 0) are the
     separately assembled ones, bit for bit."""
+    from ritzspline.quadrature import gram_bands
+
     for elements in (20, 50, 200):
         space = make_space(p, p - 1, Breakpoints.uniform(elements))
         n = default_order(p)
         (table,) = grid_tables([space], [[n]], (2, 0))
         for d in (2, 0):
             want = gram_matrix(space, d).bands
-            assert np.array_equal(gram_matrix(space, d, n, table).bands, want)
+            assert np.array_equal(gram_bands(table, d).bands, want)
 
-
-def test_a_table_of_another_space_or_grid_is_rejected():
-    """A table or sample made for one space is refused by every function
-    taking one for another space of the same degree, or another grid."""
-    from ritzspline.analysis import project_report
-    from ritzspline.projectors import q_project, qtilde_projections, ritz_correction
-    from ritzspline.quadrature import sample_error_grids
-
-    u = builtin("sin4x")
-    space = make_space(3, 2, Breakpoints.uniform(8))
-    (table,) = grid_tables([space], [[4]], (0,))
-    sample = sample_error_grids(u, [space], range(3))
-    for other in (
-        make_space(3, 2, Breakpoints.uniform(9)),
-        make_space(3, 2, Breakpoints.uniform(8, grading=2.0)),
-        make_space(3, 1, Breakpoints.uniform(8)),
-    ):
-        with pytest.raises(ValueError, match="table of the space"):
-            gram_matrix(other, 0, 4, table)
-        with pytest.raises(ValueError, match="table of the space"):
-            ritz_correction(other, 2, u, sample=sample)
-        with pytest.raises(ValueError, match="table of the space"):
-            qtilde_projections([space, other], 2, u, sample_error_grids(u, [space, space], [0]))
-        with pytest.raises(ValueError, match="table of the space"):
-            apply_projector("qtilde", other, 2, u, sample)
-        with pytest.raises(ValueError, match="table of the space"):
-            project_report(u, q_project(other, 2, u), 2, 2, sample)
-    with pytest.raises(ValueError, match="table of the space"):
-        gram_matrix(space, 0, 5, table)
-    (coarse,) = grid_tables([space], [[4]], (0,))
-    with pytest.raises(ValueError, match="table of the space"):
-        ritz_correction(space, 2, u, sample=coarse)
