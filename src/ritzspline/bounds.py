@@ -45,9 +45,23 @@ class BoundQuery:
             raise ValueError("requires 0 < h_min <= h")
 
 
-def _factorial_ratio(num: int, den: int) -> float:
-    """num! / den! via lgamma."""
-    return math.exp(math.lgamma(num + 1) - math.lgamma(den + 1))
+def _projection_factors(p: int, k: int, r: int) -> tuple[tuple[tuple[float, int], ...], float]:
+    """The checked branches of :func:`projection_constant`: powers (base,
+    exponent) and the log of a factorial ratio whose square root is the
+    last factor, so that the constant and its log share one formula."""
+    if r < 0:
+        raise ValueError("requires r >= 0")
+    if p < r - 1:
+        raise ValueError(f"requires p >= r-1: got p={p}, r={r}")
+    if not -1 <= k <= p - 1:
+        raise ValueError(f"requires -1 <= k <= p-1: got k={k}, p={p}")
+    if k == p - 1:
+        return ((math.pi, -r),), 0.0
+    base = 1.0 / math.sqrt((p - k) * (p - k + 1))
+    if k >= r - 2:
+        return ((0.5, r), (base, r)), 0.0
+    # (p+1-r)! / (p-1+r-2k)! via lgamma
+    return ((0.5, r), (base, k + 1)), math.lgamma(p + 2 - r) - math.lgamma(p + r - 2 * k)
 
 
 def projection_constant(p: int, k: int, r: int) -> float:
@@ -56,20 +70,15 @@ def projection_constant(p: int, k: int, r: int) -> float:
     Maximal smoothness gives (1/pi)^r; lower smoothness has two branches
     depending on whether k >= r - 2.
     """
-    if r < 0:
-        raise ValueError("requires r >= 0")
-    if p < r - 1:
-        raise ValueError(f"requires p >= r-1: got p={p}, r={r}")
-    if not -1 <= k <= p - 1:
-        raise ValueError(f"requires -1 <= k <= p-1: got k={k}, p={p}")
-    if k == p - 1:
-        return math.pi**-r
-    base = 1.0 / math.sqrt((p - k) * (p - k + 1))
-    if k >= r - 2:
-        return 0.5**r * base**r
-    return 0.5**r * base ** (k + 1) * math.sqrt(
-        _factorial_ratio(p + 1 - r, p - 1 + r - 2 * k)
-    )
+    powers, log_ratio = _projection_factors(p, k, r)
+    return math.prod(b**e for b, e in powers) * math.sqrt(math.exp(log_ratio))
+
+
+def _log_projection_constant(p: int, k: int, r: int) -> float:
+    """log of :func:`projection_constant`, finite where the constant
+    underflows."""
+    powers, log_ratio = _projection_factors(p, k, r)
+    return sum(e * math.log(b) for b, e in powers) + 0.5 * log_ratio
 
 
 def projection_constant_upper(p: int, k: int, r: int) -> float:
@@ -166,31 +175,32 @@ def difference_coefficient(query: BoundQuery) -> float:
     return value
 
 
-def schultz_constant(q: int, k: int, l: int) -> float:
-    """Constant of the classical knot-interpolating spline projector
-    (degree 2q-1, Sobolev order 2q), three-branch closed form."""
+def _schultz_factors(q: int, k: int, l: int) -> tuple[int, int, int]:
+    """(n, m, e) with :func:`schultz_constant` = n! / (m! pi^e)."""
     if q < 1:
         raise ValueError("requires q >= 1")
     if not q - 1 <= k <= 2 * q - 2:
         raise ValueError(f"requires q-1 <= k <= 2q-2: got q={q}, k={k}")
     if not 0 <= l <= q:
         raise ValueError(f"requires 0 <= l <= q: got l={l}")
-    if l == q:
-        return 1.0
-    if l <= 2 * q - k - 2:
-        return math.factorial(k + 2 - q) / math.pi ** (q - l)
-    return (
-        math.factorial(k + 2 - q)
-        / (math.factorial(k + l + 2 - 2 * q) * math.pi ** (q - l))
-    )
+    return k + 2 - q, max(k + l + 2 - 2 * q, 0), q - l
+
+
+def schultz_constant(q: int, k: int, l: int) -> float:
+    """Constant of the classical knot-interpolating spline projector
+    (degree 2q-1, Sobolev order 2q): (k+2-q)! / ((k+l+2-2q)! pi^(q-l)), the
+    factorial in the denominator dropped for l <= 2q-k-2; 1 at l = q."""
+    n, m, e = _schultz_factors(q, k, l)
+    return math.factorial(n) / (math.factorial(m) * math.pi**e)
 
 
 def schultz_log_gap(q: int, k: int) -> float:
-    """log of the knot-interpolation constant minus log of ours, at l = 0.
+    """log of the knot-interpolation constant minus log of ours, at l = 0,
+    from their logs: finite where either constant overflows or underflows.
 
     Nonnegative across the whole admissible range: the boundary-interpolating
     projector never carries the larger constant.
     """
-    return math.log(schultz_constant(q, k, 0)) - math.log(
-        projection_constant(q - 1, k - q, q)
-    )
+    n, m, e = _schultz_factors(q, k, 0)
+    log_schultz = math.lgamma(n + 1) - math.lgamma(m + 1) - e * math.log(math.pi)
+    return log_schultz - _log_projection_constant(q - 1, k - q, q)

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
-from .mesh import Breakpoints, make_space, poly_to_spline
-from .projectors import q_projections, ritz_corrections
-from .quadrature import ENV_ORDER, Levels, default_order
-from .analysis import _check_list, _dumps, _fmt, _projector
+from .mesh import Breakpoints, make_space
+from .projectors import Levels, ritz_corrections
+from .quadrature import ENV_ORDER, default_order
+from .analysis import _check_list, _csv, _dumps, _fmt, _projector
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -52,14 +52,6 @@ def _write(path: Path, content: str) -> None:
     print(path)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One line per row; floats through ``_fmt``, other fields as ``str``."""
-    lines = [header] + [
-        ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows
-    ]
-    _write(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # project
 # ---------------------------------------------------------------------------
@@ -74,13 +66,9 @@ def cmd_project(args) -> int:
     # one sample of u and of the basis on the error-norm grid serves the
     # projection and the report
     levels = Levels(u, [space], range(max(args.q, l_max) + 1))
-    corr = None
-    if args.projector == "ritz":  # the correction route, keeping the correction
-        qus = q_projections(levels, args.q)
-        (corr,) = ritz_corrections(levels, args.q, qus)
-        s = qus[0] if args.q == 0 else qus[0] + poly_to_spline(corr, space)
-    else:
-        (s,) = _projector(args.projector)(levels, args.q)
+    (s,) = _projector(args.projector)(levels, args.q)
+    # the correction route keeps its correction on the levels
+    corr = ritz_corrections(levels, args.q)[0] if args.projector == "ritz" else None
     errors, mrep = analysis.project_report(levels, s, args.q, l_max)
     brep = analysis.boundary_report(u, s, args.q)
     out = Path(args.out)
@@ -110,15 +98,19 @@ def cmd_project(args) -> int:
         _write(out / "report.json", _dumps(payload) + "\n")
         return 0
 
-    _write_csv(out / "coefficients.csv", "index,coefficient", enumerate(s.coeffs))
-    _write_csv(out / "knots.csv", "index,knot", enumerate(space.knots))
-    _write_csv(out / "errors.csv", "l,error", ((l, errors[l]) for l in sorted(errors)))
-    _write_csv(out / "boundary.csv", "endpoint,l,residual,scaled,applicable",
-               ((r.endpoint, r.l, r.residual, r.scaled, int(r.applicable)) for r in brep))
-    _write_csv(out / "moments.csv", "kind,index,residual,scaled,applicable",
-               ((r.kind, r.index, r.residual, r.scaled, int(r.applicable)) for r in mrep))
+    _write(out / "coefficients.csv", _csv("index,coefficient", enumerate(s.coeffs)))
+    _write(out / "knots.csv", _csv("index,knot", enumerate(space.knots)))
+    _write(out / "errors.csv", _csv("l,error", ((l, errors[l]) for l in sorted(errors))))
+    _write(out / "boundary.csv", _csv(
+        "endpoint,l,residual,scaled,applicable",
+        ((r.endpoint, r.l, r.residual, r.scaled, int(r.applicable)) for r in brep),
+    ))
+    _write(out / "moments.csv", _csv(
+        "kind,index,residual,scaled,applicable",
+        ((r.kind, r.index, r.residual, r.scaled, int(r.applicable)) for r in mrep),
+    ))
     if corr is not None:
-        _write_csv(out / "correction.csv", "power,coefficient", enumerate(corr))
+        _write(out / "correction.csv", _csv("power,coefficient", enumerate(corr)))
     return 0
 
 
@@ -187,50 +179,39 @@ def cmd_converge(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    lines: list[str]
     if args.table == "c":
         if args.p is None or args.k is None or args.r is None:
             raise ValueError("requires --p, --k and --r for --table c")
-        lines = ["p,k,r,c", f"{args.p},{args.k},{args.r},"
-                 f"{_fmt(bounds.projection_constant(args.p, args.k, args.r))}"]
+        header = "p,k,r,c"
+        rows = [(args.p, args.k, args.r, bounds.projection_constant(args.p, args.k, args.r))]
     elif args.table == "d":
         if args.p is None:
             raise ValueError("requires --p for --table d")
-        lines = ["p,d", f"{args.p},{_fmt(bounds.inverse_constant(args.p))}"]
+        header, rows = "p,d", [(args.p, bounds.inverse_constant(args.p))]
     elif args.table == "schultz-gap":
-        lines = ["q,k,gap"]
-        worst = 0.0
-        for q in range(1, args.q_max + 1):
-            for k in range(q - 1, 2 * q - 1):
-                gap = bounds.schultz_log_gap(q, k)
-                worst = min(worst, gap)
-                lines.append(f"{q},{k},{_fmt(gap)}")
+        header = "q,k,gap"
+        rows = [(q, k, bounds.schultz_log_gap(q, k))
+                for q in range(1, args.q_max + 1) for k in range(q - 1, 2 * q - 1)]
+        worst = min((gap for _, _, gap in rows), default=0.0)
         if worst < -1e-12:
             raise RuntimeError(f"negative constant gap {worst}; formulas broken")
     elif args.table == "bounds":
         for name in ("p", "k", "q", "r", "h"):
             if getattr(args, name) is None:
                 raise ValueError("requires --p, --k, --q, --r and --h for --table bounds")
-        h_min = args.h if args.h_min is None else args.h_min
-        lines = ["l,kind,coefficient"]
-        for l in range(args.r + 1):
-            query = bounds.BoundQuery(
-                p=args.p, k=args.k, q=args.q, l=l, r=args.r,
-                h=args.h, h_min=h_min, length=args.length,
-            )
-            if l <= args.q:
-                lines.append(f"{l},error,{_fmt(bounds.error_coefficient(query))}")
-            else:
-                lines.append(f"{l},broken,{_fmt(bounds.broken_error_coefficient(query))}")
-        for l in range(args.q):
-            query = bounds.BoundQuery(
-                p=args.p, k=args.k, q=args.q, l=l, r=args.r,
-                h=args.h, h_min=h_min, length=args.length,
-            )
-            lines.append(f"{l},difference,{_fmt(bounds.difference_coefficient(query))}")
+        query = functools.partial(
+            bounds.BoundQuery, p=args.p, k=args.k, q=args.q, r=args.r, h=args.h,
+            h_min=args.h if args.h_min is None else args.h_min, length=args.length,
+        )
+        header = "l,kind,coefficient"
+        rows = [(l, "error", bounds.error_coefficient(query(l=l))) if l <= args.q
+                else (l, "broken", bounds.broken_error_coefficient(query(l=l)))
+                for l in range(args.r + 1)]
+        rows += [(l, "difference", bounds.difference_coefficient(query(l=l)))
+                 for l in range(args.q)]
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown table '{args.table}'")
-    content = "\n".join(lines) + "\n"
+    content = _csv(header, rows)
     if args.out:
         _write(Path(args.out), content)
     else:

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .analysis import _dumps, _fmt
+from .analysis import _csv, _dumps
 from .mesh import Breakpoints, SplineSpace, make_space
 from .quadrature import BandedSymmetric, default_order, grid_tables, gram_bands
 
@@ -159,18 +159,14 @@ class SpectrumReport:
         return [int(i) + 1 for i in np.nonzero(self.observed_flags)[0]]
 
     def to_csv(self) -> str:
-        rows = zip(
+        return _csv("index,lambda_h,lambda_ref,rel_err,predicted_flag,observed_flag", zip(
+            range(1, self.lambdas.size + 1),
             self.lambdas.tolist(),
             self.references.tolist(),
             self.rel_errors.tolist(),
-            self.predicted_flags.tolist(),
-            self.observed_flags.tolist(),
-        )
-        lines = ["index,lambda_h,lambda_ref,rel_err,predicted_flag,observed_flag"] + [
-            f"{i},{_fmt(lam)},{_fmt(ref)},{_fmt(err)},{int(pred)},{int(obs)}"
-            for i, (lam, ref, err, pred, obs) in enumerate(rows, 1)
-        ]
-        return "\n".join(lines) + "\n"
+            self.predicted_flags.astype(int).tolist(),
+            self.observed_flags.astype(int).tolist(),
+        ))
 
     def to_json(self) -> str:
         payload = {

@@ -48,6 +48,9 @@ class Breakpoints:
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
+        bad = pts[~np.isfinite(pts)]
+        if bad.size:
+            raise ValueError(f"breakpoints must be finite: got {bad[0]}")
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("breakpoints require at least 2 points")
         if not np.all(np.diff(pts) > 0.0):
@@ -65,6 +68,8 @@ class Breakpoints:
         """Mesh with `elements` cells on [a, b]; `grading` != 1 packs cells near `a`."""
         if elements < 1:
             raise ValueError("requires at least 1 element")
+        if not np.isfinite([a, b]).all():
+            raise ValueError(f"breakpoints must be finite: got a={a}, b={b}")
         if b <= a:
             raise ValueError("requires b > a")
         if not 0.0 < grading < np.inf:
@@ -97,12 +102,6 @@ class Breakpoints:
     @property
     def h_min(self) -> float:
         return float(np.min(np.diff(self.points)))
-
-    @cached_property
-    def gauss_grids(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Gauss points and weights of this mesh by rule order, filled by
-        ``quadrature.mesh_points`` and kept as long as the mesh."""
-        return {}
 
     def element_of(self, x: float) -> int:
         """Index j with x in [x_j, x_{j+1}); the last element is closed at b."""

@@ -16,22 +16,27 @@ closed-form tests and the dense-KKT reference check independently.  A
 polynomial part is a coefficient array c in the shifted monomials (x-a)^i,
 a the left end of the breakpoints, evaluated with ``npp.polyval(x - a, c)``.
 
-Every projector is computed for a :class:`quadrature.Levels`, u on a list
-of spaces of one degree (the levels of a convergence study), as one array
-program on their joined coefficient vector: one assembly and banded solve
-for all L2 projections, one padded ``cumsum`` per integration, one
-Vandermonde build and one stacked solve for all polynomial fits, one change
-of basis for all corrections.  What is evaluated on the levels' error-norm
-grids, the L2 load of u and the residual u - s that the Ritz correction and
-the mean-preserving variant fit, comes from the one ``Levels.sample``,
-which the error report then reads too.  Sums whose rounding depends on
-their length stay per space, so each projection is that of its space
-alone, bit for bit; the one-space functions are the one-element case.
+Every projector is computed for a :class:`Levels`, u on a list of spaces
+of one degree (the levels of a convergence study), as one array program on
+their joined coefficient vector: one assembly and banded solve for all L2
+projections, one padded ``cumsum`` per integration, one Vandermonde build
+and one stacked solve for all polynomial fits, one change of basis for all
+corrections.  What is evaluated on the levels' error-norm grids, the L2
+load of u and the residual u - s that the Ritz correction and the
+mean-preserving variant fit, comes from the one ``Levels.sample``, which
+the error report then reads too.  A ``Levels`` also keeps, per q, the
+boundary projections and Ritz corrections computed on it, so the boundary
+projection, the Ritz projection and the correction of one ``Levels`` share
+one Q.  Sums whose rounding depends on their length stay per space, so
+each projection is that of its space alone, bit for bit; the one-space
+functions are the one-element case.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -45,13 +50,13 @@ from .mesh import (
     Spline,
     SplineSpace,
     _antiderivatives,
+    _frozen,
     _poly_coefficients,
     make_space,
     splines,
 )
 from .quadrature import (
     GridTable,
-    Levels,
     default_order,
     grid_tables,
     gram_bands,
@@ -59,6 +64,48 @@ from .quadrature import (
     mesh_points,
     solve_blocks,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """The function u on several spaces of one degree: the levels of a
+    convergence study, or the one space of a projection.
+
+    ``sample`` is their :class:`quadrature.GridTable` on the error-norm
+    grids, the ``default_order(p, xi)``-point grid of each mesh, with u^(l)
+    there for every l in ``orders`` and l = 0: one ``u.eval`` call and one
+    basis sweep for all levels, made on first use.  The projectors read
+    order 0 there (the L2 load, the Ritz correction, the mean of Q-tilde)
+    and the reports every order.
+
+    ``boundary(q)`` and ``correction(q)`` are the joined coefficients of the
+    order-q boundary projections of u onto the levels and the rows of their
+    Ritz corrections, each computed on first use and kept, read-only, as
+    long as this object.
+    """
+
+    u: SmoothFunction
+    spaces: Sequence[SplineSpace]
+    orders: Sequence[int] = ()
+    _boundary: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _corrections: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def sample(self) -> GridTable:
+        ns = [default_order(space.degree, space.breakpoints) for space in self.spaces]
+        (table,) = grid_tables(self.spaces, [ns], sorted({0, *self.orders}), self.u)
+        return table
+
+    def boundary(self, q: int) -> np.ndarray:
+        if q not in self._boundary:
+            self._boundary[q] = _frozen(_ritz_types(self, q, 0))
+        return self._boundary[q]
+
+    def correction(self, q: int) -> np.ndarray:
+        """Requires q >= 1: the fit of u - Q u onto degree q - 1."""
+        if q not in self._corrections:
+            self._corrections[q] = _frozen(_residual_fits(q - 1, self, self.boundary(q)))
+        return self._corrections[q]
 
 
 def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
@@ -215,7 +262,7 @@ def q_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
 
 def q_projections(levels: Levels, q: int) -> list[Spline]:
     """:func:`q_project` of u onto each level."""
-    return splines(levels.spaces, _ritz_types(levels, q, 0))
+    return splines(levels.spaces, levels.boundary(q))
 
 
 def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
@@ -228,65 +275,48 @@ def qtilde_projections(levels: Levels, q: int) -> list[Spline]:
     return splines(levels.spaces, _ritz_types(levels, q, min(q, 1)))
 
 
-def ritz_correction(
-    space: SplineSpace, q: int, u: SmoothFunction, qu: Spline | None = None
-) -> np.ndarray:
+def ritz_correction(space: SplineSpace, q: int, u: SmoothFunction) -> np.ndarray:
     """Coefficients in (x-a)^i of the degree-(q-1) polynomial equal to the
-    Ritz minus the boundary projection ``qu`` (computed when not given).
+    Ritz minus the boundary projection.
 
     It is the polynomial L2 projection of the boundary-projection error and
     vanishes identically when the space contains all polynomials of degree
     3q - 1.
     """
-    return ritz_corrections(Levels(u, [space]), q, None if qu is None else [qu])[0]
+    return ritz_corrections(Levels(u, [space]), q)[0]
 
 
-def ritz_corrections(levels: Levels, q: int, qus: Sequence[Spline] | None = None) -> np.ndarray:
-    """:func:`ritz_correction` of each level, row i for levels.spaces[i],
-    from their boundary projections ``qus`` when given: one residual fit on
-    the levels' sample for all."""
-    for space in levels.spaces:
-        _check_order(space, q, levels.u)
+def ritz_corrections(levels: Levels, q: int) -> np.ndarray:
+    """:func:`ritz_correction` of each level, row i for levels.spaces[i]:
+    one residual fit on the levels' sample for all."""
     if q == 0:
         return np.zeros((len(levels.spaces), 1))
-    if qus is None:
-        qus = q_projections(levels, q)
-    return _residual_fits(q - 1, levels, np.concatenate([qu.coeffs for qu in qus]))
+    return levels.correction(q)
 
 
 def ritz_project(
-    space: SplineSpace,
-    q: int,
-    u: SmoothFunction,
-    method: str = "correction",
-    qu: Spline | None = None,
+    space: SplineSpace, q: int, u: SmoothFunction, method: str = "correction"
 ) -> Spline:
     """Classical Ritz projection of order q.
 
     ``method='correction'`` adds the polynomial correction to the
-    boundary-interpolating projection, ``qu`` when given; ``method='saddle'``
-    solves the constrained Galerkin system in derived coordinates and serves
-    as an independent check.
+    boundary-interpolating projection; ``method='saddle'`` solves the
+    constrained Galerkin system in derived coordinates and serves as an
+    independent check.
     """
     _check_order(space, q, u)
     levels = Levels(u, [space])
     if method == "correction":
-        return ritz_projections(levels, q, None if qu is None else [qu])[0]
+        return ritz_projections(levels, q)[0]
     if method == "saddle":
         return splines([space], _ritz_types(levels, q, q))[0]
     raise ValueError(f"unknown method '{method}' (expected 'correction' or 'saddle')")
 
 
-def ritz_projections(
-    levels: Levels, q: int, qus: Sequence[Spline] | None = None
-) -> list[Spline]:
-    """:func:`ritz_project` of u onto each level by the correction route,
-    from their boundary projections ``qus`` when given: all corrections from
-    one residual fit and one change of basis."""
-    if qus is None:
-        qus = q_projections(levels, q)
+def ritz_projections(levels: Levels, q: int) -> list[Spline]:
+    """:func:`ritz_project` of u onto each level by the correction route:
+    all corrections from one residual fit and one change of basis."""
+    qc = levels.boundary(q)
     if q == 0:
-        return list(qus)
-    corr = ritz_corrections(levels, q, qus)
-    qc = np.concatenate([qu.coeffs for qu in qus])
-    return splines(levels.spaces, qc + _poly_coefficients(corr, levels.spaces))
+        return splines(levels.spaces, qc)
+    return splines(levels.spaces, qc + _poly_coefficients(levels.correction(q), levels.spaces))

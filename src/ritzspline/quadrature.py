@@ -9,21 +9,15 @@ coefficients then agree with the MAX_ORDER rule's to 1e-10 plus the
 roundoff floor of its Gram matrix.  ``RITZ_SPLINE_QUAD_ORDER`` overrides
 every default order, but never below the exact one.
 
-The Gauss grid of a mesh at one order is computed once and kept, frozen, on
-that ``Breakpoints`` instance: it lives as long as the mesh object and is
-never shared with an equal mesh built elsewhere.  A :class:`GridTable`
-holds the basis values of several spaces of one degree on such grids, their
-bases numbered in turn as in one joined coefficient vector;
-:func:`grid_tables` builds it from one basis sweep.  :class:`Levels` is u
-on several spaces of one degree, the levels of a study or one space: its
-``sample``, built on first use, is their table on the error-norm grids with
-u there, and it is the only sample of u there that the projectors and
-reports read, so each level is sampled once and no table can meet another
-space.  :func:`gram_bands` and :func:`load_values` assemble the systems of
-all the table's spaces at once, the Gram matrices as one block-diagonal
-band whose blocks :func:`solve_blocks` solves one by one; each space's
-entries and solution are those of its own system, bit for bit.
-:func:`gram_matrix` and :func:`load_vector` are the one-space case.
+A :class:`GridTable` holds the basis values of several spaces of one
+degree on Gauss grids of their meshes, their bases numbered in turn as in
+one joined coefficient vector, and optionally a function's values there;
+:func:`grid_tables` builds it from one basis sweep.  :func:`gram_bands` and
+:func:`load_values` assemble the systems of all the table's spaces at once,
+the Gram matrices as one block-diagonal band whose blocks
+:func:`solve_blocks` solves one by one; each space's entries and solution
+are those of its own system, bit for bit.  :func:`gram_matrix` and
+:func:`load_vector` are the one-space case.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
 
@@ -97,20 +91,12 @@ def default_order(p: int, xi: Breakpoints | None = None) -> int:
 
 
 def mesh_points(xi: Breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points and weights per element, shaped (elements, n), read-only.
-
-    Computed on the first call for ``xi`` and ``n`` and kept on ``xi``.
-    """
-    grid = xi.gauss_grids.get(n)
-    if grid is None:
-        rule = gauss_rule(n)
-        pts = xi.points
-        a = pts[:-1][:, None]
-        b = pts[1:][:, None]
-        half = 0.5 * (b - a)
-        grid = _frozen(half * rule.nodes + 0.5 * (a + b)), _frozen(half * rule.weights)
-        xi.gauss_grids[n] = grid
-    return grid
+    """Gauss points and weights per element, shaped (elements, n)."""
+    rule = gauss_rule(n)
+    a = xi.points[:-1, None]
+    b = xi.points[1:, None]
+    half = 0.5 * (b - a)
+    return half * rule.nodes + 0.5 * (a + b), half * rule.weights
 
 
 def inner_product(f: Integrand, g: Integrand, xi: Breakpoints, n: int) -> float:
@@ -298,30 +284,6 @@ def grid_tables(
         ))
         lo = hi
     return tables
-
-
-@dataclass(frozen=True, eq=False)
-class Levels:
-    """The function u on several spaces of one degree: the levels of a
-    convergence study, or the one space of a projection.
-
-    ``sample`` is their :class:`GridTable` on the error-norm grids, the
-    ``default_order(p, xi)``-point grid of each mesh, with u^(l) there for
-    every l in ``orders`` and l = 0: one ``u.eval`` call and one basis sweep
-    for all levels, made on first use.  The projectors read order 0 there
-    (the L2 load, the Ritz correction, the mean of Q-tilde) and the reports
-    every order.
-    """
-
-    u: SmoothFunction
-    spaces: Sequence[SplineSpace]
-    orders: Sequence[int] = ()
-
-    @cached_property
-    def sample(self) -> GridTable:
-        ns = [default_order(space.degree, space.breakpoints) for space in self.spaces]
-        (table,) = grid_tables(self.spaces, [ns], sorted({0, *self.orders}), self.u)
-        return table
 
 
 @lru_cache(maxsize=None)

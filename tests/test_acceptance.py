@@ -237,7 +237,7 @@ def test_criterion_7_structural_identities():
 
             # Pythagoras split of the squared errors; the squared norms carry
             # ~eps |u| err of cancellation noise, hence the floor
-            corr = ritz_correction(space, q, u, qs)
+            corr = ritz_correction(space, q, u)
             xs, ws = mesh_points(space.breakpoints, 40)
             corr_vals = npp.polyval(xs.ravel() - space.breakpoints.a, corr)
             en2 = float(np.sum(corr_vals**2 * ws.ravel()))

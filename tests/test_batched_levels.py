@@ -16,6 +16,7 @@ from ritzspline.mesh import (
     poly_to_spline,
 )
 from ritzspline.projectors import (
+    Levels,
     l2_project,
     l2_projections,
     q_project,
@@ -27,7 +28,7 @@ from ritzspline.projectors import (
     ritz_project,
     ritz_projections,
 )
-from ritzspline.quadrature import BandedSymmetric, Levels, solve_blocks
+from ritzspline.quadrature import BandedSymmetric, solve_blocks
 
 # u^(d) of sin(3x) + cos(2x), exact to any order and finite far from 0
 WAVE = SmoothFunction(
@@ -82,8 +83,8 @@ def _check_projections(spaces, qs_range):
         qs = q_projections(levels, q)
         _same(qs, [q_project(s, q, WAVE) for s in spaces])
         _same(qtilde_projections(levels, q), [qtilde_project(s, q, WAVE) for s in spaces])
-        _same(ritz_projections(levels, q, qs), [ritz_project(s, q, WAVE) for s in spaces])
-        corrections = ritz_corrections(levels, q, qs)
+        _same(ritz_projections(levels, q), [ritz_project(s, q, WAVE) for s in spaces])
+        corrections = ritz_corrections(levels, q)
         for got, space in zip(corrections, spaces, strict=True):
             assert np.array_equal(got, ritz_correction(space, q, WAVE))
 

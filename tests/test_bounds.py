@@ -263,6 +263,34 @@ def test_gap_nonnegative_over_full_range():
             assert schultz_log_gap(q, k) >= -1e-12, (q, k)
 
 
+def _log_factorial(n):
+    return math.fsum(math.log(i) for i in range(2, n + 1))
+
+
+def _reference_log_gap(q, k):
+    """The gap from log-factorial sums: log((k+2-q)! / pi^q) minus the log of
+    c_{q-1, k-q, q}, written out branch by branch."""
+    p, kk, r = q - 1, k - q, q
+    log_schultz = _log_factorial(k + 2 - q) - q * math.log(math.pi)
+    if kk == p - 1:
+        return log_schultz + r * math.log(math.pi)
+    log_base = -0.5 * math.log((p - kk) * (p - kk + 1))
+    if kk >= r - 2:
+        return log_schultz - r * (math.log(0.5) + log_base)
+    ratio = _log_factorial(p + 1 - r) - _log_factorial(p - 1 + r - 2 * kk)
+    return log_schultz - (r * math.log(0.5) + (kk + 1) * log_base + 0.5 * ratio)
+
+
+def test_gap_matches_log_factorial_sums_and_stays_nonnegative_to_q_200():
+    """Finite where c_{q-1,k-q,q} underflows (from (q, k) = (89, 88)) or
+    (k+2-q)! overflows a float, accurate where it is subnormal (88, 87)."""
+    for q in range(1, 201):
+        for k in range(q - 1, 2 * q - 1):
+            gap = schultz_log_gap(q, k)
+            assert gap == pytest.approx(_reference_log_gap(q, k), rel=0, abs=1e-9), (q, k)
+            assert gap >= 0.0, (q, k)
+
+
 def test_gap_smallest_case_is_zero():
     # q=1, k=0: both constants equal 1/pi, so the gap vanishes exactly
     assert schultz_log_gap(1, 0) == pytest.approx(0.0, abs=1e-14)
@@ -425,7 +453,7 @@ def test_measured_projector_difference_within_bound_on_graded_meshes():
     for u, xi, p, k, q, r, qs in _q_sweep(GRADED):
         if q == 0 or p < max(r - 1, 2 * q - 1):
             continue
-        diff = ritz_project(qs.space, q, u, qu=qs) - qs
+        diff = ritz_project(qs.space, q, u) - qs
         semi = function_seminorm(u, r, xi)
         for l in range(q):
             coeff = difference_coefficient(

@@ -118,6 +118,34 @@ def test_project_explicit_breakpoints(tmp_path):
     assert knots[0] == 0.0 and knots[-1] == 1.0 and 0.25 in knots
 
 
+@pytest.mark.parametrize("mesh", [
+    ["--breakpoints", "0,inf"],
+    ["--uniform", "3", "--interval", "0", "inf"],
+    ["--breakpoints", "0,nan,1"],
+])
+def test_project_rejects_nonfinite_breakpoints(tmp_path, capsys, mesh):
+    out = tmp_path / "nf"
+    rc = run(["project", "--function", "sin4x", "--p", "3", "--q", "1", *mesh, "--out", str(out)])
+    assert rc == 2
+    assert "breakpoints must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_project_ritz_computes_q_once(tmp_path, monkeypatch):
+    """The Ritz projection and the correction it writes share one Q."""
+    from ritzspline import projectors
+
+    calls = []
+    ritz_types = projectors._ritz_types
+    monkeypatch.setattr(projectors, "_ritz_types",
+                        lambda levels, q, m: calls.append(m) or ritz_types(levels, q, m))
+    rc = run(["project", "--function", "sin4x", "--p", "3", "--q", "2", "--projector", "ritz",
+              "--uniform", "7", "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert calls == [0]
+    assert (tmp_path / "r" / "correction.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------
@@ -246,6 +274,28 @@ def test_converge_rejects_levels_below_one(tmp_path, capsys, study, levels):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("study", ["error", "rq-diff"])
+def test_converge_rejects_levels_above_max_levels(tmp_path, capsys, monkeypatch, study):
+    """2^40 elements: rejected before any mesh is built (a mesh built here
+    fails the test instead of allocating)."""
+    from ritzspline import analysis
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a study mesh was built")
+
+    monkeypatch.setattr(analysis.Breakpoints, "uniform", no_mesh)
+    out = tmp_path / "big"
+    rc = run(
+        [
+            "converge", "--function", "sin4x", "--p-list", "3", "--q", "1",
+            "--l-list", "0", "--levels", "40", "--study", study, "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert f"levels <= MAX_LEVELS = {analysis.MAX_LEVELS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_rq_diff_study(tmp_path):
     out = tmp_path / "rq"
     rc = run(
@@ -296,6 +346,16 @@ def test_constants_schultz_gap_all_nonnegative(capsys):
     lines = capsys.readouterr().out.strip().splitlines()[1:]
     assert len(lines) == sum(q for q in range(1, 9))
     assert all(float(line.split(",")[2]) >= -1e-12 for line in lines)
+
+
+def test_constants_schultz_gap_to_q_200(capsys):
+    """Past q = 88 one constant underflows, past q = 170 a factorial
+    overflows a float; the gap is taken from their logs."""
+    rc = run(["constants", "--table", "schultz-gap", "--q-max", "200"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(lines) == sum(range(1, 201))
+    assert all(float(line.split(",")[2]) >= 0.0 for line in lines)
 
 
 def test_constants_bounds_table(capsys):

@@ -124,6 +124,13 @@ def test_breakpoints_must_increase():
         Breakpoints(np.array([1.0]))
 
 
+@pytest.mark.parametrize("points", [[0.0, np.inf], [0.0, np.nan, 1.0], [-np.inf, 0.0], [np.nan]])
+def test_breakpoints_must_be_finite(points):
+    """Checked first: a nan is not reported as a failure to increase."""
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        Breakpoints(np.array(points))
+
+
 def test_breakpoint_metrics():
     xi = Breakpoints(np.array([0.0, 0.25, 1.0]))
     assert xi.h == 0.75

@@ -352,7 +352,7 @@ def test_pythagoras_identity(rng):
         u = random_smooth(rng)
         qs = q_project(space, q, u)
         rs = ritz_project(space, q, u)
-        corr = ritz_correction(space, q, u, qs)
+        corr = ritz_correction(space, q, u)
         xs, ws = mesh_points(space.breakpoints, 40)
         corr_vals = npp.polyval(xs.ravel() - space.breakpoints.a, corr)
         e_norm2 = float(np.sum(corr_vals**2 * ws.ravel()))
@@ -517,3 +517,44 @@ def test_unknown_ritz_method():
     with pytest.raises(ValueError, match="method"):
         ritz_project(make_space(2, 1, UNIT), 1, builtin("sin4x"), method="direct")
 
+
+
+def test_one_levels_computes_q_and_the_correction_once(monkeypatch):
+    """Q, R and the correction of one Levels at one q share one boundary
+    projection and one residual fit, whichever is asked for first; the
+    difference study takes the same route."""
+    from ritzspline import analysis, projectors
+
+    calls = {"ritz_types": [], "residual_fits": 0}
+    ritz_types, residual_fits = projectors._ritz_types, projectors._residual_fits
+
+    def counted_ritz_types(levels, q, m):
+        calls["ritz_types"].append(m)
+        return ritz_types(levels, q, m)
+
+    def counted_residual_fits(*args):
+        calls["residual_fits"] += 1
+        return residual_fits(*args)
+
+    monkeypatch.setattr(projectors, "_ritz_types", counted_ritz_types)
+    monkeypatch.setattr(projectors, "_residual_fits", counted_residual_fits)
+    u = builtin("sin4x")
+    spaces = [make_space(3, 2, Breakpoints.uniform(n)) for n in (4, 8)]
+    levels = projectors.Levels(u, spaces)
+    qs = projectors.q_projections(levels, 2)
+    rs = projectors.ritz_projections(levels, 2)
+    corr = projectors.ritz_corrections(levels, 2)
+    assert calls == {"ritz_types": [0], "residual_fits": 1}
+    levels = projectors.Levels(u, spaces)
+    assert np.array_equal(projectors.ritz_corrections(levels, 2), corr)
+    projectors.ritz_projections(levels, 2)
+    projectors.q_projections(levels, 2)
+    assert calls == {"ritz_types": [0, 0], "residual_fits": 2}
+    for space, qsp, rsp, c in zip(spaces, qs, rs, corr, strict=True):
+        assert np.array_equal(qsp.coeffs, q_project(space, 2, u).coeffs)
+        assert np.array_equal(rsp.coeffs, ritz_project(space, 2, u).coeffs)
+        assert np.array_equal(c, ritz_correction(space, 2, u))
+
+    calls["ritz_types"].clear()
+    analysis.rq_difference_study(u, 3, 2, 2, (0,), levels=3)
+    assert calls["ritz_types"] == [0]
