@@ -19,7 +19,6 @@ from .quadrature import GaussRule, gauss_rule, gram_matrix, inner_product, load_
 from .functions import (
     SmoothFunction,
     builtin,
-    differentiate,
     from_expression,
     parse,
     resolve_function,

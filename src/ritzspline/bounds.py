@@ -39,10 +39,12 @@ class BoundQuery:
             raise ValueError(f"requires 0 <= q <= k+1: got q={self.q}, k={self.k}")
         if self.q > self.r:
             raise ValueError(f"requires q <= r: got q={self.q}, r={self.r}")
-        if self.h <= 0:
-            raise ValueError("requires h > 0")
-        if self.h_min is not None and not 0 < self.h_min <= self.h:
-            raise ValueError("requires 0 < h_min <= h")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"requires h finite and > 0: got h={self.h}")
+        if self.h_min is not None and not 0 < self.h_min <= self.h:  # finite as h is
+            raise ValueError(f"requires 0 < h_min <= h: got h_min={self.h_min}, h={self.h}")
+        if self.length is not None and not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"requires length finite and > 0: got length={self.length}")
 
 
 def _projection_factors(p: int, k: int, r: int) -> tuple[tuple[tuple[float, int], ...], float]:

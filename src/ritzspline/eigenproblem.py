@@ -110,12 +110,16 @@ def constrained_space(p: int, xi: Breakpoints) -> tuple[SplineSpace, np.ndarray]
     return space, keep
 
 
+def resolved_modes(h: float, references: np.ndarray) -> np.ndarray:
+    """The spectral cutoff: True where h * lambda^(1/4) is strictly below pi."""
+    return h * np.asarray(references, dtype=float) ** 0.25 < math.pi
+
+
 def predict_non_outliers(h: float, references: np.ndarray) -> int:
-    """Number of reference eigenvalues with h * lambda^(1/4) strictly below pi."""
+    """Number of reference eigenvalues that :func:`resolved_modes` admits."""
     if h <= 0:
         raise ValueError("requires h > 0")
-    lam = np.asarray(references, dtype=float)
-    return int(np.sum(h * lam**0.25 < math.pi))
+    return int(np.sum(resolved_modes(h, references)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ class SpectrumReport:
     @cached_property
     def predicted_flags(self) -> np.ndarray:
         """True where the mode is predicted well-resolved (not an outlier)."""
-        return self.h * self.references**0.25 < math.pi
+        return resolved_modes(self.h, self.references)
 
     @cached_property
     def observed_flags(self) -> np.ndarray:

@@ -8,26 +8,23 @@ of any order, and a small expression language for CLI input,
     factor := base ('^' unsigned-integer)?
     base   := number | 'x' | '(' expr ')' | func '(' expr ')'
 
-with func one of sin, cos, exp.  Parsed expressions are differentiated
-symbolically with constant folding; exponents are nonnegative integers so
-the derivative stays inside the node kinds.
+with func one of sin, cos, exp.
 
-AST nodes are hash-consed: building the same node twice yields the same
-object, so repeated derivatives form a shared DAG instead of an
-exponentially unfolded tree, and the differentiation and folding passes are
-memoized per node.  Evaluation compiles the union DAG of a set of roots,
-such as the derivatives of several orders, into one cached post-order
-program of numpy operations, each shared node one step; a call runs that
-program without walking the tree.
+Parsed expressions get their derivatives from truncated Taylor arithmetic
+(Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+ch. 13): every node carries the rows f^(i)(x)/i!, i < k, and each operation
+maps the rows of its operands to its own by a recurrence.  An expression is
+compiled once per row count k into a straight-line program of numpy
+operations; rows known exactly while compiling (constants, the 1 of x',
+zeros) are combined then and emit no step.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Callable, Union
 
 import numpy as np
@@ -35,7 +32,7 @@ import numpy as np
 # Declared derivative order of closed-form builtins: effectively unlimited.
 ANY_ORDER = 1_000_000
 
-# Symbolic derivative chains are capped to keep folded ASTs small.
+# Derivative orders of a parsed expression are capped to keep its programs small.
 MAX_SYMBOLIC_ORDER = 12
 
 
@@ -50,51 +47,45 @@ class ExpressionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Expression AST (interned nodes, identity semantics)
+# Expression AST
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Var:
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Add:
+@dataclass(frozen=True)
+class _Binary:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary): ...
 
 
-@dataclass(frozen=True, eq=False)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Binary): ...
 
 
-@dataclass(frozen=True, eq=False)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Binary): ...
 
 
-@dataclass(frozen=True, eq=False)
+class Div(_Binary): ...
+
+
+@dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Call:
     func: str  # sin | cos | exp
     arg: "Expr"
@@ -102,323 +93,173 @@ class Call:
 
 Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow, Call]
 
-# The pool holds strong references, so child ids in keys stay unique.  It is
-# never pruned: it grows with every distinct node ever built.
-_POOL: dict[tuple, Expr] = {}
-
-
-def _interned(key: tuple, make: Callable[[], Expr]) -> Expr:
-    node = _POOL.get(key)
-    if node is None:
-        # setdefault is one atomic dict operation: threads racing on a new
-        # key all get the node inserted first.
-        node = _POOL.setdefault(key, make())
-    return node
-
-
-def const(v: float) -> Const:
-    v = float(v)
-    return _interned(("c", v), lambda: Const(v))
-
-
-def var() -> Var:
-    return _interned(("x",), Var)
-
-
-def add(l: Expr, r: Expr) -> Add:
-    return _interned(("+", id(l), id(r)), lambda: Add(l, r))
-
-
-def sub(l: Expr, r: Expr) -> Sub:
-    return _interned(("-", id(l), id(r)), lambda: Sub(l, r))
-
-
-def mul(l: Expr, r: Expr) -> Mul:
-    return _interned(("*", id(l), id(r)), lambda: Mul(l, r))
-
-
-def div(l: Expr, r: Expr) -> Div:
-    return _interned(("/", id(l), id(r)), lambda: Div(l, r))
-
-
-def power(b: Expr, n: int) -> Pow:
-    return _interned(("^", id(b), int(n)), lambda: Pow(b, int(n)))
-
-
-def call(func: str, arg: Expr) -> Call:
-    return _interned((func, id(arg)), lambda: Call(func, arg))
-
-
-_ZERO = const(0.0)
-_ONE = const(1.0)
-
-_CALLS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-}
+_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 def _div(num, den):
     if np.equal(den, 0.0).any():
         raise ExpressionError("division by zero during evaluation")
-    return num / den
+    return np.divide(num, den)
 
 
-def _pow(base, n: int):
-    if n < 0 and np.equal(base, 0.0).any():
-        raise ExpressionError("division by zero during evaluation")
-    e = float(n) if n < 0 else n
-    if isinstance(base, float):
-        # a constant: numpy's array power, which overflows to inf; float64's
-        # scalar power differs from it in the last bit for some bases
-        return np.power(base, e)
-    return base**e
+# ---------------------------------------------------------------------------
+# Taylor rows
+# ---------------------------------------------------------------------------
 
 
-_BINARY: dict[type, Callable] = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _div}
-
-
-def _post_order(roots: tuple[Expr, ...]) -> list[Expr]:
-    """Every node reachable from ``roots``, once, each after its children."""
-    order: list[Expr] = []
-    seen: set[int] = set()
-
-    def visit(node: Expr) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        match node:
-            case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
-                visit(l)
-                visit(r)
-            case Pow(b, _):
-                visit(b)
-            case Call(_, a):
-                visit(a)
-            case Const(_) | Var():
-                pass
-            case _:
-                raise TypeError(f"unknown node {node!r}")
-        order.append(node)
-
-    for root in roots:
-        visit(root)
-    return order
-
-
-@lru_cache(maxsize=256)
-def _program(roots: tuple[Expr, ...]) -> tuple[tuple[float, ...], tuple, tuple[int, ...]]:
-    """Straight-line program over the union DAG of the interned ``roots``.
-
-    Returns ``(consts, steps, outs)``.  A run keeps one value per slot: x in
-    slot 0, the constants in the next slots, then one slot per step, where a
-    step ``(op, i, j)`` holds ``op(slot i, slot j)``, or ``op(slot i)`` when
-    j is None.  ``outs`` names the slot of each root.  A node shared by
-    several roots is one step, computed once per run.  Constants stay Python
-    floats: numpy combines them with an array exactly as it combines an
-    array full of them, and a step on constants alone, which only an
-    unfolded tree holds, runs the same ufunc on them.
-    """
-    order = _post_order(roots)
-    consts = [node for node in order if isinstance(node, Const)]
-    slot = {id(node): i for i, node in enumerate(consts, start=1)}
-    steps: list[tuple] = []
-    for node in order:
-        match node:
-            case Var():
-                slot[id(node)] = 0
-                continue
-            case Const(_):
-                continue
-            case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
-                step = (_BINARY[type(node)], slot[id(l)], slot[id(r)])
-            case Pow(b, n):
-                step = (partial(_pow, n=n), slot[id(b)], None)
-            case Call(f, a):
-                step = (_CALLS[f], slot[id(a)], None)
-        slot[id(node)] = 1 + len(consts) + len(steps)
-        steps.append(step)
-    return (
-        tuple(node.value for node in consts),
-        tuple(steps),
-        tuple(slot[id(root)] for root in roots),
-    )
-
-
-def evaluate_many(roots: Sequence[Expr], x) -> list[np.ndarray]:
-    """Evaluate each AST of ``roots`` at x (scalar or array), running one
-    program over their union DAG; division by zero raises.
-
-    Every result has the shape of x, also for a root that is a constant.
-    """
-    arr = np.asarray(x, dtype=float)
-    consts, steps, outs = _program(tuple(roots))
-    vals = [arr, *consts]
-    for op, i, j in steps:
-        vals.append(op(vals[i]) if j is None else op(vals[i], vals[j]))
-    return [
-        v if getattr(v, "shape", None) == arr.shape else np.full_like(arr, v)
-        for v in map(vals.__getitem__, outs)
-    ]
-
-
-def evaluate(ast: Expr, x) -> np.ndarray:
-    """Evaluate the AST at x (scalar or array); division by zero raises."""
-    return evaluate_many((ast,), x)[0]
-
-
-@lru_cache(maxsize=None)
-def fold(ast: Expr) -> Expr:
-    """Bottom-up constant folding and unit/zero simplification."""
-    match ast:
-        case Const(_) | Var():
-            return _refold_leaf(ast)  # canonical interned leaf
-        case Add(l, r):
-            l, r = fold(l), fold(r)
-            if isinstance(l, Const) and isinstance(r, Const):
-                return const(l.value + r.value)
-            if l is _ZERO:
-                return r
-            if r is _ZERO:
-                return l
-            return add(l, r)
-        case Sub(l, r):
-            l, r = fold(l), fold(r)
-            if isinstance(l, Const) and isinstance(r, Const):
-                return const(l.value - r.value)
-            if r is _ZERO:
-                return l
-            return sub(l, r)
-        case Mul(l, r):
-            l, r = fold(l), fold(r)
-            if isinstance(l, Const) and isinstance(r, Const):
-                return const(l.value * r.value)
-            if l is _ZERO or r is _ZERO:
-                return _ZERO
-            if l is _ONE:
-                return r
-            if r is _ONE:
-                return l
-            # keep constants on the left and merge them: c1*(c2*e) -> (c1 c2)*e
-            if isinstance(r, Const):
-                l, r = r, l
-            if isinstance(l, Const) and isinstance(r, Mul) and isinstance(r.left, Const):
-                return mul(const(l.value * r.left.value), r.right)
-            # merge powers of an identical (interned) base
-            lb, le = (l.base, l.exponent) if isinstance(l, Pow) else (l, 1)
-            rb, re = (r.base, r.exponent) if isinstance(r, Pow) else (r, 1)
-            if lb is rb:
-                return fold(power(lb, le + re))
-            return mul(l, r)
-        case Div(l, r):
-            l, r = fold(l), fold(r)
-            if isinstance(l, Const) and isinstance(r, Const) and r.value != 0.0:
-                return const(l.value / r.value)
-            if l is _ZERO:
-                return _ZERO
-            if r is _ONE:
-                return l
-            return div(l, r)
-        case Pow(b, n):
-            b = fold(b)
-            if n == 0:
-                return _ONE
-            if n == 1:
-                return b
-            if isinstance(b, Const) and not (b.value == 0.0 and n < 0):
-                try:
-                    return const(float(b.value) ** float(n))
-                except OverflowError:  # past the double range: an inf that eval rejects
-                    return const(math.copysign(math.inf, b.value) if n % 2 else math.inf)
-            if isinstance(b, Pow):
-                return fold(power(b.base, b.exponent * n))
-            return power(b, n)
-        case Call(f, a):
-            a = fold(a)
-            if isinstance(a, Const):
-                # an overflow or a nan folds to a constant that eval rejects
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return const(float(_CALLS[f](a.value)))
-            return call(f, a)
-    raise TypeError(f"unknown node {ast!r}")
-
-
-def _refold_leaf(ast: Expr) -> Expr:
-    # leaves built outside the factories are re-interned here
-    return const(ast.value) if isinstance(ast, Const) else var()
-
-
-@lru_cache(maxsize=None)
-def _diff(ast: Expr) -> Expr:
-    match ast:
+def _degree(node: Expr) -> float:
+    """Polynomial degree of ``node`` in x, as the parser built it (inf for
+    anything else): the rows above it compile to exact zeros."""
+    match node:
         case Const(_):
-            return _ZERO
+            return 0
         case Var():
-            return _ONE
-        case Add(l, r):
-            return add(_diff(l), _diff(r))
-        case Sub(l, r):
-            return sub(_diff(l), _diff(r))
+            return 1
+        case Add(l, r) | Sub(l, r):
+            return max(_degree(l), _degree(r))
         case Mul(l, r):
-            return add(mul(_diff(l), r), mul(l, _diff(r)))
+            return _degree(l) + _degree(r)
         case Div(l, r):
-            # product rule on l * r^-1 keeps denominator exponents linear in
-            # the derivative order (the textbook quotient rule doubles them)
-            return add(
-                mul(_diff(l), power(r, -1)),
-                mul(l, mul(mul(const(-1.0), power(r, -2)), _diff(r))),
-            )
+            return _degree(l) if _degree(r) == 0 else math.inf
         case Pow(b, n):
-            if n == 0:
-                return _ZERO
-            return mul(mul(const(float(n)), power(b, n - 1)), _diff(b))
-        case Call("sin", a):
-            return mul(call("cos", a), _diff(a))
-        case Call("cos", a):
-            return mul(const(-1.0), mul(call("sin", a), _diff(a)))
-        case Call("exp", a):
-            return mul(call("exp", a), _diff(a))
-    raise TypeError(f"unknown node {ast!r}")
+            return n * _degree(b) if n else 0
+        case Call(_, a):
+            return 0 if _degree(a) == 0 else math.inf
+    raise TypeError(f"unknown node {node!r}")
 
 
-def differentiate(ast: Expr) -> Expr:
-    """Symbolic derivative with constant folding."""
-    return fold(_diff(fold(ast)))
+def _exact(v, c: float) -> bool:
+    return type(v) is float and v == c
 
 
-@lru_cache(maxsize=None)
-def nth_derivative(ast: Expr, n: int) -> Expr:
-    if n > MAX_SYMBOLIC_ORDER:
-        raise ValueError(f"symbolic derivatives capped at order {MAX_SYMBOLIC_ORDER}")
-    if n == 0:
-        return fold(ast)
-    return differentiate(nth_derivative(ast, n - 1))
+def _compile(ast: Expr, k: int) -> tuple[tuple[float, ...], tuple, tuple[int, ...]]:
+    """Straight-line program for the rows f^(i)(x)/i!, i < k, of ``ast``.
+
+    Returns ``(consts, steps, outs)``.  A run keeps x in slot 0, the
+    constants in the next slots, then the value of each step ``(op, i, j)``:
+    ``op(slot i, slot j)``, or ``op(slot i)`` when j is None; ``outs`` names
+    the slot of each row.  While compiling, a row is a float when it is known
+    exactly, else the int n of the n-th step's value (0 for x).  Row i reads
+    only rows <= i, so it runs the same steps whatever k is.
+    """
+    steps: list[tuple] = []
+
+    def emit(op, a, b=None):
+        if type(a) is float and (b is None or type(b) is float):
+            with np.errstate(all="ignore"):  # a constant that overflows is an inf eval rejects
+                return float(op(a) if b is None else op(a, b))
+        steps.append((op, a, b))
+        return len(steps)
+
+    def add(a, b):
+        return b if _exact(a, 0.0) else a if _exact(b, 0.0) else emit(np.add, a, b)
+
+    def sub(a, b):
+        return a if _exact(b, 0.0) else emit(np.subtract, a, b)
+
+    def mul(a, b):
+        if _exact(a, 0.0) or _exact(b, 0.0):
+            return 0.0
+        return b if _exact(a, 1.0) else a if _exact(b, 1.0) else emit(np.multiply, a, b)
+
+    def power(a, n: int):
+        return 1.0 if n == 0 else a if n == 1 else emit(np.power, a, float(n))
+
+    def total(terms):
+        return reduce(add, terms, 0.0)
+
+    def product(a, b):
+        return [total(mul(a[j], b[i - j]) for j in range(i + 1)) for i in range(k)]
+
+    def quotient(a, b):
+        q = [emit(_div, a[0], b[0])]  # checks b0 even where a vanishes
+        for i in range(1, k):
+            rest = sub(a[i], total(mul(b[j], q[i - j]) for j in range(1, i + 1)))
+            q.append(0.0 if _exact(rest, 0.0) else emit(np.divide, rest, b[0]))
+        return q
+
+    def series(a, g, i: int, sign: float = 1.0):
+        # row i of h with h' = sign * a' * g
+        return total(mul(mul(sign * j / i, a[j]), g[i - j]) for j in range(1, i + 1))
+
+    def rows(node: Expr) -> list:
+        match node:
+            case Const(v):
+                return [float(v)] + [0.0] * (k - 1)
+            case Var():
+                return [0, 1.0, *[0.0] * (k - 2)][:k]
+            case Add(l, r) | Sub(l, r):
+                return list(map(add if isinstance(node, Add) else sub, rows(l), rows(r)))
+            case Mul(l, r):
+                return product(rows(l), rows(r))
+            case Div(l, r):
+                return quotient(rows(l), rows(r))
+            case Pow(b, n) if n == 0 or _degree(b) <= 1:
+                b = rows(b)  # (b0 + b1 t)^n = sum of C(n, i) b1^i b0^(n-i) t^i
+                slope = b[1] if k > 1 else 0.0
+                return [
+                    mul(mul(float(math.comb(n, i)), power(slope, i)), power(b[0], n - i))
+                    if i <= n else 0.0
+                    for i in range(k)
+                ]
+            case Pow(b, n):  # by repeated squaring
+                out, square = None, rows(b)
+                while n:
+                    if n & 1:
+                        out = square if out is None else product(out, square)
+                    n >>= 1
+                    square = product(square, square) if n else square
+                return out
+            case Call("exp", a):
+                a, g = rows(a), []
+                for i in range(k):
+                    g.append(emit(np.exp, a[0]) if i == 0 else series(a, g, i))
+                return g
+            case Call(f, a):
+                # u = f(a) and its co-function w: u' = sign a' w, w' = -sign a' u
+                a, sign, co = rows(a), *((1.0, np.cos) if f == "sin" else (-1.0, np.sin))
+                u, w = [emit(_CALLS[f], a[0])], []
+                for i in range(1, k):
+                    w.append(emit(co, a[0]) if i == 1 else series(a, u, i - 1, -sign))
+                    u.append(series(a, w, i, sign))
+                return u
+        raise TypeError(f"unknown node {node!r}")
+
+    out = rows(ast)
+    consts = [v for _, *ab in steps for v in ab if type(v) is float]
+    consts += [v for v in out if type(v) is float]
+    slots = iter(range(1, len(consts) + 1))
+
+    def fix(v):  # in the order consts was listed: each constant has its own slot
+        return next(slots) if type(v) is float else v if v in (0, None) else len(consts) + v
+
+    return tuple(consts), tuple((op, fix(a), fix(b)) for op, a, b in steps), tuple(map(fix, out))
 
 
-def to_source(ast: Expr) -> str:
-    """Render the AST back into the expression grammar."""
-    match ast:
-        case Const(v):
-            # the grammar has no unary minus; negatives render as (0 - |v|)
-            return repr(v) if v >= 0 else f"(0-{abs(v)!r})"
-        case Var():
-            return "x"
-        case Add(l, r):
-            return f"({to_source(l)}+{to_source(r)})"
-        case Sub(l, r):
-            return f"({to_source(l)}-{to_source(r)})"
-        case Mul(l, r):
-            return f"({to_source(l)}*{to_source(r)})"
-        case Div(l, r):
-            return f"({to_source(l)}/{to_source(r)})"
-        case Pow(b, n):
-            body = to_source(b) if isinstance(b, (Const, Var, Call)) else f"({to_source(b)})"
-            # negative internal exponents render through the grammar's division
-            return f"{body}^{n}" if n >= 0 else f"(1/{body}^{abs(n)})"
-        case Call(f, a):
-            return f"{f}({to_source(a)})"
-    raise TypeError(f"unknown node {ast!r}")
+class _Taylor:
+    """The Taylor programs of one parsed expression, compiled once per row
+    count on first use; ``taylor(x, d)`` is its d-th derivative at x."""
+
+    def __init__(self, ast: Expr):
+        self.ast = ast
+        self.programs: dict[int, tuple] = {}
+
+    def __call__(self, x: np.ndarray, d: int) -> np.ndarray:
+        return self.derivatives(x, (d,))[0]
+
+    def derivatives(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+        """The derivatives of the orders at x, each shaped like x, from one
+        run of the program for k = max(orders) + 1 rows."""
+        if not orders:
+            return []
+        k = max(orders) + 1
+        program = self.programs.get(k) or self.programs.setdefault(k, _compile(self.ast, k))
+        consts, steps, outs = program
+        vals = [x, *consts]
+        for op, i, j in steps:
+            vals.append(op(vals[i]) if j is None else op(vals[i], vals[j]))
+        out = [vals[outs[d]] * math.factorial(d) if d > 1 else vals[outs[d]] for d in orders]
+        return [v if getattr(v, "shape", None) == x.shape else np.full(x.shape, v) for v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +301,7 @@ class _Parser:
             op = self.peek()
             self.pos += 1
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
         return node
 
     def term(self) -> Expr:
@@ -469,7 +310,7 @@ class _Parser:
             op = self.peek()
             self.pos += 1
             rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
         return node
 
     def factor(self) -> Expr:
@@ -482,7 +323,7 @@ class _Parser:
                 self.pos += 1
             if self.pos == start:
                 raise self.error("expected unsigned integer exponent")
-            node = power(node, int(self.src[start : self.pos]))
+            node = Pow(node, int(self.src[start : self.pos]))
         return node
 
     def base(self) -> Expr:
@@ -500,12 +341,12 @@ class _Parser:
                 self.pos += 1
             name = self.src[start : self.pos]
             if name == "x":
-                return var()
+                return Var()
             if name in _CALLS:
                 self.take("(")
                 node = self.expr()
                 self.take(")")
-                return call(name, node)
+                return Call(name, node)
             self.pos = start
             raise self.error(f"unknown identifier '{name}'")
         raise self.error("expected number, 'x', '(' or function")
@@ -531,7 +372,7 @@ class _Parser:
                 self.pos = mark
         text = self.src[start : self.pos]
         try:
-            return const(float(text))
+            return Const(float(text))
         except ValueError:
             self.pos = start
             raise self.error(f"invalid number '{text}'") from None
@@ -570,7 +411,7 @@ class SmoothFunction:
         ``deriv`` may also be a sequence of orders: the result then stacks
         one array per order along a new first axis, as ``eval_spline_many``
         does.  The evaluator is called once per order, and a parsed
-        expression serves all of them from one program.  Every value must be
+        expression serves all of them from one program run.  Every value must be
         finite; the error names the first nonfinite one, its order and x.
         """
         single = isinstance(deriv, (int, np.integer))
@@ -612,29 +453,20 @@ class SmoothFunction:
         return lambda x: self.eval(x, deriv)
 
 
-@dataclass(frozen=True)
 class _Expression(SmoothFunction):
-    """A parsed expression, folded: the orders of one ``eval`` call are
-    evaluated by one program over the union DAG of their derivatives."""
-
-    ast: Expr = field(repr=False)
+    """A parsed expression: the orders of one ``eval`` call come from one
+    run of its Taylor program."""
 
     def _derivatives(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
-        return evaluate_many([nth_derivative(self.ast, d) for d in orders], x)
+        return self.evaluator.derivatives(x, orders)
 
 
-def from_ast(ast: Expr, description: str) -> SmoothFunction:
-    folded = fold(ast)
-
-    def evaluator(x: np.ndarray, d: int) -> np.ndarray:
-        return evaluate(nth_derivative(folded, d), x)
-
-    return _Expression(evaluator, MAX_SYMBOLIC_ORDER, description, folded)
-
-
+@lru_cache(maxsize=64)
 def from_expression(src: str) -> SmoothFunction:
-    """Parse the expression and wrap it with cached symbolic derivatives."""
-    return from_ast(parse(src), src)
+    """Parse the expression and wrap it with its Taylor derivatives; the
+    last 64 sources are kept with their programs, so that repeated CLI calls
+    compile an expression once."""
+    return _Expression(_Taylor(parse(src)), MAX_SYMBOLIC_ORDER, src)
 
 
 def _sin4x(x: np.ndarray, d: int) -> np.ndarray:

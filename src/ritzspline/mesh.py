@@ -30,9 +30,6 @@ from numpy.polynomial import polynomial as npp
 # Gram/stiffness conditioning in double precision degrades past this degree.
 MAX_DEGREE = 20
 
-# Relative tolerance for coefficient equality (accumulated recurrence rounding).
-COEFF_RTOL = 1e-12
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)

@@ -374,6 +374,24 @@ def test_constants_bounds_table(capsys):
     assert kinds == {"error", "broken", "difference"}
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--h", "0.5", "--length", "0"], "requires length finite and > 0: got length=0.0"),
+        (["--h", "0.125", "--length", "-1"], "requires length finite and > 0: got length=-1.0"),
+        (["--h", "inf"], "requires h finite and > 0: got h=inf"),
+        (["--h", "nan"], "requires h finite and > 0: got h=nan"),
+    ],
+)
+def test_constants_bounds_rejects_bad_lengths_and_steps(capsys, extra, message):
+    rc = run(["constants", "--table", "bounds", "--p", "3", "--k", "2", "--q", "2",
+              "--r", "4", *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_constants_out_of_range_is_exit_2(capsys):
     rc = run(["constants", "--table", "c", "--p", "1", "--k", "0", "--r", "5"])
     assert rc == 2

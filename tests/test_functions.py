@@ -1,88 +1,32 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritzspline.cli import main
 from ritzspline.functions import (
-    Add,
     Call,
     Const,
-    Div,
     ExpressionError,
     Mul,
-    Pow,
-    Sub,
     Var,
     builtin,
-    const,
-    differentiate,
-    evaluate,
-    evaluate_many,
-    fold,
     from_expression,
-    mul,
-    nth_derivative,
     parse,
-    power,
     resolve_function,
-    to_source,
 )
-from ritzspline.functions import _CALLS, _POOL, _interned
+
+
+def value(src, x, d=0):
+    return from_expression(src).eval(x, d)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-
-def test_interned_keeps_the_node_inserted_first():
-    """A node built while another thread interns the same key loses: both
-    callers get the node that was inserted first."""
-    key = ("test-race",)
-    first = Const(1.0)
-
-    def make():
-        _POOL[key] = first  # the other thread wins the race meanwhile
-        return Const(1.0)
-
-    try:
-        assert _interned(key, make) is first
-        assert _interned(key, lambda: Const(2.0)) is first
-    finally:
-        del _POOL[key]
-
-
-def test_threads_parsing_one_expression_share_its_nodes():
-    """More threads than cores parse the same new expressions at once, with a
-    short switch interval: every thread gets the same root node, which a lost
-    interning race would break."""
-    import sys
-    import threading
-
-    n_threads, rounds = 8, 40
-    roots = [[None] * rounds for _ in range(n_threads)]
-    barrier = threading.Barrier(n_threads, timeout=10)
-
-    def work(i):
-        for r in range(rounds):
-            barrier.wait()
-            roots[i][r] = parse(f"sin({r}.25*x)*(x+{r}.5)^3-exp(x/{r}.75)+{r}.125")
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for r in range(rounds):
-        assert all(row[r] is roots[0][r] for row in roots), r
 
 
 def test_parse_sin4x_shape():
@@ -94,38 +38,40 @@ def test_parse_sin4x_shape():
 
 
 def test_power_evaluation():
-    assert evaluate(parse("x^6"), 0.5) == pytest.approx(0.015625)
+    assert value("x^6", 0.5) == pytest.approx(0.015625)
 
 
 def test_division_by_zero_evaluates_to_error_but_parses():
-    ast = parse("1/(x-x)")
+    f = from_expression("1/(x-x)")
     with pytest.raises(ExpressionError):
-        evaluate(ast, 1.0)
+        f.eval(1.0)
 
 
 def test_precedence():
-    assert evaluate(parse("2+3*4"), 0.0) == pytest.approx(14.0)
-    assert evaluate(parse("2*3^2"), 0.0) == pytest.approx(18.0)
-    assert evaluate(parse("8/4/2"), 0.0) == pytest.approx(1.0)  # left associative
-    assert evaluate(parse("1-2-3"), 0.0) == pytest.approx(-4.0)
+    assert value("2+3*4", 0.0) == pytest.approx(14.0)
+    assert value("2*3^2", 0.0) == pytest.approx(18.0)
+    assert value("8/4/2", 0.0) == pytest.approx(1.0)  # left associative
+    assert value("1-2-3", 0.0) == pytest.approx(-4.0)
 
 
 def test_whitespace_and_scientific_numbers():
-    assert evaluate(parse(" 1.5e2 + x "), 1.0) == pytest.approx(151.0)
+    assert value(" 1.5e2 + x ", 1.0) == pytest.approx(151.0)
 
 
 def test_syntax_errors_carry_position():
-    with pytest.raises(ExpressionError) as err:
-        parse("sin(2*x")
-    assert err.value.position is not None
-    with pytest.raises(ExpressionError, match="unknown identifier"):
-        parse("tan(x)")
-    with pytest.raises(ExpressionError):
-        parse("x^-2")
-    with pytest.raises(ExpressionError):
-        parse("2**3")
-    with pytest.raises(ExpressionError):
-        parse("")
+    for src, message, position in [
+        ("sin(2*x", "expected ')'", 7),
+        ("tan(x)", "unknown identifier 'tan'", 0),
+        ("x^-2", "expected unsigned integer exponent", 2),
+        ("2**3", "expected number, 'x', '(' or function", 2),
+        ("", "expected number, 'x', '(' or function", 0),
+        ("1.5e", "unexpected trailing input", 3),
+        ("(x))", "unexpected trailing input", 3),
+    ]:
+        with pytest.raises(ExpressionError) as err:
+            from_expression(src)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +80,34 @@ def test_syntax_errors_carry_position():
 
 
 def test_derivative_of_sin4x():
-    d = differentiate(parse("sin(4*x)"))
     xs = np.linspace(0, 1, 11)
-    np.testing.assert_allclose(evaluate(d, xs), 4 * np.cos(4 * xs), atol=1e-14)
+    np.testing.assert_allclose(value("sin(4*x)", xs, 1), 4 * np.cos(4 * xs), atol=1e-14)
 
 
 def test_derivative_of_power():
-    d = differentiate(parse("x^6"))
     xs = np.linspace(0, 1, 7)
-    np.testing.assert_allclose(evaluate(d, xs), 6 * xs**5, atol=1e-14)
+    np.testing.assert_allclose(value("x^6", xs, 1), 6 * xs**5, atol=1e-14)
 
 
 def test_seventh_derivative_of_x6_folds_to_zero():
-    assert nth_derivative(parse("x^6"), 7) is nth_derivative(parse("0"), 0)
+    """Rows above the degree of a power of x are exact zeros while compiling:
+    the seventh derivative runs no step and fills the shape of x."""
+    f = from_expression("x^6")
+    x = np.linspace(0.0, 1.0, 5)
+    seventh, sixth = f.eval(x, [7, 6])
+    assert np.all(seventh == 0.0) and np.all(sixth == 720.0)
+    consts, steps, outs = f.evaluator.programs[8]
+    assert 1 <= outs[7] <= len(consts) and consts[outs[7] - 1] == 0.0
+    assert f.eval(0.5, 7) == 0.0
 
 
 def test_derivative_cap():
-    with pytest.raises(ValueError):
-        nth_derivative(parse("sin(x)"), 13)
+    f = from_expression("sin(x)")
+    assert f.max_order == 12
+    f.eval(0.5, 12)
+    for orders in (13, [0, 13]):
+        with pytest.raises(ValueError, match="max_order=12: got 13"):
+            f.eval(0.5, orders)
 
 
 @pytest.mark.parametrize(
@@ -176,82 +132,42 @@ def test_symbolic_derivative_matches_finite_differences(src):
         assert np.max(np.abs(got - fd) / denom) < 1e-6, (src, d)
 
 
-def _random_ast(r, depth):
-    if depth == 0:
-        return r.choice(["x", f"{r.uniform(0.2, 3):.3f}"])
-    kind = r.integers(0, 6)
-    a = _random_ast(r, depth - 1)
-    b = _random_ast(r, depth - 1)
-    if kind == 0:
-        return f"({a}+{b})"
-    if kind == 1:
-        return f"({a}-{b})"
-    if kind == 2:
-        return f"({a}*{b})"
-    if kind == 3:
-        return f"({a}/((({b})^2+1)))"  # keep denominators positive
-    if kind == 4:
-        return f"sin({a})"
-    return f"exp(({a})/4)"
+_ORACLE = [
+    ("exp(x)*sin(3*x)+x^5/(1+x^2)", (0.0, 1.0)),
+    ("exp(x)*sin(3*x)+x^5/(1+x^2)", (1.0, 3.0)),
+    ("1/(1+25*x^2)", (0.0, 1.0)),
+    ("1/(1+25*x^2)", (1.0, 3.0)),
+    ("1/(1+25*x^2)", (1e6, 1e6 + 1)),
+    ("x^5/(1+x^2)-sin(x)^3", (0.0, 1.0)),
+    ("x^5/(1+x^2)-sin(x)^3", (1.0, 3.0)),
+    ("x^5/(1+x^2)-sin(x)^3", (1e6, 1e6 + 1)),
+    ("cos(exp(x))*x^7-3.5", (0.0, 1.0)),
+    ("cos(exp(x))*x^7-3.5", (1.0, 3.0)),
+]
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31))
-def test_print_parse_roundtrip_evaluates_identically(seed):
-    r = np.random.default_rng(seed)
-    src = _random_ast(r, 3)
-    ast = nth_derivative(parse(src), int(r.integers(0, 3)))
-    text = to_source(ast)
-    again = parse(text)
-    xs = r.uniform(0, 1, 50)
-    np.testing.assert_allclose(
-        evaluate(again, xs), evaluate(ast, xs), rtol=1e-12, atol=1e-12
-    )
+@pytest.mark.parametrize("src,interval", _ORACLE)
+def test_derivatives_match_a_50_digit_reference(src, interval):
+    """Orders 0..12 against mpmath's differentiation at 50 digits, each
+    within 1e-13 of the largest value of its order on the points."""
+    xs = np.linspace(*interval, 5)
+    got = from_expression(src).eval(xs, list(range(13)))
+    names = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp}
+    code = compile(src.replace("^", "**"), src, "eval")
+    with mpmath.workdps(50):
+        want = np.array([
+            [float(v) for v in mpmath.diffs(lambda t: eval(code, {**names, "x": t}),
+                                            mpmath.mpf(float(x)), 12)]
+            for x in xs
+        ]).T
+    for d in range(13):
+        scale = np.max(np.abs(want[d]))
+        assert np.max(np.abs(got[d] - want[d])) <= 1e-13 * scale, d
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation against a tree walk
+# one program for several orders
 # ---------------------------------------------------------------------------
-
-
-def _walk(ast, x):
-    """Reference evaluator: a recursive walk with a per-call memo, constants
-    as arrays full of their value."""
-    arr = np.asarray(x, dtype=float)
-    memo = {}
-
-    def rec(node):
-        if id(node) in memo:
-            return memo[id(node)]
-        match node:
-            case Const(v):
-                out = np.full_like(arr, v)
-            case Var():
-                out = arr
-            case Add(l, r):
-                out = rec(l) + rec(r)
-            case Sub(l, r):
-                out = rec(l) - rec(r)
-            case Mul(l, r):
-                out = rec(l) * rec(r)
-            case Div(l, r):
-                den = rec(r)
-                if np.any(den == 0.0):
-                    raise ExpressionError("division by zero during evaluation")
-                out = rec(l) / den
-            case Pow(b, n):
-                # as an array: on 0-d x the walk's values are numpy scalars,
-                # whose ** rounds differently from the array power
-                base = np.asarray(rec(b))
-                if n < 0 and np.any(base == 0.0):
-                    raise ExpressionError("division by zero during evaluation")
-                out = base ** float(n) if n < 0 else base**n
-            case Call(f, a):
-                out = _CALLS[f](rec(a))
-        memo[id(node)] = out
-        return out
-
-    return rec(ast)
 
 
 def _bits(a):
@@ -290,67 +206,100 @@ def _points(draw):
     return np.array(draw(st.lists(point, min_size=size, max_size=size)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     src=_EXPRESSIONS,
-    orders=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+    orders=st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True),
     x=_points(),
 )
-def test_eval_of_orders_is_the_tree_walk_bit_for_bit(src, orders, x):
-    """One program for several orders gives each order's values of a walk of
-    that order's tree alone, for 0-d, 2-point and longer x."""
+def test_each_order_is_independent_of_the_other_orders_asked_for(src, orders, x):
+    """One ``eval`` of several orders gives each order the bits of an
+    ``eval`` of that order alone, for 0-d, 2-point and longer x."""
     f = from_expression(src)
-    tree = parse(src)
-    folded = fold(tree)
-    with np.errstate(all="ignore"):
-        want = [_walk(nth_derivative(folded, d), x) for d in orders]
-        # the unfolded tree keeps its constant-only subtrees
-        assert np.array_equal(_bits(evaluate(tree, x)), _bits(_walk(tree, x)))
-    if not all(np.isfinite(w).all() for w in want):
-        with pytest.raises(ValueError, match="requires u finite"):
+    alone = {}
+    for d in orders:
+        try:
+            alone[d] = f.eval(x, d)
+        except ValueError:
+            alone[d] = None
+    bad = [d for d in orders if alone[d] is None]
+    if bad:
+        with pytest.raises(ValueError, match=f"derivative {bad[0]} of"):
             f.eval(x, orders)
         return
     got = f.eval(x, orders)
     assert got.shape == (len(orders), *x.shape)
-    for d, row, w in zip(orders, got, want):
-        assert np.array_equal(_bits(row), _bits(np.broadcast_to(w, x.shape))), d
-        single = f.eval(x, d)
-        assert np.array_equal(_bits(single), _bits(w)), d
-    for root, w in zip(evaluate_many([nth_derivative(folded, d) for d in orders], x), want):
-        assert np.array_equal(_bits(root), _bits(w))
+    for d, row in zip(orders, got):
+        assert np.array_equal(_bits(row), _bits(alone[d])), d
 
 
-def test_constant_powers_of_an_unfolded_tree_match_the_walk():
-    """A constant-only power, left by ``parse`` without ``fold``, is numpy's
-    array power, as on an array full of the constant: float64's scalar power
-    differs from it in the last bit for some bases."""
-    x = np.linspace(1.0, 3.0, 7)
-    for c in np.random.default_rng(0).uniform(1.0, 3.0, 200):
-        trees = [parse(f"{float(c)!r}^{n}*x") for n in (2, 3, 4)]
-        trees += [mul(power(const(c), n), parse("x")) for n in (-1, -2, -3)]
-        for tree in trees:
-            assert np.array_equal(_bits(evaluate(tree, x)), _bits(_walk(tree, x))), tree
-            assert np.array_equal(_bits(evaluate(tree, 2.0)), _bits(_walk(tree, 2.0))), tree
+def test_programs_are_compiled_once_per_row_count():
+    f = from_expression("sin(x)*x^2/(1+x)")
+    assert from_expression("sin(x)*x^2/(1+x)") is f
+    f.eval(np.array([0.5, 0.75]), [0, 2])
+    f.eval(0.25, [2, 1])
+    f.eval(0.25, 1)
+    assert sorted(f.evaluator.programs) == [2, 3]
+    assert from_expression.cache_info().maxsize == 64
+
+
+def test_threads_evaluating_one_expression_agree():
+    """More threads than cores evaluate new expressions at once, with a short
+    switch interval, each asking for other orders: every thread gets the bits
+    of a single-threaded run, and each row count keeps one program."""
+    import sys
+    import threading
+
+    n_threads, rounds = 8, 20
+    srcs = [f"sin({r}.25*x)*(x+{r}.5)^3-exp(x/{r}.75)/(1+x^2)" for r in range(rounds)]
+    x = np.linspace(0.0, 1.0, 9)
+    got = [[None] * rounds for _ in range(n_threads)]
+    barrier = threading.Barrier(n_threads, timeout=10)
+
+    def work(i):
+        for r, src in enumerate(srcs):
+            barrier.wait()
+            got[i][r] = from_expression(src).eval(x, [i % 5, 4, 0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for r, src in enumerate(srcs):
+        f = from_expression(src)
+        assert sorted(f.evaluator.programs) == [5]
+        want = f.eval(x, range(5))
+        for i in range(n_threads):
+            assert np.array_equal(_bits(got[i][r]), _bits(want[[i % 5, 4, 0]])), (i, r)
 
 
 def test_constant_roots_fill_the_shape_of_x():
     x = np.linspace(0.0, 1.0, 5)
-    seventh, sixth = evaluate_many([nth_derivative(parse("x^6"), d) for d in (7, 6)], x)
-    assert seventh.shape == sixth.shape == x.shape
-    assert np.all(seventh == 0.0) and np.all(sixth == 720.0)
-    assert evaluate(parse("2^3+1"), 0.5) == 9.0
-    with np.errstate(over="ignore"):  # a constant power overflows as numpy's does
-        assert evaluate(parse("10^400"), np.zeros(2)).tolist() == [np.inf, np.inf]
+    assert from_expression("2^3+1").eval(x, [0, 1]).tolist() == [[9.0] * 5, [0.0] * 5]
+    assert from_expression("2^3+1").evaluator(x, 0).shape == x.shape
+    assert value("2^3+1", 0.5) == 9.0
 
 
 def test_division_by_zero_raises_for_any_order_set():
+    """A denominator that vanishes at a point raises, whichever orders are
+    asked for, also where the numerator vanishes."""
+    for src in ("1/(x-1)", "x/0", "1/0", "x/x", "0/x", "0/(x-x)"):
+        f = from_expression(src)
+        for orders in ([0], [2, 0], [1, 3], [12]):
+            with pytest.raises(ExpressionError, match="division by zero"):
+                f.eval(np.array([0.0, 1.0]), orders)
+
+
+def test_a_quotient_away_from_its_poles():
     f = from_expression("1/(x-1)")
-    for orders in ([0], [2, 0], [1, 3]):
-        with pytest.raises(ExpressionError, match="division by zero"):
-            f.eval(np.array([0.0, 1.0]), orders)
     assert f.eval(np.array([0.0, 2.0]), [1, 0]).tolist() == [[-1.0, -1.0], [-1.0, 1.0]]
-    with pytest.raises(ExpressionError, match="division by zero"):
-        evaluate_many([parse("x"), parse("x/0")], 1.0)
 
 
 def test_eval_of_orders_names_the_first_order_that_is_not_finite():
@@ -412,6 +361,8 @@ def test_derivative_shifting():
     xs = np.linspace(0, 1, 9)
     np.testing.assert_allclose(du.eval(xs), u.eval(xs, 2), atol=1e-14)
     assert du.max_order == u.max_order - 2
+    f = from_expression("sin(4*x)")
+    assert np.array_equal(f.derivative(2).eval(xs, 1), f.eval(xs, 3))
 
 
 def test_eval_order_guard():
@@ -447,7 +398,7 @@ def test_resolve_function_prefers_builtin():
     [("(1e200)^2*x", np.inf), ("(0-1e200)^3*x", -np.inf), ("(0-1e200)^2*x", np.inf)],
 )
 def test_a_constant_power_that_overflows_folds_to_inf(src, value):
-    """Folding a constant power past the double range gives the signed inf
+    """Compiling a constant power past the double range gives the signed inf
     of the power, not Python's OverflowError; evaluating the function then
     names the nonfinite value."""
     f = from_expression(src)
@@ -459,8 +410,30 @@ def test_a_constant_power_that_overflows_folds_to_inf(src, value):
 
 @pytest.mark.parametrize("src", ["exp(exp(exp(2^4/4)/4)/4)", "sin(exp(1000))"])
 def test_a_constant_call_that_overflows_folds_without_a_warning(src):
-    """Folding exp of a large constant (inf) or sin of inf (nan) raises no
+    """Compiling exp of a large constant (inf) or sin of inf (nan) raises no
     numpy warning; evaluating the function then names the nonfinite value."""
     f = from_expression(src)
     with pytest.raises(ValueError, match="requires u finite"):
         f.eval(np.array([0.0, 0.5]), 0)
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("(1e200)^2*x", "requires u finite"),
+        ("(0-1e200)^3*x", "requires u finite"),
+        ("sin(exp(1000))", "requires u finite"),
+        ("exp(exp(exp(2^4/4)/4)/4)", "requires u finite"),
+        ("(1e200*x)^2", "requires u finite"),
+        ("x/x", "division by zero"),
+        ("1/0", "division by zero"),
+        ("0/x", "division by zero"),
+    ],
+)
+def test_project_on_a_function_it_cannot_evaluate_exits_2(tmp_path, capsys, src, message):
+    """Under the suite's warnings-as-errors, a numpy warning or a Python
+    OverflowError would exit 1 as an internal error instead."""
+    rc = main(["project", "--function", src, "--p", "2", "--q", "1",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
