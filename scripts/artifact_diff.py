@@ -27,7 +27,14 @@ others:
   the applicable boundary residuals (those rows of `boundary.csv` and of the
   `boundary` key of `report.json`: R interpolates u there as Q does).
   Every `project` run of the matrix has p = PROJECT_P = 4, so these are the
-  q = 1 runs.
+  q = 1 runs;
+- in a `qtilde` run, where Q~u - Qu is a constant c fixed by (u - Q~u, 1) = 0,
+  so that the error e = u - Q~u has every derivative of Q's: the `mean` row
+  of order 0 and the `moment` row of index 0, both (e, 1) = 0; the boundary
+  rows of order l >= 1 flagged applicable, where Q matches u^(l); and the
+  `mean` rows of order l >= 1 flagged applicable, (e^(l), 1) =
+  e^(l-1)(b) - e^(l-1)(a), where Q matches u^(l-1) at both ends (the flag's
+  p >= 2q - l).  The boundary rows of order 0 stay regular: e(a) = -c.
 
 NEW defaults to the checkout holding this script.  `artifact_hashes.py`
 says whether two files differ at all; this says whether they agree to
@@ -83,6 +90,11 @@ def _is_noise(path: str, row: dict, key: str = "") -> bool:
             key.startswith("boundary.") and row.get("applicable") is True
         ):
             return True
+    if "-qtilde-" in path:
+        flagged = row.get("applicable") in ("1", True)
+        if "kind" in row:  # a moments row
+            return int(row["index"]) == 0 or (row["kind"] == "mean" and flagged)
+        return "endpoint" in row and int(row["l"]) >= 1 and flagged
     return "-ritz-" in path and row.get("kind") == "moment"
 
 

@@ -7,15 +7,13 @@ from .mesh import (
     SplineSpace,
     derive,
     embed,
-    eval_basis,
     eval_spline,
     eval_spline_many,
     integrate_from_left,
     make_space,
     poly_to_spline,
-    spline_to_poly,
 )
-from .quadrature import GaussRule, gauss_rule, gram_matrix, inner_product, load_vector
+from .quadrature import GaussRule, gauss_rule, gram_matrix, load_vector
 from .functions import (
     SmoothFunction,
     builtin,
@@ -50,13 +48,11 @@ from .analysis import (
     function_seminorm,
     moment_report,
     rq_difference_study,
-    spline_norm,
 )
 from .eigenproblem import (
     SpectrumReport,
     clamped_beam_eigenvalues,
     constrained_space,
-    predict_non_outliers,
     solve_biharmonic,
 )
 

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .functions import SmoothFunction
-from .mesh import Breakpoints, Spline, _basis_table, make_space
+from .mesh import Breakpoints, Spline, SplineSpace, _basis_table, make_space
 from .projectors import (
     Levels,
     _check_order,
@@ -90,6 +90,16 @@ def _check_norm_orders(u: SmoothFunction, ls: Sequence[int]) -> None:
         raise ValueError(f"requires l <= max_order={u.max_order}: got l={max(ls)}")
 
 
+def _check_resolved(spaces: Sequence[SplineSpace], values) -> None:
+    """Require each reported (order l, number) finite: l-th basis derivatives,
+    about (p / h)^l on elements of width h, overflow past the resolved orders."""
+    for l, v in values:
+        if not math.isfinite(v):
+            h = min(np.diff(space.breakpoints.points).min() for space in spaces)
+            raise ValueError("requires derivative orders that double precision resolves on "
+                             f"elements of width {h:.3g}: order {l} gives {v}")
+
+
 def _check_list(name: str, values: Sequence[int]) -> None:
     """Require a nonempty list of distinct values, each of which names one
     column or file of a study."""
@@ -115,19 +125,12 @@ def error_norm(
 
 
 def _spline_norms(spaces, coeffs: np.ndarray, ls: Sequence[int]) -> list[list[float]]:
-    """Per space, the :func:`spline_norm` of every order in ``ls`` of the
-    splines with joined coefficients ``coeffs``: one basis sweep and one
-    contraction for all, each norm summed over its own space's grid."""
+    """Per space, the broken L2 norm of the l-th derivative, for every l in
+    ``ls``, of the splines with joined coefficients ``coeffs``: one basis
+    sweep and one contraction for all, each norm summed over its own space's
+    exact grid."""
     (table,) = grid_tables(spaces, [[default_order(spaces[0].degree)] * len(spaces)], ls)
     return table.norms(table.spline(coeffs, ls))
-
-
-def spline_norm(s: Spline, l: int | Sequence[int] = 0) -> float | list[float]:
-    """Broken L2 norm of the l-th derivative of a spline; for a sequence of
-    orders, the list of their norms from one evaluation of ``s``."""
-    ls = [l] if np.ndim(l) == 0 else list(l)
-    (norms,) = _spline_norms([s.space], s.coeffs, ls)
-    return norms[0] if np.ndim(l) == 0 else norms
 
 
 def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
@@ -156,10 +159,6 @@ def _projector(name: str):
         raise ValueError(
             f"unknown projector '{name}'; available: {', '.join(sorted(_PROJECTORS))}"
         ) from None
-
-
-def apply_projector(name: str, space, q: int, u: SmoothFunction) -> Spline:
-    return _projector(name)(Levels(u, [space]), q)[0]
 
 
 @dataclass
@@ -196,13 +195,6 @@ class ConvergenceTable:
                     )
             out[l] = rates
         return out
-
-    def final_order(self, l: int) -> float:
-        """Headline estimated order: the last consecutive-pair rate."""
-        rates = self.orders[l]
-        if not rates:
-            raise ValueError("need at least two refinement levels for an order")
-        return rates[-1]
 
     def to_csv(self) -> str:
         ls, orders = self.levels, self.orders
@@ -252,6 +244,13 @@ def _study_meshes(
     ]
 
 
+def _study_table(meta, spaces, l_set, norms, flags=None) -> ConvergenceTable:
+    """The table of a study from norms[i][j], level i's norm of order l_set[j]."""
+    errors = {l: [row[j] for row in norms] for j, l in enumerate(l_set)}
+    _check_resolved(spaces, ((l, e) for l in l_set for e in errors[l]))
+    return ConvergenceTable(meta, [space.breakpoints.h for space in spaces], errors, flags)
+
+
 def convergence_study(
     u: SmoothFunction,
     projector: str,
@@ -290,11 +289,8 @@ def convergence_study(
     levels = Levels(u, spaces, l_set)
     sample = levels.sample  # first: its u.eval names a bad order or a nonfinite u
     coeffs = np.concatenate([s.coeffs for s in project(levels, q)])
-    errors: dict[int, list[float]] = {l: [] for l in l_set}
-    for norms in sample.norms(sample.u_values(l_set) - sample.spline(coeffs, l_set)):
-        for l, err in zip(l_set, norms):
-            errors[l].append(err)
-    return ConvergenceTable(meta, [space.breakpoints.h for space in spaces], errors)
+    norms = sample.norms(sample.u_values(l_set) - sample.spline(coeffs, l_set))
+    return _study_table(meta, spaces, l_set, norms)
 
 
 def rq_difference_study(
@@ -335,12 +331,8 @@ def rq_difference_study(
         and float(np.max(np.abs(diff))) <= 1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))
         for diff, s in zip(diffs, qs)
     ]
-    errors: dict[int, list[float]] = {l: [] for l in l_set}
-    for norms in _spline_norms(spaces, np.concatenate(diffs), l_set):
-        for l, norm in zip(l_set, norms):
-            errors[l].append(norm)
-    hs = [space.breakpoints.h for space in spaces]
-    return ConvergenceTable(meta, hs, errors, zero_flags=flags)
+    norms = _spline_norms(spaces, np.concatenate(diffs), l_set)
+    return _study_table(meta, spaces, l_set, norms, flags)
 
 
 @dataclass(frozen=True)
@@ -382,6 +374,7 @@ def boundary_report(u: SmoothFunction, s: Spline, q: int) -> list[BoundaryResidu
             out.append(
                 BoundaryResidual(endpoint, l, res, res / max(1.0, abs(want[e][l])), applicable)
             )
+    _check_resolved([s.space], ((r.l, r.residual) for r in out))
     return out
 
 
@@ -418,7 +411,10 @@ def project_report(
     uls = sample.u_values(orders)
     errs = uls - sample.spline(s.coeffs, orders)
     (norms,) = sample.norms(errs[: l_max + 1])
-    return dict(enumerate(norms)), _moment_residuals(space.degree, q, sample, uls, errs)
+    moments = _moment_residuals(space.degree, q, sample, uls, errs)
+    _check_resolved(levels.spaces, [*enumerate(norms), *(
+        (r.index if r.kind == "mean" else 0, r.residual) for r in moments)])
+    return dict(enumerate(norms)), moments
 
 
 def _moment_residuals(p, q, sample: GridTable, uls, errs) -> list[MomentResidual]:

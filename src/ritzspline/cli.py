@@ -327,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow past the derivative orders a mesh resolves is named by the reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -115,13 +115,6 @@ def resolved_modes(h: float, references: np.ndarray) -> np.ndarray:
     return h * np.asarray(references, dtype=float) ** 0.25 < math.pi
 
 
-def predict_non_outliers(h: float, references: np.ndarray) -> int:
-    """Number of reference eigenvalues that :func:`resolved_modes` admits."""
-    if h <= 0:
-        raise ValueError("requires h > 0")
-    return int(np.sum(resolved_modes(h, references)))
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Discrete spectrum with references, errors, and outlier bookkeeping."""
@@ -155,7 +148,7 @@ class SpectrumReport:
 
     @property
     def predicted_non_outliers_asymptotic(self) -> int:
-        return predict_non_outliers(self.h, self.asymptotic)
+        return int(np.sum(resolved_modes(self.h, self.asymptotic)))
 
     @property
     def observed_outliers(self) -> list[int]:

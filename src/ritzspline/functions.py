@@ -439,18 +439,18 @@ class SmoothFunction:
         return float(out[0]) if not arr.ndim else out[0]
 
     def derivative(self, n: int = 1) -> "SmoothFunction":
-        """The n-th derivative as a new function (orders shift down by n)."""
+        """The n-th derivative as a new function (orders shift down by n);
+        ``self`` for n = 0."""
         if not 0 <= n <= self.max_order:
             raise ValueError(f"requires 0 <= n <= max_order={self.max_order}")
+        if n == 0:
+            return self
         parent = self.evaluator
         return SmoothFunction(
             lambda x, d: parent(x, d + n),
             self.max_order - n,
             f"d^{n}/dx^{n} of {self.description}",
         )
-
-    def as_integrand(self, deriv: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: self.eval(x, deriv)
 
 
 class _Expression(SmoothFunction):

@@ -11,9 +11,9 @@ quadrature error.
 
 A polynomial is a plain coefficient array ``c`` in the shifted monomials,
 p(x) = sum_i c_i (x-a)^i with ``a`` the left end of the breakpoints, and is
-evaluated as ``numpy.polynomial.polynomial.polyval(x - a, c)``;
-:func:`poly_to_spline` and :func:`spline_to_poly` convert between that form
-and B-spline coefficients.
+evaluated as ``numpy.polynomial.polynomial.polyval(x - a, c)``.
+:func:`poly_to_spline` gives its B-spline coefficients; back from a spline's
+first element, c_i = s^(i)(a)/i! from ``eval_spline_many(s, [a], range(p + 1))``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,12 @@ class Breakpoints:
             raise ValueError(f"breakpoints must be finite: got {bad[0]}")
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("breakpoints require at least 2 points")
-        if not np.all(np.diff(pts) > 0.0):
+        widths = np.diff(pts)
+        if not np.all(widths > 0.0):
             raise ValueError("breakpoints must be strictly increasing")
+        if widths.min() < np.finfo(float).tiny:  # the basis recurrence divides by widths
+            raise ValueError("requires elements wide enough in double precision: width "
+                             f"{widths.min():.3g} is below the smallest normal double")
         object.__setattr__(self, "points", _frozen(pts))
 
     @classmethod
@@ -85,27 +89,12 @@ class Breakpoints:
         return float(self.points[-1])
 
     @property
-    def num_elements(self) -> int:
-        return self.points.size - 1
-
-    @property
     def num_interior(self) -> int:
         return self.points.size - 2
 
     @cached_property
     def h(self) -> float:
         return float(np.max(np.diff(self.points)))
-
-    @property
-    def h_min(self) -> float:
-        return float(np.min(np.diff(self.points)))
-
-    def element_of(self, x: float) -> int:
-        """Index j with x in [x_j, x_{j+1}); the last element is closed at b."""
-        if x < self.a or x > self.b:
-            raise ValueError(f"x={x} outside [{self.a}, {self.b}]")
-        j = int(np.searchsorted(self.points, x, side="right")) - 1
-        return min(max(j, 0), self.num_elements - 1)
 
 
 @dataclass(frozen=True)
@@ -133,10 +122,6 @@ class SplineSpace:
                 "derivative leaves the managed space chain: requires p >= 1 and k >= 0"
             )
         return make_space(self.degree - 1, self.smoothness - 1, self.breakpoints)
-
-    def antiderived(self) -> "SplineSpace":
-        """Image space of integration from the left endpoint."""
-        return make_space(self.degree + 1, self.smoothness + 1, self.breakpoints)
 
     def contains_space(self, other: "SplineSpace") -> bool:
         """Whether every element of `other` lies in this space (same breakpoints).
@@ -305,25 +290,12 @@ def _basis_table(
     return span - p, vals
 
 
-def eval_basis(
-    space: SplineSpace, x: float, deriv: int = 0, side: str = "auto"
-) -> tuple[int, np.ndarray]:
-    """Nonzero basis derivative values at ``x``.
-
-    Returns ``(first_index, values)`` where ``values`` holds the p+1
-    possibly-nonzero d-th basis derivatives with indices ``first_index ..
-    first_index + p``.  Evaluation is right-continuous at interior
-    breakpoints and left-continuous at ``b``; pass ``side='left'`` or
-    ``side='right'`` to force a one-sided limit.
-    """
-    first, vals = _basis_table([space], [[x]], (deriv,), side)
-    return int(first[0]), vals[0, :, 0]
-
-
 def eval_spline(s: Spline, x: float, deriv: int = 0, side: str = "auto") -> float:
-    """Value of the deriv-th derivative of ``s`` at ``x`` (broken for deriv > k)."""
-    first, vals = eval_basis(s.space, x, deriv, side)
-    return float(np.dot(s.coeffs[first : first + s.space.degree + 1], vals))
+    """Value of the deriv-th derivative of ``s`` at ``x`` (broken for deriv > k):
+    right-continuous at interior breakpoints and left-continuous at ``b``,
+    unless ``side`` is 'left' or 'right'."""
+    (f,), vals = _basis_table([s.space], [[x]], (deriv,), side)
+    return float(np.dot(s.coeffs[f : f + s.space.degree + 1], vals[0, :, 0]))
 
 
 def eval_spline_many(
@@ -379,7 +351,8 @@ def derive(s: Spline) -> Spline:
 
 def integrate_from_left(s: Spline) -> Spline:
     """Antiderivative of ``s`` vanishing at ``a``, in the (p+1, k+1) space."""
-    return Spline(s.space.antiderived(), _antiderivatives([s.space], s.coeffs))
+    p, k, xi = s.space.degree, s.space.smoothness, s.space.breakpoints
+    return Spline(make_space(p + 1, k + 1, xi), _antiderivatives([s.space], s.coeffs))
 
 
 def _antiderivatives(spaces: Sequence[SplineSpace], coeffs: np.ndarray) -> np.ndarray:
@@ -481,13 +454,3 @@ def embed(s: Spline, target: SplineSpace) -> Spline:
     derivs_at = lambda taus, orders: eval_spline_many(s, taus, orders)
     return Spline(target, _dual_coefficients([target], derivs_at, s.space.degree))
 
-
-def spline_to_poly(s: Spline) -> np.ndarray:
-    """Coefficients c_i = s^(i)(a)/i! of the first element's polynomial of
-    ``s`` in the shifted monomials (x-a)^i.
-
-    With no interior breakpoints this is the global polynomial of the spline.
-    """
-    p = s.space.degree
-    derivs = eval_spline_many(s, [s.space.breakpoints.a], range(p + 1))[:, 0]
-    return derivs / [factorial(i) for i in range(p + 1)]

@@ -52,7 +52,6 @@ from .mesh import (
     _antiderivatives,
     _frozen,
     _poly_coefficients,
-    make_space,
     splines,
 )
 from .quadrature import (
@@ -197,16 +196,11 @@ def _check_order(space: SplineSpace, q: int, u: SmoothFunction) -> None:
         )
 
 
-def derived_space(space: SplineSpace, q: int) -> SplineSpace:
-    """The q-times derived space (degree p-q, smoothness k-q)."""
-    return make_space(space.degree - q, space.smoothness - q, space.breakpoints)
-
-
 def _integrate(chain: Sequence[Sequence[SplineSpace]], lo: int, coeffs, values) -> np.ndarray:
     """Integrate the splines with joined coefficients ``coeffs`` in the
     spaces chain[lo] from the left len(values) times, adding values[i], one
     value per space, after the step that reaches order i; the clamped basis
-    sums to one.  chain[j + 1] holds the antiderived spaces of chain[j]."""
+    sums to one.  chain[j] holds the derived spaces of chain[j + 1]."""
     for step, v in enumerate(reversed(values)):
         spaces = chain[lo + step]
         coeffs = _antiderivatives(spaces, coeffs)
@@ -234,8 +228,9 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     spaces, u = levels.spaces, levels.u
     for space in spaces:
         _check_order(space, q, u)
-    chain = [[derived_space(space, q - i) for space in spaces] for i in range(q)]
-    chain.append(list(spaces))
+    chain = [list(spaces)]  # chain[i]: the (q - i)-times derived spaces
+    while len(chain) <= q:
+        chain.insert(0, [space.derived() for space in chain[0]])
     p = spaces[0].degree - q
     load_ns = [default_order(p, space.breakpoints) for space in spaces]
     ns = [load_ns, [default_order(p)] * len(spaces)]

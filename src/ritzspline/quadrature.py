@@ -53,7 +53,6 @@ class GaussRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +61,7 @@ def gauss_rule(n: int) -> GaussRule:
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"requires 1 <= n <= {MAX_ORDER}: got {n}")
     nodes, weights = leggauss(n)
-    return GaussRule(_frozen(nodes), _frozen(weights), n)
+    return GaussRule(_frozen(nodes), _frozen(weights))
 
 
 def resolve_order(requested: int, exact: int = 1) -> int:
@@ -91,19 +90,19 @@ def default_order(p: int, xi: Breakpoints | None = None) -> int:
 
 
 def mesh_points(xi: Breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points and weights per element, shaped (elements, n)."""
+    """Gauss points and weights per element, shaped (elements, n), each point
+    strictly inside its element, so that they share one knot span."""
     rule = gauss_rule(n)
     a = xi.points[:-1, None]
     b = xi.points[1:, None]
     half = 0.5 * (b - a)
-    return half * rule.nodes + 0.5 * (a + b), half * rule.weights
-
-
-def inner_product(f: Integrand, g: Integrand, xi: Breakpoints, n: int) -> float:
-    """Elementwise n-point Gauss approximation of the L2 inner product (f, g)."""
-    xs, ws = mesh_points(xi, n)
-    flat = xs.ravel()
-    return float(np.sum(np.asarray(f(flat)) * np.asarray(g(flat)) * ws.ravel()))
+    xs = half * rule.nodes + 0.5 * (a + b)
+    narrow = (xs[:, :1] <= a) | (xs[:, -1:] >= b)  # the nodes ascend
+    if narrow.any():
+        lo, hi = xi.points[np.argmax(narrow) + np.arange(2)].tolist()
+        raise ValueError("requires elements wide enough in double precision that no Gauss point "
+                         f"rounds onto a breakpoint: element [{lo}, {hi}] has width {hi - lo:.3g}")
+    return xs, half * rule.weights
 
 
 @dataclass(frozen=True)
@@ -233,19 +232,15 @@ class GridTable:
         the deriv-th basis derivatives, for the ``points`` of a run of spaces
         on the n-point grid.
 
-        Every row of Gauss points must share one span.  The degree-major
-        table is copied point-major, as the einsum contractions of the
-        assembly take it: contracted in place, the load vector's sums would
-        run in another order and change in their last bits.
+        The Gauss points of an element share one span (:func:`mesh_points`).
+        The degree-major table is copied point-major, as the einsum
+        contractions of the assembly take it: contracted in place, the load
+        vector's sums would run in another order and change in their last
+        bits.
         """
-        first = self.first[points].reshape(-1, n)
-        if np.any(first != first[:, :1]):
-            raise ValueError(
-                "requires elements wide enough in double precision that no Gauss "
-                "point rounds onto a breakpoint"
-            )
+        first = self.first[points][::n]
         vals = np.ascontiguousarray(self.vals[self.orders.index(deriv)][:, points].T)
-        return first[:, 0], vals.reshape(-1, n, vals.shape[1])
+        return first, vals.reshape(-1, n, vals.shape[1])
 
 
 def grid_tables(

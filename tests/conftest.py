@@ -1,8 +1,13 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
+from ritzspline.analysis import _projector, _spline_norms
 from ritzspline.functions import SmoothFunction
-from ritzspline.mesh import Breakpoints, Spline, make_space
+from ritzspline.mesh import Breakpoints, Spline, eval_spline_many, make_space
+from ritzspline.projectors import Levels
+from ritzspline.quadrature import mesh_points
 
 
 def random_breakpoints(rng, n_interior=None, a=0.0, b=1.0):
@@ -55,6 +60,32 @@ def random_smooth(rng):
         float(rng.uniform(-1.5, 1.5)),
         rng.normal(size=4),
     )
+
+
+def apply_projector(name, space, q, u):
+    """The projector named as on the CLI, applied to u on one space."""
+    return _projector(name)(Levels(u, [space]), q)[0]
+
+
+def spline_norm(s, l):
+    """Broken L2 norm of the l-th derivative of a spline, on the exact grid."""
+    (norms,) = _spline_norms([s.space], s.coeffs, [l])
+    return norms[0]
+
+
+def first_element_poly(s):
+    """Coefficients c_i = s^(i)(a)/i! of the first element's polynomial of
+    ``s`` in the shifted monomials (x-a)^i."""
+    p = s.space.degree
+    derivs = eval_spline_many(s, [s.space.breakpoints.a], range(p + 1))[:, 0]
+    return derivs / [factorial(i) for i in range(p + 1)]
+
+
+def gauss_inner_product(f, g, xi, n):
+    """Elementwise n-point Gauss approximation of the L2 inner product (f, g)."""
+    xs, ws = mesh_points(xi, n)
+    flat = xs.ravel()
+    return float(np.sum(np.asarray(f(flat)) * np.asarray(g(flat)) * ws.ravel()))
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from ritzspline.analysis import (
     moment_report,
     project_report,
     rq_difference_study,
-    spline_norm,
 )
 from ritzspline.functions import SmoothFunction, builtin, from_expression
 from ritzspline.mesh import (
@@ -32,7 +31,7 @@ from ritzspline.mesh import (
 from ritzspline.projectors import Levels, l2_project, q_project, ritz_project
 from ritzspline.quadrature import default_order, mesh_points
 
-from conftest import random_breakpoints, random_smooth, smooth_mix
+from conftest import apply_projector, random_breakpoints, random_smooth, smooth_mix, spline_norm
 
 UNIT = Breakpoints(np.array([0.0, 1.0]))
 
@@ -97,15 +96,15 @@ def test_function_seminorm_of_sine():
 def test_optimal_orders_for_smooth_target():
     u = builtin("sin4x")
     tab = convergence_study(u, "q", 3, 2, 2, (0, 1), levels=5)
-    assert tab.final_order(0) == pytest.approx(4.0, abs=0.15)
-    assert tab.final_order(1) == pytest.approx(3.0, abs=0.15)
+    assert tab.orders[0][-1] == pytest.approx(4.0, abs=0.15)
+    assert tab.orders[1][-1] == pytest.approx(3.0, abs=0.15)
     assert tab.hs == [2.0**-i for i in range(1, 6)]
 
 
 def test_suboptimal_quadratic_case():
     u = builtin("sin4x")
     tab = convergence_study(u, "q", 2, 1, 2, (0,), levels=5)
-    assert tab.final_order(0) == pytest.approx(2.0, abs=0.15)
+    assert tab.orders[0][-1] == pytest.approx(2.0, abs=0.15)
 
 
 def test_orders_stabilize():
@@ -143,8 +142,8 @@ def test_studies_reject_levels_below_one(levels):
 def test_difference_study_orders():
     u = builtin("sin4x")
     tab = rq_difference_study(u, 3, 2, 2, (0, 1), levels=5)
-    assert tab.final_order(0) == pytest.approx(4.0, abs=0.3)
-    assert tab.final_order(1) == pytest.approx(4.0, abs=0.3)
+    assert tab.orders[0][-1] == pytest.approx(4.0, abs=0.3)
+    assert tab.orders[1][-1] == pytest.approx(4.0, abs=0.3)
     assert not any(tab.zero_flags)
 
 
@@ -200,7 +199,7 @@ def test_batched_study_is_each_level_alone(projector, grading):
         qss = q_projections(Levels(u, spaces), 2)
         for i, (space, qs) in enumerate(zip(spaces, qss)):
             level = Levels(u, [space], (0, 1, 2))
-            s = analysis.apply_projector(projector, space, 2, u)
+            s = apply_projector(projector, space, 2, u)
             assert [tab.errors[l][i] for l in l_set] == error_norm(u, s, l_set)
             (sampled,) = analysis._projector(projector)(level, 2)
             assert np.array_equal(sampled.coeffs, s.coeffs)
@@ -215,8 +214,7 @@ def test_norms_take_a_sequence_of_orders(rng):
     u = random_smooth(rng)
     s = l2_project(space, u)
     assert error_norm(u, s, [1, 0, 3]) == [error_norm(u, s, l) for l in (1, 0, 3)]
-    assert spline_norm(s, (2, 4)) == [spline_norm(s, 2), spline_norm(s, 4)]
-    assert error_norm(u, s, ()) == [] and spline_norm(s, []) == []
+    assert error_norm(u, s, ()) == []
     with pytest.raises(ValueError, match="max_order"):
         error_norm(u, s, [0, u.max_order + 1])
 
@@ -254,7 +252,6 @@ def test_table_orders():
     tab = sample_table()
     assert tab.orders[0] == [pytest.approx(2.0)]
     assert tab.orders[1] == [pytest.approx(1.0)]
-    assert tab.final_order(0) == pytest.approx(2.0)
 
 
 def test_csv_layout():
@@ -276,8 +273,6 @@ def test_json_round_trip():
 def test_single_row_table_has_no_orders():
     tab = ConvergenceTable({}, [0.5], {0: [0.1]})
     assert tab.orders[0] == []
-    with pytest.raises(ValueError):
-        tab.final_order(0)
     assert "eoc_l0" in tab.to_csv().splitlines()[0]
 
 

@@ -120,6 +120,62 @@ def test_known_noise_rows_are_listed_apart(tmp_path, capsys):
     assert "column=boundary.residual  abs_diff=3.000e-21" in noise[9]
 
 
+QTILDE_BOUNDARY = "endpoint,l,residual,scaled,applicable\na,0,{},{},1\nb,0,{},{},1\na,1,{},{},1\nb,1,{},{},1\n"
+QTILDE_MOMENTS = "kind,index,residual,scaled,applicable\nmean,0,{},{},1\nmean,1,{},{},1\nmoment,0,{},{},1\n"
+
+
+def test_qtilde_rows_that_vanish_by_construction_are_noise(tmp_path, capsys):
+    """Two files that moved by roundoff alone when parsed expressions went to
+    Taylor arithmetic (p = 4 on the nonuniform mesh): the order-1 boundary
+    residual at b, 0 -> 1.8e-15 at q = 2, and the moment residuals at q = 1,
+    up to 3.0e-16.  The order-0 boundary rows stay regular: there Q~u differs
+    from u by the constant that fixes its mean, 5.9e-4 for sin4x at p = 3,
+    q = 2 on 4 elements."""
+    def pairs(*values):
+        return [v for value in values for v in (value, value)]
+
+    old = _tree(tmp_path / "old", {
+        "project/expr-nonuniform-qtilde-q2-csv/boundary.csv": QTILDE_BOUNDARY.format(
+            *pairs("3.6478670341332556e-16", "1.1102230246251565e-16",
+                   "4.4408920985006262e-16", "0")),
+        "project/expr-nonuniform-qtilde-q1-csv/moments.csv": QTILDE_MOMENTS.format(
+            *pairs("1.9742643934603232e-17", "1.4055325913558958e-16",
+                   "1.9742643934603232e-17")),
+        "project/sin4x-qtilde-q2-json/report.json":
+            '{"boundary": [{"endpoint": "a", "l": 0, "residual": 0.00058820343804047957, '
+            '"applicable": true}, {"endpoint": "b", "l": 1, "residual": 0, "applicable": true}]}',
+    })
+    new = _tree(tmp_path / "new", {
+        "project/expr-nonuniform-qtilde-q2-csv/boundary.csv": QTILDE_BOUNDARY.format(
+            *pairs("4.7588259939362469e-16", "4.4408920985006262e-16",
+                   "4.4408920985006262e-16", "1.7763568394002505e-15")),
+        "project/expr-nonuniform-qtilde-q1-csv/moments.csv": QTILDE_MOMENTS.format(
+            *pairs("4.292106526150672e-17", "4.3738070890780856e-16",
+                   "4.292106526150672e-17")),
+        "project/sin4x-qtilde-q2-json/report.json":
+            '{"boundary": [{"endpoint": "a", "l": 0, "residual": 0.00059, '
+            '"applicable": true}, {"endpoint": "b", "l": 1, "residual": 4.4e-16, "applicable": true}]}',
+    })
+    assert artifact_diff.compare(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    split = out.index("known noise rows:")
+    regular, noise = out[:split], out[split + 1 :]
+    assert [line.split()[0] for line in regular] == [
+        "project/expr-nonuniform-qtilde-q2-csv/boundary.csv",  # its order-0 rows
+        "project/sin4x-qtilde-q2-json/report.json",
+    ]
+    assert "abs_diff=3.331e-16" in regular[0]
+    assert "column=boundary.residual  abs_diff=1.797e-06" in regular[1]
+    assert [line.split()[0] for line in noise] == [
+        "project/expr-nonuniform-qtilde-q1-csv/moments.csv",
+        "project/expr-nonuniform-qtilde-q2-csv/boundary.csv",
+        "project/sin4x-qtilde-q2-json/report.json",
+    ]
+    assert "abs_diff=2.968e-16" in noise[0]
+    assert "rel_to_column_max=1.000e+00" in noise[1] and "abs_diff=1.776e-15" in noise[1]
+    assert "abs_diff=4.400e-16" in noise[2]
+
+
 def test_project_degree_matches_the_hash_matrix():
     """The correction noise rows rest on the degree of the matrix's project runs."""
     spec = importlib.util.spec_from_file_location(

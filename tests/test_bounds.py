@@ -16,6 +16,8 @@ from ritzspline.bounds import (
 )
 from ritzspline.quadrature import gauss_rule
 
+from conftest import spline_norm
+
 
 # ---------------------------------------------------------------------------
 # projection constant
@@ -365,7 +367,7 @@ def test_measured_errors_within_bounds_all_sobolev_orders():
 
 
 def test_measured_projector_difference_within_proven_bound():
-    from ritzspline.analysis import function_seminorm, spline_norm
+    from ritzspline.analysis import function_seminorm
     from ritzspline.functions import builtin
     from ritzspline.mesh import Breakpoints, make_space
     from ritzspline.projectors import q_project, ritz_project
@@ -424,7 +426,7 @@ def test_measured_errors_within_bounds_on_graded_meshes():
                 continue
             coeff = error_coefficient(BoundQuery(p=p, k=k, q=q, l=l, r=r, h=xi.h))
             assert error_norm(u, s, l) <= coeff * semi * (1 + 1e-9), (
-                u.description, xi.num_elements, p, k, q, l,
+                u.description, xi.points.size - 1, p, k, q, l,
             )
 
 
@@ -436,17 +438,17 @@ def test_measured_broken_errors_within_bounds():
         semi = function_seminorm(u, r, xi)
         for l in range(q + 1, r + 1):
             coeff = broken_error_coefficient(
-                BoundQuery(p=p, k=k, q=q, l=l, r=r, h=xi.h, h_min=xi.h_min)
+                BoundQuery(p=p, k=k, q=q, l=l, r=r, h=xi.h, h_min=float(np.min(np.diff(xi.points))))
             )
             assert error_norm(u, s, l) <= coeff * semi * (1 + 1e-9), (
-                u.description, xi.num_elements, p, k, q, l,
+                u.description, xi.points.size - 1, p, k, q, l,
             )
 
 
 def test_measured_projector_difference_within_bound_on_graded_meshes():
     """|d^l (Ru - Qu)| against difference_coefficient on the graded meshes,
     l < q, wherever the coefficient is stated (p >= max(r - 1, 2q - 1))."""
-    from ritzspline.analysis import function_seminorm, spline_norm
+    from ritzspline.analysis import function_seminorm
     from ritzspline.projectors import ritz_project
 
     checked = 0
@@ -460,7 +462,7 @@ def test_measured_projector_difference_within_bound_on_graded_meshes():
                 BoundQuery(p=p, k=k, q=q, l=l, r=r, h=xi.h, length=xi.b - xi.a)
             )
             assert spline_norm(diff, l) <= coeff * semi * (1 + 1e-9), (
-                u.description, xi.num_elements, p, k, q, l,
+                u.description, xi.points.size - 1, p, k, q, l,
             )
             checked += 1
     assert checked == 246

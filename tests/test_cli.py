@@ -131,6 +131,50 @@ def test_project_rejects_nonfinite_breakpoints(tmp_path, capsys, mesh):
     assert not out.exists()
 
 
+# Each case once exited 0 writing inf or nan, or failed inside scipy or on
+# a Gauss point outside the mesh.
+UNRESOLVED = {
+    "derivative-order-project": (
+        ["project", "--function", "sin4x", "--p", "20", "--q", "20", "--breakpoints", "0,1e-17,1"],
+        "requires derivative orders that double precision resolves on elements of width "
+        "1e-17: order 11 gives inf",
+    ),
+    "derivative-order-converge": (
+        ["converge", "--function", "sin4x", "--p-list", "3", "--q", "2", "--l-list", "0,2",
+         "--levels", "2", "--interval", "0", "1e-160"],
+        "requires derivative orders that double precision resolves on elements of width "
+        "2.5e-161: order 2 gives nan",
+    ),
+    "subnormal-element": (
+        ["project", "--function", "sin4x", "--p", "2", "--q", "1", "--breakpoints", "0,1e-310,1"],
+        "requires elements wide enough in double precision: width 1e-310 is below the smallest "
+        "normal double",
+    ),
+    "one-ulp-element": (
+        ["project", "--function", "sin4x", "--p", "3", "--q", "2",
+         "--breakpoints", "1,1.0000000000000002,2"],
+        "requires elements wide enough in double precision that no Gauss point rounds onto a "
+        "breakpoint: element [1.0, 1.0000000000000002] has width 2.22e-16",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESOLVED))
+def test_what_double_precision_cannot_resolve_exits_2(tmp_path, capsys, case):
+    argv, message = UNRESOLVED[case]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_project_names_the_function_it_cannot_evaluate(tmp_path, capsys):
+    """Order 0 of u is u itself, not a derivative of it."""
+    assert run(["project", "--function", "1e999", "--p", "2", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: requires u finite on the interval: derivative 0 of 1e999 is inf")
+
+
 def test_project_ritz_computes_q_once(tmp_path, monkeypatch):
     """The Ritz projection and the correction it writes share one Q."""
     from ritzspline import projectors

@@ -13,7 +13,7 @@ from ritzspline.eigenproblem import (
     backward_errors,
     clamped_beam_eigenvalues,
     constrained_space,
-    predict_non_outliers,
+    resolved_modes,
     solve_biharmonic,
 )
 from ritzspline.mesh import Breakpoints, Spline, eval_spline
@@ -135,21 +135,26 @@ def test_matrices_symmetric_and_mass_spd():
 # ---------------------------------------------------------------------------
 
 
+def _resolved(h, lam):
+    """The number of modes that the spectral cutoff admits."""
+    return int(np.sum(resolved_modes(h, lam)))
+
+
 def test_prediction_closed_form():
     lam = asymptotic_eigenvalues(40)
-    assert predict_non_outliers(0.1, lam) == 9  # (2i+1)/2 < 10 means i <= 9
+    assert _resolved(0.1, lam) == 9  # (2i+1)/2 < 10 means i <= 9
 
 
 def test_prediction_strict_at_cutoff():
     lam = clamped_beam_eigenvalues(1)
     h = math.pi / lam[0] ** 0.25
-    assert predict_non_outliers(h, lam) == 0
-    assert predict_non_outliers(h * 0.999, lam) == 1
+    assert _resolved(h, lam) == 0
+    assert _resolved(h * 0.999, lam) == 1
 
 
 def test_prediction_all_modes_for_fine_mesh():
     lam = clamped_beam_eigenvalues(25)
-    assert predict_non_outliers(1e-4, lam) == 25
+    assert _resolved(1e-4, lam) == 25
 
 
 def test_prediction_never_exceeds_count():
@@ -210,7 +215,7 @@ def test_report_bytes_match_row_by_row_formula():
             "n": rep.n,
             "threshold": rep.threshold,
             "predicted_non_outliers": int(np.sum(pred)),
-            "predicted_non_outliers_asymptotic": predict_non_outliers(rep.h, rep.asymptotic),
+            "predicted_non_outliers_asymptotic": _resolved(rep.h, rep.asymptotic),
             "observed_outliers": [int(i) + 1 for i in np.nonzero(rel > rep.threshold)[0]],
             "lambda_h": list(rep.lambdas),
             "lambda_ref": list(rep.references),

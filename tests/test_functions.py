@@ -363,6 +363,7 @@ def test_derivative_shifting():
     assert du.max_order == u.max_order - 2
     f = from_expression("sin(4*x)")
     assert np.array_equal(f.derivative(2).eval(xs, 1), f.eval(xs, 3))
+    assert u.derivative(0) is u and f.derivative(0) is f
 
 
 def test_eval_order_guard():

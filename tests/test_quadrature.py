@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ritzspline.analysis import apply_projector, error_norm, function_seminorm
+from ritzspline.analysis import error_norm, function_seminorm
 from ritzspline.functions import builtin, resolve_function
 from ritzspline.mesh import Breakpoints, make_space
 from ritzspline.quadrature import (
@@ -15,13 +15,12 @@ from ritzspline.quadrature import (
     gauss_rule,
     gram_matrix,
     grid_tables,
-    inner_product,
     load_vector,
     mesh_points,
     resolve_order,
 )
 
-from conftest import random_breakpoints
+from conftest import apply_projector, gauss_inner_product, random_breakpoints
 
 
 def test_one_point_rule():
@@ -71,37 +70,27 @@ def test_odd_power_integrates_to_zero():
     assert abs(np.sum(r.weights * r.nodes**9)) < 1e-14
 
 
-def test_inner_product_examples():
-    xi = Breakpoints(np.array([0.0, 1.0]))
-    one = lambda x: np.ones_like(x)
-    assert inner_product(one, one, xi, 3) == pytest.approx(1.0)
-    ident = lambda x: x
-    assert inner_product(ident, ident, xi, 2) == pytest.approx(1 / 3, abs=1e-15)
-    val = inner_product(lambda x: np.sin(4 * x), one, xi, 20)
-    assert val == pytest.approx((1 - np.cos(4.0)) / 4, abs=1e-12)
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31), deg=st.integers(0, 6))
 def test_exactness_for_piecewise_polynomials(seed, deg):
     r = np.random.default_rng(seed)
     xi = random_breakpoints(r, 3)
     pts = xi.points
-    coeffs = [r.normal(size=deg + 1) for _ in range(xi.num_elements)]
+    coeffs = [r.normal(size=deg + 1) for _ in range(xi.points.size - 1)]
 
     def f(x):
         out = np.empty_like(x)
-        idx = np.clip(np.searchsorted(pts, x, side="right") - 1, 0, xi.num_elements - 1)
-        for el in range(xi.num_elements):
+        idx = np.clip(np.searchsorted(pts, x, side="right") - 1, 0, (xi.points.size - 1) - 1)
+        for el in range(xi.points.size - 1):
             m = idx == el
             out[m] = np.polyval(coeffs[el], x[m])
         return out
 
     # n = ceil((d+1)/2) points integrate f*1 (degree d) exactly
     n = (deg + 1 + 1) // 2
-    approx = inner_product(f, lambda x: np.ones_like(x), xi, n)
+    approx = gauss_inner_product(f, lambda x: np.ones_like(x), xi, n)
     exact = 0.0
-    for el in range(xi.num_elements):
+    for el in range(xi.points.size - 1):
         ac = np.polyint(coeffs[el])
         exact += np.polyval(ac, pts[el + 1]) - np.polyval(ac, pts[el])
     assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
@@ -314,7 +303,7 @@ def test_default_order_matches_max_order_rule(name, monkeypatch):
                 monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
                 ref = apply_projector(projector, space, q, u).coeffs
                 gap = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-                worst.append((gap / (1e-10 + floor), xi.num_elements, p, projector, gap))
+                worst.append((gap / (1e-10 + floor), (xi.points.size - 1), p, projector, gap))
     ratio, *case = max(worst)
     assert ratio <= 1.0, case
 
