@@ -22,7 +22,6 @@ from .mesh import Breakpoints, Spline, SplineSpace, _basis_table, make_space
 from .projectors import (
     Levels,
     _check_order,
-    l2_projections,
     q_projections,
     qtilde_projections,
     ritz_projections,
@@ -140,12 +139,12 @@ def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
 
-# Each takes (levels, q) and projects u onto every level.  What they
-# evaluate on the levels' error-norm grids (the L2 load, the residual that
-# the Ritz correction and Q-tilde fit) comes from ``levels.sample``, which
-# the error norms and reports then read too.
+# Each takes (levels, q) and projects u onto every level; L2 is Q_0.  What
+# they evaluate on the levels' error-norm grids (the load at q = 0, the
+# residual that the Ritz correction and Q-tilde fit) comes from
+# ``levels.sample``, which the error norms and reports then read too.
 _PROJECTORS = {
-    "l2": lambda levels, q: l2_projections(levels),
+    "l2": lambda levels, q: q_projections(levels, 0),
     "q": q_projections,
     "ritz": ritz_projections,
     "qtilde": qtilde_projections,
@@ -228,9 +227,11 @@ class ConvergenceTable:
 MAX_LEVELS = 16
 
 
-def _study_meshes(
-    levels: int, interval: tuple[float, float], grading: float
-) -> list[Breakpoints]:
+def _study_spaces(u, study, projector, p, k, q, l_set, levels, interval, grading, **extra):
+    """The meta record of a study, its eight shared keys then ``extra``, and
+    the spaces of its levels on the dyadically refined meshes of
+    ``interval``, after requiring distinct orders in ``l_set``."""
+    _check_list("l_set", l_set)
     if levels < 1:
         raise ValueError(f"requires levels >= 1: got {levels}")
     if levels > MAX_LEVELS:
@@ -238,10 +239,11 @@ def _study_meshes(
             f"requires levels <= MAX_LEVELS = {MAX_LEVELS}, the finest mesh having "
             f"2^levels elements: got {levels}"
         )
+    meta = {"study": study, "function": u.description, "projector": projector, "p": p, "k": k,
+            "q": q, "interval": list(interval), "grading": grading, **extra}
     a, b = interval
-    return [
-        Breakpoints.uniform(2**i, a, b, grading=grading) for i in range(1, levels + 1)
-    ]
+    meshes = [Breakpoints.uniform(2**i, a, b, grading=grading) for i in range(1, levels + 1)]
+    return meta, [make_space(p, k, xi) for xi in meshes]
 
 
 def _study_table(meta, spaces, l_set, norms, flags=None) -> ConvergenceTable:
@@ -270,18 +272,7 @@ def convergence_study(
     contraction all errors.  Each level's numbers are those of that level
     alone, bit for bit.  ``l_set`` lists distinct orders.
     """
-    _check_list("l_set", l_set)
-    meta = {
-        "study": "error",
-        "function": u.description,
-        "projector": projector,
-        "p": p,
-        "k": k,
-        "q": q,
-        "interval": list(interval),
-        "grading": grading,
-    }
-    spaces = [make_space(p, k, xi) for xi in _study_meshes(levels, interval, grading)]
+    meta, spaces = _study_spaces(u, "error", projector, p, k, q, l_set, levels, interval, grading)
     project = _projector(projector)
     if projector != "l2":
         _check_order(spaces[0], q, u)
@@ -309,19 +300,8 @@ def rq_difference_study(
     to degree 3q - 1, where the two projectors coincide.  ``l_set`` lists
     distinct orders.
     """
-    _check_list("l_set", l_set)
-    meta = {
-        "study": "rq-diff",
-        "function": u.description,
-        "projector": "ritz-q",
-        "p": p,
-        "k": k,
-        "q": q,
-        "interval": list(interval),
-        "grading": grading,
-        "zero_expected": p >= 3 * q - 1,
-    }
-    spaces = [make_space(p, k, xi) for xi in _study_meshes(levels, interval, grading)]
+    meta, spaces = _study_spaces(u, "rq-diff", "ritz-q", p, k, q, l_set, levels, interval,
+                                 grading, zero_expected=p >= 3 * q - 1)
     _check_order(spaces[0], q, u)
     levels = Levels(u, spaces)
     qs = q_projections(levels, q)

@@ -31,17 +31,16 @@ from .quadrature import ENV_ORDER, default_order
 from .analysis import _check_list, _csv, _dumps, _fmt, _projector
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, convert=int, kind: str = "integer") -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [convert(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list: got '{text}'")
+        raise ValueError(f"expected a comma-separated {kind} list: got '{text}'") from None
 
 
 def _make_breakpoints(args) -> Breakpoints:
     if args.breakpoints is not None:
-        pts = [float(tok) for tok in args.breakpoints.split(",") if tok != ""]
-        return Breakpoints(np.array(pts))
+        return Breakpoints(np.array(_parse_list(args.breakpoints, float, "number")))
     a, b = args.interval
     return Breakpoints.uniform(args.uniform + 1, a, b)
 
@@ -123,14 +122,18 @@ def _smoothness_for(rule: str, p: int) -> int:
     if rule == "max":
         return p - 1
     if rule.startswith("fixed:"):
-        return int(rule.split(":", 1)[1])
+        try:
+            return int(rule.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"--k must be 'max' or 'fixed:K' with K an integer: "
+                             f"got '{rule}'") from None
     raise ValueError(f"--k must be 'max' or 'fixed:K': got '{rule}'")
 
 
 def cmd_converge(args) -> int:
     u = resolve_function(args.function)
-    p_list = _parse_int_list(args.p_list)
-    l_list = tuple(_parse_int_list(args.l_list))
+    p_list = _parse_list(args.p_list)
+    l_list = tuple(_parse_list(args.l_list))
     _check_list("--p-list", p_list)
     _check_list("--l-list", l_list)
     if args.study == "error" and any(l > args.q for l in l_list):

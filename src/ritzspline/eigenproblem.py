@@ -46,10 +46,11 @@ def _sech(m: float) -> float:
 
 @lru_cache(maxsize=None)
 def _beam_root(i: int) -> float:
-    """i-th root of cos(mu) cosh(mu) = 1, the clamped-beam frequency equation.
+    """i-th root, i >= 1, of cos(mu) cosh(mu) = 1, the clamped-beam frequency equation.
 
     Solved as cos(mu) = sech(mu) (overflow-free) by a bisection-safeguarded
-    Newton iteration from the asymptotic start (2i+1) pi / 2.
+    Newton iteration from the asymptotic start (2i+1) pi / 2, bracketed by
+    mu -+ 0.5, where cos = -+sin 0.5 and sech <= 0.03.
     """
     mu = (2 * i + 1) * math.pi / 2.0
     lo, hi = mu - 0.5, mu + 0.5
@@ -57,10 +58,7 @@ def _beam_root(i: int) -> float:
     def f(m: float) -> float:
         return math.cos(m) - _sech(m)
 
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:  # asymptotic start is already extremely close
-        lo, hi = mu - 1.0, mu + 1.0
-        flo, fhi = f(lo), f(hi)
+    flo = f(lo)
     x = mu
     for _ in range(200):
         fx = f(x)

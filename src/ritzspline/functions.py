@@ -35,6 +35,11 @@ ANY_ORDER = 1_000_000
 # Derivative orders of a parsed expression are capped to keep its programs small.
 MAX_SYMBOLIC_ORDER = 12
 
+# Parentheses and calls nest at most MAX_NESTING deep, and the parsed tree,
+# one level per operator of a chain of + - * /, has at most MAX_DEPTH levels:
+# the parser and the compiler recurse that deep.
+MAX_NESTING, MAX_DEPTH = 200, 500
+
 
 class ExpressionError(ValueError):
     """Parse or evaluation failure, carrying the source position when known."""
@@ -271,6 +276,7 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.nesting = 0
 
     def error(self, message: str) -> ExpressionError:
         return ExpressionError(message, self.pos)
@@ -319,7 +325,7 @@ class _Parser:
             self.pos += 1
             self.skip_ws()
             start = self.pos
-            while self.pos < len(self.src) and self.src[self.pos].isdigit():
+            while self.pos < len(self.src) and self.src[self.pos].isdecimal():
                 self.pos += 1
             if self.pos == start:
                 raise self.error("expected unsigned integer exponent")
@@ -327,12 +333,7 @@ class _Parser:
         return node
 
     def base(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return node
+        ch, name = self.peek(), ""
         if ch.isdigit() or ch == ".":
             return self.number()
         if ch.isalpha():
@@ -342,14 +343,19 @@ class _Parser:
             name = self.src[start : self.pos]
             if name == "x":
                 return Var()
-            if name in _CALLS:
-                self.take("(")
-                node = self.expr()
-                self.take(")")
-                return Call(name, node)
-            self.pos = start
-            raise self.error(f"unknown identifier '{name}'")
-        raise self.error("expected number, 'x', '(' or function")
+            if name not in _CALLS:
+                self.pos = start
+                raise self.error(f"unknown identifier '{name}'")
+        elif ch != "(":
+            raise self.error("expected number, 'x', '(' or function")
+        self.take("(")
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise self.error(f"requires parentheses and calls nested at most {MAX_NESTING} deep")
+        node = self.expr()
+        self.take(")")
+        self.nesting -= 1
+        return Call(name, node) if name else node
 
     def number(self) -> Expr:
         self.skip_ws()
@@ -380,7 +386,15 @@ class _Parser:
 
 def parse(src: str) -> Expr:
     """Parse an expression in the grammar; raises ExpressionError with position."""
-    return _Parser(src).parse()
+    ast = _Parser(src).parse()
+    depth, level = 0, [ast]
+    while level:  # the levels of the tree, counted without recursion
+        depth += 1
+        level = [v for node in level for v in vars(node).values() if isinstance(v, Expr)]
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"requires an expression tree at most {MAX_DEPTH} levels deep, "
+                              f"one per operator of a chain: got {depth}")
+    return ast
 
 
 # ---------------------------------------------------------------------------

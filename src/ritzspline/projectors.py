@@ -1,28 +1,31 @@
 """Projectors onto spline spaces: L2, boundary-interpolating, Ritz, and
 the mean-preserving variant.
 
-The three Ritz-type projectors of order q share one assembly: L2-project
-u^(q) onto the q-times derived space, integrate q times from the left, and
-add the value s^(i)(a) as the constant of integration at each order i.
-They differ only in those values.  The boundary-interpolating projector
-takes u^(i)(a) for all i < q; the classical Ritz projector fixes all q by
-moments against the first q Legendre polynomials (its saddle-point system
-in derived coordinates); the mean-preserving variant fixes only the
-constant that way.  The Ritz projector is also computed as the boundary
+All four projectors share one assembly: L2-project u^(q) onto the q-times
+derived space, integrate q times from the left, and add the value s^(i)(a)
+as the constant of integration at each order i.  They differ only in those
+values.  The boundary-interpolating projector Q_q takes u^(i)(a) for all
+i < q; the classical Ritz projector fixes all q by moments against the first
+q Legendre polynomials (its saddle-point system in derived coordinates);
+the mean-preserving variant fixes only the constant that way.  At q = 0
+there is no constant to fix and all three are the L2 projection, the base
+case Q_0 of the recursion Q_q u = u(a) + J Q_{q-1} u'; the L2 projector is
+computed as Q_0.  The Ritz projector is also computed as the boundary
 projection plus a degree-(q-1) polynomial correction; that route is kept
 as a cross-check of the assembly.  Both routes fix their polynomial part
 with the one polynomial L2 projection, ``poly_l2_project``, which the
 closed-form tests and the dense-KKT reference check independently.  A
 polynomial part is a coefficient array c in the shifted monomials (x-a)^i,
-a the left end of the breakpoints, evaluated with ``npp.polyval(x - a, c)``.
+a the left end of the breakpoints, evaluated with
+``npp.polyval(x - a, c)``.
 
 Every projector is computed for a :class:`Levels`, u on a list of spaces
 of one degree (the levels of a convergence study), as one array program on
 their joined coefficient vector: one assembly and banded solve for all L2
-projections, one padded ``cumsum`` per integration, one Vandermonde build
+steps, one padded ``cumsum`` per integration, one Vandermonde build
 and one stacked solve for all polynomial fits, one change of basis for all
-corrections.  What is evaluated on the levels' error-norm grids, the L2
-load of u and the residual u - s that the Ritz correction and the
+corrections.  What is evaluated on the levels' error-norm grids, the load
+of u at q = 0 and the residual u - s that the Ritz correction and the
 mean-preserving variant fit, comes from the one ``Levels.sample``, which
 the error report then reads too.  A ``Levels`` also keeps, per q, the
 boundary projections and Ritz corrections computed on it, so the boundary
@@ -74,8 +77,8 @@ class Levels:
     grids, the ``default_order(p, xi)``-point grid of each mesh, with u^(l)
     there for every l in ``orders`` and l = 0: one ``u.eval`` call and one
     basis sweep for all levels, made on first use.  The projectors read
-    order 0 there (the L2 load, the Ritz correction, the mean of Q-tilde)
-    and the reports every order.
+    order 0 there (the load at q = 0, the Ritz correction, the mean of
+    Q-tilde) and the reports every order.
 
     ``boundary(q)`` and ``correction(q)`` are the joined coefficients of the
     order-q boundary projections of u onto the levels and the rows of their
@@ -108,27 +111,9 @@ class Levels:
 
 
 def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
-    """Best L2 approximation of ``u`` in the space (banded normal equations)."""
-    return l2_projections(Levels(u, [space]))[0]
-
-
-def l2_projections(levels: Levels) -> list[Spline]:
-    """:func:`l2_project` of u onto each level: the load from the levels'
-    sample, whose grid is the load grid, and only the exact Gram grid
-    tabulated anew."""
-    load, p = levels.sample, levels.spaces[0].degree
-    (gram,) = grid_tables(levels.spaces, [[default_order(p)] * len(levels.spaces)], (0,))
-    return splines(levels.spaces, _l2_coefficients(load, gram))
-
-
-def _l2_coefficients(load: GridTable, gram: GridTable) -> np.ndarray:
-    """Joined coefficients of the L2 projections of the function sampled by
-    ``load`` (its u^(0)) onto the table's spaces, with their Gram grid table
-    ``gram``: one assembly and one banded solve for every space.  Each sum
-    runs over a space's own terms in its own order, so each projection is
-    that of a call for its space alone, bit for bit."""
-    rhs = load_values(load, load.u_values((0,))[0], 0)
-    return solve_blocks(gram_bands(gram, 0), rhs, [space.dim for space in load.spaces])
+    """Best L2 approximation of ``u`` in the space (banded normal equations):
+    the order-0 boundary projection."""
+    return q_project(space, 0, u)
 
 
 def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> np.ndarray:
@@ -219,11 +204,14 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     without that part.  With m = q this is the Ritz saddle-point system in
     derived coordinates: the polynomials span the kernel of the order-q
     stiffness and, the moment matrix being nonsingular, the multipliers
-    vanish.  The L2 step tabulates its load grid, where it samples u^(q),
-    and its exact Gram grid in one sweep; the lower part reads the levels'
-    sample.  Every step is one array program over all spaces, each space's
-    coefficients those of a call for it alone, bit for bit; u^(i)(a) is
-    evaluated once per distinct left end a.
+    vanish.  For q >= 1 the L2 step tabulates its load grid, where it
+    samples u^(q), and its exact Gram grid in one sweep; for q = 0 its load
+    grid is the error grid, so it reads the load from the levels' sample and
+    tabulates only the Gram grid.  The lower part reads the sample too.  The
+    L2 step is one assembly and one banded solve for all spaces, and every
+    step is one array program over them, each space's coefficients those of
+    a call for it alone, bit for bit; u^(i)(a) is evaluated once per
+    distinct left end a.
     """
     spaces, u = levels.spaces, levels.u
     for space in spaces:
@@ -232,9 +220,14 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     while len(chain) <= q:
         chain.insert(0, [space.derived() for space in chain[0]])
     p = spaces[0].degree - q
-    load_ns = [default_order(p, space.breakpoints) for space in spaces]
-    ns = [load_ns, [default_order(p)] * len(spaces)]
-    s = _l2_coefficients(*grid_tables(chain[0], ns, (0,), u.derivative(q)))
+    gram_ns = [default_order(p)] * len(spaces)
+    if q:
+        load_ns = [default_order(p, space.breakpoints) for space in spaces]
+        load, gram = grid_tables(chain[0], [load_ns, gram_ns], (0,), u.derivative(q))
+    else:  # the load grid is the error grid
+        load, (gram,) = levels.sample, grid_tables(spaces, [gram_ns], (0,))
+    rhs = load_values(load, load.u_values((0,))[0], 0)
+    s = solve_blocks(gram_bands(gram, 0), rhs, [space.dim for space in chain[0]])
     lefts = [space.breakpoints.a for space in spaces]
     at = {a: u.eval(a, range(m, q)) for a in dict.fromkeys(lefts)}
     s = _integrate(chain, 0, s, np.array([at[a] for a in lefts]).T)

@@ -85,7 +85,7 @@ def default_order(p: int, xi: Breakpoints | None = None) -> int:
     """
     if xi is None:
         return resolve_order(p + 1, p + 1)
-    width = math.ceil(SMOOTH_WIDTH * xi.h / (xi.b - xi.a))
+    width = math.ceil(SMOOTH_WIDTH * (xi.h / (xi.b - xi.a)))
     return resolve_order(max(p + 1 + SMOOTH_MARGIN, width), p + 1)
 
 

@@ -168,6 +168,70 @@ def test_what_double_precision_cannot_resolve_exits_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Each case once reached the user as Python's own message, or exited 1 on
+# an exceeded recursion depth.
+BAD_INPUT = {
+    "nested-parentheses": (
+        ["project", "--function", "(" * 300 + "x" + ")" * 300, "--p", "2"],
+        "requires parentheses and calls nested at most 200 deep (at position 201)",
+    ),
+    "long-sum": (
+        ["project", "--function", "+".join(["x"] * 1500), "--p", "2"],
+        "requires an expression tree at most 500 levels deep, one per operator of a chain: "
+        "got 1500",
+    ),
+    "superscript-exponent": (
+        ["project", "--function", "x^\u00b2", "--p", "2"],
+        "expected unsigned integer exponent (at position 2)",
+    ),
+    "fixed-smoothness": (
+        ["converge", "--function", "sin4x", "--p-list", "2", "--k", "fixed:x", "--q", "1"],
+        "--k must be 'max' or 'fixed:K' with K an integer: got 'fixed:x'",
+    ),
+    "breakpoints": (
+        ["project", "--function", "sin4x", "--p", "2", "--breakpoints", "0,a,1"],
+        "expected a comma-separated number list: got '0,a,1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2_naming_what_was_expected(tmp_path, capsys, case):
+    argv, message = BAD_INPUT[case]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("function,same_as", [
+    ("(" * 200 + "x" + ")" * 200, "x"),
+    ("x^\u0663", "x^3"),  # an Arabic-Indic three: a decimal digit, as int reads it
+    ("+".join(["x"] * 400), None),
+])
+def test_deepest_accepted_expressions(tmp_path, function, same_as):
+    out = tmp_path / "o"
+    assert run(["project", "--function", function, "--p", "2", "--q", "1", "--out", str(out)]) == 0
+    if same_as is not None:
+        ref = tmp_path / "ref"
+        assert run(["project", "--function", same_as, "--p", "2", "--q", "1",
+                    "--out", str(ref)]) == 0
+        for name in ("coefficients.csv", "errors.csv", "boundary.csv", "moments.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--function", "sin4x", "--p", "2", "--q", "1", "--uniform", "3"],
+    ["converge", "--function", "sin4x", "--p-list", "2", "--q", "1", "--levels", "3"],
+])
+def test_interval_wider_than_the_double_range_over_64_exits_2(tmp_path, capsys, argv):
+    """The smooth-factor width 64 h / (b - a) is formed without overflowing."""
+    out = tmp_path / "o"
+    assert run([*argv, "--interval", "0", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: requires")
+    assert not out.exists()
+
+
 def test_project_names_the_function_it_cannot_evaluate(tmp_path, capsys):
     """Order 0 of u is u itself, not a derivative of it."""
     assert run(["project", "--function", "1e999", "--p", "2", "--out", str(tmp_path / "o")]) == 2
@@ -631,8 +695,8 @@ def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _count_project_run(tmp_path, monkeypatch, projector):
-    """Run ``project`` for sin4x, p = 3, q = 2 on 16 elements, counting the
+def _count_project_run(tmp_path, monkeypatch, projector, q=2):
+    """Run ``project`` for sin4x, p = 3 and order q on 16 elements, counting the
     evaluator calls of u by (order, points), every basis sweep by its point
     counts, by whichever module makes it, and the Ritz correction calls."""
     from collections import Counter
@@ -667,7 +731,7 @@ def _count_project_run(tmp_path, monkeypatch, projector):
     monkeypatch.setattr(cli, "ritz_corrections", counted_corrections)
     rc = run(
         [
-            "project", "--function", "sin4x", "--p", "3", "--q", "2", "--projector",
+            "project", "--function", "sin4x", "--p", "3", "--q", str(q), "--projector",
             projector, "--uniform", "15", "--format", "json", "--out", str(tmp_path / "r"),
         ]
     )
@@ -704,6 +768,20 @@ def test_project_l2_evaluates_the_report_grid_once(tmp_path, monkeypatch):
     # besides the error grid, only u and u' at the two endpoints
     assert u_calls == {(0, n): 1, (1, n): 1, (2, n): 1, (0, 1): 2, (1, 1): 2}
     # the error grid; the exact Gram grid; the endpoints of the boundary report
+    assert sweeps == {(n,): 1, (16 * default_order(3),): 1, (2,): 1}
+
+
+@pytest.mark.parametrize("projector", ["q", "ritz", "qtilde"])
+def test_project_at_q_zero_evaluates_the_report_grid_once(tmp_path, monkeypatch, projector):
+    """At q = 0 every Ritz-type projector is the L2 projection, whose load
+    grid is the error-norm grid: u^(0) is evaluated there once, and only the
+    exact Gram grid and the two endpoints are tabulated besides it."""
+    from ritzspline.mesh import Breakpoints
+    from ritzspline.quadrature import default_order
+
+    u_calls, sweeps, _ = _count_project_run(tmp_path, monkeypatch, projector, q=0)
+    n = 16 * default_order(3, Breakpoints.uniform(16))
+    assert u_calls == {(0, n): 1}
     assert sweeps == {(n,): 1, (16 * default_order(3),): 1, (2,): 1}
 
 

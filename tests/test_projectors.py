@@ -4,7 +4,7 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npp
 
 from ritzspline.analysis import error_norm
-from ritzspline.functions import builtin
+from ritzspline.functions import builtin, resolve_function
 from ritzspline.mesh import (
     Breakpoints,
     Spline,
@@ -197,6 +197,31 @@ def test_l2_residual_orthogonality(rng):
         s.coeffs
     )
     assert np.max(np.abs(resid)) < 1e-10
+
+
+L2_MESHES = {
+    "uniform": Breakpoints.uniform(8),
+    "graded": Breakpoints.uniform(8, grading=3.0),
+    "one-element": UNIT,
+}
+
+
+@pytest.mark.parametrize("function", ["sin4x", "runge", "exp(x)*sin(3*x)+x^5/(1+x^2)"])
+def test_l2_project_is_the_banded_normal_equations(function):
+    """L2 is the order-0 boundary projection, computed as the solve of its
+    Gram system with the load on the error-norm grid, bit for bit: every
+    degree, smoothness -1 and p - 1, uniform, graded and one-element meshes,
+    and sin4x far from 0."""
+    u = resolve_function(function)
+    cases = [(p, k, xi) for xi in L2_MESHES.values()
+             for p in range(21) for k in sorted({-1, p - 1})]
+    if function == "sin4x":
+        far = Breakpoints.uniform(4, 1e6, 1e6 + 1.0)
+        cases += [(p, k, far) for p in range(21) for k in sorted({-1, p - 1})]
+    for p, k, xi in cases:
+        space = make_space(p, k, xi)
+        want = gram_matrix(space).solve_spd(load_vector(space, u.eval, default_order(p, xi)))
+        assert np.array_equal(l2_project(space, u).coeffs, want), (p, k, xi.points)
 
 
 def test_l2_error_within_smoothest_space_bound():

@@ -1,0 +1,28 @@
+"""The experiment scripts run end to end and write the files they name."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+TABLES = [f"p{p}_l{l}.csv" for p in (2, 3, 4) for l in (0, 1)]
+WRITES = {
+    "run_error_convergence.py":
+        [f"results/error/error_{t}" for t in TABLES] + ["results/error/error.svg"],
+    "run_rq_difference.py":
+        [f"results/rq-diff/rq-diff_{t}" for t in TABLES] + ["results/rq-diff/rq-diff.svg"],
+    "run_schultz_gap.py": ["results/schultz_gap.csv"],
+    "run_outlier_lab.py": [f"results/eig/spectrum.{ext}" for ext in ("csv", "json", "svg")],
+}
+
+
+@pytest.mark.parametrize("script", sorted(WRITES))
+def test_script_exits_0_and_writes_its_files(tmp_path, monkeypatch, capsys, script):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert done.value.code == 0
+    written = [path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")
+               if path.is_file()]
+    assert sorted(written) == sorted(WRITES[script])
