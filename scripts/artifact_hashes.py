@@ -9,8 +9,9 @@ studies for q = 1..3, uniform and graded; the error studies of sin4x to 256
 elements that `perfbench` times; and the study shapes at the edges of the
 level-batched algebra: `ritz` at q = 0 and 1, `qtilde` at q = 3, `q` and
 `ritz` with `--k fixed:1`, every projector and rq-diff on [1e6, 1e6+1] and
-with `--levels 1`) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus
-coarse meshes that keep at most p basis functions).  That is 1,405 hashes.
+with `--levels 1`), `constants` (one run per table, written to
+`<run id>/table.csv`) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus
+coarse meshes that keep at most p basis functions).  That is 1,413 hashes.
 Each run calls `ritzspline.cli.main` in this process and writes under a
 temporary directory; one `sha256  path` line is printed per file written
 and per run's stdout, sorted by path.
@@ -49,6 +50,12 @@ PROJECTORS = ("l2", "q", "ritz", "qtilde")
 RQ_DEGREES = {1: "2,3", 2: "2,3,4,5", 3: "3,5,8"}
 EIG_CASES = [(p, n) for p in (2, 3, 4, 5) for n in (20, 50, 100)]
 EIG_CASES += [(4, 3), (5, 2), (5, 3), (8, 1), (8, 3)]
+CONSTANTS_TABLES = {
+    "c": ["--p", "3", "--k", "2", "--r", "2"],
+    "d": ["--p", "4"],
+    "schultz-gap": [],
+    "bounds": ["--p", "3", "--k", "2", "--q", "2", "--r", "4", "--h", "0.125"],
+}
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -139,6 +146,8 @@ def runs() -> list[tuple[str, list[str]]]:
                  "--q", "2", "--l-list", "0,1,2", "--levels", "8", "--study", "error",
                  "--projector", projector],
             ))
+    for table, params in CONSTANTS_TABLES.items():
+        out.append((f"constants/{table}", ["constants", "--table", table, *params]))
     for p, elements in EIG_CASES:
         out.append((f"eig/p{p}-n{elements}",
                     ["eig", "--p", str(p), "--elements", str(elements)]))
@@ -160,8 +169,10 @@ def write_runs(dest: Path) -> int:
     try:
         for run_id, argv in runs():
             captured = io.StringIO()
+            # `constants --out` names a file, every other --out a directory
+            dest_arg = f"{run_id}/table.csv" if argv[0] == "constants" else run_id
             with contextlib.redirect_stdout(captured):
-                rc = cli_main(argv + ["--out", run_id])
+                rc = cli_main(argv + ["--out", dest_arg])
             if rc != 0:
                 print(f"{run_id}: exit {rc}", file=sys.stderr)
                 failed += 1

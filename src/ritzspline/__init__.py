@@ -7,7 +7,6 @@ from .mesh import (
     SplineSpace,
     derive,
     embed,
-    eval_spline,
     eval_spline_many,
     integrate_from_left,
     make_space,

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .functions import SmoothFunction
-from .mesh import Breakpoints, Spline, SplineSpace, _basis_table, make_space
+from .mesh import Breakpoints, Spline, SplineSpace, eval_spline_many, make_space
 from .projectors import (
     Levels,
     _check_order,
@@ -330,22 +330,13 @@ def boundary_report(u: SmoothFunction, s: Spline, q: int) -> list[BoundaryResidu
     The left endpoint is matched by construction; the right endpoint is
     guaranteed only when p >= 2q - l - 1, and the flag records that.
 
-    One basis table at both endpoints serves every order, and u is
-    evaluated once per endpoint for all orders.  Each value of s is the dot
-    product :func:`eval_spline` takes, on contiguous basis values as it has,
-    and u is evaluated at a scalar x as ``u.eval(x, l)`` is (numpy's array
-    power differs from its scalar power in the last bit), so the residuals
-    are those of per-order calls bit for bit.
+    One :func:`eval_spline_many` call gives s^(l) at both endpoints for
+    every order, and u is evaluated once per endpoint for all orders, at a
+    scalar x as ``u.eval(x, l)`` is (numpy's array power differs from its
+    scalar power in the last bit).
     """
-    a, b = s.space.interval
-    p = s.space.degree
-    first, vals = _basis_table([s.space], [[a, b]], range(q))
-    # got[e][l]: s^(l) at endpoint e, one contiguous (p+1)-vector per dot
-    cols = np.ascontiguousarray(vals.transpose(2, 0, 1))
-    got = [
-        [float(np.dot(s.coeffs[f : f + p + 1], v)) for v in col]
-        for f, col in zip(first.tolist(), cols)
-    ]
+    (a, b), p = s.space.interval, s.space.degree
+    got = eval_spline_many(s, [a, b], range(q)).T.tolist()  # got[e][l]: s^(l) at endpoint e
     want = [u.eval(x, range(q)).tolist() for x in (a, b)]
     out = []
     for l in range(q):

@@ -26,8 +26,8 @@ import numpy as np
 from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
 from .mesh import Breakpoints, make_space
-from .projectors import Levels, ritz_corrections
-from .quadrature import ENV_ORDER, default_order
+from .projectors import Levels, gauss_orders, ritz_corrections
+from .quadrature import ENV_ORDER
 from .analysis import _check_list, _csv, _dumps, _fmt, _projector
 
 
@@ -73,7 +73,6 @@ def cmd_project(args) -> int:
     out = Path(args.out)
 
     if args.format == "json":
-        solved = args.p if args.projector == "l2" else args.p - args.q
         payload = {
             "function": args.function,
             "projector": args.projector,
@@ -81,9 +80,7 @@ def cmd_project(args) -> int:
             "k": k,
             "q": args.q,
             "quadrature": {  # orders per element; Galerkin system in the derived space
-                "load_vector": default_order(solved, xi),
-                "gram_matrix": default_order(solved),
-                "error_norms": default_order(args.p, xi),
+                **gauss_orders(space, 0 if args.projector == "l2" else args.q),
                 "override": ENV_ORDER in os.environ,
             },
             "knots": space.knots.tolist(),

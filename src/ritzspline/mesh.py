@@ -7,7 +7,9 @@ multiplicity ``p + 1`` and every interior breakpoint with multiplicity
 the one with ``(p - 1, k - 1)`` over the same breakpoints, and integration
 from the left endpoint inverts it; both act exactly on B-spline
 coefficients, so the calculus between neighbouring spaces is free of
-quadrature error.
+quadrature error.  :func:`eval_spline_many` evaluates a spline and its
+derivatives at any points of its interval: right-continuous at interior
+breakpoints and left-continuous at ``b``, with no one-sided option.
 
 A polynomial is a plain coefficient array ``c`` in the shifted monomials,
 p(x) = sum_i c_i (x-a)^i with ``a`` the left end of the breakpoints, and is
@@ -202,7 +204,6 @@ def _basis_table(
     spaces: Sequence[SplineSpace],
     xs: Sequence,
     orders: Sequence[int],
-    side: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero basis derivative values at every point of ``xs[i]`` in
     ``spaces[i]``, for several spaces of one degree and several derivative
@@ -212,10 +213,9 @@ def _basis_table(
     ``first[m]`` is the index, within its own space, of the first of the p+1
     basis functions that may be nonzero at point m, and ``vals[i, j, m]``
     the ``orders[i]``-th derivative of basis function ``first[m] + j`` there.
-    The span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it
-    (``side='left'``: (t_i, t_{i+1}], the limit from below), clamped to the
-    first/last nonempty span at the domain ends, so ``'auto'`` is
-    right-continuous inside and left-continuous at ``b``.
+    The span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it,
+    clamped to the first/last nonempty span at the domain ends, so the values
+    are right-continuous inside and left-continuous at ``b``.
 
     One knot-window gather and one Cox-de Boor sweep serve every point and
     every order d.  Each point gathers the 2p knots around its span from its
@@ -240,8 +240,6 @@ def _basis_table(
     orders = [int(d) for d in orders]
     if any(d < 0 for d in orders):
         raise ValueError("requires deriv >= 0")
-    if side not in ("auto", "left", "right"):
-        raise ValueError("side must be 'auto', 'left' or 'right'")
     steps = np.arange(1 - p, p + 1)[:, None]
     points, spans, windows = [], [], []
     for space, pts in zip(spaces, xs, strict=True):
@@ -251,7 +249,7 @@ def _basis_table(
         if np.any(outside):
             raise ValueError(f"x={x[np.argmax(outside)]} outside [{a}, {b}]")
         t = space.knots
-        span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
+        span = np.searchsorted(t, x, side="right") - 1
         np.maximum(span, p, out=span)
         np.minimum(span, t.size - p - 2, out=span)
         points.append(x)
@@ -290,18 +288,12 @@ def _basis_table(
     return span - p, vals
 
 
-def eval_spline(s: Spline, x: float, deriv: int = 0, side: str = "auto") -> float:
-    """Value of the deriv-th derivative of ``s`` at ``x`` (broken for deriv > k):
-    right-continuous at interior breakpoints and left-continuous at ``b``,
-    unless ``side`` is 'left' or 'right'."""
-    (f,), vals = _basis_table([s.space], [[x]], (deriv,), side)
-    return float(np.dot(s.coeffs[f : f + s.space.degree + 1], vals[0, :, 0]))
-
-
 def eval_spline_many(
     s: Spline, xs: np.ndarray, deriv: int | Sequence[int] = 0
 ) -> np.ndarray:
-    """Vectorized :func:`eval_spline` over an array of points.
+    """Values of the deriv-th derivative of ``s`` at any points ``xs`` of its
+    interval (broken for deriv > k): right-continuous at interior breakpoints
+    and left-continuous at ``b``.
 
     ``deriv`` may also be a sequence of orders: the result then stacks one
     array per order along a new first axis, all from one basis sweep.

@@ -96,7 +96,7 @@ def mesh_points(xi: Breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
     a = xi.points[:-1, None]
     b = xi.points[1:, None]
     half = 0.5 * (b - a)
-    xs = half * rule.nodes + 0.5 * (a + b)
+    xs = half * rule.nodes + (0.5 * a + 0.5 * b)  # a + b would overflow past ~9e307
     narrow = (xs[:, :1] <= a) | (xs[:, -1:] >= b)  # the nodes ascend
     if narrow.any():
         lo, hi = xi.points[np.argmax(narrow) + np.arange(2)].tolist()

@@ -69,14 +69,23 @@ class _Canvas:
             f'stroke="{stroke}" stroke-width="{width}"{d}/>'
         )
 
-    def polyline(self, points, stroke):
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
-        )
+    def series(self, points, color):
+        """A polyline through two or more points, then a dot on each."""
+        if len(points) >= 2:
+            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+            self.parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            )
+        self.parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>'
+                       for x, y in points]
 
-    def circle(self, x, y, color):
-        self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
+    def decade_ticks(self, py, ylo, yhi):
+        """A tick and label on the y axis at each power of ten in [ylo, yhi]
+        (log10 units), placed by ``py``."""
+        for e in range(math.floor(ylo), math.ceil(yhi) + 1):
+            if ylo <= e <= yhi:
+                self.line(MARGIN_L - 4, py(e), MARGIN_L, py(e))
+                self.text(MARGIN_L - 8, py(e) + 4, f"1e{e}", anchor="end")
 
     def polygon(self, points, stroke="black"):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
@@ -127,23 +136,12 @@ def loglog_plot(
         label = f"2^{e:.0f}" if abs(e - round(e)) < 1e-9 else f"{x:.3g}"
         cv.line(px(math.log10(x)), HEIGHT - MARGIN_B, px(math.log10(x)), HEIGHT - MARGIN_B + 4)
         cv.text(px(math.log10(x)), HEIGHT - MARGIN_B + 16, label, anchor="middle")
-    # y ticks at decades
-    for e in range(math.floor(ylo), math.ceil(yhi) + 1):
-        if ylo <= e <= yhi:
-            cv.line(MARGIN_L - 4, py(e), MARGIN_L, py(e))
-            cv.text(MARGIN_L - 8, py(e) + 4, f"1e{e}", anchor="end")
+    cv.decade_ticks(py, ylo, yhi)
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = [
-            (px(math.log10(x)), py(math.log10(y)))
-            for x, y in zip(s.xs, s.ys)
-            if y > 0
-        ]
-        if len(pts) >= 2:
-            cv.polyline(pts, color)
-        for x, y in pts:
-            cv.circle(x, y, color)
+        cv.series([(px(math.log10(x)), py(math.log10(y))) for x, y in zip(s.xs, s.ys) if y > 0],
+                  color)
         cv.text(WIDTH - MARGIN_R + 10, MARGIN_T + 16 + 18 * idx, s.label, color=color)
 
     # slope triangles anchored under the last segment of the first series
@@ -182,15 +180,8 @@ def spectrum_plot(
     for i in range(1, n + 1, step):
         cv.line(px(i), HEIGHT - MARGIN_B, px(i), HEIGHT - MARGIN_B + 4)
         cv.text(px(i), HEIGHT - MARGIN_B + 16, str(i), anchor="middle")
-    for e in range(math.floor(ylo), math.ceil(yhi) + 1):
-        if ylo <= e <= yhi:
-            cv.line(MARGIN_L - 4, py(e), MARGIN_L, py(e))
-            cv.text(MARGIN_L - 8, py(e) + 4, f"1e{e}", anchor="end")
-    pts = [(px(i + 1), py(math.log10(y))) for i, y in enumerate(ys)]
-    if len(pts) >= 2:
-        cv.polyline(pts, PALETTE[0])
-    for x, y in pts:
-        cv.circle(x, y, PALETTE[0])
+    cv.decade_ticks(py, ylo, yhi)
+    cv.series([(px(i + 1), py(math.log10(y))) for i, y in enumerate(ys)], PALETTE[0])
     ty = py(math.log10(threshold))
     cv.line(MARGIN_L, ty, WIDTH - MARGIN_R, ty, stroke=PALETTE[1], dash="6,3")
     cv.text(WIDTH - MARGIN_R + 10, ty + 4, f"threshold {threshold:g}", color=PALETTE[1])

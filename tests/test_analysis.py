@@ -23,7 +23,6 @@ from ritzspline.functions import SmoothFunction, builtin, from_expression
 from ritzspline.mesh import (
     Breakpoints,
     Spline,
-    eval_spline,
     eval_spline_many,
     make_space,
     poly_to_spline,
@@ -377,9 +376,10 @@ _BOUNDARY_MESHES = {
 
 
 def test_boundary_report_matches_eval_spline_loop(rng):
-    """One basis table and one evaluation of u per endpoint give the
-    residuals of one eval_spline and one scalar u.eval call per endpoint
-    and order, bit for bit, for a closed-form u and a parsed one."""
+    """One evaluation of s at both endpoints for every order and one of u
+    per endpoint give the residuals of one eval_spline_many call per order
+    at both endpoints and one scalar u.eval call per endpoint and order, bit
+    for bit, for a closed-form u and a parsed one."""
     for mesh, make in _BOUNDARY_MESHES.items():
         xi = make(rng)
         far = mesh == "far"  # exp(x) overflows there
@@ -396,7 +396,8 @@ def test_boundary_report_matches_eval_spline_loop(rng):
             for r in rep:
                 x = xi.a if r.endpoint == "a" else xi.b
                 want = u.eval(x, r.l)
-                res = abs(eval_spline(s, x, r.l) - want)
+                got = eval_spline_many(s, [xi.a, xi.b], r.l)[int(r.endpoint == "b")]
+                res = abs(float(got) - want)
                 assert (r.residual, r.scaled) == (res, res / max(1.0, abs(want))), (mesh, p, q, r)
 
 

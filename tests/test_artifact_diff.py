@@ -1,12 +1,23 @@
+import argparse
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from ritzspline.cli import build_parser
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "artifact_diff.py"
-spec = importlib.util.spec_from_file_location("artifact_diff", SCRIPT)
-artifact_diff = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(artifact_diff)
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+artifact_diff = _load(SCRIPT)
+artifact_hashes = _load(SCRIPT.with_name("artifact_hashes.py"))
 
 
 def _tree(root, files):
@@ -178,13 +189,14 @@ def test_qtilde_rows_that_vanish_by_construction_are_noise(tmp_path, capsys):
 
 def test_project_degree_matches_the_hash_matrix():
     """The correction noise rows rest on the degree of the matrix's project runs."""
-    spec = importlib.util.spec_from_file_location(
-        "artifact_hashes", SCRIPT.with_name("artifact_hashes.py"))
-    hashes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hashes)
-    degrees = {argv[argv.index("--p") + 1] for run_id, argv in hashes.runs()
+    degrees = {argv[argv.index("--p") + 1] for run_id, argv in artifact_hashes.runs()
                if run_id.startswith("project/")}
     assert degrees == {str(artifact_diff.PROJECT_P)}
+
+
+def test_hash_matrix_runs_every_subcommand():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for _, argv in artifact_hashes.runs()} == set(sub.choices)
 
 
 @pytest.mark.parametrize("old_files,new_files,message", [

@@ -232,6 +232,24 @@ def test_interval_wider_than_the_double_range_over_64_exits_2(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["project", "--function", "sin4x", "--p", "2", "--q", "1", "--uniform", "3"],
+     "d^1/dx^1 of sin(4x)"),
+    (["converge", "--function", "sin4x", "--p-list", "2", "--q", "1", "--levels", "3"],
+     "sin(4x)"),
+], ids=["project", "converge"])
+def test_elements_near_the_double_range_name_the_nonfinite_u(tmp_path, capsys, argv, name):
+    """Element midpoints past 9e307 are formed without overflowing, so the
+    wide elements are accepted and the nonfinite u is what is named."""
+    out = tmp_path / "o"
+    assert run([*argv, "--interval", "0", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: requires u finite on the interval: derivative 0 of {name} "
+                          "is nan at x=4."), err
+    assert "wide enough" not in err
+    assert not out.exists()
+
+
 def test_project_names_the_function_it_cannot_evaluate(tmp_path, capsys):
     """Order 0 of u is u itself, not a derivative of it."""
     assert run(["project", "--function", "1e999", "--p", "2", "--out", str(tmp_path / "o")]) == 2
@@ -701,7 +719,6 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     counts, by whichever module makes it, and the Ritz correction calls."""
     from collections import Counter
 
-    import ritzspline.analysis as analysis
     import ritzspline.cli as cli
     import ritzspline.mesh as mesh
     import ritzspline.quadrature as quadrature
@@ -726,7 +743,7 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     monkeypatch.setattr(
         cli, "resolve_function", lambda name: SmoothFunction(evaluator, base.max_order, name)
     )
-    for module in (mesh, quadrature, analysis):
+    for module in (mesh, quadrature):
         monkeypatch.setattr(module, "_basis_table", counted_basis_table)
     monkeypatch.setattr(cli, "ritz_corrections", counted_corrections)
     rc = run(

@@ -9,7 +9,6 @@ from ritzspline.mesh import (
     Spline,
     derive,
     embed,
-    eval_spline,
     eval_spline_many,
     integrate_from_left,
     make_space,
@@ -145,7 +144,7 @@ def test_eval_outside_domain_rejected():
     space = make_space(1, 0, Breakpoints(np.array([0.0, 1.0])))
     s = Spline(space, [0.0, 1.0])
     with pytest.raises(ValueError):
-        eval_spline(s, 1.5)
+        eval_spline_many(s, 1.5)
     with pytest.raises(ValueError):
         _basis_at(space, -0.1)
     with pytest.raises(ValueError):
@@ -205,13 +204,13 @@ def test_eval_spline_many_matches_scipy_bspline(p):
                 assert gap <= 1e-12, (k, grading, d, gap)
 
 
-def _single_order_table(space, xs, deriv, side):
+def _single_order_table(space, xs, deriv):
     """One derivative order alone: Cox-de Boor to degree p - deriv, then
     deriv derivative steps, in the kernel's operand order.  Point-major,
     (npts, p+1), unlike the kernel's degree-major tables."""
     p, t = space.degree, space.knots
     x = np.asarray(xs, dtype=float).ravel()
-    span = np.searchsorted(t, x, side="left" if side == "left" else "right") - 1
+    span = np.searchsorted(t, x, side="right") - 1
     span = np.clip(span, p, t.size - p - 2)
     vals = np.zeros((x.size, p + 1))
     if deriv > p:
@@ -235,8 +234,8 @@ def _single_order_table(space, xs, deriv, side):
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
 def test_multi_order_basis_table_matches_single_orders(p):
     """One degree-major sweep for many orders gives each order's own
-    point-major sweep, bit for bit: orders shuffled and repeated, every side,
-    graded and far-off meshes."""
+    point-major sweep, bit for bit: orders shuffled and repeated, graded and
+    far-off meshes."""
     r = np.random.default_rng(2000 + p)
     meshes = (
         Breakpoints.uniform(5, -0.5, 2.0, grading=3.0),
@@ -248,13 +247,12 @@ def test_multi_order_basis_table_matches_single_orders(p):
             space = make_space(p, k, xi)
             xs = np.concatenate([r.uniform(xi.a, xi.b, 30), xi.points])
             orders = list(r.permutation(p + 2)) + [0, p + 1, p // 2]
-            for side in ("auto", "left", "right"):
-                first, vals = _basis_table([space], [xs], orders, side)
-                assert vals.shape == (len(orders), p + 1, xs.size)
-                for d, got in zip(orders, vals):
-                    want_first, want = _single_order_table(space, xs, d, side)
-                    assert np.array_equal(first, want_first)
-                    assert np.array_equal(got.T, want), (xi.a, k, side, d)
+            first, vals = _basis_table([space], [xs], orders)
+            assert vals.shape == (len(orders), p + 1, xs.size)
+            for d, got in zip(orders, vals):
+                want_first, want = _single_order_table(space, xs, d)
+                assert np.array_equal(first, want_first)
+                assert np.array_equal(got.T, want), (xi.a, k, d)
             s = random_spline(r, space)
             grid = xs.reshape(-1, 1)
             many = eval_spline_many(s, grid, orders)
@@ -294,7 +292,7 @@ def test_basis_table_over_several_spaces_is_each_space_alone(p):
     """One call over several spaces of one degree gives each space the
     first indices and values of a call for it alone, bit for bit: uniform,
     graded, far-off and random meshes with their own smoothness, point
-    counts and order subsets, every side."""
+    counts and order subsets."""
     r = np.random.default_rng(4000 + p)
     meshes = (
         Breakpoints.uniform(4),
@@ -310,15 +308,14 @@ def test_basis_table_over_several_spaces_is_each_space_alone(p):
             for sp in spaces
         ]
         orders = list(r.choice(p + 2, size=int(r.integers(1, p + 3)), replace=False))
-        for side in ("auto", "left", "right"):
-            first, vals = _basis_table(spaces, xs, orders, side)
-            lo = 0
-            for space, x in zip(spaces, xs):
-                want_first, want = _basis_table([space], [x], orders, side)
-                hi = lo + x.size
-                assert np.array_equal(first[lo:hi], want_first), (space.smoothness, side)
-                assert np.array_equal(vals[:, :, lo:hi], want), (space.smoothness, side)
-                lo = hi
+        first, vals = _basis_table(spaces, xs, orders)
+        lo = 0
+        for space, x in zip(spaces, xs):
+            want_first, want = _basis_table([space], [x], orders)
+            hi = lo + x.size
+            assert np.array_equal(first[lo:hi], want_first), space.smoothness
+            assert np.array_equal(vals[:, :, lo:hi], want), space.smoothness
+            lo = hi
 
 
 def test_basis_table_rejects_mixed_degrees_and_outside_points():
@@ -346,8 +343,8 @@ def test_unit_spline_everywhere(rng):
 def test_linear_spline_derivative():
     space = make_space(1, 0, Breakpoints(np.array([0.0, 1.0])))
     s = Spline(space, [0.0, 1.0])
-    assert eval_spline(s, 0.7) == pytest.approx(0.7)
-    assert eval_spline(s, 0.7, deriv=1) == pytest.approx(1.0)
+    assert float(eval_spline_many(s, 0.7)) == pytest.approx(0.7)
+    assert float(eval_spline_many(s, 0.7, deriv=1)) == pytest.approx(1.0)
 
 
 def test_eval_matches_local_horner(rng):
@@ -360,9 +357,19 @@ def test_eval_matches_local_horner(rng):
         sample = np.linspace(x0 + 1e-9, x1 - 1e-9, space.degree + 1)
         coeffs = np.polyfit(sample, eval_spline_many(s, sample), space.degree)
         for x in rng.uniform(x0 + 1e-9, x1 - 1e-9, 10):
-            assert eval_spline(s, float(x)) == pytest.approx(
+            assert float(eval_spline_many(s, float(x))) == pytest.approx(
                 float(np.polyval(coeffs, x)), rel=1e-9, abs=1e-9
             )
+
+
+def _left_limit(s, x, d):
+    """s^(d) at x as the limit from below: the value that eval_spline_many,
+    right-continuous, gives at y = a + b - x for the mirror image
+    s(a + b - y), whose knots are a + b - t reversed and whose coefficients
+    are those of s reversed, times (-1)^d."""
+    (a, b), p, k = s.space.interval, s.space.degree, s.space.smoothness
+    mirror = make_space(p, k, Breakpoints((a + b) - s.space.breakpoints.points[::-1]))
+    return (-1) ** d * float(eval_spline_many(Spline(mirror, s.coeffs[::-1]), (a + b) - x, d))
 
 
 def test_continuity_across_breakpoints(rng):
@@ -374,8 +381,8 @@ def test_continuity_across_breakpoints(rng):
         scale = max(1.0, np.max(np.abs(s.coeffs)))
         for x in space.breakpoints.points[1:-1]:
             for d in range(k + 1):
-                left = eval_spline(s, float(x), d, side="left")
-                right = eval_spline(s, float(x), d, side="right")
+                left = _left_limit(s, float(x), d)
+                right = float(eval_spline_many(s, float(x), d))
                 assert abs(left - right) <= 1e-11 * scale * max(
                     1.0, abs(left)
                 ), (p, k, d)
@@ -385,8 +392,8 @@ def test_smoothness_break_at_order_k_plus_one(rng):
     space = make_space(2, 0, Breakpoints(np.array([0.0, 0.4, 1.0])))
     s = random_spline(rng, space)
     x = 0.4
-    left = eval_spline(s, x, 1, side="left")
-    right = eval_spline(s, x, 1, side="right")
+    left = _left_limit(s, x, 1)
+    right = float(eval_spline_many(s, x, 1))
     assert abs(left - right) > 1e-8  # generic splines kink at order k+1
 
 
@@ -447,7 +454,7 @@ def test_derive_after_integrate_is_identity(seed):
 def test_integral_vanishes_at_left(rng):
     space = random_space(rng, p_max=4)
     v = integrate_from_left(random_spline(rng, space))
-    assert eval_spline(v, v.space.breakpoints.a) == pytest.approx(0.0, abs=1e-14)
+    assert float(eval_spline_many(v, v.space.breakpoints.a)) == pytest.approx(0.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

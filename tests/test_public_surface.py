@@ -26,7 +26,6 @@ EXPORTS = [
     "embed",
     "error_coefficient",
     "error_norm",
-    "eval_spline",
     "eval_spline_many",
     "from_expression",
     "function_seminorm",
