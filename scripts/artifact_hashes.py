@@ -6,12 +6,13 @@ uniform, a nonuniform, a shifted mesh and one on [1e6, 1e6+1] for sin4x, and
 on the first three for a parsed expression), `converge` (error studies for
 every projector on runge and on the parsed expression, and rq-diff
 studies for q = 1..3, uniform and graded; the error studies of sin4x to 256
-elements that `perfbench` times; and the study shapes at the edges of the
-level-batched algebra: `ritz` at q = 0 and 1, `qtilde` at q = 3, `q` and
-`ritz` with `--k fixed:1`, every projector and rq-diff on [1e6, 1e6+1] and
-with `--levels 1`), `constants` (one run per table, written to
+elements that `perfbench` times, and the `q` and `ritz` ones at p = 4 to
+4,096 elements; and the study shapes at the edges of the level-batched
+algebra: `ritz` at q = 0 and 1, `qtilde` at q = 3, `q` and `ritz` with
+`--k fixed:1`, every projector and rq-diff on [1e6, 1e6+1] and with
+`--levels 1`), `constants` (one run per table, written to
 `<run id>/table.csv`) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus
-coarse meshes that keep at most p basis functions).  That is 1,413 hashes.
+coarse meshes that keep at most p basis functions).  That is 1,423 hashes.
 Each run calls `ritzspline.cli.main` in this process and writes under a
 temporary directory; one `sha256  path` line is printed per file written
 and per run's stdout, sorted by path.
@@ -146,6 +147,14 @@ def runs() -> list[tuple[str, list[str]]]:
                  "--q", "2", "--l-list", "0,1,2", "--levels", "8", "--study", "error",
                  "--projector", projector],
             ))
+    # grids 16 times the benchmark's finest, where the sweep's work buffers are large
+    for projector in ("q", "ritz"):
+        out.append((
+            f"converge/sin4x-{projector}-p4-levels12",
+            ["converge", "--function", "sin4x", "--p-list", "4", "--k", "max", "--q", "2",
+             "--l-list", "0,1,2", "--levels", "12", "--study", "error",
+             "--projector", projector],
+        ))
     for table, params in CONSTANTS_TABLES.items():
         out.append((f"constants/{table}", ["constants", "--table", table, *params]))
     for p, elements in EIG_CASES:

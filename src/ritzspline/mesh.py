@@ -11,6 +11,12 @@ quadrature error.  :func:`eval_spline_many` evaluates a spline and its
 derivatives at any points of its interval: right-continuous at interior
 breakpoints and left-continuous at ``b``, with no one-sided option.
 
+Every basis value comes from one Cox-de Boor sweep, :func:`_cox_de_boor`,
+over points that each carry the knots around their span.  Its point front
+end :func:`_basis_table` searches each point's span; ``quadrature.grid_tables``
+takes the span of each Gauss element from the element's index instead, as
+all the Gauss points of an element share it.
+
 A polynomial is a plain coefficient array ``c`` in the shifted monomials,
 p(x) = sum_i c_i (x-a)^i with ``a`` the left end of the breakpoints, and is
 evaluated as ``numpy.polynomial.polynomial.polyval(x - a, c)``.
@@ -217,29 +223,17 @@ def _basis_table(
     clamped to the first/last nonempty span at the domain ends, so the values
     are right-continuous inside and left-continuous at ``b``.
 
-    One knot-window gather and one Cox-de Boor sweep serve every point and
-    every order d.  Each point gathers the 2p knots around its span from its
-    own space's knots, and every step is pointwise, so a call for several
-    spaces gives each space the values of a call for it alone, bit for bit;
-    a call for one space is the one-element case.  The sweep leaves a copy
-    of its degree-(p - d) table, on which each further degree step applies
-    the derivative recurrence
-    D B_{i,j} = j (B_{i,j-1} / (t_{i+j} - t_i) - B_{i+1,j-1} / (t_{i+j+1} - t_{i+1})),
-    whose denominators are those of the Cox-de Boor step and stay positive
-    on a nonempty span.  Each order's values are those of a sweep for that
-    order alone, bit for bit.  Loops run over the degree only.
-
-    The tables are degree-major: the knot window is (2p, npts) and each
-    order's table (p+1, npts), so every step of the recurrence is a ufunc
-    over whole contiguous rows of npts points rather than over p+1-wide
-    strided slices.  The layout changes no operand and no operation order.
+    This is the point front end of :func:`_cox_de_boor`: it searches each
+    point's span and gathers the 2p knots around it from its own space's
+    knots, then runs one sweep for every point and every order.  Every step
+    is pointwise, so a call for several spaces gives each space the values
+    of a call for it alone, bit for bit; a call for one space is the
+    one-element case.  ``quadrature.grid_tables`` feeds the same sweep from
+    its elements instead, whose points share one span.
     """
     p = spaces[0].degree
     if any(space.degree != p for space in spaces):
         raise ValueError("requires spaces of one degree")
-    orders = [int(d) for d in orders]
-    if any(d < 0 for d in orders):
-        raise ValueError("requires deriv >= 0")
     steps = np.arange(1 - p, p + 1)[:, None]
     points, spans, windows = [], [], []
     for space, pts in zip(spaces, xs, strict=True):
@@ -256,36 +250,62 @@ def _basis_table(
         spans.append(span)
         windows.append(t[steps + span])  # t[span+1-p] .. t[span+p]
     x, span = np.concatenate(points), np.concatenate(spans)
-    window = np.concatenate(windows, axis=1)
+    return span - p, _cox_de_boor(p, x, np.concatenate(windows, axis=1), orders)
+
+
+def _cox_de_boor(p: int, x: np.ndarray, window: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """The values ``vals[i, j, m]`` of :func:`_basis_table` at the points
+    ``x``, each with the 2p knots around its span as a column of ``window``:
+    ``window[:, m]`` is t[span+1-p] .. t[span+p] for point m.
+
+    One Cox-de Boor sweep serves every point and every order d.  The sweep
+    leaves a copy of its degree-(p - d) table, on which each further degree
+    step applies the derivative recurrence
+    D B_{i,j} = j (B_{i,j-1} / (t_{i+j} - t_i) - B_{i+1,j-1} / (t_{i+j+1} - t_{i+1})),
+    whose denominators are those of the Cox-de Boor step and stay positive
+    on a nonempty span.  Each order's values are those of a sweep for that
+    order alone, bit for bit.  Loops run over the degree only.
+
+    The tables are degree-major: the window is (2p, npts) and each order's
+    table (p+1, npts), so every step of the recurrence is a ufunc over whole
+    contiguous rows of npts points.  Every intermediate goes through
+    ``out=`` into two (p, npts) work buffers, reused by every step, with the
+    operands and the order of operations of the plain expressions, so no
+    value changes in its bits.
+    """
+    orders = [int(d) for d in orders]
+    if any(d < 0 for d in orders):
+        raise ValueError("requires deriv >= 0")
     vals = np.zeros((len(orders), p + 1, x.size))
     slot: dict[int, int] = {}  # first index of each order; higher derivatives vanish
     for i, d in enumerate(orders):
         if d <= p:
             slot.setdefault(d, i)
     if not slot:
-        return span - p, vals
+        return vals
+    work, temp = np.empty((2, p, x.size))
     low = min(slot)
     table = vals[slot[low]]  # the sweep ends in the lowest order's slot
     table[0] = 1.0
     for j in range(p - low + 1):
         if j:
-            hi, lo = window[p : p + j], window[p - j : p]
-            temp = table[:j] / (hi - lo)
-            table[:j] = (hi - x) * temp
-            table[1 : j + 1] += (x - lo) * temp
+            hi, lo, w, t = window[p : p + j], window[p - j : p], work[:j], temp[:j]
+            np.divide(table[:j], np.subtract(hi, lo, out=w), out=t)
+            np.multiply(np.subtract(hi, x, out=w), t, out=table[:j])
+            table[1 : j + 1] += np.multiply(np.subtract(x, lo, out=w), t, out=w)
         if p - j in slot and p - j != low:
             vals[slot[p - j]] = table
     for d, i in slot.items():
         table = vals[i]
         for j in range(p - d + 1, p + 1):
-            hi, lo = window[p : p + j], window[p - j : p]
-            temp = j * table[:j] / (hi - lo)
-            table[:j] = -temp
-            table[1 : j + 1] += temp
+            hi, lo, w, t = window[p : p + j], window[p - j : p], work[:j], temp[:j]
+            np.divide(np.multiply(table[:j], j, out=t), np.subtract(hi, lo, out=w), out=t)
+            np.negative(t, out=table[:j])
+            table[1 : j + 1] += t
     for i, d in enumerate(orders):
         if d in slot and i != slot[d]:
             vals[i] = vals[slot[d]]
-    return span - p, vals
+    return vals
 
 
 def eval_spline_many(
@@ -306,7 +326,12 @@ def eval_spline_many(
 
 def _contract(coeffs: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Values of a spline from a basis table: ``out[i, m]`` is
-    sum_j c_{first[m] + j} vals[i, j, m], summed over j in order.
+    sum_j c_{first[m] + j} vals[i, j, m], summed over j by ``np.sum``.
+
+    For a table of two or more points the p+1 terms are added in order.  For
+    a table of one point the summed axis is contiguous, and from p = 7 on
+    (eight terms or more) numpy adds them pairwise, so a value at one point
+    alone can differ in its last bits from the same point in a larger call.
 
     For a table of several spaces, ``coeffs`` joins one spline of each, their
     bases numbered in turn, and ``first`` is numbered likewise; every value

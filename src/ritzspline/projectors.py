@@ -94,7 +94,7 @@ class Levels:
 
     @cached_property
     def sample(self) -> GridTable:
-        ns = [gauss_orders(space, 0)["error_norms"] for space in self.spaces]
+        ns = [default_order(space.degree, space.breakpoints) for space in self.spaces]
         (table,) = grid_tables(self.spaces, [ns], sorted({0, *self.orders}), self.u)
         return table
 
@@ -113,7 +113,8 @@ class Levels:
 def gauss_orders(space: SplineSpace, q: int) -> dict[str, int]:
     """Gauss points per element of the grids of the order-q projection onto
     ``space``: the load and exact Gram grids of its L2 step, in the q-times
-    derived space, and the error-norm grid of :attr:`Levels.sample`."""
+    derived space, and the error-norm grid of :attr:`Levels.sample`, as
+    :func:`_ritz_types` and :attr:`Levels.sample` each choose theirs."""
     p, xi = space.degree, space.breakpoints
     return {"load_vector": default_order(p - q, xi), "gram_matrix": default_order(p - q),
             "error_norms": default_order(p, xi)}
@@ -228,10 +229,10 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     chain = [list(spaces)]  # chain[i]: the (q - i)-times derived spaces
     while len(chain) <= q:
         chain.insert(0, [space.derived() for space in chain[0]])
-    orders = [gauss_orders(space, q) for space in spaces]
-    gram_ns = [o["gram_matrix"] for o in orders]
+    p = spaces[0].degree
+    gram_ns = [default_order(p - q)] * len(spaces)  # exact: the same on every mesh
     if q:
-        load_ns = [o["load_vector"] for o in orders]
+        load_ns = [default_order(p - q, space.breakpoints) for space in spaces]
         load, gram = grid_tables(chain[0], [load_ns, gram_ns], (0,), u.derivative(q))
     else:  # the load grid is the error grid
         load, (gram,) = levels.sample, grid_tables(spaces, [gram_ns], (0,))

@@ -11,8 +11,11 @@ every default order, but never below the exact one.
 
 A :class:`GridTable` holds the basis values of several spaces of one
 degree on Gauss grids of their meshes, their bases numbered in turn as in
-one joined coefficient vector, and optionally a function's values there;
-:func:`grid_tables` builds it from one basis sweep.  :func:`gram_bands` and
+one joined coefficient vector, and optionally a function's values there.
+:func:`grid_tables` builds the tables of several grids as one array
+program: the points of all their elements from the :func:`mesh_points`
+formula, the span and knot window of each element from its index, and one
+basis sweep for all points.  :func:`gram_bands` and
 :func:`load_values` assemble the systems of all the table's spaces at once,
 the Gram matrices as one block-diagonal band whose blocks
 :func:`solve_blocks` solves one by one; each space's entries and solution
@@ -27,14 +30,15 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functions import SmoothFunction
-from .mesh import Breakpoints, SplineSpace, _basis_table, _contract, _frozen
+from .mesh import Breakpoints, SplineSpace, _contract, _cox_de_boor, _frozen
 
 MAX_ORDER = 64
 ENV_ORDER = "RITZ_SPLINE_QUAD_ORDER"
@@ -92,14 +96,20 @@ def default_order(p: int, xi: Breakpoints | None = None) -> int:
 def mesh_points(xi: Breakpoints, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and weights per element, shaped (elements, n), each point
     strictly inside its element, so that they share one knot span."""
+    return _element_points(xi.points[:-1], xi.points[1:], n)
+
+
+def _element_points(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mesh_points` of the elements [a[e], b[e]], whichever meshes
+    they belong to: every point is formed from its own element's ends."""
     rule = gauss_rule(n)
-    a = xi.points[:-1, None]
-    b = xi.points[1:, None]
+    a, b = a[:, None], b[:, None]
     half = 0.5 * (b - a)
     xs = half * rule.nodes + (0.5 * a + 0.5 * b)  # a + b would overflow past ~9e307
     narrow = (xs[:, :1] <= a) | (xs[:, -1:] >= b)  # the nodes ascend
     if narrow.any():
-        lo, hi = xi.points[np.argmax(narrow) + np.arange(2)].tolist()
+        e = np.argmax(narrow)
+        lo, hi = a[e, 0].item(), b[e, 0].item()
         raise ValueError("requires elements wide enough in double precision that no Gauss point "
                          f"rounds onto a breakpoint: element [{lo}, {hi}] has width {hi - lo:.3g}")
     return xs, half * rule.weights
@@ -176,9 +186,10 @@ class GridTable:
     ``points`` and ``weights`` join the flattened :func:`mesh_points` of
     every mesh, those of spaces[i] being ``points[ends[i]:ends[i + 1]]``.
     ``first`` and ``vals`` are the basis table there, with ``vals[i]`` for
-    order ``orders[i]`` as ``mesh._basis_table`` returns it, but ``first``
-    numbers the bases of the spaces in turn, as one joined coefficient
-    vector holds a spline of each.  ``u``, when the table is a sample of u,
+    order ``orders[i]`` bit for bit as ``mesh._basis_table`` returns it at
+    the points, but ``first`` numbers the bases of the spaces in turn, as
+    one joined coefficient vector holds a spline of each.  The n points of
+    an element share its first index.  ``u``, when the table is a sample of u,
     holds u^(orders[i]) at the points.
     """
 
@@ -253,6 +264,15 @@ def grid_tables(
     of spaces[i], for every j, at every order in ``orders``: one basis sweep
     for all of them, so the spaces must share one degree.
 
+    The elements of every grid are joined, grid by grid and space by space,
+    and each run of equal n gets its points and weights from one
+    :func:`mesh_points` formula, narrow elements reported in that order.
+    The Gauss points of element e share its span, whose first basis
+    function is e (p - k), so the first index and the 2p-knot window are
+    gathered once per element and repeated over its n points, with no span
+    search; the one sweep of ``mesh._cox_de_boor`` then gives every point
+    the values of ``mesh._basis_table`` there, bit for bit.
+
     With ``u``, the first table also holds u^(l) at its points for every l
     in ``orders``: one ``u.eval`` call on its joined points, made before the
     sweep so that u.eval names a bad order.  Every ufunc of the evaluation
@@ -260,22 +280,43 @@ def grid_tables(
     alone, bit for bit.
     """
     spaces, orders = tuple(spaces), tuple(int(d) for d in orders)
-    grids = [[mesh_points(space.breakpoints, n) for space, n in zip(spaces, row, strict=True)]
-             for row in ns]
-    points = [np.concatenate([xs.ravel() for xs, _ in grid]) for grid in grids]
-    ul = None if u is None else u.eval(points[0], orders)
-    first, vals = _basis_table(spaces * len(grids), [xs for row in grids for xs, _ in row], orders)
-    starts = np.array(list(accumulate((space.dim for space in spaces[:-1]), initial=0)))
+    counts = [space.breakpoints.points.size - 1 for space in spaces]
+    ends = [tuple(accumulate((c * n for c, n in zip(counts, row, strict=True)), initial=0))
+            for row in ns]
+    # the elements of every grid in turn, in runs of equal n
+    pairs = zip((n for row in ns for n in row), counts * len(ns))
+    runs = [(n, sum(c for _, c in run)) for n, run in groupby(pairs, key=itemgetter(0))]
+    bounds = list(accumulate((c for _, c in runs), initial=0))
+    a = np.concatenate([space.breakpoints.points[:-1] for space in spaces] * len(ns))
+    b = np.concatenate([space.breakpoints.points[1:] for space in spaces] * len(ns))
+    grids = [_element_points(a[lo:hi], b[lo:hi], n)
+             for (n, _), lo, hi in zip(runs, bounds, bounds[1:])]
+    points = np.concatenate([xs.ravel() for xs, _ in grids])
+    weights = np.concatenate([ws.ravel() for _, ws in grids])
+    ul = None if u is None else u.eval(points[: ends[0][-1]], orders)
+    p = spaces[0].degree
+    if any(space.degree != p for space in spaces):
+        raise ValueError("requires spaces of one degree")
+    # element e of a space: first basis function e (p - k), span p + e (p - k),
+    # so its knot window t[span+1-p] .. t[span+p] starts at t[e (p - k) + 1]
+    steps = [p - space.smoothness for space in spaces]
+    starts = accumulate((space.dim for space in spaces), initial=0)
+    first = np.concatenate([np.arange(lo, lo + c * m, m)
+                            for lo, c, m in zip(starts, counts, steps)] * len(ns))
+    knots = np.concatenate([space.knots for space in spaces])
+    offsets = accumulate((space.knots.size for space in spaces), initial=1)
+    base = np.concatenate([np.arange(lo, lo + c * m, m)
+                           for lo, c, m in zip(offsets, counts, steps)] * len(ns))
+    window = knots[np.arange(2 * p)[:, None] + base]
+    per = np.repeat([n for n, _ in runs], [c for _, c in runs])  # points per element
+    vals = _cox_de_boor(p, points, window.repeat(per, axis=1), orders)
+    first = first.repeat(per)
     tables, lo = [], 0
-    for row, grid, joined in zip(ns, grids, points):
-        sizes = [xs.size for xs, _ in grid]
-        ends = tuple(accumulate(sizes, initial=0))
-        hi = lo + ends[-1]
+    for row, row_ends in zip(ns, ends):
+        hi = lo + row_ends[-1]
         tables.append(GridTable(
-            spaces, tuple(row), ends, joined,
-            np.concatenate([ws.ravel() for _, ws in grid]),
-            orders, first[lo:hi] + starts.repeat(sizes), vals[:, :, lo:hi],
-            ul if lo == 0 else None,
+            spaces, tuple(row), row_ends, points[lo:hi], weights[lo:hi], orders,
+            first[lo:hi], vals[:, :, lo:hi], ul if lo == 0 else None,
         ))
         lo = hi
     return tables

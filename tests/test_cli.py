@@ -716,25 +716,56 @@ def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
 def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     """Run ``project`` for sin4x, p = 3 and order q on 16 elements, counting the
     evaluator calls of u by (order, points), every basis sweep by its point
-    counts, by whichever module makes it, and the Ritz correction calls."""
+    counts, by whichever module makes it, and the Ritz correction calls.
+
+    A sweep is one call of ``mesh._cox_de_boor``.  ``quadrature.grid_tables``
+    makes one for all its grids, counted by each grid's points, and
+    ``mesh._basis_table`` one for all its point sets, counted by each set's
+    points; every sweep is checked to be the one of such a call."""
     from collections import Counter
 
+    import ritzspline.analysis as analysis
     import ritzspline.cli as cli
+    import ritzspline.eigenproblem as eigenproblem
     import ritzspline.mesh as mesh
+    import ritzspline.projectors as projectors
     import ritzspline.quadrature as quadrature
     from ritzspline.functions import SmoothFunction, builtin
 
     base = builtin("sin4x")
-    basis_table, ritz_corrections = mesh._basis_table, cli.ritz_corrections
-    u_calls, sweeps, corrections = Counter(), Counter(), []
+    sweep, ritz_corrections = mesh._cox_de_boor, cli.ritz_corrections
+    u_calls, sweeps, corrections, swept = Counter(), Counter(), [], []
 
     def evaluator(x, d):
         u_calls[d, np.size(x)] += 1
         return base.evaluator(x, d)
 
-    def counted_basis_table(spaces, xs, *args):
-        sweeps[tuple(np.size(x) for x in xs)] += 1
-        return basis_table(spaces, xs, *args)
+    def counted_sweep(p, x, *args):
+        swept.append(x.size)
+        return sweep(p, x, *args)
+
+    def counted(fn, sizes):
+        def call(*args):
+            made = len(swept)
+            out = fn(*args)
+            key = sizes(args, out)
+            assert swept[made:] == [sum(key)]  # one sweep, of all the points
+            sweeps[key] += 1
+            return out
+
+        return call
+
+    grid_tables = counted(
+        quadrature.grid_tables, lambda args, out: tuple(t.points.size for t in out)
+    )
+    monkeypatch.setattr(
+        mesh, "_basis_table",
+        counted(mesh._basis_table, lambda args, out: tuple(np.size(x) for x in args[1])),
+    )
+    for module in (quadrature, projectors, analysis, eigenproblem):
+        monkeypatch.setattr(module, "grid_tables", grid_tables)
+    for module in (mesh, quadrature):
+        monkeypatch.setattr(module, "_cox_de_boor", counted_sweep)
 
     def counted_corrections(*args):
         corrections.append(args)
@@ -743,8 +774,6 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     monkeypatch.setattr(
         cli, "resolve_function", lambda name: SmoothFunction(evaluator, base.max_order, name)
     )
-    for module in (mesh, quadrature):
-        monkeypatch.setattr(module, "_basis_table", counted_basis_table)
     monkeypatch.setattr(cli, "ritz_corrections", counted_corrections)
     rc = run(
         [
@@ -753,6 +782,7 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
         ]
     )
     assert rc == 0
+    assert len(swept) == sum(sweeps.values())  # no sweep outside the counted calls
     return u_calls, sweeps, corrections
 
 

@@ -333,6 +333,19 @@ def test_basis_table_rejects_negative_order():
         _basis_table([space], [[0.5]], (0, -1))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="from p = 7 on numpy pairs the p+1 terms of a one-point table, where "
+    "it adds the terms of a table of two or more points in order",
+)
+def test_one_point_evaluation_matches_the_point_in_a_batch():
+    """A spline value at x does not depend on the other points of the call."""
+    space = make_space(7, 6, Breakpoints.uniform(4))
+    s = Spline(space, np.random.default_rng(0).standard_normal(space.dim))
+    for x in (0.1, 0.3, 0.55):
+        assert eval_spline_many(s, [x])[0] == eval_spline_many(s, [x, 0.5])[0], x
+
+
 def test_unit_spline_everywhere(rng):
     space = random_space(rng)
     ones = Spline(space, np.ones(space.dim))

@@ -372,6 +372,35 @@ def test_solve_spd_raises_on_nonfinite_and_indefinite_input():
             BandedSymmetric(indefinite, 4, bandwidth).solve_spd(np.ones(4))
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
+def test_grid_tables_take_the_spans_a_search_finds(p):
+    """The span of element e, gathered once per element at e (p - k), is the
+    one ``_basis_table`` searches for each of its Gauss points: the first
+    indices and values of every table are those of ``_basis_table`` at the
+    table's points, bit for bit, on uniform, graded, one-element and far-off
+    meshes, for every smoothness in {-1, 0, p - 1} and several n."""
+    from ritzspline.mesh import _basis_table
+
+    meshes = (
+        Breakpoints.uniform(5),
+        Breakpoints.uniform(6, grading=3.0),
+        Breakpoints.uniform(1),
+        Breakpoints.uniform(4, 1e6, 1e6 + 1.0),
+    )
+    orders = range(p + 2)
+    for k in sorted({-1, 0, p - 1} & set(range(-1, p))):
+        spaces = [make_space(p, k, xi) for xi in meshes]
+        ns = [[1, 1, 1, 1], [p + 1, 2, p + 1, 7], [11, 11, 4, 11]]
+        tables = grid_tables(spaces, ns, orders)
+        starts = np.cumsum([0, *(space.dim for space in spaces[:-1])])
+        for table in tables:
+            sizes = np.diff(table.ends)
+            xs = [table.points[lo:hi] for lo, hi in zip(table.ends, table.ends[1:])]
+            first, vals = _basis_table(spaces, xs, orders)
+            assert np.array_equal(table.first, first + starts.repeat(sizes)), (k, table.ns)
+            assert np.array_equal(table.vals, vals), (k, table.ns)
+
+
 def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
     """The joined Gram bands and load vectors of a table shared by several
     spaces, grids and orders are each space's own, bit for bit, the Gram
