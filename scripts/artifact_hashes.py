@@ -11,8 +11,9 @@ elements that `perfbench` times, and the `q` and `ritz` ones at p = 4 to
 algebra: `ritz` at q = 0 and 1, `qtilde` at q = 3, `q` and `ritz` with
 `--k fixed:1`, every projector and rq-diff on [1e6, 1e6+1] and with
 `--levels 1`), `constants` (one run per table, written to
-`<run id>/table.csv`) and `eig` (p = 2..5 on 20, 50 and 100 elements, plus
-coarse meshes that keep at most p basis functions).  That is 1,423 hashes.
+`<run id>/table.csv`) and `eig` (p = 2..5 on 20, 50 and 100 elements, p = 5
+on 200 as the benchmark's largest spectrum, p = 8 on 400, plus coarse meshes
+that keep at most p basis functions).  That is 1,431 hashes.
 Each run calls `ritzspline.cli.main` in this process and writes under a
 temporary directory; one `sha256  path` line is printed per file written
 and per run's stdout, sorted by path.
@@ -50,6 +51,7 @@ PROJECT_MESHES = {
 PROJECTORS = ("l2", "q", "ritz", "qtilde")
 RQ_DEGREES = {1: "2,3", 2: "2,3,4,5", 3: "3,5,8"}
 EIG_CASES = [(p, n) for p in (2, 3, 4, 5) for n in (20, 50, 100)]
+EIG_CASES += [(5, 200), (8, 400)]  # where the residual check and the plot do most work
 EIG_CASES += [(4, 3), (5, 2), (5, 3), (8, 1), (8, 3)]
 CONSTANTS_TABLES = {
     "c": ["--p", "3", "--k", "2", "--r", "2"],

@@ -34,12 +34,21 @@ def _fmt(x: float) -> str:
 
 
 def _csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row; floats through
-    :func:`_fmt`, other fields as ``str``.  Each row is joined from a list:
-    from a generator, ``str.join`` takes half as long again."""
-    lines = [header] + [
-        ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) for row in rows
-    ]
+    """CSV text: the header line, then one line per row; floats as
+    :func:`_fmt` writes them, other fields as ``str``.  Each row is one
+    ``%`` formatting, by a template built once per sequence of field types:
+    ``%.17g`` for a float (a ``float`` subclass such as ``np.float64``
+    included), ``%s`` for any other field."""
+    templates: dict[tuple[type, ...], str] = {}
+    lines = [header]
+    for row in map(tuple, rows):
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                ["%.17g" if issubclass(kind, float) else "%s" for kind in kinds]
+            )
+        lines.append(template % row)
     return "\n".join(lines) + "\n"
 
 

@@ -231,7 +231,7 @@ def cmd_eig(args) -> int:
     _write(out / "spectrum.csv", report.to_csv())
     _write(out / "spectrum.json", report.to_json())
     svg = svgplot.spectrum_plot(
-        list(report.rel_errors),
+        report.rel_errors.tolist(),
         report.predicted_non_outliers,
         args.threshold,
         title=f"biharmonic spectrum: p={args.p}, {args.elements} elements",

@@ -328,15 +328,17 @@ def _contract(coeffs: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.nda
     """Values of a spline from a basis table: ``out[i, m]`` is
     sum_j c_{first[m] + j} vals[i, j, m], summed over j by ``np.sum``.
 
-    For a table of two or more points the p+1 terms are added in order.  For
-    a table of one point the summed axis is contiguous, and from p = 7 on
-    (eight terms or more) numpy adds them pairwise, so a value at one point
-    alone can differ in its last bits from the same point in a larger call.
+    The p+1 terms are added in order, so a value at a point does not depend
+    on the other points of the table.  A table of one point is summed with
+    its column doubled: its summed axis would be contiguous, and numpy adds
+    a contiguous axis of eight terms or more (p >= 7) pairwise.
 
     For a table of several spaces, ``coeffs`` joins one spline of each, their
     bases numbered in turn, and ``first`` is numbered likewise; every value
     is a sum over its own point's column, so each spline's values are those
     of a table of its space alone, bit for bit."""
+    if vals.shape[2] == 1:
+        return _contract(coeffs, np.repeat(first, 2), np.repeat(vals, 2, axis=2))[:, :1]
     return np.sum(coeffs[np.arange(vals.shape[1])[:, None] + first] * vals, axis=1)
 
 

@@ -134,15 +134,6 @@ class BandedSymmetric:
             a[idx, idx + d] = self.bands[d, : self.dim - d]
         return a
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """The product with a vector, or with each column of a (dim, m) block."""
-        bands = self.bands if v.ndim == 1 else self.bands[..., None]
-        out = bands[0] * v
-        for d in range(1, self.bandwidth + 1):
-            out[d:] += bands[d, : self.dim - d] * v[: self.dim - d]
-            out[: self.dim - d] += bands[d, : self.dim - d] * v[d:]
-        return out
-
     def principal(self, lo: int, hi: int) -> BandedSymmetric:
         """Principal submatrix of rows and columns lo..hi-1, still banded.
 
@@ -153,13 +144,6 @@ class BandedSymmetric:
         dim = hi - lo
         bandwidth = min(self.bandwidth, dim - 1)
         return BandedSymmetric(self.bands[: bandwidth + 1, lo:hi], dim, bandwidth)
-
-    def norm1(self) -> float:
-        """Largest absolute column sum (equal to the row sum by symmetry)."""
-        sums = BandedSymmetric(np.abs(self.bands), self.dim, self.bandwidth).matvec(
-            np.ones(self.dim)
-        )
-        return float(np.max(sums))
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         from scipy.linalg import solveh_banded  # imported on first solve: slow to load

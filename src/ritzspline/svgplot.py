@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 55
 
@@ -70,14 +72,14 @@ class _Canvas:
         )
 
     def series(self, points, color):
-        """A polyline through two or more points, then a dot on each."""
+        """A polyline through two or more (x, y) points, then a dot on each;
+        each point is written by one ``%`` template."""
         if len(points) >= 2:
-            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+            pts = " ".join(map("%.2f,%.2f".__mod__, points))
             self.parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
-        self.parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>'
-                       for x, y in points]
+        self.parts += map(f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}"/>'.__mod__, points)
 
     def decade_ticks(self, py, ylo, yhi):
         """A tick and label on the y axis at each power of ten in [ylo, yhi]
@@ -104,6 +106,7 @@ class _Canvas:
 
 
 def _mapper(lo: float, hi: float, pix_lo: float, pix_hi: float):
+    """Pixel coordinate of a value, or elementwise of a numpy array of values."""
     span = hi - lo
 
     def to_pix(v_log: float) -> float:
@@ -168,7 +171,11 @@ def spectrum_plot(
     threshold: float,
     title: str,
 ) -> str:
-    """Per-mode relative eigenvalue errors with the predicted cutoff marked."""
+    """Per-mode relative eigenvalue errors with the predicted cutoff marked.
+
+    The modes are mapped to pixels as one numpy array per axis, by the
+    operations :func:`_mapper` applies to one value; each error's log is
+    ``math.log10`` of it, as for a single point."""
     n = len(rel_errors)
     floor = 1e-17
     ys = [max(e, floor) for e in rel_errors]
@@ -181,7 +188,9 @@ def spectrum_plot(
         cv.line(px(i), HEIGHT - MARGIN_B, px(i), HEIGHT - MARGIN_B + 4)
         cv.text(px(i), HEIGHT - MARGIN_B + 16, str(i), anchor="middle")
     cv.decade_ticks(py, ylo, yhi)
-    cv.series([(px(i + 1), py(math.log10(y))) for i, y in enumerate(ys)], PALETTE[0])
+    xs_pix = px(np.arange(1, n + 1)).tolist()
+    ys_pix = py(np.array(list(map(math.log10, ys)))).tolist()
+    cv.series(list(zip(xs_pix, ys_pix)), PALETTE[0])
     ty = py(math.log10(threshold))
     cv.line(MARGIN_L, ty, WIDTH - MARGIN_R, ty, stroke=PALETTE[1], dash="6,3")
     cv.text(WIDTH - MARGIN_R + 10, ty + 4, f"threshold {threshold:g}", color=PALETTE[1])

@@ -266,7 +266,7 @@ def test_criterion_7_structural_identities():
             gram = gram_matrix(space, q, n)
             resid = load_vector(
                 space, lambda x: u.eval(x, q), n, deriv=q
-            ) - gram.matvec(qs.coeffs)
+            ) - gram.to_dense() @ qs.coeffs
             scale = np.maximum(
                 1.0,
                 function_seminorm(u, q, space.breakpoints) * np.sqrt(gram.bands[0]),

@@ -275,6 +275,37 @@ def test_single_row_table_has_no_orders():
     assert "eoc_l0" in tab.to_csv().splitlines()[0]
 
 
+def _csv_per_field(header, rows):
+    """CSV text written field by field, as `_csv` wrote it before its
+    per-row templates: the oracle of their bytes."""
+    lines = [header] + [
+        ",".join([analysis._fmt(v) if isinstance(v, float) else str(v) for v in row])
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_templates_match_per_field_formatting():
+    rng = np.random.default_rng(25)
+    specials = [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0, 1e-5, 1e17]
+    bits = rng.integers(0, 2**64, size=200, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+    floats = specials + bits.tolist() + scaled.tolist()
+    others = [0, -3, 10**20, True, False, "", "a b", "%s%%", "x,y", np.float32(0.1),
+              np.int64(-7), np.bool_(True), None]
+    values = floats + [np.float64(v) for v in floats] + others
+    rows = []
+    for _ in range(300):
+        row = [values[i] for i in rng.integers(0, len(values), rng.integers(0, 8))]
+        rows.append(tuple(row) if rng.random() < 0.5 else row)
+    # rows that share a type signature reuse its template
+    rows += [(i, f, np.float64(f), bool(i % 2), "") for i, f in enumerate(floats)]
+    assert analysis._csv("a,b", rows) == _csv_per_field("a,b", rows)
+    assert analysis._csv("h", []) == "h\n"
+
+
 # strings the C encoder must escape, so that a ",\n" + indent separator
 # can never be mistaken for part of one
 AWKWARD = ["\n", ",\n    ", ",\n  ", '"', 'say "hi"\n', "\\", "\t\r", "π ≈ 3.14", "λ–μ", "😀", ""]

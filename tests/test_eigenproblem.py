@@ -228,10 +228,11 @@ def test_report_bytes_match_row_by_row_formula():
 
 
 def _constrained_pairs(p, nel):
+    """The dense stiffness and mass on the constrained space, and their pairs."""
     space, keep = constrained_space(p, Breakpoints.uniform(nel))
-    stiff = gram_matrix(space, 2).principal(keep[0], keep[-1] + 1)
-    mass = gram_matrix(space, 0).principal(keep[0], keep[-1] + 1)
-    lam, vecs = eigh(stiff.to_dense(), mass.to_dense())
+    stiff = gram_matrix(space, 2).principal(keep[0], keep[-1] + 1).to_dense()
+    mass = gram_matrix(space, 0).principal(keep[0], keep[-1] + 1).to_dense()
+    lam, vecs = eigh(stiff, mass)
     return stiff, mass, lam, vecs
 
 
@@ -258,11 +259,10 @@ def test_backward_errors_at_roundoff_level():
 
 
 def test_backward_errors_match_dense_formula():
-    stiff, mass, lam, vecs = _constrained_pairs(3, 12)
+    k, m, lam, vecs = _constrained_pairs(3, 12)
     lam = lam * (1 + 1e-3)  # residuals well above roundoff
-    k, m = stiff.to_dense(), mass.to_dense()
     knorm, mnorm = np.abs(k).sum(axis=0).max(), np.abs(m).sum(axis=0).max()
-    eta = backward_errors(stiff, mass, lam, vecs)
+    eta = backward_errors(k, m, lam, vecs)
     for i in range(lam.size):
         v = vecs[:, i]
         dense = np.linalg.norm(k @ v - lam[i] * (m @ v)) / (
@@ -286,6 +286,38 @@ def test_backward_error_guard_rejects_wrong_pair(monkeypatch):
     monkeypatch.setattr(eigenproblem, "eigh", perturbed)
     with pytest.raises(RuntimeError, match=f"eigenpair {lam.size - 1} backward error"):
         solve_biharmonic(3, Breakpoints.uniform(40))
+
+
+def test_backward_error_guard_rejects_wrong_eigenvector(monkeypatch):
+    """A pair whose eigenvalue is right but whose vector is not is rejected
+    by name.  The one dense pencil goes to both the eigensolver and the
+    residual products, and neither modifies it."""
+    k, m, lam, vecs = _constrained_pairs(3, 40)
+    j = 7
+    wrong = vecs.copy()
+    wrong[:, j] += 1e-6 * vecs[:, j + 1]
+    eta = backward_errors(k, m, lam, wrong)
+    assert eta[j] > BACKWARD_ERROR_TOL and np.all(np.delete(eta, j) <= BACKWARD_ERROR_TOL)
+
+    seen = {}
+
+    def perturbed(a, b):
+        seen["pencil"] = a, b, a.copy(), b.copy()
+        lam, vecs = eigh(a, b)
+        vecs[:, j] += 1e-6 * vecs[:, j + 1]
+        return lam, vecs
+
+    def recorded(a, b, *args):
+        seen["checked"] = a, b
+        return backward_errors(a, b, *args)
+
+    monkeypatch.setattr(eigenproblem, "eigh", perturbed)
+    monkeypatch.setattr(eigenproblem, "backward_errors", recorded)
+    with pytest.raises(RuntimeError, match=f"eigenpair {j} backward error"):
+        solve_biharmonic(3, Breakpoints.uniform(40))
+    a, b, a0, b0 = seen["pencil"]
+    assert seen["checked"][0] is a and seen["checked"][1] is b
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 def test_threshold_validation():
