@@ -28,8 +28,11 @@ identical, so comparing a change with its parent is one diff:
 `artifact_diff.py` shows whether files that differ agree to roundoff.
 The optional argument names the checkout whose `src/` is imported (default:
 the one holding this script).  Run both on the same machine with the same
-BLAS thread settings.  RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any
-run does not exit 0.
+BLAS thread settings: the `eig` artifacts from 201 modes on change in their
+last bits with the thread count.  The settings that decide it,
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the CPU count, are printed to
+stderr.  RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any run does not
+exit 0.
 """
 
 import argparse
@@ -194,6 +197,14 @@ def write_runs(dest: Path) -> int:
     return failed
 
 
+def thread_settings() -> str:
+    """The environment variables and the CPU count that set the BLAS thread
+    count, as one line."""
+    env = [f"{name}={os.environ.get(name, '(unset)')}"
+           for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    return " ".join([*env, f"cpu_count={os.cpu_count()}"])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path,
@@ -201,6 +212,7 @@ def main() -> int:
                         help="source checkout whose src/ is imported")
     args = parser.parse_args()
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    print(thread_settings(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         failed = write_runs(Path(tmp))
         digests = {

@@ -19,13 +19,7 @@ import numpy as np
 
 from .functions import SmoothFunction
 from .mesh import Breakpoints, Spline, SplineSpace, eval_spline_many, make_space
-from .projectors import (
-    Levels,
-    _check_order,
-    q_projections,
-    qtilde_projections,
-    ritz_projections,
-)
+from .projectors import Levels, _check_order, projection_order
 from .quadrature import GridTable, default_order, grid_tables, mesh_points
 
 
@@ -148,27 +142,6 @@ def function_seminorm(u: SmoothFunction, r: int, xi: Breakpoints) -> float:
     return float(math.sqrt(np.sum(d * d * ws.ravel())))
 
 
-# Each takes (levels, q) and projects u onto every level; L2 is Q_0.  What
-# they evaluate on the levels' error-norm grids (the load at q = 0, the
-# residual that the Ritz correction and Q-tilde fit) comes from
-# ``levels.sample``, which the error norms and reports then read too.
-_PROJECTORS = {
-    "l2": lambda levels, q: q_projections(levels, 0),
-    "q": q_projections,
-    "ritz": ritz_projections,
-    "qtilde": qtilde_projections,
-}
-
-
-def _projector(name: str):
-    try:
-        return _PROJECTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown projector '{name}'; available: {', '.join(sorted(_PROJECTORS))}"
-        ) from None
-
-
 @dataclass
 class ConvergenceTable:
     """Per-refinement errors with estimated orders of convergence.
@@ -282,13 +255,11 @@ def convergence_study(
     alone, bit for bit.  ``l_set`` lists distinct orders.
     """
     meta, spaces = _study_spaces(u, "error", projector, p, k, q, l_set, levels, interval, grading)
-    project = _projector(projector)
-    if projector != "l2":
-        _check_order(spaces[0], q, u)
+    _check_order(spaces[0], projection_order(projector, q), u)
     _check_norm_orders(u, l_set)
-    levels = Levels(u, spaces, l_set)
-    sample = levels.sample  # first: its u.eval names a bad order or a nonfinite u
-    coeffs = np.concatenate([s.coeffs for s in project(levels, q)])
+    study = Levels(u, spaces, l_set)
+    sample = study.sample  # first: its u.eval names a bad order or a nonfinite u
+    coeffs = study.project(projector, q)
     norms = sample.norms(sample.u_values(l_set) - sample.spline(coeffs, l_set))
     return _study_table(meta, spaces, l_set, norms)
 
@@ -312,15 +283,16 @@ def rq_difference_study(
     meta, spaces = _study_spaces(u, "rq-diff", "ritz-q", p, k, q, l_set, levels, interval,
                                  grading, zero_expected=p >= 3 * q - 1)
     _check_order(spaces[0], q, u)
-    levels = Levels(u, spaces)
-    qs = q_projections(levels, q)
-    diffs = [r.coeffs - s.coeffs for r, s in zip(ritz_projections(levels, q), qs)]
+    study = Levels(u, spaces)
+    qs = study.project("q", q)
+    diffs = study.project("ritz", q) - qs
+    ends = np.cumsum([space.dim for space in spaces])[:-1]
     flags = [
         p >= 3 * q - 1
-        and float(np.max(np.abs(diff))) <= 1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))
-        for diff, s in zip(diffs, qs)
+        and float(np.max(np.abs(diff))) <= 1e-9 * max(1.0, float(np.max(np.abs(s))))
+        for diff, s in zip(np.split(diffs, ends), np.split(qs, ends))
     ]
-    norms = _spline_norms(spaces, np.concatenate(diffs), l_set)
+    norms = _spline_norms(spaces, diffs, l_set)
     return _study_table(meta, spaces, l_set, norms, flags)
 
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import analysis, bounds, eigenproblem, svgplot
 from .functions import resolve_function
-from .mesh import Breakpoints, make_space
-from .projectors import Levels, gauss_orders, ritz_corrections
+from .mesh import Breakpoints, Spline, make_space
+from .projectors import PROJECTORS, Levels, gauss_orders, projection_order
 from .quadrature import ENV_ORDER
-from .analysis import _check_list, _csv, _dumps, _fmt, _projector
+from .analysis import _check_list, _csv, _dumps, _fmt
 
 
 def _parse_list(text: str, convert=int, kind: str = "integer") -> list:
@@ -61,13 +61,14 @@ def cmd_project(args) -> int:
     k = args.p - 1 if args.k is None else args.k
     xi = _make_breakpoints(args)
     space = make_space(args.p, k, xi)
-    l_max = min(args.q, u.max_order) if args.projector != "l2" else 0
+    order = projection_order(args.projector, args.q)
+    l_max = min(order, u.max_order)
     # one sample of u and of the basis on the error-norm grid serves the
     # projection and the report
     levels = Levels(u, [space], range(max(args.q, l_max) + 1))
-    (s,) = _projector(args.projector)(levels, args.q)
+    s = Spline(space, levels.project(args.projector, args.q))
     # the correction route keeps its correction on the levels
-    corr = ritz_corrections(levels, args.q)[0] if args.projector == "ritz" else None
+    corr = levels.correction(args.q)[0] if args.projector == "ritz" else None
     errors, mrep = analysis.project_report(levels, s, args.q, l_max)
     brep = analysis.boundary_report(u, s, args.q)
     out = Path(args.out)
@@ -80,7 +81,7 @@ def cmd_project(args) -> int:
             "k": k,
             "q": args.q,
             "quadrature": {  # orders per element; Galerkin system in the derived space
-                **gauss_orders(space, 0 if args.projector == "l2" else args.q),
+                **gauss_orders(space, order),
                 "override": ENV_ORDER in os.environ,
             },
             "knots": space.knots.tolist(),
@@ -267,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("--p", type=int, required=True, help="spline degree")
     p_proj.add_argument("--k", type=int, default=None, help="smoothness (default p-1)")
     p_proj.add_argument("--q", type=int, default=0, help="projector order")
-    p_proj.add_argument(
-        "--projector", choices=tuple(analysis._PROJECTORS), default="q"
-    )
+    p_proj.add_argument("--projector", choices=PROJECTORS, default="q")
     p_proj.add_argument("--breakpoints", default=None, help="comma-separated abscissae")
     p_proj.add_argument(
         "--uniform", type=int, default=0, help="number of interior breakpoints"
@@ -289,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--l-list", default="0", help="comma-separated derivative orders")
     p_conv.add_argument("--levels", type=int, default=5)
     p_conv.add_argument("--study", choices=("error", "rq-diff"), default="error")
-    p_conv.add_argument(
-        "--projector", choices=tuple(analysis._PROJECTORS), default="q"
-    )
+    p_conv.add_argument("--projector", choices=PROJECTORS, default="q")
     p_conv.add_argument(
         "--interval", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B")
     )

@@ -13,9 +13,10 @@ breakpoints and left-continuous at ``b``, with no one-sided option.
 
 Every basis value comes from one Cox-de Boor sweep, :func:`_cox_de_boor`,
 over points that each carry the knots around their span.  Its point front
-end :func:`_basis_table` searches each point's span; ``quadrature.grid_tables``
-takes the span of each Gauss element from the element's index instead, as
-all the Gauss points of an element share it.
+end :func:`_basis_table` searches the span of each point of one space;
+``quadrature.grid_tables`` takes the span of each Gauss element of several
+spaces from the element's index instead, as all the Gauss points of an
+element share it.
 
 A polynomial is a plain coefficient array ``c`` in the shifted monomials,
 p(x) = sum_i c_i (x-a)^i with ``a`` the left end of the breakpoints, and is
@@ -29,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from math import factorial
 
 import numpy as np
@@ -206,51 +206,32 @@ class Spline:
 # ---------------------------------------------------------------------------
 
 
-def _basis_table(
-    spaces: Sequence[SplineSpace],
-    xs: Sequence,
-    orders: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero basis derivative values at every point of ``xs[i]`` in
-    ``spaces[i]``, for several spaces of one degree and several derivative
-    orders at once.
+def _basis_table(space: SplineSpace, x, orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero basis derivative values at the points ``x`` of the space's
+    interval, for several derivative orders at once.
 
-    Returns ``(first, vals)`` over the points of every space in turn:
-    ``first[m]`` is the index, within its own space, of the first of the p+1
-    basis functions that may be nonzero at point m, and ``vals[i, j, m]``
+    Returns ``(first, vals)``: ``first[m]`` is the index of the first of the
+    p+1 basis functions that may be nonzero at point m, and ``vals[i, j, m]``
     the ``orders[i]``-th derivative of basis function ``first[m] + j`` there.
     The span of a point is the nonempty knot interval [t_i, t_{i+1}) holding it,
     clamped to the first/last nonempty span at the domain ends, so the values
     are right-continuous inside and left-continuous at ``b``.
 
     This is the point front end of :func:`_cox_de_boor`: it searches each
-    point's span and gathers the 2p knots around it from its own space's
-    knots, then runs one sweep for every point and every order.  Every step
-    is pointwise, so a call for several spaces gives each space the values
-    of a call for it alone, bit for bit; a call for one space is the
-    one-element case.  ``quadrature.grid_tables`` feeds the same sweep from
-    its elements instead, whose points share one span.
+    point's span and gathers the 2p knots around it, then runs one sweep for
+    every point and every order.  ``quadrature.grid_tables`` feeds the same
+    sweep from its elements instead, whose points share one span.
     """
-    p = spaces[0].degree
-    if any(space.degree != p for space in spaces):
-        raise ValueError("requires spaces of one degree")
-    steps = np.arange(1 - p, p + 1)[:, None]
-    points, spans, windows = [], [], []
-    for space, pts in zip(spaces, xs, strict=True):
-        a, b = space.interval
-        x = np.asarray(pts, dtype=float).ravel()
-        outside = (x < a) | (x > b)
-        if np.any(outside):
-            raise ValueError(f"x={x[np.argmax(outside)]} outside [{a}, {b}]")
-        t = space.knots
-        span = np.searchsorted(t, x, side="right") - 1
-        np.maximum(span, p, out=span)
-        np.minimum(span, t.size - p - 2, out=span)
-        points.append(x)
-        spans.append(span)
-        windows.append(t[steps + span])  # t[span+1-p] .. t[span+p]
-    x, span = np.concatenate(points), np.concatenate(spans)
-    return span - p, _cox_de_boor(p, x, np.concatenate(windows, axis=1), orders)
+    p, (a, b), t = space.degree, space.interval, space.knots
+    x = np.asarray(x, dtype=float).ravel()
+    outside = (x < a) | (x > b)
+    if np.any(outside):
+        raise ValueError(f"x={x[np.argmax(outside)]} outside [{a}, {b}]")
+    span = np.searchsorted(t, x, side="right") - 1
+    np.maximum(span, p, out=span)
+    np.minimum(span, t.size - p - 2, out=span)
+    window = t[np.arange(1 - p, p + 1)[:, None] + span]  # t[span+1-p] .. t[span+p]
+    return span - p, _cox_de_boor(p, x, window, orders)
 
 
 def _cox_de_boor(p: int, x: np.ndarray, window: np.ndarray, orders: Sequence[int]) -> np.ndarray:
@@ -320,7 +301,7 @@ def eval_spline_many(
     """
     xs = np.asarray(xs, dtype=float)
     orders = np.atleast_1d(deriv)
-    out = _contract(s.coeffs, *_basis_table([s.space], [xs], orders))
+    out = _contract(s.coeffs, *_basis_table(s.space, xs, orders))
     return out.reshape(xs.shape if np.ndim(deriv) == 0 else (orders.size, *xs.shape))
 
 
@@ -340,12 +321,6 @@ def _contract(coeffs: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.nda
     if vals.shape[2] == 1:
         return _contract(coeffs, np.repeat(first, 2), np.repeat(vals, 2, axis=2))[:, :1]
     return np.sum(coeffs[np.arange(vals.shape[1])[:, None] + first] * vals, axis=1)
-
-
-def splines(spaces: Sequence[SplineSpace], coeffs: np.ndarray) -> list[Spline]:
-    """The spline of each space from their joined coefficients."""
-    ends = list(accumulate((space.dim for space in spaces), initial=0))
-    return [Spline(space, coeffs[lo:hi]) for space, lo, hi in zip(spaces, ends, ends[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,25 @@ q Legendre polynomials (its saddle-point system in derived coordinates);
 the mean-preserving variant fixes only the constant that way.  At q = 0
 there is no constant to fix and all three are the L2 projection, the base
 case Q_0 of the recursion Q_q u = u(a) + J Q_{q-1} u'; the L2 projector is
-computed as Q_0.  The Ritz projector is also computed as the boundary
-projection plus a degree-(q-1) polynomial correction; that route is kept
-as a cross-check of the assembly.  Both routes fix their polynomial part
-with the one polynomial L2 projection, ``poly_l2_project``, which the
-closed-form tests and the dense-KKT reference check independently.  A
-polynomial part is a coefficient array c in the shifted monomials (x-a)^i,
-a the left end of the breakpoints, evaluated with
-``npp.polyval(x - a, c)``.
+Q_0, which :func:`projection_order` states once for every caller.  The Ritz
+projector is computed as the boundary projection plus a degree-(q-1)
+polynomial correction: that route is the one the CLI and the studies run,
+and the saddle-point solve, ``ritz_project(method='saddle')``, is kept as
+its independent check.  Both routes fix their polynomial part with the one
+polynomial L2 projection, ``poly_l2_project``, which the closed-form tests
+and the dense-KKT reference check independently.  A polynomial part is a
+coefficient array c in the shifted monomials (x-a)^i, a the left end of the
+breakpoints, evaluated with ``npp.polyval(x - a, c)``.
 
-Every projector is computed for a :class:`Levels`, u on a list of spaces
-of one degree (the levels of a convergence study), as one array program on
-their joined coefficient vector: one assembly and banded solve for all L2
-steps, one padded ``cumsum`` per integration, one Vandermonde build
-and one stacked solve for all polynomial fits, one change of basis for all
-corrections.  What is evaluated on the levels' error-norm grids, the load
-of u at q = 0 and the residual u - s that the Ritz correction and the
-mean-preserving variant fit, comes from the one ``Levels.sample``, which
-the error report then reads too.  A ``Levels`` also keeps, per q, the
+Every projector is computed by :meth:`Levels.project`, for u on a list of
+spaces of one degree (the levels of a convergence study), as one array
+program on their joined coefficient vector: one assembly and banded solve
+for all L2 steps, one padded ``cumsum`` per integration, one Vandermonde
+build and one stacked solve for all polynomial fits, one change of basis
+for all corrections.  What is evaluated on the levels' error-norm grids,
+the load of u at q = 0 and the residual u - s that the Ritz correction and
+the mean-preserving variant fit, comes from the one ``Levels.sample``,
+which the error report then reads too.  A ``Levels`` also keeps, per q, the
 boundary projections and Ritz corrections computed on it, so the boundary
 projection, the Ritz projection and the correction of one ``Levels`` share
 one Q.  Sums whose rounding depends on their length stay per space, so
@@ -55,7 +56,6 @@ from .mesh import (
     _antiderivatives,
     _frozen,
     _poly_coefficients,
-    splines,
 )
 from .quadrature import (
     GridTable,
@@ -66,6 +66,20 @@ from .quadrature import (
     mesh_points,
     solve_blocks,
 )
+
+
+PROJECTORS = ("l2", "q", "ritz", "qtilde")
+
+
+def projection_order(projector: str, q: int) -> int:
+    """The order of the Ritz-type projection that ``projector``, one of
+    :data:`PROJECTORS`, names at order q: q itself, or 0 for the L2
+    projector, which is Q_0."""
+    if projector not in PROJECTORS:
+        raise ValueError(
+            f"unknown projector '{projector}'; available: {', '.join(sorted(PROJECTORS))}"
+        )
+    return 0 if projector == "l2" else q
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +94,13 @@ class Levels:
     order 0 there (the load at q = 0, the Ritz correction, the mean of
     Q-tilde) and the reports every order.
 
-    ``boundary(q)`` and ``correction(q)`` are the joined coefficients of the
-    order-q boundary projections of u onto the levels and the rows of their
-    Ritz corrections, each computed on first use and kept, read-only, as
-    long as this object.
+    ``project(projector, q)`` is the joined coefficients of the named
+    projection of u onto every level.  ``boundary(q)`` and ``correction(q)``
+    are the joined coefficients of the order-q boundary projections and the
+    rows of their Ritz corrections, zero at q = 0, each computed on first use
+    and kept, read-only, as long as this object; the Ritz projection is
+    their sum, so Q, the Ritz projection and the correction of one
+    ``Levels`` share one Q.
     """
 
     u: SmoothFunction
@@ -98,15 +115,32 @@ class Levels:
         (table,) = grid_tables(self.spaces, [ns], sorted({0, *self.orders}), self.u)
         return table
 
+    def project(self, projector: str, q: int) -> np.ndarray:
+        """Joined coefficients of the projection of order
+        ``projection_order(projector, q)`` that ``projector`` names, onto
+        every level."""
+        q = projection_order(projector, q)
+        if projector == "qtilde" and q:
+            return _ritz_types(self, q, 1)
+        coeffs = self.boundary(q)
+        if projector == "ritz" and q:
+            coeffs = coeffs + _poly_coefficients(self.correction(q), self.spaces)
+        return coeffs
+
     def boundary(self, q: int) -> np.ndarray:
         if q not in self._boundary:
             self._boundary[q] = _frozen(_ritz_types(self, q, 0))
         return self._boundary[q]
 
     def correction(self, q: int) -> np.ndarray:
-        """Requires q >= 1: the fit of u - Q u onto degree q - 1."""
+        """The fit of u - Q u onto degree q - 1, one row per level; one zero
+        coefficient per level at q = 0."""
         if q not in self._corrections:
-            self._corrections[q] = _frozen(_residual_fits(q - 1, self, self.boundary(q)))
+            if q:
+                rows = _residual_fits(q - 1, self, self.boundary(q))
+            else:
+                rows = np.zeros((len(self.spaces), 1))
+            self._corrections[q] = _frozen(rows)
         return self._corrections[q]
 
 
@@ -255,22 +289,12 @@ def q_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     L2-project the q-th derivative onto the q-times derived space and
     integrate from the left q times, adding u^(i)(a) at each order i.
     """
-    return q_projections(Levels(u, [space]), q)[0]
-
-
-def q_projections(levels: Levels, q: int) -> list[Spline]:
-    """:func:`q_project` of u onto each level."""
-    return splines(levels.spaces, levels.boundary(q))
+    return Spline(space, Levels(u, [space]).project("q", q))
 
 
 def qtilde_project(space: SplineSpace, q: int, u: SmoothFunction) -> Spline:
     """Mean-preserving variant: the constant term is fixed by (s, 1) = (u, 1)."""
-    return qtilde_projections(Levels(u, [space]), q)[0]
-
-
-def qtilde_projections(levels: Levels, q: int) -> list[Spline]:
-    """:func:`qtilde_project` of u onto each level."""
-    return splines(levels.spaces, _ritz_types(levels, q, min(q, 1)))
+    return Spline(space, Levels(u, [space]).project("qtilde", q))
 
 
 def ritz_correction(space: SplineSpace, q: int, u: SmoothFunction) -> np.ndarray:
@@ -281,15 +305,7 @@ def ritz_correction(space: SplineSpace, q: int, u: SmoothFunction) -> np.ndarray
     vanishes identically when the space contains all polynomials of degree
     3q - 1.
     """
-    return ritz_corrections(Levels(u, [space]), q)[0]
-
-
-def ritz_corrections(levels: Levels, q: int) -> np.ndarray:
-    """:func:`ritz_correction` of each level, row i for levels.spaces[i]:
-    one residual fit on the levels' sample for all."""
-    if q == 0:
-        return np.zeros((len(levels.spaces), 1))
-    return levels.correction(q)
+    return Levels(u, [space]).correction(q)[0]
 
 
 def ritz_project(
@@ -298,23 +314,14 @@ def ritz_project(
     """Classical Ritz projection of order q.
 
     ``method='correction'`` adds the polynomial correction to the
-    boundary-interpolating projection; ``method='saddle'`` solves the
-    constrained Galerkin system in derived coordinates and serves as an
-    independent check.
+    boundary-interpolating projection, the route :meth:`Levels.project`
+    takes; ``method='saddle'`` solves the constrained Galerkin system in
+    derived coordinates and serves as an independent check of it.
     """
     _check_order(space, q, u)
     levels = Levels(u, [space])
     if method == "correction":
-        return ritz_projections(levels, q)[0]
+        return Spline(space, levels.project("ritz", q))
     if method == "saddle":
-        return splines([space], _ritz_types(levels, q, q))[0]
+        return Spline(space, _ritz_types(levels, q, q))
     raise ValueError(f"unknown method '{method}' (expected 'correction' or 'saddle')")
-
-
-def ritz_projections(levels: Levels, q: int) -> list[Spline]:
-    """:func:`ritz_project` of u onto each level by the correction route:
-    all corrections from one residual fit and one change of basis."""
-    qc = levels.boundary(q)
-    if q == 0:
-        return splines(levels.spaces, qc)
-    return splines(levels.spaces, qc + _poly_coefficients(levels.correction(q), levels.spaces))

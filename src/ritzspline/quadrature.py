@@ -171,9 +171,9 @@ class GridTable:
     every mesh, those of spaces[i] being ``points[ends[i]:ends[i + 1]]``.
     ``first`` and ``vals`` are the basis table there, with ``vals[i]`` for
     order ``orders[i]`` bit for bit as ``mesh._basis_table`` returns it at
-    the points, but ``first`` numbers the bases of the spaces in turn, as
-    one joined coefficient vector holds a spline of each.  The n points of
-    an element share its first index.  ``u``, when the table is a sample of u,
+    each space's points, but ``first`` numbers the bases of the spaces in
+    turn, as one joined coefficient vector holds a spline of each.  The n
+    points of an element share its first index.  ``u``, when the table is a sample of u,
     holds u^(orders[i]) at the points.
     """
 
@@ -348,14 +348,11 @@ def gram_bands(table: GridTable, deriv: int) -> BandedSymmetric:
     return BandedSymmetric(_frozen(bands), dim, p)
 
 
-def load_vector(space: SplineSpace, f: Integrand | np.ndarray, n: int, deriv: int = 0) -> np.ndarray:
-    """Vector of inner products (f, d^deriv b_i) over the space's mesh.
-
-    ``f`` is the integrand or its values at the flattened n-point grid.
-    """
+def load_vector(space: SplineSpace, f: Integrand, n: int, deriv: int = 0) -> np.ndarray:
+    """Vector of inner products (f, d^deriv b_i) over the space's mesh, the
+    vectorized callable ``f`` sampled on the n-point grid of every element."""
     (table,) = grid_tables([space], [[n]], (deriv,))
-    fx = f if isinstance(f, np.ndarray) else np.asarray(f(table.points))
-    return load_values(table, fx, deriv)
+    return load_values(table, np.asarray(f(table.points)), deriv)
 
 
 def load_values(table: GridTable, fx: np.ndarray, deriv: int) -> np.ndarray:

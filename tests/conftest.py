@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from ritzspline.analysis import _projector, _spline_norms
+from ritzspline.analysis import _spline_norms
 from ritzspline.functions import SmoothFunction
 from ritzspline.mesh import Breakpoints, Spline, eval_spline_many, make_space
 from ritzspline.projectors import Levels
@@ -62,9 +62,9 @@ def random_smooth(rng):
     )
 
 
-def apply_projector(name, space, q, u):
+def project_one(name, space, q, u):
     """The projector named as on the CLI, applied to u on one space."""
-    return _projector(name)(Levels(u, [space]), q)[0]
+    return Spline(space, Levels(u, [space]).project(name, q))
 
 
 def spline_norm(s, l):

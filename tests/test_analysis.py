@@ -30,7 +30,7 @@ from ritzspline.mesh import (
 from ritzspline.projectors import Levels, l2_project, q_project, ritz_project
 from ritzspline.quadrature import default_order, mesh_points
 
-from conftest import apply_projector, random_breakpoints, random_smooth, smooth_mix, spline_norm
+from conftest import project_one, random_breakpoints, random_smooth, smooth_mix, spline_norm
 
 UNIT = Breakpoints(np.array([0.0, 1.0]))
 
@@ -188,24 +188,22 @@ def test_batched_study_is_each_level_alone(projector, grading):
     correction and projection are those of a level sampled alone, bit for
     bit, whichever orders its sample holds, for a builtin and a parsed
     target."""
-    from ritzspline.projectors import q_projections, ritz_correction, ritz_corrections
+    from ritzspline.projectors import ritz_correction
 
     l_set = (1, 0, 2)
     for u in (builtin("sin4x"), from_expression("exp(x)*sin(3*x)+x^5/(1+x^2)")):
         tab = convergence_study(u, projector, 3, 2, 2, l_set, levels=4, grading=grading)
         meshes = [Breakpoints.uniform(2**j, grading=grading) for j in range(1, 5)]
         spaces = [make_space(3, 2, xi) for xi in meshes]
-        qss = q_projections(Levels(u, spaces), 2)
-        for i, (space, qs) in enumerate(zip(spaces, qss)):
+        qss = Levels(u, spaces).project("q", 2)
+        ends = np.cumsum([space.dim for space in spaces])[:-1]
+        for i, (space, qs) in enumerate(zip(spaces, np.split(qss, ends))):
             level = Levels(u, [space], (0, 1, 2))
-            s = apply_projector(projector, space, 2, u)
+            s = project_one(projector, space, 2, u)
             assert [tab.errors[l][i] for l in l_set] == error_norm(u, s, l_set)
-            (sampled,) = analysis._projector(projector)(level, 2)
-            assert np.array_equal(sampled.coeffs, s.coeffs)
-            assert np.array_equal(qs.coeffs, q_project(space, 2, u).coeffs)
-            assert np.array_equal(
-                ritz_corrections(level, 2)[0], ritz_correction(space, 2, u)
-            )
+            assert np.array_equal(level.project(projector, 2), s.coeffs)
+            assert np.array_equal(qs, q_project(space, 2, u).coeffs)
+            assert np.array_equal(level.correction(2)[0], ritz_correction(space, 2, u))
 
 
 def test_norms_take_a_sequence_of_orders(rng):

@@ -210,3 +210,12 @@ def test_text_differences_and_missing_files_fail(tmp_path, capsys, old_files, ne
     new = _tree(tmp_path / "new", new_files)
     assert artifact_diff.compare(old, new) == 1
     assert message in capsys.readouterr().out
+
+
+def test_hash_run_names_its_blas_thread_settings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(artifact_hashes.os, "cpu_count", lambda: 6)
+    assert artifact_hashes.thread_settings() == (
+        "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=(unset) cpu_count=6"
+    )

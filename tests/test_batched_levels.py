@@ -19,13 +19,9 @@ from ritzspline.projectors import (
     Levels,
     l2_project,
     q_project,
-    q_projections,
     qtilde_project,
-    qtilde_projections,
     ritz_correction,
-    ritz_corrections,
     ritz_project,
-    ritz_projections,
 )
 from ritzspline.quadrature import BandedSymmetric, solve_blocks
 
@@ -50,9 +46,7 @@ def _spaces(p, k, kind, count):
 
 
 def _same(batch, singles):
-    assert len(batch) == len(singles)
-    for got, want in zip(batch, singles):
-        assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(batch, np.concatenate([s.coeffs for s in singles]))
 
 
 @pytest.mark.parametrize("bandwidth", [0, 1, 2, 5, 20])
@@ -77,14 +71,12 @@ def _check_projections(spaces, qs_range):
     """L2, Q, Q-tilde, Ritz and the Ritz corrections of the spaces at every
     q in ``qs_range``, against one call per space."""
     levels = Levels(WAVE, spaces)
-    _same(q_projections(levels, 0), [l2_project(s, WAVE) for s in spaces])
+    _same(levels.project("l2", 0), [l2_project(s, WAVE) for s in spaces])
     for q in qs_range:
-        qs = q_projections(levels, q)
-        _same(qs, [q_project(s, q, WAVE) for s in spaces])
-        _same(qtilde_projections(levels, q), [qtilde_project(s, q, WAVE) for s in spaces])
-        _same(ritz_projections(levels, q), [ritz_project(s, q, WAVE) for s in spaces])
-        corrections = ritz_corrections(levels, q)
-        for got, space in zip(corrections, spaces, strict=True):
+        _same(levels.project("q", q), [q_project(s, q, WAVE) for s in spaces])
+        _same(levels.project("qtilde", q), [qtilde_project(s, q, WAVE) for s in spaces])
+        _same(levels.project("ritz", q), [ritz_project(s, q, WAVE) for s in spaces])
+        for got, space in zip(levels.correction(q), spaces, strict=True):
             assert np.array_equal(got, ritz_correction(space, q, WAVE))
 
 

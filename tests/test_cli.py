@@ -716,12 +716,13 @@ def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
 def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     """Run ``project`` for sin4x, p = 3 and order q on 16 elements, counting the
     evaluator calls of u by (order, points), every basis sweep by its point
-    counts, by whichever module makes it, and the Ritz correction calls.
+    counts, by whichever module makes it, and the residual fits of the Ritz
+    correction.
 
     A sweep is one call of ``mesh._cox_de_boor``.  ``quadrature.grid_tables``
     makes one for all its grids, counted by each grid's points, and
-    ``mesh._basis_table`` one for all its point sets, counted by each set's
-    points; every sweep is checked to be the one of such a call."""
+    ``mesh._basis_table`` one for its points, counted by their number; every
+    sweep is checked to be the one of such a call."""
     from collections import Counter
 
     import ritzspline.analysis as analysis
@@ -733,7 +734,7 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     from ritzspline.functions import SmoothFunction, builtin
 
     base = builtin("sin4x")
-    sweep, ritz_corrections = mesh._cox_de_boor, cli.ritz_corrections
+    sweep, residual_fits = mesh._cox_de_boor, projectors._residual_fits
     u_calls, sweeps, corrections, swept = Counter(), Counter(), [], []
 
     def evaluator(x, d):
@@ -760,21 +761,21 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     )
     monkeypatch.setattr(
         mesh, "_basis_table",
-        counted(mesh._basis_table, lambda args, out: tuple(np.size(x) for x in args[1])),
+        counted(mesh._basis_table, lambda args, out: (np.size(args[1]),)),
     )
     for module in (quadrature, projectors, analysis, eigenproblem):
         monkeypatch.setattr(module, "grid_tables", grid_tables)
     for module in (mesh, quadrature):
         monkeypatch.setattr(module, "_cox_de_boor", counted_sweep)
 
-    def counted_corrections(*args):
+    def counted_fits(*args):
         corrections.append(args)
-        return ritz_corrections(*args)
+        return residual_fits(*args)
 
     monkeypatch.setattr(
         cli, "resolve_function", lambda name: SmoothFunction(evaluator, base.max_order, name)
     )
-    monkeypatch.setattr(cli, "ritz_corrections", counted_corrections)
+    monkeypatch.setattr(projectors, "_residual_fits", counted_fits)
     rc = run(
         [
             "project", "--function", "sin4x", "--p", "3", "--q", str(q), "--projector",

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -318,6 +321,120 @@ def test_backward_error_guard_rejects_wrong_eigenvector(monkeypatch):
     a, b, a0, b0 = seen["pencil"]
     assert seen["checked"][0] is a and seen["checked"][1] is b
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+# ---------------------------------------------------------------------------
+# one BLAS on the eig path
+# ---------------------------------------------------------------------------
+
+# numpy and scipy each load their own OpenBLAS, with its own thread pool.  A
+# numpy product next to scipy's eigh makes the two pools compete for the
+# cores: with ``k @ vecs`` in the residual check, eig passes on 2 cores took
+# two to four times as long.  So the eig path's own code calls numpy's BLAS
+# and LAPACK nowhere: no ``@``, no numpy product routine and no numpy.linalg
+# but ``norm`` along an axis (a ufunc reduction; without ``axis`` a vector
+# norm is a BLAS dot).  What numpy and scipy call inside is not scanned.
+NUMPY_PRODUCTS = {"dot", "matmul", "inner", "tensordot", "vdot"}
+
+
+def _imported_names(tree):
+    """The dotted name each import of the module binds, by bound name."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                names[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def _dotted(node, names):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([names.get(node.id, node.id), *reversed(parts)])
+
+
+def _numpy_blas_uses(tree, names):
+    """Line and text of every numpy BLAS or LAPACK use in ``tree``."""
+    allowed = set()  # the func nodes of np.linalg.norm(..., axis=...)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            keywords = {kw.arg for kw in node.keywords}
+            name = _dotted(node.func, names)
+            if name == "numpy.linalg.norm" and "axis" in keywords:
+                allowed.add(id(node.func))
+            if name.split(".")[-1] == "einsum" and "optimize" in keywords:
+                found.append(node)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node)
+        elif isinstance(node, ast.Attribute) and node.attr in NUMPY_PRODUCTS:
+            found.append(node)  # np.dot(a, b) and a.dot(b) alike
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in allowed:
+            name = _dotted(node, names)
+            if name.startswith("numpy.linalg.") or name in {f"numpy.{f}" for f in NUMPY_PRODUCTS}:
+                found.append(node)
+    return sorted({(node.lineno, ast.unparse(node)) for node in found})
+
+
+@pytest.mark.parametrize("code,flagged", [
+    ("k @ v", True), ("r @= v", True), ("np.dot(a, b)", True), ("a.dot(b)", True),
+    ("np.tensordot(a, b)", True), ("np.linalg.solve(a, b)", True),
+    ("np.linalg.norm(v)", True), ("f(np.linalg.eigh)", True),
+    ("np.einsum('ij,jk', a, b, optimize=True)", True),
+    ("from numpy.linalg import solve\nsolve(a, b)", True),
+    ("from numpy import vdot as d\nd(a, b)", True),
+    ("np.linalg.norm(v, axis=0)", False), ("np.einsum('ij->i', a)", False),
+    ("dgemm(1.0, a, b)", False), ("np.abs(k).sum(axis=0)", False),
+])
+def test_blas_scan_flags_numpy_products(code, flagged):
+    tree = ast.parse("import numpy as np\n" + code)
+    assert bool(_numpy_blas_uses(tree, _imported_names(tree))) == flagged
+
+
+def test_eig_path_calls_no_numpy_blas():
+    """All of ``eigenproblem`` and every package function that
+    ``solve_biharmonic`` runs, found by profiling one call with the
+    package's caches cleared, are free of numpy BLAS and LAPACK calls."""
+    package = {module.__file__: module for name, module in sys.modules.items()
+               if name.startswith("ritzspline.")}
+    for module in package.values():
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear") and getattr(fn, "__module__", "") == module.__name__:
+                fn.cache_clear()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in package:
+            reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        solve_biharmonic(3, Breakpoints.uniform(20))
+    finally:
+        sys.setprofile(None)
+    found, scanned = {}, set()
+    for path, module in package.items():
+        tree = ast.parse(inspect.getsource(module))
+        names = _imported_names(tree)
+        if module is eigenproblem:
+            found[path] = _numpy_blas_uses(tree, names)
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+                if (path, first) in reached:
+                    scanned.add(getattr(node, "name", "<lambda>"))
+                    found[path] = found.get(path, []) + _numpy_blas_uses(node, names)
+    assert {"grid_tables", "gram_bands", "_cox_de_boor", "gauss_rule", "to_dense"} <= scanned
+    assert not {path: uses for path, uses in found.items() if uses}
 
 
 def test_threshold_validation():

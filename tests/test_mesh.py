@@ -21,7 +21,7 @@ from conftest import first_element_poly, random_breakpoints, random_space, rando
 
 def _basis_at(space, x):
     """First index and values of the p+1 basis functions that may be nonzero at x."""
-    first, vals = _basis_table([space], [[x]], (0,))
+    first, vals = _basis_table(space, [x], (0,))
     return int(first[0]), vals[0, :, 0]
 
 
@@ -247,7 +247,7 @@ def test_multi_order_basis_table_matches_single_orders(p):
             space = make_space(p, k, xi)
             xs = np.concatenate([r.uniform(xi.a, xi.b, 30), xi.points])
             orders = list(r.permutation(p + 2)) + [0, p + 1, p // 2]
-            first, vals = _basis_table([space], [xs], orders)
+            first, vals = _basis_table(space, xs, orders)
             assert vals.shape == (len(orders), p + 1, xs.size)
             for d, got in zip(orders, vals):
                 want_first, want = _single_order_table(space, xs, d)
@@ -276,7 +276,7 @@ def test_eval_spline_many_matches_point_major_contraction(p):
             s = random_spline(r, space)
             xs = np.concatenate([r.uniform(xi.a, xi.b, 200), xi.points])
             orders = list(range(p + 2))
-            first, vals = _basis_table([space], [xs], orders)
+            first, vals = _basis_table(space, xs, orders)
             terms = s.coeffs[first[:, None] + np.arange(p + 1)] * vals.transpose(0, 2, 1)
             want = np.sum(terms, axis=2)
             got = eval_spline_many(s, xs, orders)
@@ -287,50 +287,16 @@ def test_eval_spline_many_matches_point_major_contraction(p):
                 assert np.all(np.abs(got - want) <= bound), k
 
 
-@pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
-def test_basis_table_over_several_spaces_is_each_space_alone(p):
-    """One call over several spaces of one degree gives each space the
-    first indices and values of a call for it alone, bit for bit: uniform,
-    graded, far-off and random meshes with their own smoothness, point
-    counts and order subsets."""
-    r = np.random.default_rng(4000 + p)
-    meshes = (
-        Breakpoints.uniform(4),
-        Breakpoints.uniform(6, -0.5, 2.0, grading=3.0),
-        Breakpoints.uniform(3, 1e6, 1e6 + 1.0),
-        random_breakpoints(r, 5),
-    )
-    for _ in range(3):
-        spaces = [make_space(p, int(r.integers(-1, p)) if p else -1, xi) for xi in meshes]
-        spaces = [spaces[i] for i in r.permutation(len(spaces))]
-        xs = [
-            np.concatenate([r.uniform(*sp.interval, r.integers(1, 30)), sp.breakpoints.points])
-            for sp in spaces
-        ]
-        orders = list(r.choice(p + 2, size=int(r.integers(1, p + 3)), replace=False))
-        first, vals = _basis_table(spaces, xs, orders)
-        lo = 0
-        for space, x in zip(spaces, xs):
-            want_first, want = _basis_table([space], [x], orders)
-            hi = lo + x.size
-            assert np.array_equal(first[lo:hi], want_first), space.smoothness
-            assert np.array_equal(vals[:, :, lo:hi], want), space.smoothness
-            lo = hi
-
-
-def test_basis_table_rejects_mixed_degrees_and_outside_points():
-    xi = Breakpoints.uniform(2)
-    with pytest.raises(ValueError, match="one degree"):
-        _basis_table([make_space(2, 1, xi), make_space(3, 2, xi)], [[0.5], [0.5]], (0,))
-    far = make_space(2, 1, Breakpoints.uniform(2, 1.0, 2.0))
+def test_basis_table_rejects_outside_points():
+    space = make_space(2, 1, Breakpoints.uniform(2, 1.0, 2.0))
     with pytest.raises(ValueError, match=r"x=0.5 outside \[1.0, 2.0\]"):
-        _basis_table([make_space(2, 1, xi), far], [[0.5], [0.5]], (0,))
+        _basis_table(space, [1.5, 0.5], (0,))
 
 
 def test_basis_table_rejects_negative_order():
     space = make_space(2, 1, Breakpoints.uniform(2))
     with pytest.raises(ValueError, match="deriv >= 0"):
-        _basis_table([space], [[0.5]], (0, -1))
+        _basis_table(space, [0.5], (0, -1))
 
 
 def test_one_point_evaluation_matches_the_point_in_a_batch():

@@ -545,6 +545,17 @@ def test_unknown_ritz_method():
         ritz_project(make_space(2, 1, UNIT), 1, builtin("sin4x"), method="direct")
 
 
+def test_projection_order_names_the_projectors():
+    """L2 is Q_0 at every q; any other name outside PROJECTORS is rejected
+    with the names available."""
+    from ritzspline.projectors import PROJECTORS, Levels, projection_order
+
+    assert [projection_order(name, 3) for name in PROJECTORS] == [0, 3, 3, 3]
+    levels = Levels(builtin("sin4x"), [make_space(2, 1, UNIT)])
+    message = r"unknown projector 'h1'; available: l2, q, qtilde, ritz$"
+    with pytest.raises(ValueError, match=message):
+        levels.project("h1", 2)
+
 
 def test_one_levels_computes_q_and_the_correction_once(monkeypatch):
     """Q, R and the correction of one Levels at one q share one boundary
@@ -568,18 +579,21 @@ def test_one_levels_computes_q_and_the_correction_once(monkeypatch):
     u = builtin("sin4x")
     spaces = [make_space(3, 2, Breakpoints.uniform(n)) for n in (4, 8)]
     levels = projectors.Levels(u, spaces)
-    qs = projectors.q_projections(levels, 2)
-    rs = projectors.ritz_projections(levels, 2)
-    corr = projectors.ritz_corrections(levels, 2)
+    qs = levels.project("q", 2)
+    rs = levels.project("ritz", 2)
+    corr = levels.correction(2)
     assert calls == {"ritz_types": [0], "residual_fits": 1}
     levels = projectors.Levels(u, spaces)
-    assert np.array_equal(projectors.ritz_corrections(levels, 2), corr)
-    projectors.ritz_projections(levels, 2)
-    projectors.q_projections(levels, 2)
+    assert np.array_equal(levels.correction(2), corr)
+    levels.project("ritz", 2)
+    levels.project("q", 2)
     assert calls == {"ritz_types": [0, 0], "residual_fits": 2}
-    for space, qsp, rsp, c in zip(spaces, qs, rs, corr, strict=True):
-        assert np.array_equal(qsp.coeffs, q_project(space, 2, u).coeffs)
-        assert np.array_equal(rsp.coeffs, ritz_project(space, 2, u).coeffs)
+    ends = np.cumsum([space.dim for space in spaces])[:-1]
+    for space, qsp, rsp, c in zip(
+        spaces, np.split(qs, ends), np.split(rs, ends), corr, strict=True
+    ):
+        assert np.array_equal(qsp, q_project(space, 2, u).coeffs)
+        assert np.array_equal(rsp, ritz_project(space, 2, u).coeffs)
         assert np.array_equal(c, ritz_correction(space, 2, u))
 
     calls["ritz_types"].clear()

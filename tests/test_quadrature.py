@@ -20,7 +20,7 @@ from ritzspline.quadrature import (
     resolve_order,
 )
 
-from conftest import apply_projector, gauss_inner_product, random_breakpoints
+from conftest import project_one, gauss_inner_product, random_breakpoints
 
 
 def test_one_point_rule():
@@ -220,7 +220,7 @@ def test_env_override_below_exact_order_rejected(monkeypatch):
         lambda: default_order(3),
         lambda: default_order(3, space.breakpoints),
         lambda: gram_matrix(space),
-        lambda: apply_projector("ritz", space, 2, u),
+        lambda: project_one("ritz", space, 2, u),
     ):
         with pytest.raises(ValueError, match=rf"{ENV_ORDER} must lie in \[4, 64\]: got 3"):
             call()
@@ -273,9 +273,9 @@ def test_default_order_matches_max_order_rule(name, monkeypatch):
                 solved = p if projector == "l2" else p - q
                 gram = gram_matrix(make_space(solved, solved - 1, xi)).to_dense()
                 floor = 8 * eps * np.linalg.cond(gram)
-                got = apply_projector(projector, space, q, u).coeffs
+                got = project_one(projector, space, q, u).coeffs
                 monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
-                ref = apply_projector(projector, space, q, u).coeffs
+                ref = project_one(projector, space, q, u).coeffs
                 gap = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                 worst.append((gap / (1e-10 + floor), (xi.points.size - 1), p, projector, gap))
     ratio, *case = max(worst)
@@ -291,7 +291,7 @@ def test_error_norms_match_max_order_rule(monkeypatch):
         h_min = float(np.min(np.diff(xi.points)))
         for p in (1, 3, 8):
             space = make_space(p, p - 1, xi)
-            s = apply_projector("ritz", space, min(2, p), u)
+            s = project_one("ritz", space, min(2, p), u)
             got = [error_norm(u, s, l) for l in range(3)]
             monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
             ref = [error_norm(u, s, l) for l in range(3)]
@@ -350,8 +350,8 @@ def test_solve_spd_raises_on_nonfinite_and_indefinite_input():
 def test_grid_tables_take_the_spans_a_search_finds(p):
     """The span of element e, gathered once per element at e (p - k), is the
     one ``_basis_table`` searches for each of its Gauss points: the first
-    indices and values of every table are those of ``_basis_table`` at the
-    table's points, bit for bit, on uniform, graded, one-element and far-off
+    indices and values of every table are those of ``_basis_table`` at its
+    space's points, bit for bit, on uniform, graded, one-element and far-off
     meshes, for every smoothness in {-1, 0, p - 1} and several n."""
     from ritzspline.mesh import _basis_table
 
@@ -368,11 +368,10 @@ def test_grid_tables_take_the_spans_a_search_finds(p):
         tables = grid_tables(spaces, ns, orders)
         starts = np.cumsum([0, *(space.dim for space in spaces[:-1])])
         for table in tables:
-            sizes = np.diff(table.ends)
-            xs = [table.points[lo:hi] for lo, hi in zip(table.ends, table.ends[1:])]
-            first, vals = _basis_table(spaces, xs, orders)
-            assert np.array_equal(table.first, first + starts.repeat(sizes)), (k, table.ns)
-            assert np.array_equal(table.vals, vals), (k, table.ns)
+            for space, start, lo, hi in zip(spaces, starts, table.ends, table.ends[1:]):
+                first, vals = _basis_table(space, table.points[lo:hi], orders)
+                assert np.array_equal(table.first[lo:hi], first + start), (k, table.ns)
+                assert np.array_equal(table.vals[:, :, lo:hi], vals), (k, table.ns)
 
 
 def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
