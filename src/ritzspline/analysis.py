@@ -282,7 +282,6 @@ def rq_difference_study(
     """
     meta, spaces = _study_spaces(u, "rq-diff", "ritz-q", p, k, q, l_set, levels, interval,
                                  grading, zero_expected=p >= 3 * q - 1)
-    _check_order(spaces[0], q, u)
     study = Levels(u, spaces)
     qs = study.project("q", q)
     diffs = study.project("ritz", q) - qs

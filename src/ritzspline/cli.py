@@ -62,14 +62,13 @@ def cmd_project(args) -> int:
     xi = _make_breakpoints(args)
     space = make_space(args.p, k, xi)
     order = projection_order(args.projector, args.q)
-    l_max = min(order, u.max_order)
     # one sample of u and of the basis on the error-norm grid serves the
     # projection and the report
-    levels = Levels(u, [space], range(max(args.q, l_max) + 1))
+    levels = Levels(u, [space], range(args.q + 1))
     s = Spline(space, levels.project(args.projector, args.q))
     # the correction route keeps its correction on the levels
     corr = levels.correction(args.q)[0] if args.projector == "ritz" else None
-    errors, mrep = analysis.project_report(levels, s, args.q, l_max)
+    errors, mrep = analysis.project_report(levels, s, args.q, order)
     brep = analysis.boundary_report(u, s, args.q)
     out = Path(args.out)
 

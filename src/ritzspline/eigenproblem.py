@@ -116,16 +116,27 @@ def resolved_modes(h: float, references: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Discrete spectrum with references, errors, and outlier bookkeeping."""
+    """Discrete spectrum of n = ``lambdas.size`` modes, with the reference
+    spectra of those n modes, errors, and outlier bookkeeping derived."""
 
     p: int
     h: float
-    n: int
     threshold: float
     lambdas: np.ndarray  # discrete, ascending
-    references: np.ndarray  # transcendental clamped-beam eigenvalues
-    asymptotic: np.ndarray
     backward_error: float  # worst over the eigenpairs, see backward_errors
+
+    @property
+    def n(self) -> int:
+        return self.lambdas.size
+
+    @cached_property
+    def references(self) -> np.ndarray:
+        """The transcendental clamped-beam eigenvalues."""
+        return clamped_beam_eigenvalues(self.n)
+
+    @cached_property
+    def asymptotic(self) -> np.ndarray:
+        return asymptotic_eigenvalues(self.n)
 
     @cached_property
     def rel_errors(self) -> np.ndarray:
@@ -236,14 +247,4 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
             f"eigenpair {worst} backward error {eta[worst]:.3e} exceeds "
             f"{BACKWARD_ERROR_TOL:.0e}; the eigensolver returned an inaccurate pair"
         )
-    n = lam.size
-    return SpectrumReport(
-        p=p,
-        h=xi.h,
-        n=n,
-        threshold=threshold,
-        lambdas=lam,
-        references=clamped_beam_eigenvalues(n),
-        asymptotic=asymptotic_eigenvalues(n),
-        backward_error=float(eta[worst]),
-    )
+    return SpectrumReport(p, xi.h, threshold, lam, float(eta[worst]))

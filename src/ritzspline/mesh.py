@@ -1,7 +1,7 @@
 """Breakpoint meshes, B-spline spaces, and exact calculus between them.
 
 A spline space of degree ``p`` and smoothness ``k`` over a breakpoint
-sequence is represented by its clamped (open) knot vector: end knots with
+sequence stores those three; its clamped (open) knot vector has end knots with
 multiplicity ``p + 1`` and every interior breakpoint with multiplicity
 ``p - k``.  Differentiation maps the space with parameters ``(p, k)`` onto
 the one with ``(p - 1, k - 1)`` over the same breakpoints, and integration
@@ -109,15 +109,26 @@ class Breakpoints:
 class SplineSpace:
     """Piecewise polynomials of degree ``p`` in C^k across the breakpoints.
 
-    Use :func:`make_space` to construct; the knot vector and dimension are
-    derived there and must stay consistent with (degree, smoothness).
+    Use :func:`make_space` to construct: it checks (p, k).  The knot vector
+    and the dimension follow from the three fields.
     """
 
     degree: int
     smoothness: int
     breakpoints: Breakpoints
-    knots: np.ndarray
-    dim: int
+
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """Clamped, read-only: end points p+1 times, interior breakpoints p-k times."""
+        pts = self.breakpoints.points
+        mult = np.full(pts.size, self.degree - self.smoothness, dtype=int)
+        mult[0] = mult[-1] = self.degree + 1
+        return _frozen(np.repeat(pts, mult))
+
+    @cached_property
+    def dim(self) -> int:
+        """(p+1) + N(p-k) for N interior breakpoints."""
+        return (self.degree + 1) + self.breakpoints.num_interior * (self.degree - self.smoothness)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -145,25 +156,15 @@ class SplineSpace:
 
 
 def make_space(p: int, k: int, xi: Breakpoints) -> SplineSpace:
-    """Build the spline space of degree `p` and smoothness `k` over `xi`.
-
-    The clamped knot vector repeats the end points p+1 times and every
-    interior breakpoint p-k times, giving dimension (p+1) + N*(p-k) for N
-    interior breakpoints.
-    """
+    """The spline space of degree `p` and smoothness `k` over `xi`, once
+    (p, k) is checked."""
     if p < 0:
         raise ValueError("requires degree p >= 0")
     if p > MAX_DEGREE:
         raise ValueError(f"requires degree p <= {MAX_DEGREE}")
     if not -1 <= k <= p - 1:
         raise ValueError(f"requires -1 <= k <= p-1: got k={k}, p={p}")
-    pts = xi.points
-    mult = np.full(pts.size, p - k, dtype=int)
-    mult[0] = mult[-1] = p + 1
-    knots = np.repeat(pts, mult)
-    dim = (p + 1) + xi.num_interior * (p - k)
-    assert knots.size == dim + p + 1
-    return SplineSpace(p, k, xi, _frozen(knots), dim)
+    return SplineSpace(p, k, xi)
 
 
 @dataclass(frozen=True)

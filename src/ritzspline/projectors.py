@@ -95,18 +95,18 @@ class Levels:
     Q-tilde) and the reports every order.
 
     ``project(projector, q)`` is the joined coefficients of the named
-    projection of u onto every level.  ``boundary(q)`` and ``correction(q)``
-    are the joined coefficients of the order-q boundary projections and the
-    rows of their Ritz corrections, zero at q = 0, each computed on first use
-    and kept, read-only, as long as this object; the Ritz projection is
-    their sum, so Q, the Ritz projection and the correction of one
-    ``Levels`` share one Q.
+    projection of u onto every level.  The joined coefficients of the
+    order-q boundary projections, ``project("q", q)``, and the rows of their
+    Ritz corrections, ``correction(q)``, zero at q = 0, are each computed on
+    first use and kept, read-only, as long as this object; the Ritz
+    projection is their sum, so Q, the Ritz projection and the correction of
+    one ``Levels`` share one Q.
     """
 
     u: SmoothFunction
     spaces: Sequence[SplineSpace]
     orders: Sequence[int] = ()
-    _boundary: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _boundaries: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _corrections: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -122,22 +122,22 @@ class Levels:
         q = projection_order(projector, q)
         if projector == "qtilde" and q:
             return _ritz_types(self, q, 1)
-        coeffs = self.boundary(q)
+        coeffs = self._boundary(q)
         if projector == "ritz" and q:
             coeffs = coeffs + _poly_coefficients(self.correction(q), self.spaces)
         return coeffs
 
-    def boundary(self, q: int) -> np.ndarray:
-        if q not in self._boundary:
-            self._boundary[q] = _frozen(_ritz_types(self, q, 0))
-        return self._boundary[q]
+    def _boundary(self, q: int) -> np.ndarray:
+        if q not in self._boundaries:
+            self._boundaries[q] = _frozen(_ritz_types(self, q, 0))
+        return self._boundaries[q]
 
     def correction(self, q: int) -> np.ndarray:
         """The fit of u - Q u onto degree q - 1, one row per level; one zero
         coefficient per level at q = 0."""
         if q not in self._corrections:
             if q:
-                rows = _residual_fits(q - 1, self, self.boundary(q))
+                rows = _residual_fits(q - 1, self, self._boundary(q))
             else:
                 rows = np.zeros((len(self.spaces), 1))
             self._corrections[q] = _frozen(rows)
@@ -318,7 +318,6 @@ def ritz_project(
     takes; ``method='saddle'`` solves the constrained Galerkin system in
     derived coordinates and serves as an independent check of it.
     """
-    _check_order(space, q, u)
     levels = Levels(u, [space])
     if method == "correction":
         return Spline(space, levels.project("ritz", q))

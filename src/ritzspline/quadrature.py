@@ -120,30 +120,30 @@ class BandedSymmetric:
     """Symmetric banded matrix in lower-diagonal storage.
 
     ``bands[d, j]`` holds entry (j + d, j); row 0 is the main diagonal.
+    The matrix has ``bands.shape[1]`` rows and ``bands.shape[0] - 1``
+    subdiagonals.
     """
 
     bands: np.ndarray
-    dim: int
-    bandwidth: int
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.dim - d)
-            a[idx + d, idx] = self.bands[d, : self.dim - d]
-            a[idx, idx + d] = self.bands[d, : self.dim - d]
+        dim = self.bands.shape[1]
+        a = np.zeros((dim, dim))
+        for d, band in enumerate(self.bands):
+            idx = np.arange(dim - d)
+            a[idx + d, idx] = band[: dim - d]
+            a[idx, idx + d] = band[: dim - d]
         return a
 
     def principal(self, lo: int, hi: int) -> BandedSymmetric:
         """Principal submatrix of rows and columns lo..hi-1, still banded.
 
         Exact by slicing: entries (j + d, j) with j + d >= hi - lo, which
-        now couple to dropped indices, are never read.  The bandwidth is
-        clamped to hi - lo - 1, the widest a matrix of that size can have.
+        now couple to dropped indices, are never read.  At most hi - lo
+        bands are kept, the most a matrix of that size has: scipy's banded
+        solver rejects or rounds differently on more.
         """
-        dim = hi - lo
-        bandwidth = min(self.bandwidth, dim - 1)
-        return BandedSymmetric(self.bands[: bandwidth + 1, lo:hi], dim, bandwidth)
+        return BandedSymmetric(self.bands[: hi - lo, lo:hi])
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         from scipy.linalg import solveh_banded  # imported on first solve: slow to load
@@ -345,7 +345,7 @@ def gram_bands(table: GridTable, deriv: int) -> BandedSymmetric:
     bands = np.bincount(
         flat.ravel(), local[:, row, col].ravel(), minlength=(p + 1) * dim
     ).reshape(p + 1, dim)
-    return BandedSymmetric(_frozen(bands), dim, p)
+    return BandedSymmetric(_frozen(bands))
 
 
 def load_vector(space: SplineSpace, f: Integrand, n: int, deriv: int = 0) -> np.ndarray:

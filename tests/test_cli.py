@@ -708,6 +708,51 @@ def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("projector", ["l2", "q", "ritz", "qtilde"])
+def test_project_json_quadrature_names_the_tabulated_grids(
+    tmp_path, monkeypatch, projector, override
+):
+    """The ``quadrature`` record names the per-element Gauss orders of the
+    grids the projection tabulates: ``gauss_orders`` restates the choices
+    that ``_ritz_types`` and ``Levels.sample`` make each for themselves.
+    At q >= 1 the L2 step tabulates its load and Gram grids in one call; at
+    q = 0 it tabulates the Gram grid alone, and its load grid is the
+    sample."""
+    import ritzspline.projectors as projectors
+    import ritzspline.quadrature as quadrature
+
+    if override:
+        monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", "9")
+    tabulated = {}
+
+    def grid_tables(spaces, ns, orders, u=None):
+        tables = quadrature.grid_tables(spaces, ns, orders, u)
+        if len(tables) == 2:
+            kinds = ("load_vector", "gram_matrix")
+        else:
+            kinds = ("gram_matrix",) if u is None else ("error_norms",)
+        for kind, table in zip(kinds, tables):
+            tabulated.setdefault(kind, set()).add(table.ns)
+        return tables
+
+    monkeypatch.setattr(projectors, "grid_tables", grid_tables)
+    for q in range(4):
+        tabulated.clear()
+        out = tmp_path / f"q{q}"
+        assert run([
+            "project", "--function", "sin4x", "--p", "4", "--q", str(q), "--projector",
+            projector, "--breakpoints", "0,0.1,0.35,0.4,0.7,0.85,1", "--format", "json",
+            "--out", str(out),
+        ]) == 0
+        record = json.loads((out / "report.json").read_text())["quadrature"]
+        if projectors.projection_order(projector, q) == 0:
+            tabulated["load_vector"] = tabulated["error_norms"]
+        assert tabulated == {kind: {(record[kind],)} for kind in tabulated}
+        assert set(tabulated) == {"load_vector", "gram_matrix", "error_norms"}
+        assert record["override"] is override
+
+
 # ---------------------------------------------------------------------------
 # work done per call
 # ---------------------------------------------------------------------------

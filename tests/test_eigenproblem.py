@@ -179,6 +179,16 @@ def test_observed_outliers_form_trailing_range():
         assert max(out) >= rep.n - 1  # top of the spectrum
 
 
+def test_report_derives_its_mode_count_and_references():
+    """n and the reference spectra follow from the discrete eigenvalues: the
+    constrained space of p = 3 on 8 elements keeps dim - 4 = 7 modes."""
+    rep = solve_biharmonic(3, Breakpoints.uniform(8))
+    assert rep.n == rep.lambdas.size == 7
+    assert isinstance(rep.n, int)
+    assert np.array_equal(rep.references, clamped_beam_eigenvalues(7))
+    assert np.array_equal(rep.asymptotic, asymptotic_eigenvalues(7))
+
+
 def test_report_serialization():
     rep = solve_biharmonic(3, Breakpoints.uniform(8))
     lines = rep.to_csv().strip().splitlines()

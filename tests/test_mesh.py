@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 from numpy.polynomial import polynomial as npp
 import pytest
@@ -110,6 +112,23 @@ def test_dim_matches_knot_count(rng):
     for _ in range(20):
         space = random_space(rng)
         assert space.knots.size == space.dim + space.degree + 1
+
+
+def test_knots_are_the_clamped_vector_and_read_only(rng):
+    """The knot vector follows from (degree, smoothness, breakpoints): end
+    points p+1 times, interior breakpoints p-k times; it cannot be written
+    or reassigned."""
+    for _ in range(20):
+        space = random_space(rng)
+        p, k, pts = space.degree, space.smoothness, space.breakpoints.points
+        mult = [p + 1] + [p - k] * (pts.size - 2) + [p + 1]
+        assert np.array_equal(space.knots, np.repeat(pts, mult))
+        assert space.knots is space.knots
+        assert not space.knots.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            space.knots[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.knots = space.knots.copy()
 
 
 def test_make_space_rejects_bad_smoothness():

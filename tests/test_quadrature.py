@@ -142,9 +142,31 @@ def test_principal_submatrix_is_exact_in_banded_storage(rng):
         for deriv in range(min(p, 2) + 1):
             gram = gram_matrix(space, deriv)
             sub = gram.principal(2, space.dim - 2)
-            assert sub.dim == space.dim - 4
-            assert sub.bandwidth == min(gram.bandwidth, sub.dim - 1)
+            assert sub.bands.shape == (min(p + 1, space.dim - 4), space.dim - 4)
             assert np.array_equal(sub.to_dense(), gram.to_dense()[2:-2, 2:-2])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_principal_block_within_the_bandwidth_keeps_its_own_bands(rng, p):
+    """principal(lo, lo + m) with m <= bandwidth has m bands, the most an
+    m x m matrix has: it densifies to the dense block and solves bit for bit
+    as the band clamped to bandwidth m - 1 does.  The clamp matters: scipy's
+    banded solver rejects the unclamped 2-band slice of a 1 x 1 block and
+    rounds differently on the unclamped slices of some wider ones."""
+    from scipy.linalg import solveh_banded
+
+    space = make_space(p, p - 1, random_breakpoints(rng, 6))
+    for deriv in range(min(p, 2) + 1):
+        gram = gram_matrix(space, deriv)
+        dense = gram.to_dense()
+        for m in range(1, p + 1):
+            for lo in (0, 2, space.dim - m):
+                sub = gram.principal(lo, lo + m)
+                assert sub.bands.shape == (m, m)
+                assert np.array_equal(sub.to_dense(), dense[lo : lo + m, lo : lo + m])
+                clamped = gram.bands[: min(p, m - 1) + 1, lo : lo + m]
+                rhs = rng.normal(size=m)
+                assert np.array_equal(sub.solve_spd(rhs), solveh_banded(clamped, rhs, lower=True))
 
 
 def test_load_vector_sums_to_interval_length(rng):
@@ -333,17 +355,17 @@ def test_solve_spd_raises_on_nonfinite_and_indefinite_input():
         bands = np.zeros((bandwidth + 1, 4))
         bands[0] = 2.0
         bands[1, :3] = -1.0
-        spd = BandedSymmetric(bands, 4, bandwidth)
+        spd = BandedSymmetric(bands)
         with pytest.raises(ValueError, match="infs or NaNs"):
             spd.solve_spd(np.array([1.0, np.nan, 0.0, 0.0]))
         bad = bands.copy()
         bad[0, 1] = np.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
-            BandedSymmetric(bad, 4, bandwidth).solve_spd(np.ones(4))
+            BandedSymmetric(bad).solve_spd(np.ones(4))
         indefinite = bands.copy()
         indefinite[0, 2] = -1.0
         with pytest.raises(LinAlgError, match="not positive definite"):
-            BandedSymmetric(indefinite, 4, bandwidth).solve_spd(np.ones(4))
+            BandedSymmetric(indefinite).solve_spd(np.ones(4))
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 5, 8, 13, 20])
