@@ -31,7 +31,8 @@ the one holding this script).  Run both on the same machine with the same
 BLAS thread settings: the `eig` artifacts from 201 modes on change in their
 last bits with the thread count.  The settings that decide it,
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the CPU count, are printed to
-stderr.  RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any run does not
+stderr, with the numpy and scipy versions, on which the hashes depend
+too.  RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any run does not
 exit 0.
 """
 
@@ -43,6 +44,9 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy
+import scipy
 
 EXPRESSION = "exp(x)*sin(3*x)+x^5/(1+x^2)"
 PROJECT_MESHES = {
@@ -205,6 +209,11 @@ def thread_settings() -> str:
     return " ".join([*env, f"cpu_count={os.cpu_count()}"])
 
 
+def library_versions() -> str:
+    """The versions of the numpy and scipy that the runs import, as one line."""
+    return f"numpy={numpy.__version__} scipy={scipy.__version__}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path,
@@ -212,7 +221,7 @@ def main() -> int:
                         help="source checkout whose src/ is imported")
     args = parser.parse_args()
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    print(thread_settings(), file=sys.stderr)
+    print(thread_settings(), library_versions(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         failed = write_runs(Path(tmp))
         digests = {

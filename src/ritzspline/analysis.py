@@ -20,7 +20,7 @@ import numpy as np
 from .functions import SmoothFunction
 from .mesh import Breakpoints, Spline, SplineSpace, eval_spline_many, make_space
 from .projectors import Levels, _check_order, projection_order
-from .quadrature import GridTable, default_order, grid_tables, mesh_points
+from .quadrature import GridTable, default_order, grid_table, mesh_points
 
 
 def _fmt(x: float) -> str:
@@ -131,7 +131,7 @@ def _spline_norms(spaces, coeffs: np.ndarray, ls: Sequence[int]) -> list[list[fl
     ``ls``, of the splines with joined coefficients ``coeffs``: one basis
     sweep and one contraction for all, each norm summed over its own space's
     exact grid."""
-    (table,) = grid_tables(spaces, [[default_order(spaces[0].degree)] * len(spaces)], ls)
+    table = grid_table(spaces, [default_order(spaces[0].degree)] * len(spaces), ls)
     return table.norms(table.spline(coeffs, ls))
 
 
@@ -186,11 +186,12 @@ class ConvergenceTable:
         ))
 
     def to_json(self) -> str:
+        ls, orders = self.levels, self.orders
         payload = {
             "meta": self.meta,
             "h": self.hs,
-            "errors": {f"l{l}": self.errors[l] for l in self.levels},
-            "eoc": {f"l{l}": self.orders[l] for l in self.levels},
+            "errors": {f"l{l}": self.errors[l] for l in ls},
+            "eoc": {f"l{l}": orders[l] for l in ls},
         }
         if self.zero_flags is not None:
             payload["exact_zero"] = self.zero_flags

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import _csv, _dumps
 from .mesh import Breakpoints, SplineSpace, make_space
-from .quadrature import default_order, grid_tables, gram_bands
+from .quadrature import default_order, grid_table, gram_bands
 
 # Largest accepted normwise backward error of an eigenpair; a backward
 # stable solver stays within a small multiple of eps (about 24 eps seen
@@ -114,7 +114,7 @@ def resolved_modes(h: float, references: np.ndarray) -> np.ndarray:
     return h * np.asarray(references, dtype=float) ** 0.25 < math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Discrete spectrum of n = ``lambdas.size`` modes, with the reference
     spectra of those n modes, errors, and outlier bookkeeping derived."""
@@ -236,7 +236,7 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
     space, keep = constrained_space(p, xi)
     lo, hi = int(keep[0]), int(keep[-1]) + 1  # keep is one contiguous range
     n = default_order(p)  # the exact grid of both matrices, tabulated once
-    (table,) = grid_tables([space], [[n]], (2, 0))
+    table = grid_table([space], [n], (2, 0))
     stiff = gram_bands(table, 2).principal(lo, hi).to_dense()
     mass = gram_bands(table, 0).principal(lo, hi).to_dense()
     lam, vecs = eigh(stiff, mass)  # ascending; neither matrix is overwritten

@@ -14,9 +14,9 @@ breakpoints and left-continuous at ``b``, with no one-sided option.
 Every basis value comes from one Cox-de Boor sweep, :func:`_cox_de_boor`,
 over points that each carry the knots around their span.  Its point front
 end :func:`_basis_table` searches the span of each point of one space;
-``quadrature.grid_tables`` takes the span of each Gauss element of several
-spaces from the element's index instead, as all the Gauss points of an
-element share it.
+``quadrature.grid_table`` takes the span of each element of a Gauss grid
+over several spaces from the element's index instead, as all the Gauss
+points of an element share it.
 
 A polynomial is a plain coefficient array ``c`` in the shifted monomials,
 p(x) = sum_i c_i (x-a)^i with ``a`` the left end of the breakpoints, and is
@@ -45,7 +45,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Breakpoints:
     """Strictly increasing abscissae ``a = x_0 < x_1 < ... < x_{N+1} = b``."""
 
@@ -167,7 +167,7 @@ def make_space(p: int, k: int, xi: Breakpoints) -> SplineSpace:
     return SplineSpace(p, k, xi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spline:
     """Element of a spline space, stored as B-spline coefficients."""
 
@@ -220,8 +220,9 @@ def _basis_table(space: SplineSpace, x, orders: Sequence[int]) -> tuple[np.ndarr
 
     This is the point front end of :func:`_cox_de_boor`: it searches each
     point's span and gathers the 2p knots around it, then runs one sweep for
-    every point and every order.  ``quadrature.grid_tables`` feeds the same
-    sweep from its elements instead, whose points share one span.
+    every point and every order.  ``quadrature.grid_table`` feeds the same
+    sweep from the elements of one Gauss grid instead, whose points share
+    one span.
     """
     p, (a, b), t = space.degree, space.interval, space.knots
     x = np.asarray(x, dtype=float).ravel()

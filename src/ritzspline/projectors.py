@@ -60,7 +60,7 @@ from .mesh import (
 from .quadrature import (
     GridTable,
     default_order,
-    grid_tables,
+    grid_table,
     gram_bands,
     load_values,
     mesh_points,
@@ -112,8 +112,7 @@ class Levels:
     @cached_property
     def sample(self) -> GridTable:
         ns = [default_order(space.degree, space.breakpoints) for space in self.spaces]
-        (table,) = grid_tables(self.spaces, [ns], sorted({0, *self.orders}), self.u)
-        return table
+        return grid_table(self.spaces, ns, sorted({0, *self.orders}), self.u)
 
     def project(self, projector: str, q: int) -> np.ndarray:
         """Joined coefficients of the projection of order
@@ -249,13 +248,13 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     derived coordinates: the polynomials span the kernel of the order-q
     stiffness and, the moment matrix being nonsingular, the multipliers
     vanish.  For q >= 1 the L2 step tabulates its load grid, where it
-    samples u^(q), and its exact Gram grid in one sweep; for q = 0 its load
-    grid is the error grid, so it reads the load from the levels' sample and
-    tabulates only the Gram grid.  The lower part reads the sample too.  The
-    L2 step is one assembly and one banded solve for all spaces, and every
-    step is one array program over them, each space's coefficients those of
-    a call for it alone, bit for bit; u^(i)(a) is evaluated once per
-    distinct left end a.
+    samples u^(q), and then its exact Gram grid, one sweep each; for q = 0
+    its load grid is the error grid, so it reads the load from the levels'
+    sample and tabulates only the Gram grid.  The lower part reads the
+    sample too.  The L2 step is one assembly and one banded solve for all
+    spaces, and every step is one array program over them, each space's
+    coefficients those of a call for it alone, bit for bit; u^(i)(a) is
+    evaluated once per distinct left end a.
     """
     spaces, u = levels.spaces, levels.u
     for space in spaces:
@@ -264,12 +263,13 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     while len(chain) <= q:
         chain.insert(0, [space.derived() for space in chain[0]])
     p = spaces[0].degree
-    gram_ns = [default_order(p - q)] * len(spaces)  # exact: the same on every mesh
     if q:
         load_ns = [default_order(p - q, space.breakpoints) for space in spaces]
-        load, gram = grid_tables(chain[0], [load_ns, gram_ns], (0,), u.derivative(q))
+        load = grid_table(chain[0], load_ns, (0,), u.derivative(q))
     else:  # the load grid is the error grid
-        load, (gram,) = levels.sample, grid_tables(spaces, [gram_ns], (0,))
+        load = levels.sample
+    gram_ns = [default_order(p - q)] * len(spaces)  # exact: the same on every mesh
+    gram = grid_table(chain[0], gram_ns, (0,))
     rhs = load_values(load, load.u_values((0,))[0], 0)
     s = solve_blocks(gram_bands(gram, 0), rhs, [space.dim for space in chain[0]])
     lefts = [space.breakpoints.a for space in spaces]

@@ -10,17 +10,16 @@ roundoff floor of its Gram matrix.  ``RITZ_SPLINE_QUAD_ORDER`` overrides
 every default order, but never below the exact one.
 
 A :class:`GridTable` holds the basis values of several spaces of one
-degree on Gauss grids of their meshes, their bases numbered in turn as in
-one joined coefficient vector, and optionally a function's values there.
-:func:`grid_tables` builds the tables of several grids as one array
-program: the points of all their elements from the :func:`mesh_points`
-formula, the span and knot window of each element from its index, and one
-basis sweep for all points.  :func:`gram_bands` and
-:func:`load_values` assemble the systems of all the table's spaces at once,
-the Gram matrices as one block-diagonal band whose blocks
-:func:`solve_blocks` solves one by one; each space's entries and solution
-are those of its own system, bit for bit.  :func:`gram_matrix` and
-:func:`load_vector` are the one-space case.
+degree on one Gauss grid of their meshes, their bases numbered in turn as
+in one joined coefficient vector, and optionally a function's values there.
+:func:`grid_table` builds it as one array program: the points of all the
+elements from the :func:`mesh_points` formula, the span and knot window of
+each element from its index, and one basis sweep for all points.
+:func:`gram_bands` and :func:`load_values` assemble the systems of all the
+table's spaces at once, the Gram matrices as one block-diagonal band whose
+blocks :func:`solve_blocks` solves one by one; each space's entries and
+solution are those of its own system, bit for bit.  :func:`gram_matrix`
+and :func:`load_vector` are the one-space case.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ SMOOTH_WIDTH = 64
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussRule:
     """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1)."""
 
@@ -73,7 +72,10 @@ def resolve_order(requested: int, exact: int = 1) -> int:
     which must not fall below the ``exact`` order of the integral."""
     env = os.environ.get(ENV_ORDER)
     if env is not None:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_ORDER} must be an integer: got {env!r}") from None
         if not exact <= n <= MAX_ORDER:
             raise ValueError(f"{ENV_ORDER} must lie in [{exact}, {MAX_ORDER}]: got {env}")
         return n
@@ -115,7 +117,7 @@ def _element_points(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, n
     return xs, half * rule.weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedSymmetric:
     """Symmetric banded matrix in lower-diagonal storage.
 
@@ -162,24 +164,27 @@ def solve_blocks(matrix: BandedSymmetric, rhs: np.ndarray, dims: Sequence[int]) 
     ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridTable:
-    """The bases of several spaces of one degree on Gauss grids of their
+    """The bases of several spaces of one degree on one Gauss grid of their
     meshes, the ns[i]-point grid for spaces[i].
 
     ``points`` and ``weights`` join the flattened :func:`mesh_points` of
-    every mesh, those of spaces[i] being ``points[ends[i]:ends[i + 1]]``.
-    ``first`` and ``vals`` are the basis table there, with ``vals[i]`` for
-    order ``orders[i]`` bit for bit as ``mesh._basis_table`` returns it at
-    each space's points, but ``first`` numbers the bases of the spaces in
-    turn, as one joined coefficient vector holds a spline of each.  The n
-    points of an element share its first index.  ``u``, when the table is a sample of u,
-    holds u^(orders[i]) at the points.
+    every mesh, those of spaces[i] being ``points[ends[i]:ends[i + 1]]``,
+    and ``runs`` pairs each maximal run of consecutive spaces on one grid
+    order n with the slice of their points.  ``first`` and ``vals`` are the
+    basis table there, with ``vals[i]`` for order ``orders[i]`` bit for bit
+    as ``mesh._basis_table`` returns it at each space's points, but
+    ``first`` numbers the bases of the spaces in turn, as one joined
+    coefficient vector holds a spline of each.  The n points of an element
+    share its first index.  ``u``, when the table is a sample of u, holds
+    u^(orders[i]) at the points.
     """
 
     spaces: tuple[SplineSpace, ...]
     ns: tuple[int, ...]
     ends: tuple[int, ...]
+    runs: tuple[tuple[int, slice], ...]
     points: np.ndarray
     weights: np.ndarray
     orders: tuple[int, ...]
@@ -210,16 +215,6 @@ class GridTable:
             for lo, hi in zip(self.ends, self.ends[1:])
         ]
 
-    def runs(self) -> list[tuple[int, slice]]:
-        """The maximal runs of consecutive spaces on one grid order: that
-        order n and the slice of their points."""
-        out, lo = [], 0
-        for hi in range(1, len(self.ns) + 1):
-            if hi == len(self.ns) or self.ns[hi] != self.ns[lo]:
-                out.append((self.ns[lo], slice(self.ends[lo], self.ends[hi])))
-                lo = hi
-        return out
-
     def element_basis(
         self, deriv: int, n: int, points: slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -238,46 +233,46 @@ class GridTable:
         return first, vals.reshape(-1, n, vals.shape[1])
 
 
-def grid_tables(
+def grid_table(
     spaces: Sequence[SplineSpace],
-    ns: Sequence[Sequence[int]],
+    ns: Sequence[int],
     orders: Sequence[int],
     u: SmoothFunction | None = None,
-) -> list[GridTable]:
-    """The table of the spaces on the ns[j][i]-point Gauss grid of the mesh
-    of spaces[i], for every j, at every order in ``orders``: one basis sweep
-    for all of them, so the spaces must share one degree.
+) -> GridTable:
+    """The table of the spaces on the ns[i]-point Gauss grid of the mesh of
+    spaces[i], at every order in ``orders``: one basis sweep for all of
+    them, so the spaces must share one degree.
 
-    The elements of every grid are joined, grid by grid and space by space,
-    and each run of equal n gets its points and weights from one
-    :func:`mesh_points` formula, narrow elements reported in that order.
-    The Gauss points of element e share its span, whose first basis
-    function is e (p - k), so the first index and the 2p-knot window are
-    gathered once per element and repeated over its n points, with no span
-    search; the one sweep of ``mesh._cox_de_boor`` then gives every point
-    the values of ``mesh._basis_table`` there, bit for bit.
+    The elements of the spaces are joined in turn, and each run of equal n
+    gets its points and weights from one :func:`mesh_points` formula,
+    narrow elements reported in that order.  The Gauss points of element e
+    share its span, whose first basis function is e (p - k), so the first
+    index and the 2p-knot window are gathered once per element and repeated
+    over its n points, with no span search; the one sweep of
+    ``mesh._cox_de_boor`` then gives every point the values of
+    ``mesh._basis_table`` there, bit for bit.
 
-    With ``u``, the first table also holds u^(l) at its points for every l
-    in ``orders``: one ``u.eval`` call on its joined points, made before the
+    With ``u``, the table also holds u^(l) at its points for every l in
+    ``orders``: one ``u.eval`` call on its joined points, made before the
     sweep so that u.eval names a bad order.  Every ufunc of the evaluation
     acts point by point, so each space's values are those of a table of it
     alone, bit for bit.
     """
-    spaces, orders = tuple(spaces), tuple(int(d) for d in orders)
+    spaces, ns, orders = tuple(spaces), tuple(ns), tuple(int(d) for d in orders)
     counts = [space.breakpoints.points.size - 1 for space in spaces]
-    ends = [tuple(accumulate((c * n for c, n in zip(counts, row, strict=True)), initial=0))
-            for row in ns]
-    # the elements of every grid in turn, in runs of equal n
-    pairs = zip((n for row in ns for n in row), counts * len(ns))
-    runs = [(n, sum(c for _, c in run)) for n, run in groupby(pairs, key=itemgetter(0))]
+    ends = tuple(accumulate((c * n for c, n in zip(counts, ns, strict=True)), initial=0))
+    # the elements in runs of equal n
+    runs = [(n, sum(c for _, c in run)) for n, run in groupby(zip(ns, counts), key=itemgetter(0))]
     bounds = list(accumulate((c for _, c in runs), initial=0))
-    a = np.concatenate([space.breakpoints.points[:-1] for space in spaces] * len(ns))
-    b = np.concatenate([space.breakpoints.points[1:] for space in spaces] * len(ns))
+    a = np.concatenate([space.breakpoints.points[:-1] for space in spaces])
+    b = np.concatenate([space.breakpoints.points[1:] for space in spaces])
     grids = [_element_points(a[lo:hi], b[lo:hi], n)
              for (n, _), lo, hi in zip(runs, bounds, bounds[1:])]
     points = np.concatenate([xs.ravel() for xs, _ in grids])
     weights = np.concatenate([ws.ravel() for _, ws in grids])
-    ul = None if u is None else u.eval(points[: ends[0][-1]], orders)
+    stops = list(accumulate((xs.size for xs, _ in grids), initial=0))
+    point_runs = tuple((n, slice(lo, hi)) for (n, _), lo, hi in zip(runs, stops, stops[1:]))
+    ul = None if u is None else u.eval(points, orders)
     p = spaces[0].degree
     if any(space.degree != p for space in spaces):
         raise ValueError("requires spaces of one degree")
@@ -286,24 +281,17 @@ def grid_tables(
     steps = [p - space.smoothness for space in spaces]
     starts = accumulate((space.dim for space in spaces), initial=0)
     first = np.concatenate([np.arange(lo, lo + c * m, m)
-                            for lo, c, m in zip(starts, counts, steps)] * len(ns))
+                            for lo, c, m in zip(starts, counts, steps)])
+    # in the joined knots each earlier space has p + 1 more knots than bases,
+    # so the window of an element of space i starts at t[first + i (p + 1) + 1]
     knots = np.concatenate([space.knots for space in spaces])
-    offsets = accumulate((space.knots.size for space in spaces), initial=1)
-    base = np.concatenate([np.arange(lo, lo + c * m, m)
-                           for lo, c, m in zip(offsets, counts, steps)] * len(ns))
+    base = first + np.repeat(1 + (p + 1) * np.arange(len(spaces)), counts)
     window = knots[np.arange(2 * p)[:, None] + base]
-    per = np.repeat([n for n, _ in runs], [c for _, c in runs])  # points per element
+    per = np.repeat(ns, counts)  # points per element
     vals = _cox_de_boor(p, points, window.repeat(per, axis=1), orders)
-    first = first.repeat(per)
-    tables, lo = [], 0
-    for row, row_ends in zip(ns, ends):
-        hi = lo + row_ends[-1]
-        tables.append(GridTable(
-            spaces, tuple(row), row_ends, points[lo:hi], weights[lo:hi], orders,
-            first[lo:hi], vals[:, :, lo:hi], ul if lo == 0 else None,
-        ))
-        lo = hi
-    return tables
+    return GridTable(
+        spaces, ns, ends, point_runs, points, weights, orders, first.repeat(per), vals, ul
+    )
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +313,7 @@ def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> Ban
         n = default_order(p)
     if n < p + 1:
         raise ValueError("requires n >= p + 1 for exact spline products")
-    (table,) = grid_tables([space], [[n]], (deriv,))
+    table = grid_table([space], [n], (deriv,))
     return gram_bands(table, deriv)
 
 
@@ -351,7 +339,7 @@ def gram_bands(table: GridTable, deriv: int) -> BandedSymmetric:
 def load_vector(space: SplineSpace, f: Integrand, n: int, deriv: int = 0) -> np.ndarray:
     """Vector of inner products (f, d^deriv b_i) over the space's mesh, the
     vectorized callable ``f`` sampled on the n-point grid of every element."""
-    (table,) = grid_tables([space], [[n]], (deriv,))
+    table = grid_table([space], [n], (deriv,))
     return load_values(table, np.asarray(f(table.points)), deriv)
 
 
@@ -363,7 +351,7 @@ def load_values(table: GridTable, fx: np.ndarray, deriv: int) -> np.ndarray:
     fw = fx * table.weights
     p = table.spaces[0].degree
     index, local = [], []
-    for n, points in table.runs():
+    for n, points in table.runs:
         first, vals = table.element_basis(deriv, n, points)
         local.append(np.einsum("eni,en->ei", vals, fw[points].reshape(-1, n)).ravel())
         index.append((first[:, None] + np.arange(p + 1)).ravel())

@@ -2,7 +2,9 @@ import argparse
 import importlib.util
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from ritzspline.cli import build_parser
 
@@ -219,3 +221,6 @@ def test_hash_run_names_its_blas_thread_settings(monkeypatch):
     assert artifact_hashes.thread_settings() == (
         "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=(unset) cpu_count=6"
     )
+    monkeypatch.setattr(numpy, "__version__", "1.2.3")
+    monkeypatch.setattr(scipy, "__version__", "4.5.6")
+    assert artifact_hashes.library_versions() == "numpy=1.2.3 scipy=4.5.6"

@@ -675,8 +675,13 @@ def test_quad_order_env_override(tmp_path, monkeypatch):
     assert (out1 / "coefficients.csv").read_text() != (out2 / "coefficients.csv").read_text()
 
 
-def test_quad_order_env_below_exact_order_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", "1")
+@pytest.mark.parametrize("value, message", [
+    ("1", "RITZ_SPLINE_QUAD_ORDER must lie in [4, 64]: got 1"),
+    ("abc", "RITZ_SPLINE_QUAD_ORDER must be an integer: got 'abc'"),
+    ("9.0", "RITZ_SPLINE_QUAD_ORDER must be an integer: got '9.0'"),
+], ids=["below", "abc", "float"])
+def test_quad_order_env_below_exact_order_exits_2(tmp_path, monkeypatch, capsys, value, message):
+    monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", value)
     rc = run(
         [
             "project", "--function", "sin(4*x)", "--p", "3", "--uniform", "3",
@@ -685,7 +690,7 @@ def test_quad_order_env_below_exact_order_exits_2(tmp_path, monkeypatch, capsys)
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert "RITZ_SPLINE_QUAD_ORDER must lie in [4, 64]: got 1" in err
+    assert message in err
 
 
 def test_project_json_reports_quadrature_orders(tmp_path, monkeypatch):
@@ -716,32 +721,31 @@ def test_project_json_quadrature_names_the_tabulated_grids(
     """The ``quadrature`` record names the per-element Gauss orders of the
     grids the projection tabulates: ``gauss_orders`` restates the choices
     that ``_ritz_types`` and ``Levels.sample`` make each for themselves.
-    At q >= 1 the L2 step tabulates its load and Gram grids in one call; at
-    q = 0 it tabulates the Gram grid alone, and its load grid is the
-    sample."""
+    At q >= 1 the L2 step tabulates its load grid, on the derived spaces,
+    and its Gram grid; at q = 0 it tabulates the Gram grid alone, and its
+    load grid is the sample."""
     import ritzspline.projectors as projectors
     import ritzspline.quadrature as quadrature
 
     if override:
         monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", "9")
-    tabulated = {}
+    p, tabulated = 4, {}
 
-    def grid_tables(spaces, ns, orders, u=None):
-        tables = quadrature.grid_tables(spaces, ns, orders, u)
-        if len(tables) == 2:
-            kinds = ("load_vector", "gram_matrix")
-        else:
-            kinds = ("gram_matrix",) if u is None else ("error_norms",)
-        for kind, table in zip(kinds, tables):
-            tabulated.setdefault(kind, set()).add(table.ns)
-        return tables
+    def grid_table(spaces, ns, orders, u=None):
+        table = quadrature.grid_table(spaces, ns, orders, u)
+        if u is None:
+            kind = "gram_matrix"
+        else:  # the load grid of u^(q), q >= 1, lies on the derived spaces
+            kind = "error_norms" if spaces[0].degree == p else "load_vector"
+        tabulated.setdefault(kind, set()).add(table.ns)
+        return table
 
-    monkeypatch.setattr(projectors, "grid_tables", grid_tables)
+    monkeypatch.setattr(projectors, "grid_table", grid_table)
     for q in range(4):
         tabulated.clear()
         out = tmp_path / f"q{q}"
         assert run([
-            "project", "--function", "sin4x", "--p", "4", "--q", str(q), "--projector",
+            "project", "--function", "sin4x", "--p", str(p), "--q", str(q), "--projector",
             projector, "--breakpoints", "0,0.1,0.35,0.4,0.7,0.85,1", "--format", "json",
             "--out", str(out),
         ]) == 0
@@ -764,10 +768,10 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     counts, by whichever module makes it, and the residual fits of the Ritz
     correction.
 
-    A sweep is one call of ``mesh._cox_de_boor``.  ``quadrature.grid_tables``
-    makes one for all its grids, counted by each grid's points, and
-    ``mesh._basis_table`` one for its points, counted by their number; every
-    sweep is checked to be the one of such a call."""
+    A sweep is one call of ``mesh._cox_de_boor``.  ``quadrature.grid_table``
+    makes one for its grid and ``mesh._basis_table`` one for its points,
+    each counted by their number; every sweep is checked to be the one of
+    such a call."""
     from collections import Counter
 
     import ritzspline.analysis as analysis
@@ -801,15 +805,13 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
 
         return call
 
-    grid_tables = counted(
-        quadrature.grid_tables, lambda args, out: tuple(t.points.size for t in out)
-    )
+    grid_table = counted(quadrature.grid_table, lambda args, out: (out.points.size,))
     monkeypatch.setattr(
         mesh, "_basis_table",
         counted(mesh._basis_table, lambda args, out: (np.size(args[1]),)),
     )
     for module in (quadrature, projectors, analysis, eigenproblem):
-        monkeypatch.setattr(module, "grid_tables", grid_tables)
+        monkeypatch.setattr(module, "grid_table", grid_table)
     for module in (mesh, quadrature):
         monkeypatch.setattr(module, "_cox_de_boor", counted_sweep)
 
@@ -842,10 +844,11 @@ def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
     n = 16 * default_order(3, Breakpoints.uniform(16))
     assert len(corrections) == 1
     assert {l: u_calls[l, n] for l in range(4)} == {0: 1, 1: 1, 2: 1, 3: 0}
-    # the L2 step on the degree-1 derived space, its load and Gram grids in
-    # one sweep; the error grid; the two endpoints of the boundary report
+    # the L2 step on the degree-1 derived space, one sweep for its load grid
+    # and one for its Gram grid; the error grid; the two endpoints of the
+    # boundary report
     n_load, n_gram = 16 * default_order(1, Breakpoints.uniform(16)), 16 * default_order(1)
-    assert sweeps == {(n_load, n_gram): 1, (n,): 1, (2,): 1}
+    assert sweeps == {(n_load,): 1, (n_gram,): 1, (n,): 1, (2,): 1}
 
 
 def test_project_l2_evaluates_the_report_grid_once(tmp_path, monkeypatch):

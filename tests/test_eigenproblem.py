@@ -443,7 +443,7 @@ def test_eig_path_calls_no_numpy_blas():
                 if (path, first) in reached:
                     scanned.add(getattr(node, "name", "<lambda>"))
                     found[path] = found.get(path, []) + _numpy_blas_uses(node, names)
-    assert {"grid_tables", "gram_bands", "_cox_de_boor", "gauss_rule", "to_dense"} <= scanned
+    assert {"grid_table", "gram_bands", "_cox_de_boor", "gauss_rule", "to_dense"} <= scanned
     assert not {path: uses for path, uses in found.items() if uses}
 
 

@@ -89,3 +89,29 @@ def test_stored_fields_are_pinned():
     classes["quadrature.BandedSymmetric"] = ritzspline.quadrature.BandedSymmetric
     assert {name: [f.name for f in dataclasses.fields(cls)]
             for name, cls in classes.items()} == FIELDS
+
+
+def test_array_holding_types_compare_by_identity():
+    """The frozen dataclasses that store an array compare and hash by
+    identity: ``==`` gives a bool and ``hash`` works, where a field-wise
+    comparison of arrays would raise.  A spline space compares by its three
+    fields, so two spaces over one mesh are equal."""
+    from ritzspline import quadrature
+
+    xi = ritzspline.Breakpoints.uniform(4)
+    space = ritzspline.make_space(3, 2, xi)
+    rule = quadrature.gauss_rule(4)
+    makers = {
+        "Breakpoints": lambda: ritzspline.Breakpoints.uniform(4),
+        "Spline": lambda: ritzspline.Spline(space, [0.0] * space.dim),
+        "GaussRule": lambda: quadrature.GaussRule(rule.nodes, rule.weights),
+        "SpectrumReport": lambda: ritzspline.solve_biharmonic(3, xi),
+        "quadrature.BandedSymmetric": lambda: quadrature.gram_matrix(space),
+        "quadrature.GridTable": lambda: quadrature.grid_table([space], [4], (0,)),
+    }
+    for name, make in makers.items():
+        a, b = make(), make()
+        assert (a == a, a == b) == (True, False), name
+        assert hash(a) == hash(a), name
+    assert ritzspline.make_space(3, 2, xi) == ritzspline.make_space(3, 2, xi)
+    assert hash(ritzspline.make_space(3, 2, xi)) == hash(space)

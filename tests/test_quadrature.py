@@ -14,7 +14,7 @@ from ritzspline.quadrature import (
     default_order,
     gauss_rule,
     gram_matrix,
-    grid_tables,
+    grid_table,
     load_vector,
     mesh_points,
     resolve_order,
@@ -184,7 +184,7 @@ def test_assembly_matches_an_element_loop(rng, p):
         space = make_space(p, k, random_breakpoints(rng, 4))
         for deriv in range(min(p, 2) + 1):
             m = default_order(p)
-            (table,) = grid_tables([space], [[m]], (deriv,))
+            table = grid_table([space], [m], (deriv,))
             ws = table.weights.reshape(-1, m)
             first, vals = table.element_basis(deriv, m)
             local = np.einsum("eni,en,enj->eij", vals, ws, vals)
@@ -196,7 +196,7 @@ def test_assembly_matches_an_element_loop(rng, p):
             assert np.array_equal(gram_matrix(space, deriv).bands, bands), (k, deriv)
 
             n = default_order(p, space.breakpoints)
-            (table,) = grid_tables([space], [[n]], (deriv,))
+            table = grid_table([space], [n], (deriv,))
             xs, ws = table.points, table.weights
             first, vals = table.element_basis(deriv, n)
             local = np.einsum("eni,en->ei", vals, (f(xs) * ws).reshape(-1, n))
@@ -386,10 +386,9 @@ def test_grid_tables_take_the_spans_a_search_finds(p):
     orders = range(p + 2)
     for k in sorted({-1, 0, p - 1} & set(range(-1, p))):
         spaces = [make_space(p, k, xi) for xi in meshes]
-        ns = [[1, 1, 1, 1], [p + 1, 2, p + 1, 7], [11, 11, 4, 11]]
-        tables = grid_tables(spaces, ns, orders)
         starts = np.cumsum([0, *(space.dim for space in spaces[:-1])])
-        for table in tables:
+        for ns in ([1, 1, 1, 1], [p + 1, 2, p + 1, 7], [11, 11, 4, 11]):
+            table = grid_table(spaces, ns, orders)
             for space, start, lo, hi in zip(spaces, starts, table.ends, table.ends[1:]):
                 first, vals = _basis_table(space, table.points[lo:hi], orders)
                 assert np.array_equal(table.first[lo:hi], first + start), (k, table.ns)
@@ -398,8 +397,8 @@ def test_grid_tables_take_the_spans_a_search_finds(p):
 
 def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
     """The joined Gram bands and load vectors of a table shared by several
-    spaces, grids and orders are each space's own, bit for bit, the Gram
-    blocks uncoupled."""
+    spaces and orders are each space's own, bit for bit, on a grid of one
+    order or of several, the Gram blocks uncoupled."""
     from ritzspline.quadrature import gram_bands, load_values
 
     f = lambda x: np.sin(3.0 * x) - x
@@ -413,7 +412,8 @@ def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
         ns = [default_order(p), default_order(p, spaces[1].breakpoints), p + 2, p + 2]
         m = p + 3
         orders = sorted({0, 1, min(p, 2)})
-        load, gram = grid_tables(spaces, [ns, [m] * len(spaces)], orders)
+        load = grid_table(spaces, ns, orders)
+        gram = grid_table(spaces, [m] * len(spaces), orders)
         starts = np.cumsum([0, *(space.dim for space in spaces)])
         for d in orders:
             bands = gram_bands(gram, d).bands
@@ -435,7 +435,7 @@ def test_stiffness_and_mass_from_one_table(p):
     for elements in (20, 50, 200):
         space = make_space(p, p - 1, Breakpoints.uniform(elements))
         n = default_order(p)
-        (table,) = grid_tables([space], [[n]], (2, 0))
+        table = grid_table([space], [n], (2, 0))
         for d in (2, 0):
             want = gram_matrix(space, d).bands
             assert np.array_equal(gram_bands(table, d).bands, want)
