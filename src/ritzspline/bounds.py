@@ -132,8 +132,6 @@ def broken_error_coefficient(query: BoundQuery) -> float:
         raise ValueError(f"requires q < l <= r: got q={q}, l={l}, r={r}")
     if p < r - 1:
         raise ValueError(f"requires p >= r-1: got p={p}, r={r}")
-    if q > r - 1:
-        raise ValueError(f"requires q <= r-1: got q={q}, r={r}")
     if query.h_min is None:
         raise ValueError("requires h_min")
     m = max(2 * r - q - 1, p)

@@ -165,8 +165,6 @@ def cmd_converge(args) -> int:
         svg = svgplot.loglog_plot(
             series,
             title=f"{args.study} study: {args.function}",
-            xlabel="h",
-            ylabel="error",
             triangle_orders=sorted(ref_orders),
         )
         _write(out / f"{args.study}.svg", svg)
@@ -195,7 +193,7 @@ def cmd_constants(args) -> int:
         worst = min((gap for _, _, gap in rows), default=0.0)
         if worst < -1e-12:
             raise RuntimeError(f"negative constant gap {worst}; formulas broken")
-    elif args.table == "bounds":
+    else:  # bounds
         for name in ("p", "k", "q", "r", "h"):
             if getattr(args, name) is None:
                 raise ValueError("requires --p, --k, --q, --r and --h for --table bounds")
@@ -209,8 +207,6 @@ def cmd_constants(args) -> int:
                 for l in range(args.r + 1)]
         rows += [(l, "difference", bounds.difference_coefficient(query(l=l)))
                  for l in range(args.q)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown table '{args.table}'")
     content = _csv(header, rows)
     if args.out:
         _write(Path(args.out), content)

@@ -49,34 +49,21 @@ def _sech(m: float) -> float:
 def _beam_root(i: int) -> float:
     """i-th root, i >= 1, of cos(mu) cosh(mu) = 1, the clamped-beam frequency equation.
 
-    Solved as cos(mu) = sech(mu) (overflow-free) by a bisection-safeguarded
-    Newton iteration from the asymptotic start (2i+1) pi / 2, bracketed by
-    mu -+ 0.5, where cos = -+sin 0.5 and sech <= 0.03.
+    Solved as cos(mu) = sech(mu) (overflow-free) by bisection of the bracket
+    mu0 -+ 0.5 around the asymptotic root mu0 = (2i+1) pi / 2, where
+    cos = -+sin 0.5 and sech <= 0.03, so the ends differ in sign.  Halving
+    stops when the ends are neighbouring doubles, which leaves the lower
+    end within one ulp of the root.
     """
     mu = (2 * i + 1) * math.pi / 2.0
     lo, hi = mu - 0.5, mu + 0.5
-
-    def f(m: float) -> float:
-        return math.cos(m) - _sech(m)
-
-    flo = f(lo)
-    x = mu
-    for _ in range(200):
-        fx = f(x)
-        if fx * flo <= 0:
-            hi = x
+    lo_negative = math.cos(lo) < _sech(lo)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (math.cos(mid) < _sech(mid)) == lo_negative:
+            lo = mid
         else:
-            lo, flo = x, fx
-        dfx = -math.sin(x) + math.tanh(x) * _sech(x)
-        step = fx / dfx if dfx != 0 else hi - lo
-        nxt = x - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) < 1e-15 * max(1.0, abs(x)):
-            x = nxt
-            break
-        x = nxt
-    return x
+            hi = mid
+    return lo
 
 
 def clamped_beam_eigenvalues(count: int) -> np.ndarray:

@@ -15,8 +15,9 @@ projector is computed as the boundary projection plus a degree-(q-1)
 polynomial correction: that route is the one the CLI and the studies run,
 and the saddle-point solve, ``ritz_project(method='saddle')``, is kept as
 its independent check.  Both routes fix their polynomial part with the one
-polynomial L2 projection, ``poly_l2_project``, which the closed-form tests
-and the dense-KKT reference check independently.  A polynomial part is a
+polynomial L2 projection, :func:`_poly_fits`, on the grids of all levels at
+once; :func:`poly_l2_project` is its one-mesh case, which the closed-form
+tests and the dense-KKT reference check independently.  A polynomial part is a
 coefficient array c in the shifted monomials (x-a)^i, a the left end of the
 breakpoints, evaluated with ``npp.polyval(x - a, c)``.
 

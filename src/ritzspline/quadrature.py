@@ -72,10 +72,9 @@ def resolve_order(requested: int, exact: int = 1) -> int:
     which must not fall below the ``exact`` order of the integral."""
     env = os.environ.get(ENV_ORDER)
     if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_ORDER} must be an integer: got {env!r}") from None
+        if not (env.isascii() and env.isdigit()):
+            raise ValueError(f"{ENV_ORDER} must be an integer: got {env!r}")
+        n = int(env)
         if not exact <= n <= MAX_ORDER:
             raise ValueError(f"{ENV_ORDER} must lie in [{exact}, {MAX_ORDER}]: got {env}")
         return n

@@ -64,11 +64,11 @@ class _Canvas:
             f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black"/>',
         ]
 
-    def line(self, x1, y1, x2, y2, stroke="black", dash=None, width=1.0):
+    def line(self, x1, y1, x2, y2, stroke="black", dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{stroke}" stroke-width="{width}"{d}/>'
+            f'stroke="{stroke}" stroke-width="1.0"{d}/>'
         )
 
     def series(self, points, color):
@@ -118,18 +118,17 @@ def _mapper(lo: float, hi: float, pix_lo: float, pix_hi: float):
 def loglog_plot(
     series: list[Series],
     title: str,
-    xlabel: str = "h",
-    ylabel: str = "error",
     triangle_orders: list[float] | None = None,
 ) -> str:
-    """Log-log plot with base-2 x ticks and reference-slope triangles."""
+    """Log-log plot of error against h, with base-2 x ticks and
+    reference-slope triangles."""
     xs_all = [x for s in series for x in s.xs]
     ys_all = [y for s in series for y in s.ys if y > 0]
     if not ys_all:
         ys_all = [1e-16, 1.0]
     xlo, xhi = _log_range(xs_all)
     ylo, yhi = _log_range(ys_all)
-    cv = _Canvas(title, xlabel, ylabel)
+    cv = _Canvas(title, "h", "error")
     px = _mapper(xlo, xhi, MARGIN_L, WIDTH - MARGIN_R)
     py = _mapper(ylo, yhi, HEIGHT - MARGIN_B, MARGIN_T)
 

@@ -249,6 +249,9 @@ def test_table_orders():
     tab = sample_table()
     assert tab.orders[0] == [pytest.approx(2.0)]
     assert tab.orders[1] == [pytest.approx(1.0)]
+    exact = ConvergenceTable({}, [0.5, 0.25, 0.125], {0: [0.1, 0.0, 0.0], 1: [0.0, 0.1, 0.05]})
+    assert np.isnan(exact.orders[0]).all()
+    assert np.isnan(exact.orders[1][0]) and exact.orders[1][1] == pytest.approx(1.0)
 
 
 def test_csv_layout():

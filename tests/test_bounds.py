@@ -76,6 +76,8 @@ def test_simplified_examples():
 def test_simplified_rejects_maximal_smoothness():
     with pytest.raises(ValueError):
         projection_constant_upper(3, 2, 1)
+    with pytest.raises(ValueError, match="requires r >= 0"):
+        projection_constant_upper(3, 0, -1)
 
 
 def test_simplified_dominates_everywhere():
@@ -160,6 +162,8 @@ def test_bound_query_validation():
         BoundQuery(p=3, k=2, q=2, l=0, r=1, h=0.5)
     with pytest.raises(ValueError):
         BoundQuery(p=3, k=2, q=1, l=0, r=2, h=-1.0)
+    with pytest.raises(ValueError, match="requires l >= 0"):
+        BoundQuery(p=3, k=2, q=1, l=-1, r=2, h=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +195,11 @@ def test_broken_coefficient_rejects_l_at_or_below_q():
         broken_error_coefficient(BoundQuery(p=3, k=2, q=1, l=1, r=3, h=0.5, h_min=0.5))
 
 
+def test_broken_coefficient_requires_degree():
+    with pytest.raises(ValueError, match="requires p >= r-1: got p=1, r=3"):
+        broken_error_coefficient(BoundQuery(p=1, k=0, q=0, l=1, r=3, h=0.5, h_min=0.5))
+
+
 def test_broken_coefficient_requires_h_min():
     with pytest.raises(ValueError, match="h_min"):
         broken_error_coefficient(BoundQuery(p=3, k=2, q=1, l=2, r=3, h=0.5))
@@ -219,11 +228,15 @@ def test_difference_first_derivative_multiplier():
     q1 = BoundQuery(p=4, k=3, q=2, l=1, r=5, h=0.5, length=1.0)
     ratio = difference_coefficient(q1) / difference_coefficient(q0)
     assert ratio == pytest.approx(inverse_constant(1), rel=1e-12)
+    with pytest.raises(ValueError, match="requires the interval length for l >= 1"):
+        difference_coefficient(BoundQuery(p=4, k=3, q=2, l=1, r=5, h=0.5))
 
 
 def test_difference_requires_degree():
     with pytest.raises(ValueError, match="2q-1"):
         difference_coefficient(BoundQuery(p=2, k=1, q=2, l=0, r=3, h=0.5, length=1.0))
+    with pytest.raises(ValueError, match="requires p >= r-1: got p=3, r=5"):
+        difference_coefficient(BoundQuery(p=3, k=2, q=1, l=0, r=5, h=0.5, length=1.0))
 
 
 # ---------------------------------------------------------------------------

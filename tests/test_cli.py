@@ -168,8 +168,9 @@ def test_what_double_precision_cannot_resolve_exits_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
-# Each case once reached the user as Python's own message, or exited 1 on
-# an exceeded recursion depth.
+# Each case is a precondition the library or the CLI names.  The first
+# five once reached the user as Python's own message, or exited 1 on an
+# exceeded recursion depth.
 BAD_INPUT = {
     "nested-parentheses": (
         ["project", "--function", "(" * 300 + "x" + ")" * 300, "--p", "2"],
@@ -191,6 +192,48 @@ BAD_INPUT = {
     "breakpoints": (
         ["project", "--function", "sin4x", "--p", "2", "--breakpoints", "0,a,1"],
         "expected a comma-separated number list: got '0,a,1'",
+    ),
+    "negative-order": (
+        ["project", "--function", "sin4x", "--p", "2", "--q", "-1"], "requires q >= 0",
+    ),
+    "no-elements": (
+        ["project", "--function", "sin4x", "--p", "2", "--uniform", "-1"],
+        "requires at least 1 element",
+    ),
+    "empty-interval": (
+        ["project", "--function", "sin4x", "--p", "2", "--interval", "1", "1"], "requires b > a",
+    ),
+    "degree-too-high": (
+        ["project", "--function", "sin4x", "--p", "21"], "requires degree p <= 20",
+    ),
+    "bare-point": (
+        ["project", "--function", ".", "--p", "2"], "invalid number '.' (at position 0)",
+    ),
+    "eig-one-element": (
+        ["eig", "--p", "3", "--elements", "1"],
+        "mesh too coarse: constrained space would be empty",
+    ),
+    "order-above-fixed-smoothness": (
+        ["converge", "--function", "sin4x", "--p-list", "2", "--k", "fixed:0", "--q", "2"],
+        "requires q <= k+1: got q=2, k=0 (p=2)",
+    ),
+    "smoothness-rule": (
+        ["converge", "--function", "sin4x", "--p-list", "2", "--k", "bogus"],
+        "--k must be 'max' or 'fixed:K': got 'bogus'",
+    ),
+    "table-d-without-p": (["constants", "--table", "d"], "requires --p for --table d"),
+    "table-d-negative-p": (["constants", "--table", "d", "--p", "-1"], "requires p >= 0"),
+    "table-c-negative-r": (
+        ["constants", "--table", "c", "--p", "3", "--k", "2", "--r", "-1"], "requires r >= 0",
+    ),
+    "table-bounds-without-h": (
+        ["constants", "--table", "bounds", "--p", "3", "--k", "2", "--q", "2", "--r", "4"],
+        "requires --p, --k, --q, --r and --h for --table bounds",
+    ),
+    "table-bounds-h-min-above-h": (
+        ["constants", "--table", "bounds", "--p", "3", "--k", "2", "--q", "2", "--r", "4",
+         "--h", "0.5", "--h-min", "0.75"],
+        "requires 0 < h_min <= h: got h_min=0.75, h=0.5",
     ),
 }
 
@@ -579,9 +622,20 @@ def test_eig_fine_mesh_accepted(tmp_path, capsys):
     assert "backward_error" not in (out / "spectrum.csv").read_text()
 
 
-def test_eig_low_degree_exit_2(tmp_path, capsys):
-    rc = run(["eig", "--p", "1", "--elements", "8", "--out", str(tmp_path / "x")])
+def test_eig_low_degree_exit_2(tmp_path, monkeypatch, capsys):
+    import runpy
+    import sys
+
+    argv = ["eig", "--p", "1", "--elements", "8", "--out", str(tmp_path / "x")]
+    rc = run(argv)
     assert rc == 2
+    assert "p >= 2" in capsys.readouterr().err
+    # the same through `python -m ritzspline.cli`, run in this process
+    monkeypatch.setattr(sys, "argv", ["ritzspline.cli", *argv])
+    monkeypatch.delitem(sys.modules, "ritzspline.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ritzspline.cli", run_name="__main__")
+    assert exc.value.code == 2
     assert "p >= 2" in capsys.readouterr().err
 
 
@@ -658,6 +712,12 @@ def test_internal_failure_is_exit_1(tmp_path, monkeypatch, capsys):
     rc = run(["eig", "--p", "3", "--elements", "8", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "internal error" in capsys.readouterr().err
+    # a negative constant gap means the formulas are broken, not the input
+    monkeypatch.setattr(cli.bounds, "schultz_log_gap", lambda q, k: -1.0)
+    assert run(["constants", "--table", "schultz-gap", "--q-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: negative constant gap -1.0; formulas broken\n"
+    assert captured.out == ""
 
 
 def test_quad_order_env_override(tmp_path, monkeypatch):
@@ -679,7 +739,9 @@ def test_quad_order_env_override(tmp_path, monkeypatch):
     ("1", "RITZ_SPLINE_QUAD_ORDER must lie in [4, 64]: got 1"),
     ("abc", "RITZ_SPLINE_QUAD_ORDER must be an integer: got 'abc'"),
     ("9.0", "RITZ_SPLINE_QUAD_ORDER must be an integer: got '9.0'"),
-], ids=["below", "abc", "float"])
+    ("1_0", "RITZ_SPLINE_QUAD_ORDER must be an integer: got '1_0'"),
+    (" +9 ", "RITZ_SPLINE_QUAD_ORDER must be an integer: got ' +9 '"),
+], ids=["below", "abc", "float", "underscore", "signed"])
 def test_quad_order_env_below_exact_order_exits_2(tmp_path, monkeypatch, capsys, value, message):
     monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", value)
     rc = run(

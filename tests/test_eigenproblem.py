@@ -4,6 +4,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -47,6 +48,17 @@ def test_references_approach_asymptotics():
     assert rel[-1] < 1e-12
     # decay is monotone until it reaches the floating-point noise floor
     assert np.all(np.diff(rel[:10]) < 0)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 5, 8, 13, 40, 101, 225, 226, 227, 300, 431, 499, 500])
+def test_beam_roots_within_one_ulp(i):
+    """Against mpmath's root of cos = sech at 50 digits; modes from 226 on
+    have mu > 710, where cosh(mu) overflows a double."""
+    mu = eigenproblem._beam_root(i)
+    with mpmath.workdps(50):
+        exact = mpmath.findroot(lambda m: mpmath.cos(m) - mpmath.sech(m),
+                                (2 * i + 1) * mpmath.pi / 2)
+        assert abs(mpmath.mpf(mu) - exact) <= math.ulp(mu)
 
 
 def test_high_mode_roots_do_not_overflow():

@@ -56,6 +56,7 @@ def test_precedence():
 
 def test_whitespace_and_scientific_numbers():
     assert value(" 1.5e2 + x ", 1.0) == pytest.approx(151.0)
+    assert value("1e+5*x", 2.0) == 2e5
 
 
 def test_syntax_errors_carry_position():
@@ -108,6 +109,8 @@ def test_derivative_cap():
     for orders in (13, [0, 13]):
         with pytest.raises(ValueError, match="max_order=12: got 13"):
             f.eval(0.5, orders)
+    with pytest.raises(ValueError, match="requires 0 <= n <= max_order=12"):
+        f.derivative(13)
 
 
 @pytest.mark.parametrize(
@@ -118,6 +121,7 @@ def test_derivative_cap():
         "x^4/(1+x^2)",
         "1/(1+25*x^2)",
         "(x+1)^3-exp(x)/(2+sin(x))",
+        "(x/2)^3+(x^2)^3",  # powers of a quotient and of a power
     ],
 )
 def test_symbolic_derivative_matches_finite_differences(src):
@@ -328,6 +332,7 @@ def test_builtin_values():
     v = builtin("x6")
     assert v.eval(1.0) == pytest.approx(1.0)
     assert v.eval(1.0, 1) == pytest.approx(6.0)
+    assert np.array_equal(v.eval(np.array([0.5, 2.0]), [7, 9]), np.zeros((2, 2)))
 
     w = builtin("runge")
     assert w.eval(0.0) == pytest.approx(1.0)

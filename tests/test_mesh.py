@@ -137,6 +137,8 @@ def test_make_space_rejects_bad_smoothness():
         make_space(2, 2, xi)
     with pytest.raises(ValueError):
         make_space(2, -2, xi)
+    with pytest.raises(ValueError, match="requires degree p >= 0"):
+        make_space(-1, -1, xi)
 
 
 def test_breakpoints_must_increase():
@@ -603,3 +605,16 @@ def test_spline_coefficient_length_checked():
     space = make_space(2, 1, Breakpoints(np.array([0.0, 1.0])))
     with pytest.raises(ValueError):
         Spline(space, np.zeros(5))
+
+
+def test_spline_arithmetic_stays_in_one_space():
+    space = make_space(2, 1, Breakpoints(np.array([0.0, 0.5, 1.0])))
+    s, t = Spline(space, [1.0, 2.0, 3.0, 4.0]), Spline(space, [0.5, 0.0, -1.0, 2.0])
+    assert np.array_equal((s + t).coeffs, [1.5, 2.0, 2.0, 6.0])
+    assert np.array_equal((s - t).coeffs, [0.5, 2.0, 4.0, 2.0])
+    assert np.array_equal((2 * s).coeffs, (s * 2.0).coeffs)
+    assert np.array_equal((s * 2).coeffs, [2.0, 4.0, 6.0, 8.0])
+    other = make_space(2, 1, Breakpoints(np.array([0.0, 0.25, 1.0])))
+    for op in (Spline.__add__, Spline.__sub__):
+        with pytest.raises(ValueError, match="splines live in different spaces"):
+            op(s, Spline(other, t.coeffs))

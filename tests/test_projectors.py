@@ -523,6 +523,15 @@ def test_order_beyond_function_rejected():
         q_project(space, 2, u)
 
 
+@pytest.mark.parametrize("projector, q", [("l2", 0), ("q", 1), ("ritz", 2)])
+def test_levels_of_two_degrees_rejected(projector, q):
+    from ritzspline.projectors import Levels
+
+    levels = Levels(builtin("sin4x"), [make_space(2, 1, UNIT), make_space(3, 2, UNIT)])
+    with pytest.raises(ValueError, match="requires spaces of one degree"):
+        levels.project(projector, q)
+
+
 def test_q_zero_is_plain_l2(rng):
     space = make_space(2, 1, random_breakpoints(rng, 2))
     u = random_smooth(rng)

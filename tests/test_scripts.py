@@ -1,6 +1,8 @@
 """The experiment scripts run end to end and write the files they name."""
 
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,26 @@ def test_script_exits_0_and_writes_its_files(tmp_path, monkeypatch, capsys, scri
     written = [path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")
                if path.is_file()]
     assert sorted(written) == sorted(WRITES[script])
+
+
+def test_unexecuted_lists_the_statements_its_tests_miss():
+    """The SVG tests run the no-data range of `_log_range` but never a
+    bisection step of `_beam_root`."""
+    root = SCRIPTS.parent
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "unexecuted.py"), "tests/test_svgplot.py", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    listed = run.stdout.splitlines()
+
+    def line_of(module, statement, after):
+        source = (root / "src" / "ritzspline" / module).read_text().splitlines()
+        start = next(i for i, text in enumerate(source) if text.startswith(after))
+        n = next(i for i in range(start, len(source)) if source[i].strip() == statement) + 1
+        return f"src/ritzspline/{module}:{n}  {statement}"
+
+    assert line_of("eigenproblem.py", "lo = mid", "def _beam_root") in listed
+    assert line_of("svgplot.py", "return -1.0, 1.0", "def _log_range") not in listed
+    assert "passed" in run.stderr

@@ -101,7 +101,10 @@ def test_loglog_plot_matches_per_point_series(n, monkeypatch):
     hs = [2.0 ** -k for k in range(1, n + 1)]
     series = [Series(f"l{l}", hs, _errors(rng, n)) for l in range(3)]
     series.append(Series("zero", hs, [0.0] * n))
-    args = (series, "study", "h", "error", [2.0, 3.5])
-    got = svgplot.loglog_plot(*args)
+    # all series, the all-zero one alone (no positive error to range over),
+    # and no series at all (no h either)
+    cases = [(series, "study", [2.0, 3.5]), (series[-1:], "zero", [2.0]), ([], "none", [2.0])]
+    got = [svgplot.loglog_plot(*args) for args in cases]
     monkeypatch.setattr(svgplot, "_Canvas", _PerPointCanvas)
-    assert got == svgplot.loglog_plot(*args)
+    assert got == [svgplot.loglog_plot(*args) for args in cases]
+    assert "<circle" not in got[1] and "<circle" not in got[2]
