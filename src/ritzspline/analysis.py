@@ -88,8 +88,9 @@ def _dumps(obj: Any, indent: str = "") -> str:
 
 
 def _check_norm_orders(u: SmoothFunction, ls: Sequence[int]) -> None:
-    if max(ls, default=0) > u.max_order:
-        raise ValueError(f"requires l <= max_order={u.max_order}: got l={max(ls)}")
+    for l in ls:
+        if not 0 <= l <= u.max_order:
+            raise ValueError(f"requires 0 <= l <= max_order={u.max_order}: got l={l}")
 
 
 def _check_resolved(spaces: Sequence[SplineSpace], values) -> None:
@@ -121,8 +122,9 @@ def error_norm(
     """
     ls = [l] if np.ndim(l) == 0 else list(l)
     _check_norm_orders(u, ls)
-    sample = Levels(u, [s.space], ls).sample
-    (norms,) = sample.norms(sample.u_values(ls) - sample.spline(s.coeffs, ls))
+    levels = Levels(u, [s.space], ls)
+    sample = levels.sample
+    (norms,) = sample.norms(levels.u_values(ls) - sample.spline(s.coeffs, ls))
     return norms[0] if np.ndim(l) == 0 else norms
 
 
@@ -251,17 +253,19 @@ def convergence_study(
 
     Every level is built first and the levels are projected and measured
     together: one evaluation of u and one basis sweep cover all error
-    grids, one assembly and solve all L2 projections of u^(q), and one
-    contraction all errors.  Each level's numbers are those of that level
-    alone, bit for bit.  ``l_set`` lists distinct orders.
+    grids, one assembly all L2 projections of u^(q), with one banded solve
+    per level, and one contraction all errors.  Each level's numbers are
+    those of that level alone, bit for bit.  ``l_set`` lists distinct
+    orders.
     """
     meta, spaces = _study_spaces(u, "error", projector, p, k, q, l_set, levels, interval, grading)
     _check_order(spaces[0], projection_order(projector, q), u)
     _check_norm_orders(u, l_set)
     study = Levels(u, spaces, l_set)
-    sample = study.sample  # first: its u.eval names a bad order or a nonfinite u
+    uls = study.u_values(l_set)  # first: a nonfinite u is named on the error grid
     coeffs = study.project(projector, q)
-    norms = sample.norms(sample.u_values(l_set) - sample.spline(coeffs, l_set))
+    sample = study.sample
+    norms = sample.norms(uls - sample.spline(coeffs, l_set))
     return _study_table(meta, spaces, l_set, norms)
 
 
@@ -360,7 +364,7 @@ def project_report(
     if s.space.degree != space.degree or not np.array_equal(s.space.knots, space.knots):
         raise ValueError("requires a spline in the space of the level")
     sample, orders = levels.sample, range(max(q, l_max) + 1)
-    uls = sample.u_values(orders)
+    uls = levels.u_values(orders)
     errs = uls - sample.spline(s.coeffs, orders)
     (norms,) = sample.norms(errs[: l_max + 1])
     moments = _moment_residuals(space.degree, q, sample, uls, errs)

@@ -182,24 +182,12 @@ class Spline:
             )
         object.__setattr__(self, "coeffs", _frozen(c))
 
-    def __add__(self, other: "Spline") -> "Spline":
-        self._check_same_space(other)
-        return Spline(self.space, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "Spline") -> "Spline":
-        self._check_same_space(other)
-        return Spline(self.space, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "Spline":
-        return Spline(self.space, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check_same_space(self, other: "Spline") -> None:
         if not np.array_equal(self.space.knots, other.space.knots) or (
             self.space.degree != other.space.degree
         ):
             raise ValueError("splines live in different spaces")
+        return Spline(self.space, self.coeffs - other.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +245,8 @@ def _cox_de_boor(p: int, x: np.ndarray, window: np.ndarray, orders: Sequence[int
     value changes in its bits.
     """
     orders = [int(d) for d in orders]
-    if any(d < 0 for d in orders):
-        raise ValueError("requires deriv >= 0")
+    if min(orders, default=0) < 0:
+        raise ValueError(f"requires deriv >= 0: got {min(orders)}")
     vals = np.zeros((len(orders), p + 1, x.size))
     slot: dict[int, int] = {}  # first index of each order; higher derivatives vanish
     for i, d in enumerate(orders):

@@ -23,16 +23,19 @@ breakpoints, evaluated with ``npp.polyval(x - a, c)``.
 
 Every projector is computed by :meth:`Levels.project`, for u on a list of
 spaces of one degree (the levels of a convergence study), as one array
-program on their joined coefficient vector: one assembly and banded solve
-for all L2 steps, one padded ``cumsum`` per integration, one Vandermonde
-build and one stacked solve for all polynomial fits, one change of basis
-for all corrections.  What is evaluated on the levels' error-norm grids,
-the load of u at q = 0 and the residual u - s that the Ritz correction and
-the mean-preserving variant fit, comes from the one ``Levels.sample``,
-which the error report then reads too.  A ``Levels`` also keeps, per q, the
-boundary projections and Ritz corrections computed on it, so the boundary
-projection, the Ritz projection and the correction of one ``Levels`` share
-one Q.  Sums whose rounding depends on their length stay per space, so
+program on their joined coefficient vector: one assembly for all L2 steps,
+one padded ``cumsum`` per integration, one Vandermonde build and one
+stacked solve for all polynomial fits, one change of basis for all
+corrections.  The joined Gram matrix is block diagonal, and
+:func:`quadrature.solve_blocks` solves each level's block by itself: one
+banded solve of the joined band rounds differently from the per-block
+solves from degree 16 (16 subdiagonals) on.  What is evaluated on the
+levels' error-norm grids, the load of u at q = 0 and the residual u - s
+that the Ritz correction and the mean-preserving variant fit, comes from
+the one ``Levels.sample`` and ``Levels.u_values``, which the error report
+then reads too.  A ``Levels`` also keeps, per q, the boundary projections
+and Ritz corrections computed on it, so the boundary projection, the Ritz
+projection and the correction of one ``Levels`` share one Q.  Sums whose rounding depends on their length stay per space, so
 each projection is that of its space alone, bit for bit; the one-space
 functions are the one-element case.
 """
@@ -89,11 +92,12 @@ class Levels:
     convergence study, or the one space of a projection.
 
     ``sample`` is their :class:`quadrature.GridTable` on the error-norm
-    grids, the ``default_order(p, xi)``-point grid of each mesh, with u^(l)
-    there for every l in ``orders`` and l = 0: one ``u.eval`` call and one
-    basis sweep for all levels, made on first use.  The projectors read
-    order 0 there (the load at q = 0, the Ritz correction, the mean of
-    Q-tilde) and the reports every order.
+    grids, the ``default_order(p, xi)``-point grid of each mesh, at every
+    order in ``orders`` and order 0: one basis sweep for all levels, made on
+    first use.  ``u_values`` gives u^(l) at its points, from one ``u.eval``
+    call for all of the sample's orders, also made on first use.  The
+    projectors read order 0 there (the load at q = 0, the Ritz correction,
+    the mean of Q-tilde) and the reports every order.
 
     ``project(projector, q)`` is the joined coefficients of the named
     projection of u onto every level.  The joined coefficients of the
@@ -113,7 +117,15 @@ class Levels:
     @cached_property
     def sample(self) -> GridTable:
         ns = [default_order(space.degree, space.breakpoints) for space in self.spaces]
-        return grid_table(self.spaces, ns, sorted({0, *self.orders}), self.u)
+        return grid_table(self.spaces, ns, sorted({0, *self.orders}))
+
+    @cached_property
+    def _u_table(self) -> np.ndarray:
+        return self.u.eval(self.sample.points, self.sample.orders)
+
+    def u_values(self, orders: Sequence[int]) -> np.ndarray:
+        """u^(l) at the points of ``sample``, one row per l in ``orders``."""
+        return self._u_table[self.sample._rows(orders)]
 
     def project(self, projector: str, q: int) -> np.ndarray:
         """Joined coefficients of the projection of order
@@ -205,7 +217,7 @@ def _residual_fits(deg: int, levels: Levels, coeffs: np.ndarray) -> np.ndarray:
     grid of each level, row i for levels.spaces[i], s the splines with
     joined coefficients ``coeffs``, from the levels' sample."""
     sample = levels.sample
-    resid = sample.u_values((0,))[0] - sample.spline(coeffs, (0,))[0]
+    resid = levels.u_values((0,))[0] - sample.spline(coeffs, (0,))[0]
     meshes = [space.breakpoints for space in levels.spaces]
     return _poly_fits(deg, resid, meshes, sample.points, sample.weights, sample.ends)
 
@@ -248,12 +260,13 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     without that part.  With m = q this is the Ritz saddle-point system in
     derived coordinates: the polynomials span the kernel of the order-q
     stiffness and, the moment matrix being nonsingular, the multipliers
-    vanish.  For q >= 1 the L2 step tabulates its load grid, where it
-    samples u^(q), and then its exact Gram grid, one sweep each; for q = 0
-    its load grid is the error grid, so it reads the load from the levels'
-    sample and tabulates only the Gram grid.  The lower part reads the
-    sample too.  The L2 step is one assembly and one banded solve for all
-    spaces, and every step is one array program over them, each space's
+    vanish.  For q >= 1 the L2 step tabulates its load grid, samples u^(q)
+    there with one ``u.eval`` call, and tabulates its exact Gram grid, one
+    sweep each; for q = 0 its load grid is the error grid, so it reads the
+    load from ``levels.u_values`` and tabulates only the Gram grid.  The
+    lower part reads the sample too.  The L2 step is one assembly for all
+    spaces and one banded solve per space (:func:`quadrature.solve_blocks`),
+    and every step is one array program over them, each space's
     coefficients those of a call for it alone, bit for bit; u^(i)(a) is
     evaluated once per distinct left end a.
     """
@@ -266,12 +279,13 @@ def _ritz_types(levels: Levels, q: int, m: int) -> np.ndarray:
     p = spaces[0].degree
     if q:
         load_ns = [default_order(p - q, space.breakpoints) for space in spaces]
-        load = grid_table(chain[0], load_ns, (0,), u.derivative(q))
+        load = grid_table(chain[0], load_ns, (0,))
+        fx = u.eval(load.points, q)
     else:  # the load grid is the error grid
-        load = levels.sample
+        load, fx = levels.sample, levels.u_values((0,))[0]
     gram_ns = [default_order(p - q)] * len(spaces)  # exact: the same on every mesh
     gram = grid_table(chain[0], gram_ns, (0,))
-    rhs = load_values(load, load.u_values((0,))[0], 0)
+    rhs = load_values(load, fx, 0)
     s = solve_blocks(gram_bands(gram, 0), rhs, [space.dim for space in chain[0]])
     lefts = [space.breakpoints.a for space in spaces]
     at = {a: u.eval(a, range(m, q)) for a in dict.fromkeys(lefts)}

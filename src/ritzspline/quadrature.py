@@ -11,7 +11,10 @@ every default order, but never below the exact one.
 
 A :class:`GridTable` holds the basis values of several spaces of one
 degree on one Gauss grid of their meshes, their bases numbered in turn as
-in one joined coefficient vector, and optionally a function's values there.
+in one joined coefficient vector.  It depends on the spaces alone: a
+function enters only through its values at the table's points, which the
+caller samples there (``projectors.Levels.u_values``) and passes to
+:func:`load_values` or compares with :meth:`GridTable.spline`.
 :func:`grid_table` builds it as one array program: the points of all the
 elements from the :func:`mesh_points` formula, the span and knot window of
 each element from its index, and one basis sweep for all points.
@@ -36,7 +39,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .functions import SmoothFunction
 from .mesh import Breakpoints, SplineSpace, _contract, _cox_de_boor, _frozen
 
 MAX_ORDER = 64
@@ -176,8 +178,7 @@ class GridTable:
     as ``mesh._basis_table`` returns it at each space's points, but
     ``first`` numbers the bases of the spaces in turn, as one joined
     coefficient vector holds a spline of each.  The n points of an element
-    share its first index.  ``u``, when the table is a sample of u, holds
-    u^(orders[i]) at the points.
+    share its first index.  The table holds no function values.
     """
 
     spaces: tuple[SplineSpace, ...]
@@ -189,14 +190,9 @@ class GridTable:
     orders: tuple[int, ...]
     first: np.ndarray
     vals: np.ndarray
-    u: np.ndarray | None = None
 
     def _rows(self, orders: Sequence[int]) -> list[int]:
         return [self.orders.index(d) for d in orders]
-
-    def u_values(self, orders: Sequence[int]) -> np.ndarray:
-        """u^(l) at the points, one row per l in ``orders``."""
-        return self.u[self._rows(orders)]
 
     def spline(self, coeffs: np.ndarray, orders: Sequence[int]) -> np.ndarray:
         """s^(l) at the points, one row per l in ``orders``, for the splines
@@ -233,14 +229,12 @@ class GridTable:
 
 
 def grid_table(
-    spaces: Sequence[SplineSpace],
-    ns: Sequence[int],
-    orders: Sequence[int],
-    u: SmoothFunction | None = None,
+    spaces: Sequence[SplineSpace], ns: Sequence[int], orders: Sequence[int]
 ) -> GridTable:
     """The table of the spaces on the ns[i]-point Gauss grid of the mesh of
     spaces[i], at every order in ``orders``: one basis sweep for all of
-    them, so the spaces must share one degree.
+    them, so the spaces must share one degree.  It depends on nothing but
+    these three arguments.
 
     The elements of the spaces are joined in turn, and each run of equal n
     gets its points and weights from one :func:`mesh_points` formula,
@@ -250,12 +244,6 @@ def grid_table(
     over its n points, with no span search; the one sweep of
     ``mesh._cox_de_boor`` then gives every point the values of
     ``mesh._basis_table`` there, bit for bit.
-
-    With ``u``, the table also holds u^(l) at its points for every l in
-    ``orders``: one ``u.eval`` call on its joined points, made before the
-    sweep so that u.eval names a bad order.  Every ufunc of the evaluation
-    acts point by point, so each space's values are those of a table of it
-    alone, bit for bit.
     """
     spaces, ns, orders = tuple(spaces), tuple(ns), tuple(int(d) for d in orders)
     counts = [space.breakpoints.points.size - 1 for space in spaces]
@@ -271,7 +259,6 @@ def grid_table(
     weights = np.concatenate([ws.ravel() for _, ws in grids])
     stops = list(accumulate((xs.size for xs, _ in grids), initial=0))
     point_runs = tuple((n, slice(lo, hi)) for (n, _), lo, hi in zip(runs, stops, stops[1:]))
-    ul = None if u is None else u.eval(points, orders)
     p = spaces[0].degree
     if any(space.degree != p for space in spaces):
         raise ValueError("requires spaces of one degree")
@@ -289,7 +276,7 @@ def grid_table(
     per = np.repeat(ns, counts)  # points per element
     vals = _cox_de_boor(p, points, window.repeat(per, axis=1), orders)
     return GridTable(
-        spaces, ns, ends, point_runs, points, weights, orders, first.repeat(per), vals, ul
+        spaces, ns, ends, point_runs, points, weights, orders, first.repeat(per), vals
     )
 
 

@@ -89,10 +89,10 @@ class _Canvas:
                 self.line(MARGIN_L - 4, py(e), MARGIN_L, py(e))
                 self.text(MARGIN_L - 8, py(e) + 4, f"1e{e}", anchor="end")
 
-    def polygon(self, points, stroke="black"):
+    def polygon(self, points):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         self.parts.append(
-            f'<polygon points="{pts}" fill="none" stroke="{stroke}" stroke-width="1"/>'
+            f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="1"/>'
         )
 
     def text(self, x, y, s, anchor="start", size=12, color="black"):
@@ -115,11 +115,7 @@ def _mapper(lo: float, hi: float, pix_lo: float, pix_hi: float):
     return to_pix
 
 
-def loglog_plot(
-    series: list[Series],
-    title: str,
-    triangle_orders: list[float] | None = None,
-) -> str:
+def loglog_plot(series: list[Series], title: str, triangle_orders: list[float]) -> str:
     """Log-log plot of error against h, with base-2 x ticks and
     reference-slope triangles."""
     xs_all = [x for s in series for x in s.xs]

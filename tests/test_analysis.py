@@ -70,6 +70,9 @@ def test_error_norm_order_guard():
     s = Spline(make_space(0, -1, UNIT), [0.0])
     with pytest.raises(ValueError):
         error_norm(u, s, 2)
+    with pytest.raises(ValueError) as err:
+        error_norm(u, s, -1)
+    assert str(err.value) == "requires 0 <= l <= max_order=1: got l=-1"
 
 
 def test_spline_norm_matches_error_norm(rng):

@@ -196,6 +196,10 @@ BAD_INPUT = {
     "negative-order": (
         ["project", "--function", "sin4x", "--p", "2", "--q", "-1"], "requires q >= 0",
     ),
+    "negative-norm-order": (
+        ["converge", "--function", "sin4x", "--p-list", "2", "--l-list", "-1"],
+        "requires 0 <= l <= max_order=1000000: got l=-1",
+    ),
     "no-elements": (
         ["project", "--function", "sin4x", "--p", "2", "--uniform", "-1"],
         "requires at least 1 element",
@@ -277,9 +281,9 @@ def test_interval_wider_than_the_double_range_over_64_exits_2(tmp_path, capsys, 
 
 @pytest.mark.parametrize("argv,name", [
     (["project", "--function", "sin4x", "--p", "2", "--q", "1", "--uniform", "3"],
-     "d^1/dx^1 of sin(4x)"),
+     "derivative 1 of sin(4x)"),
     (["converge", "--function", "sin4x", "--p-list", "2", "--q", "1", "--levels", "3"],
-     "sin(4x)"),
+     "derivative 0 of sin(4x)"),
 ], ids=["project", "converge"])
 def test_elements_near_the_double_range_name_the_nonfinite_u(tmp_path, capsys, argv, name):
     """Element midpoints past 9e307 are formed without overflowing, so the
@@ -287,7 +291,7 @@ def test_elements_near_the_double_range_name_the_nonfinite_u(tmp_path, capsys, a
     out = tmp_path / "o"
     assert run([*argv, "--interval", "0", "1e308", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: requires u finite on the interval: derivative 0 of {name} "
+    assert err.startswith(f"error: requires u finite on the interval: {name} "
                           "is nan at x=4."), err
     assert "wide enough" not in err
     assert not out.exists()
@@ -783,26 +787,31 @@ def test_project_json_quadrature_names_the_tabulated_grids(
     """The ``quadrature`` record names the per-element Gauss orders of the
     grids the projection tabulates: ``gauss_orders`` restates the choices
     that ``_ritz_types`` and ``Levels.sample`` make each for themselves.
-    At q >= 1 the L2 step tabulates its load grid, on the derived spaces,
-    and its Gram grid; at q = 0 it tabulates the Gram grid alone, and its
-    load grid is the sample."""
+    Each grid is named by what takes it: ``load_values`` the load grid,
+    ``gram_bands`` the Gram grid, and ``Levels.sample`` makes the error
+    grid.  At q >= 1 the load grid lies on the derived spaces; at q = 0 it
+    is the sample."""
+    from functools import cached_property
+
     import ritzspline.projectors as projectors
-    import ritzspline.quadrature as quadrature
 
     if override:
         monkeypatch.setenv("RITZ_SPLINE_QUAD_ORDER", "9")
     p, tabulated = 4, {}
 
-    def grid_table(spaces, ns, orders, u=None):
-        table = quadrature.grid_table(spaces, ns, orders, u)
-        if u is None:
-            kind = "gram_matrix"
-        else:  # the load grid of u^(q), q >= 1, lies on the derived spaces
-            kind = "error_norms" if spaces[0].degree == p else "load_vector"
+    def note(kind, table):
         tabulated.setdefault(kind, set()).add(table.ns)
         return table
 
-    monkeypatch.setattr(projectors, "grid_table", grid_table)
+    def receives(kind, fn):
+        return lambda table, *args: fn(note(kind, table), *args)
+
+    monkeypatch.setattr(projectors, "load_values", receives("load_vector", projectors.load_values))
+    monkeypatch.setattr(projectors, "gram_bands", receives("gram_matrix", projectors.gram_bands))
+    make = projectors.Levels.sample.func
+    sample = cached_property(lambda levels: note("error_norms", make(levels)))
+    sample.__set_name__(projectors.Levels, "sample")
+    monkeypatch.setattr(projectors.Levels, "sample", sample)
     for q in range(4):
         tabulated.clear()
         out = tmp_path / f"q{q}"
@@ -812,8 +821,6 @@ def test_project_json_quadrature_names_the_tabulated_grids(
             "--out", str(out),
         ]) == 0
         record = json.loads((out / "report.json").read_text())["quadrature"]
-        if projectors.projection_order(projector, q) == 0:
-            tabulated["load_vector"] = tabulated["error_norms"]
         assert tabulated == {kind: {(record[kind],)} for kind in tabulated}
         assert set(tabulated) == {"load_vector", "gram_matrix", "error_norms"}
         assert record["override"] is override

@@ -283,6 +283,42 @@ def test_backward_errors_at_roundoff_level():
         assert 0.0 < rep.backward_error <= 1e3 * np.finfo(float).eps
 
 
+# Largest |lambda_i(1 thread) - lambda_i(2 threads)| / (eps lambda_max) that
+# the thread test admits.  Measured: 2.07 at p = 5 on 200 elements, where 183
+# of the 201 eigenvalues differ and lambda_1 moves by 5.1e-9 of itself.
+THREAD_EPS_FACTOR = 8
+
+
+def test_eig_depends_on_the_blas_thread_count_only_in_the_last_bits(tmp_path):
+    """``eig`` past the size from which the BLAS thread count changes the
+    eigenvalue bits, in two fresh processes at 1 and 2 threads: the mode
+    count, the flags and the outlier counts agree, and each eigenvalue moves
+    by a few eps times the largest, the backward error of the solve."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "ritzspline.cli", "eig", "--p", "5", "--elements", "200",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads((out / "spectrum.json").read_text()))
+    one, two = runs
+    for key in ("n", "predicted_flag", "observed_flag", "observed_outliers",
+                "predicted_non_outliers"):
+        assert one[key] == two[key], key
+    lam1, lam2 = np.array(one["lambda_h"]), np.array(two["lambda_h"])
+    scale = np.finfo(float).eps * max(lam1.max(), lam2.max())
+    assert np.max(np.abs(lam1 - lam2)) <= THREAD_EPS_FACTOR * scale
+
+
 def test_backward_errors_match_dense_formula():
     k, m, lam, vecs = _constrained_pairs(3, 12)
     lam = lam * (1 + 1e-3)  # residuals well above roundoff

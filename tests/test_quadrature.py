@@ -440,3 +440,27 @@ def test_stiffness_and_mass_from_one_table(p):
             want = gram_matrix(space, d).bands
             assert np.array_equal(gram_bands(table, d).bands, want)
 
+
+
+
+@pytest.mark.parametrize("module,below", [("quadrature", {"ritzspline.mesh"}), ("mesh", set())],
+                         ids=["quadrature", "mesh"])
+def test_grid_and_basis_layers_know_no_target_function(module, below):
+    """Gauss grids and basis tables depend on the spaces alone: of the
+    package, ``quadrature`` imports only ``mesh`` and ``mesh`` nothing, so
+    neither imports anything from ``ritzspline.functions``, and a target
+    enters only through the values its caller samples."""
+    import ast
+    from pathlib import Path
+
+    import ritzspline
+
+    tree = ast.parse(Path(ritzspline.__file__).with_name(f"{module}.py").read_text())
+    names = set()  # dotted names, relative imports resolved against the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["ritzspline" if node.level else "", node.module]))
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+    assert {".".join(n.split(".")[:2]) for n in names if n.startswith("ritzspline.")} == below
