@@ -32,13 +32,17 @@ BLAS thread settings: the `eig` artifacts from 201 modes on change in their
 last bits with the thread count.  The settings that decide it,
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the CPU count, are printed to
 stderr, with the numpy and scipy versions, on which the hashes depend
-too.  RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any run does not
+too, and the route by which the checkout loaded scipy's LAPACK
+(``lapack=direct`` or ``lapack=scipy.linalg``, see ``ritzspline._lapack``;
+``lapack=(none)`` for a checkout without that layer).
+RITZ_SPLINE_QUAD_ORDER is ignored.  Exits 1 if any run does not
 exit 0.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import os
 import sys
@@ -214,6 +218,17 @@ def library_versions() -> str:
     return f"numpy={numpy.__version__} scipy={scipy.__version__}"
 
 
+def lapack_route() -> str:
+    """How the imported ritzspline loads scipy's LAPACK, as ``lapack=<route>``."""
+    try:
+        lapack = importlib.import_module("ritzspline._lapack")
+    except ModuleNotFoundError as err:
+        if err.name != "ritzspline._lapack":
+            raise
+        return "lapack=(none)"
+    return f"lapack={lapack.ROUTE}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path,
@@ -221,7 +236,7 @@ def main() -> int:
                         help="source checkout whose src/ is imported")
     args = parser.parse_args()
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    print(thread_settings(), library_versions(), file=sys.stderr)
+    print(thread_settings(), library_versions(), lapack_route(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         failed = write_runs(Path(tmp))
         digests = {

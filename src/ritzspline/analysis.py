@@ -287,6 +287,9 @@ def rq_difference_study(
     """
     meta, spaces = _study_spaces(u, "rq-diff", "ritz-q", p, k, q, l_set, levels, interval,
                                  grading, zero_expected=p >= 3 * q - 1)
+    for l in l_set:  # the study samples no u^(l), so l has no upper bound here
+        if l < 0:
+            raise ValueError(f"requires l >= 0: got l={l}")
     study = Levels(u, spaces)
     qs = study.project("q", q)
     diffs = study.project("ritz", q) - qs

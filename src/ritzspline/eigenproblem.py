@@ -5,11 +5,13 @@ dropping the first two and last two functions of the clamped B-spline
 basis, which are the only ones carrying endpoint data; stiffness and mass
 are restricted to the remaining functions in banded storage.  The
 generalized symmetric-definite eigenproblem (stiffness vs. mass) is solved
-densely by LAPACK through scipy, since scipy has no banded generalized
+densely by LAPACK's ``dsygvd``, since scipy wraps no banded generalized
 driver; discrete eigenvalues then bound the continuous ones from above.
 Every eigenpair is checked by its normwise backward error, computed on the
-dense pencil the eigensolver was given, with two matrix products by
-scipy's BLAS for all pairs.  The spectral cutoff
+dense pencil the eigensolver was given, with two ``dgemm`` products for
+all pairs.  Both routines come from scipy's compiled LAPACK and BLAS
+through the package's ``_lapack`` layer, which loads them without the
+``scipy.linalg`` package.  The spectral cutoff
 h * lambda^(1/4) < pi marks the modes expected to be resolved by the mesh.
 """
 
@@ -32,11 +34,13 @@ BACKWARD_ERROR_TOL = 1e-12
 
 
 def eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's dense generalized symmetric-definite eigensolver, with scipy
-    imported on the first call: loading it takes longer than a small solve."""
-    from scipy.linalg import eigh as scipy_eigh
+    """LAPACK's dense generalized symmetric-definite eigensolver ``dsygvd``,
+    called as ``scipy.linalg.eigh(a, b)`` calls it, so with its bits.  The
+    ``_lapack`` layer is imported on the first call, so that commands
+    without a solve never load it."""
+    from . import _lapack
 
-    return scipy_eigh(a, b)
+    return _lapack.eigh(a, b)
 
 
 def _sech(m: float) -> float:
@@ -192,14 +196,14 @@ def backward_errors(
     up to the choice of norms.  K and M are dense.  The residuals of all
     pairs take two ``dgemm`` products: M V is scaled by lam column by
     column, and K V - (M V) diag(lam) is then formed in that buffer.  Both
-    products go through scipy's BLAS, the library the eigensolver ran in:
-    numpy's ``@`` calls numpy's own BLAS, whose thread pool then competes
-    with scipy's for the cores (on 2 cores a pass of the benchmark's
-    ``eig`` runs took two to four times as long).  The matrices are passed
-    transposed, so a C-ordered K or M is read in place, and ``eigh``'s
-    Fortran-ordered eigenvectors are not copied either.
+    products go through scipy's BLAS (``_lapack.dgemm``), the library the
+    eigensolver ran in: numpy's ``@`` calls numpy's own BLAS, whose thread
+    pool then competes with scipy's for the cores (on 2 cores a pass of the
+    benchmark's ``eig`` runs took two to four times as long).  The matrices
+    are passed transposed, so a C-ordered K or M is read in place, and
+    ``eigh``'s Fortran-ordered eigenvectors are not copied either.
     """
-    from scipy.linalg.blas import dgemm  # scipy is loaded: eigh ran first
+    from ._lapack import dgemm  # loaded already: eigh ran first
 
     resid = dgemm(1.0, m.T, vecs, trans_a=1)
     resid *= lam

@@ -149,9 +149,9 @@ class BandedSymmetric:
         return BandedSymmetric(self.bands[: hi - lo, lo:hi])
 
     def solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        from scipy.linalg import solveh_banded  # imported on first solve: slow to load
+        from . import _lapack  # loaded on first solve, so that other commands never load it
 
-        return solveh_banded(self.bands, rhs, lower=True)
+        return _lapack.solveh_banded(self.bands, rhs)
 
 
 def solve_blocks(matrix: BandedSymmetric, rhs: np.ndarray, dims: Sequence[int]) -> np.ndarray:

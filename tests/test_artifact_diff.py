@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy
@@ -224,3 +225,6 @@ def test_hash_run_names_its_blas_thread_settings(monkeypatch):
     monkeypatch.setattr(numpy, "__version__", "1.2.3")
     monkeypatch.setattr(scipy, "__version__", "4.5.6")
     assert artifact_hashes.library_versions() == "numpy=1.2.3 scipy=4.5.6"
+    assert artifact_hashes.lapack_route() == "lapack=direct"
+    monkeypatch.setitem(sys.modules, "ritzspline._lapack", None)  # a checkout without it
+    assert artifact_hashes.lapack_route() == "lapack=(none)"

@@ -200,6 +200,11 @@ BAD_INPUT = {
         ["converge", "--function", "sin4x", "--p-list", "2", "--l-list", "-1"],
         "requires 0 <= l <= max_order=1000000: got l=-1",
     ),
+    "negative-norm-order-rq-diff": (
+        ["converge", "--function", "sin4x", "--p-list", "3", "--study", "rq-diff", "--q", "1",
+         "--l-list", "-1"],
+        "requires l >= 0: got l=-1",
+    ),
     "no-elements": (
         ["project", "--function", "sin4x", "--p", "2", "--uniform", "-1"],
         "requires at least 1 element",
@@ -950,8 +955,10 @@ def test_project_at_q_zero_evaluates_the_report_grid_once(tmp_path, monkeypatch,
     assert sweeps == {(n,): 1, (16 * default_order(3),): 1, (2,): 1}
 
 
-def test_scipy_is_imported_only_by_solves(tmp_path):
-    """Import, constants, --help and exit-2 paths never load scipy; eig does."""
+def test_no_command_imports_scipy_linalg(tmp_path):
+    """Import, constants, --help and exit-2 paths never load scipy; the
+    commands that solve load its LAPACK and BLAS without the scipy.linalg
+    package (``ritzspline._lapack``)."""
     import os
     import subprocess
     import sys
@@ -970,8 +977,14 @@ except SystemExit:
 seen["help"] = "scipy" in sys.modules
 rc = main(["project", "--function", "sin4x", "--p", "3", "--q", "9", "--out", "x"])
 seen["exit_2"] = [rc, "scipy" in sys.modules]
+rc = main(["project", "--function", "sin4x", "--p", "3", "--q", "2", "--projector", "ritz",
+           "--uniform", "16", "--out", "ritz"])
+seen["project"] = [rc, "scipy.linalg" in sys.modules]
+rc = main(["converge", "--function", "sin4x", "--p-list", "2,3", "--q", "1", "--levels", "3",
+           "--out", "converge"])
+seen["converge"] = [rc, "scipy.linalg" in sys.modules]
 rc = main(["eig", "--p", "3", "--elements", "8", "--out", "eig"])
-seen["eig"] = [rc, "scipy" in sys.modules]
+seen["eig"] = [rc, "scipy.linalg" in sys.modules]
 print(json.dumps(seen))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -983,6 +996,6 @@ print(json.dumps(seen))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {
-        "import": False, "constants": False, "help": False,
-        "exit_2": [2, False], "eig": [0, True],
+        "import": False, "constants": False, "help": False, "exit_2": [2, False],
+        "project": [0, False], "converge": [0, False], "eig": [0, False],
     }

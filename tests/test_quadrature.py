@@ -443,13 +443,16 @@ def test_stiffness_and_mass_from_one_table(p):
 
 
 
-@pytest.mark.parametrize("module,below", [("quadrature", {"ritzspline.mesh"}), ("mesh", set())],
-                         ids=["quadrature", "mesh"])
+@pytest.mark.parametrize("module,below", [
+    ("quadrature", {"ritzspline.mesh", "ritzspline._lapack"}), ("mesh", set()),
+    ("_lapack", set()),
+], ids=["quadrature", "mesh", "_lapack"])
 def test_grid_and_basis_layers_know_no_target_function(module, below):
     """Gauss grids and basis tables depend on the spaces alone: of the
-    package, ``quadrature`` imports only ``mesh`` and ``mesh`` nothing, so
-    neither imports anything from ``ritzspline.functions``, and a target
-    enters only through the values its caller samples."""
+    package, ``quadrature`` imports only ``mesh`` and the LAPACK layer
+    ``_lapack``, and those two nothing, so none of them imports anything
+    from ``ritzspline.functions``, and a target enters only through the
+    values its caller samples."""
     import ast
     from pathlib import Path
 

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end and write the files they name."""
 
+import re
 import runpy
 import subprocess
 import sys
@@ -51,3 +52,16 @@ def test_unexecuted_lists_the_statements_its_tests_miss():
     assert line_of("eigenproblem.py", "lo = mid", "def _beam_root") in listed
     assert line_of("svgplot.py", "return -1.0, 1.0", "def _log_range") not in listed
     assert "passed" in run.stderr
+
+
+def test_cold_start_times_a_command_in_both_checkouts():
+    """One pair of `eig` runs, the checkout compared with itself."""
+    root = SCRIPTS.parent
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cold_start.py"), str(root), str(root), "--runs", "1",
+         "--command", "eig"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.fullmatch(r"eig: \d+\.\d{3} \[(\d+\.\d{3}), \1\] -> \d+\.\d{3} s \([+-]\d+%\), "
+                        r"change faster in [01]/1 pairs\n", run.stdout)
