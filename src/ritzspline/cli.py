@@ -40,9 +40,12 @@ def _parse_list(text: str, convert=int, kind: str = "integer") -> list:
 
 def _make_breakpoints(args) -> Breakpoints:
     if args.breakpoints is not None:
+        for name in ("uniform", "interval"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"requires --breakpoints or --{name}, not both")
         return Breakpoints(np.array(_parse_list(args.breakpoints, float, "number")))
-    a, b = args.interval
-    return Breakpoints.uniform(args.uniform + 1, a, b)
+    a, b = args.interval or (0.0, 1.0)
+    return Breakpoints.uniform((args.uniform or 0) + 1, a, b)
 
 
 def _write(path: Path, content: str) -> None:
@@ -135,6 +138,8 @@ def cmd_converge(args) -> int:
     _check_list("--l-list", l_list)
     if args.study == "error" and any(l > args.q for l in l_list):
         raise ValueError("requires l <= q for --study error")
+    if args.study == "rq-diff" and args.projector is not None:
+        raise ValueError("requires --study error with --projector: got --study rq-diff")
     out = Path(args.out)
     series = []
     ref_orders: set[float] = set()
@@ -144,7 +149,7 @@ def cmd_converge(args) -> int:
             raise ValueError(f"requires q <= k+1: got q={args.q}, k={k} (p={p})")
         if args.study == "error":
             table = analysis.convergence_study(
-                u, args.projector, p, k, args.q, l_list, args.levels,
+                u, args.projector or "q", p, k, args.q, l_list, args.levels,
                 tuple(args.interval), args.grading,
             )
         else:
@@ -266,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("--projector", choices=PROJECTORS, default="q")
     p_proj.add_argument("--breakpoints", default=None, help="comma-separated abscissae")
     p_proj.add_argument(
-        "--uniform", type=int, default=0, help="number of interior breakpoints"
+        "--uniform", type=int, default=None, help="number of interior breakpoints (default 0)"
     )
     p_proj.add_argument(
-        "--interval", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B")
+        "--interval", type=float, nargs=2, default=None, metavar=("A", "B"),
+        help="interval of the uniform mesh (default 0 1)",
     )
     p_proj.add_argument("--out", default="project_out", help="output directory")
     p_proj.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -283,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--l-list", default="0", help="comma-separated derivative orders")
     p_conv.add_argument("--levels", type=int, default=5)
     p_conv.add_argument("--study", choices=("error", "rq-diff"), default="error")
-    p_conv.add_argument("--projector", choices=PROJECTORS, default="q")
+    p_conv.add_argument(
+        "--projector", choices=PROJECTORS, default=None, help="for --study error (default q)"
+    )
     p_conv.add_argument(
         "--interval", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B")
     )

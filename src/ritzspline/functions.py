@@ -1,7 +1,9 @@
 """Smooth test functions with exact derivatives.
 
-Two sources of functions: a builtin registry with closed-form derivatives
-of any order, and a small expression language for CLI input,
+A :class:`SmoothFunction` asks its evaluator for every derivative order
+one call needs at once.  Two sources of functions: a builtin registry with
+closed-form derivatives of any order, and a small expression language for
+CLI input,
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -243,20 +245,15 @@ def _compile(ast: Expr, k: int) -> tuple[tuple[float, ...], tuple, tuple[int, ..
 
 class _Taylor:
     """The Taylor programs of one parsed expression, compiled once per row
-    count on first use; ``taylor(x, d)`` is its d-th derivative at x."""
+    count on first use; ``taylor(x, orders)`` is its derivatives of the
+    orders at x, each shaped like x, from one run of the program for
+    k = max(orders) + 1 rows."""
 
     def __init__(self, ast: Expr):
         self.ast = ast
         self.programs: dict[int, tuple] = {}
 
-    def __call__(self, x: np.ndarray, d: int) -> np.ndarray:
-        return self.derivatives(x, (d,))[0]
-
-    def derivatives(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
-        """The derivatives of the orders at x, each shaped like x, from one
-        run of the program for k = max(orders) + 1 rows."""
-        if not orders:
-            return []
+    def __call__(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
         k = max(orders) + 1
         program = self.programs.get(k) or self.programs.setdefault(k, _compile(self.ast, k))
         consts, steps, outs = program
@@ -406,17 +403,14 @@ def parse(src: str) -> Expr:
 class SmoothFunction:
     """Function with exact derivatives up to ``max_order``.
 
-    ``evaluator(x, d)`` returns the d-th derivative at x (array in, array
-    out).  Instances are immutable and safe to share.
+    ``evaluator(x, orders)`` returns one array per order in ``orders``, a
+    nonempty tuple: the d-th derivative at x for each d, shaped like x.
+    Instances are immutable and safe to share.
     """
 
-    evaluator: Callable[[np.ndarray, int], np.ndarray]
+    evaluator: Callable[[np.ndarray, tuple[int, ...]], Sequence[np.ndarray]]
     max_order: int
     description: str
-
-    def _derivatives(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
-        """The derivatives of several orders at x, one evaluator call each."""
-        return [self.evaluator(x, d) for d in orders]
 
     def eval(self, x, deriv: int | Sequence[int] = 0):
         """The deriv-th derivative at x: a float for scalar x, else an array
@@ -424,9 +418,9 @@ class SmoothFunction:
 
         ``deriv`` may also be a sequence of orders: the result then stacks
         one array per order along a new first axis, as ``eval_spline_many``
-        does.  The evaluator is called once per order, and a parsed
-        expression serves all of them from one program run.  Every value must be
-        finite; the error names the first nonfinite one, its order and x.
+        does.  The evaluator is called once, with every order, and not at
+        all for an empty sequence.  Every value must be finite; the error
+        names the first nonfinite one, its order and x.
         """
         single = isinstance(deriv, (int, np.integer))
         orders = (deriv,) if single else tuple(deriv)
@@ -436,10 +430,17 @@ class SmoothFunction:
                     f"requires 0 <= deriv <= max_order={self.max_order}: got {d}"
                 )
         arr = np.asarray(x, dtype=float)
-        out = np.empty((len(orders), *arr.shape))
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, v in enumerate(self._derivatives(arr, orders)):
-                out[i] = v
+            rows = self.evaluator(arr, orders) if orders else ()
+        if len(rows) != len(orders) or any(np.shape(v) != arr.shape for v in rows):
+            raise ValueError(
+                f"requires the evaluator of {self.description} to return one array "
+                f"shaped like x per order: got shapes {[np.shape(v) for v in rows]} "
+                f"for orders {orders} at x of shape {arr.shape}"
+            )
+        out = np.empty((len(orders), *arr.shape))
+        for i, v in enumerate(rows):
+            out[i] = v
         if not np.isfinite(out).all():
             for d, row in zip(orders, out):
                 bad = ~np.isfinite(row)
@@ -452,60 +453,41 @@ class SmoothFunction:
             return out
         return float(out[0]) if not arr.ndim else out[0]
 
-    def derivative(self, n: int = 1) -> "SmoothFunction":
-        """The n-th derivative as a new function (orders shift down by n);
-        ``self`` for n = 0."""
-        if not 0 <= n <= self.max_order:
-            raise ValueError(f"requires 0 <= n <= max_order={self.max_order}")
-        if n == 0:
-            return self
-        parent = self.evaluator
-        return SmoothFunction(
-            lambda x, d: parent(x, d + n),
-            self.max_order - n,
-            f"d^{n}/dx^{n} of {self.description}",
-        )
-
-
-class _Expression(SmoothFunction):
-    """A parsed expression: the orders of one ``eval`` call come from one
-    run of its Taylor program."""
-
-    def _derivatives(self, x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
-        return self.evaluator.derivatives(x, orders)
-
 
 @lru_cache(maxsize=64)
 def from_expression(src: str) -> SmoothFunction:
     """Parse the expression and wrap it with its Taylor derivatives; the
     last 64 sources are kept with their programs, so that repeated CLI calls
     compile an expression once."""
-    return _Expression(_Taylor(parse(src)), MAX_SYMBOLIC_ORDER, src)
+    return SmoothFunction(_Taylor(parse(src)), MAX_SYMBOLIC_ORDER, src)
 
 
-def _sin4x(x: np.ndarray, d: int) -> np.ndarray:
-    return 4.0**d * np.sin(4.0 * x + d * np.pi / 2.0)
+def _sin4x(x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    return [4.0**d * np.sin(4.0 * x + d * np.pi / 2.0) for d in orders]
 
 
-def _x6(x: np.ndarray, d: int) -> np.ndarray:
-    if d > 6:
-        return np.zeros_like(x)
-    c = math.factorial(6) / math.factorial(6 - d)
-    return c * x ** (6 - d)
+def _x6(x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    return [
+        math.factorial(6) / math.factorial(6 - d) * x ** (6 - d) if d <= 6 else np.zeros_like(x)
+        for d in orders
+    ]
 
 
-def _runge(x: np.ndarray, d: int) -> np.ndarray:
+def _runge(x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
     # 1/(1+25x^2) = Im 1/(5x - i); the d-th derivative follows from the
     # complex power rule and stays exact for any order.
     z = 5.0 * x - 1j
-    return (5.0**d) * ((-1.0) ** d) * math.factorial(d) * np.imag(z ** (-(d + 1)))
+    return [
+        (5.0**d) * ((-1.0) ** d) * math.factorial(d) * np.imag(z ** (-(d + 1)))
+        for d in orders
+    ]
 
 
-def _exp(x: np.ndarray, d: int) -> np.ndarray:
-    return np.exp(x)
+def _exp(x: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    return [np.exp(x)] * len(orders)
 
 
-_BUILTINS: dict[str, tuple[Callable[[np.ndarray, int], np.ndarray], int, str]] = {
+_BUILTINS: dict[str, tuple[Callable, int, str]] = {
     "sin4x": (_sin4x, ANY_ORDER, "sin(4x)"),
     "x6": (_x6, ANY_ORDER, "x^6"),
     "runge": (_runge, 170, "1/(1+25x^2)"),

@@ -88,7 +88,7 @@ def projection_order(projector: str, q: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Levels:
-    """The function u on several spaces of one degree: the levels of a
+    """The function u on one or more spaces of one degree: the levels of a
     convergence study, or the one space of a projection.
 
     ``sample`` is their :class:`quadrature.GridTable` on the error-norm
@@ -113,6 +113,10 @@ class Levels:
     orders: Sequence[int] = ()
     _boundaries: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _corrections: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.spaces:
+            raise ValueError("requires at least one space for Levels: got none")
 
     @cached_property
     def sample(self) -> GridTable:

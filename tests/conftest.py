@@ -36,7 +36,7 @@ def smooth_mix(amp_sin, freq, amp_exp, rate, poly_coeffs):
     """Closed-form smooth function: sine + exponential + cubic polynomial."""
     poly = np.asarray(poly_coeffs, dtype=float)
 
-    def ev(x, d):
+    def derivative(x, d):
         out = amp_sin * freq**d * np.sin(freq * x + d * np.pi / 2.0)
         out = out + amp_exp * rate**d * np.exp(rate * x)
         pc = poly.copy()
@@ -49,7 +49,9 @@ def smooth_mix(amp_sin, freq, amp_exp, rate, poly_coeffs):
             acc = acc * x + c
         return out + acc
 
-    return SmoothFunction(ev, 1_000_000, "sine+exp+cubic mix")
+    return SmoothFunction(
+        lambda x, orders: [derivative(x, d) for d in orders], 1_000_000, "sine+exp+cubic mix"
+    )
 
 
 def random_smooth(rng):

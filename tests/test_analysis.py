@@ -42,7 +42,7 @@ UNIT = Breakpoints(np.array([0.0, 1.0]))
 
 def test_error_norm_of_linear_against_zero():
     u = SmoothFunction(
-        lambda x, d: np.asarray(x, float) if d == 0 else (np.ones_like(x) if d == 1 else np.zeros_like(x)),
+        lambda x, orders: [x if d == 0 else np.full_like(x, float(d == 1)) for d in orders],
         10,
         "x",
     )
@@ -60,13 +60,13 @@ def test_error_norm_second_derivative_closed_form():
 def test_error_norm_vanishes_for_members(rng):
     space = make_space(3, 2, random_breakpoints(rng, 3))
     s = Spline(space, rng.normal(size=space.dim))
-    u = SmoothFunction(lambda x, d: eval_spline_many(s, x, d), 2, "member")
+    u = SmoothFunction(lambda x, orders: eval_spline_many(s, x, orders), 2, "member")
     for l in range(space.smoothness + 1):
         assert error_norm(u, s, l) <= 1e-11
 
 
 def test_error_norm_order_guard():
-    u = SmoothFunction(lambda x, d: np.zeros_like(x), 1, "flat")
+    u = SmoothFunction(lambda x, orders: np.zeros((len(orders), *x.shape)), 1, "flat")
     s = Spline(make_space(0, -1, UNIT), [0.0])
     with pytest.raises(ValueError):
         error_norm(u, s, 2)
@@ -78,7 +78,7 @@ def test_error_norm_order_guard():
 def test_spline_norm_matches_error_norm(rng):
     space = make_space(2, 1, random_breakpoints(rng, 2))
     s = Spline(space, rng.normal(size=space.dim))
-    zero = SmoothFunction(lambda x, d: np.zeros_like(np.asarray(x, float)), 99, "0")
+    zero = SmoothFunction(lambda x, orders: np.zeros((len(orders), *x.shape)), 99, "0")
     for l in (0, 1, 2):
         assert spline_norm(s, l) == pytest.approx(error_norm(zero, s, l), rel=1e-12)
 
@@ -120,7 +120,9 @@ def test_orders_stabilize():
 
 def test_reproduction_of_space_members_gives_zero_errors():
     coeffs = [0.3, -1.2, 0.7]
-    u = SmoothFunction(lambda x, d: npp.polyval(x, npp.polyder(coeffs, d)), 99, "quadratic")
+    u = SmoothFunction(
+        lambda x, orders: [npp.polyval(x, npp.polyder(coeffs, d)) for d in orders], 99, "quadratic"
+    )
     tab = convergence_study(u, "q", 2, 1, 2, (0,), levels=3)
     assert all(e <= 1e-10 for e in tab.errors[0])
 

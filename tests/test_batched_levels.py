@@ -27,8 +27,10 @@ from ritzspline.quadrature import BandedSymmetric, solve_blocks
 
 # u^(d) of sin(3x) + cos(2x), exact to any order and finite far from 0
 WAVE = SmoothFunction(
-    lambda x, d: 3.0**d * np.sin(3.0 * x + d * np.pi / 2)
-    + 2.0**d * np.cos(2.0 * x + d * np.pi / 2),
+    lambda x, orders: [
+        3.0**d * np.sin(3.0 * x + d * np.pi / 2) + 2.0**d * np.cos(2.0 * x + d * np.pi / 2)
+        for d in orders
+    ],
     10**6,
     "sin(3x)+cos(2x)",
 )

@@ -205,6 +205,20 @@ BAD_INPUT = {
          "--l-list", "-1"],
         "requires l >= 0: got l=-1",
     ),
+    "breakpoints-with-uniform": (
+        ["project", "--function", "sin4x", "--p", "2", "--breakpoints", "0,0.5,1", "--uniform", "0"],
+        "requires --breakpoints or --uniform, not both",
+    ),
+    "breakpoints-with-interval": (
+        ["project", "--function", "sin4x", "--p", "2", "--breakpoints", "0,0.5,1",
+         "--interval", "1", "3"],
+        "requires --breakpoints or --interval, not both",
+    ),
+    "rq-diff-with-projector": (
+        ["converge", "--function", "sin4x", "--p-list", "3", "--study", "rq-diff", "--q", "1",
+         "--projector", "l2"],
+        "requires --study error with --projector: got --study rq-diff",
+    ),
     "no-elements": (
         ["project", "--function", "sin4x", "--p", "2", "--uniform", "-1"],
         "requires at least 1 element",
@@ -838,7 +852,7 @@ def test_project_json_quadrature_names_the_tabulated_grids(
 
 def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     """Run ``project`` for sin4x, p = 3 and order q on 16 elements, counting the
-    evaluator calls of u by (order, points), every basis sweep by its point
+    evaluator calls of u by (orders, points), every basis sweep by its point
     counts, by whichever module makes it, and the residual fits of the Ritz
     correction.
 
@@ -860,9 +874,9 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
     sweep, residual_fits = mesh._cox_de_boor, projectors._residual_fits
     u_calls, sweeps, corrections, swept = Counter(), Counter(), [], []
 
-    def evaluator(x, d):
-        u_calls[d, np.size(x)] += 1
-        return base.evaluator(x, d)
+    def evaluator(x, orders):
+        u_calls[orders, np.size(x)] += 1
+        return base.evaluator(x, orders)
 
     def counted_sweep(p, x, *args):
         swept.append(x.size)
@@ -909,15 +923,16 @@ def _count_project_run(tmp_path, monkeypatch, projector, q=2):
 
 
 def test_project_ritz_evaluates_the_report_grid_once(tmp_path, monkeypatch):
-    """u^(l) once per order on the error-norm grid and one basis sweep there:
-    the Ritz correction and the report read the same sample."""
+    """u^(l) for every order in one evaluator call on the error-norm grid and
+    one basis sweep there: the Ritz correction and the report read the same
+    sample."""
     from ritzspline.mesh import Breakpoints
     from ritzspline.quadrature import default_order
 
     u_calls, sweeps, corrections = _count_project_run(tmp_path, monkeypatch, "ritz")
     n = 16 * default_order(3, Breakpoints.uniform(16))
     assert len(corrections) == 1
-    assert {l: u_calls[l, n] for l in range(4)} == {0: 1, 1: 1, 2: 1, 3: 0}
+    assert [(orders, c) for (orders, size), c in u_calls.items() if size == n] == [((0, 1, 2), 1)]
     # the L2 step on the degree-1 derived space, one sweep for its load grid
     # and one for its Gram grid; the error grid; the two endpoints of the
     # boundary report
@@ -936,7 +951,7 @@ def test_project_l2_evaluates_the_report_grid_once(tmp_path, monkeypatch):
     n = 16 * default_order(3, Breakpoints.uniform(16))
     assert not corrections
     # besides the error grid, only u and u' at the two endpoints
-    assert u_calls == {(0, n): 1, (1, n): 1, (2, n): 1, (0, 1): 2, (1, 1): 2}
+    assert u_calls == {((0, 1, 2), n): 1, ((0, 1), 1): 2}
     # the error grid; the exact Gram grid; the endpoints of the boundary report
     assert sweeps == {(n,): 1, (16 * default_order(3),): 1, (2,): 1}
 
@@ -951,7 +966,7 @@ def test_project_at_q_zero_evaluates_the_report_grid_once(tmp_path, monkeypatch,
 
     u_calls, sweeps, _ = _count_project_run(tmp_path, monkeypatch, projector, q=0)
     n = 16 * default_order(3, Breakpoints.uniform(16))
-    assert u_calls == {(0, n): 1}
+    assert u_calls == {((0,), n): 1}
     assert sweeps == {(n,): 1, (16 * default_order(3),): 1, (2,): 1}
 
 

@@ -12,7 +12,10 @@ from ritzspline.functions import (
     Const,
     ExpressionError,
     Mul,
+    SmoothFunction,
     Var,
+    _compile,
+    _degree,
     builtin,
     from_expression,
     parse,
@@ -109,8 +112,6 @@ def test_derivative_cap():
     for orders in (13, [0, 13]):
         with pytest.raises(ValueError, match="max_order=12: got 13"):
             f.eval(0.5, orders)
-    with pytest.raises(ValueError, match="requires 0 <= n <= max_order=12"):
-        f.derivative(13)
 
 
 @pytest.mark.parametrize(
@@ -287,7 +288,7 @@ def test_threads_evaluating_one_expression_agree():
 def test_constant_roots_fill_the_shape_of_x():
     x = np.linspace(0.0, 1.0, 5)
     assert from_expression("2^3+1").eval(x, [0, 1]).tolist() == [[9.0] * 5, [0.0] * 5]
-    assert from_expression("2^3+1").evaluator(x, 0).shape == x.shape
+    assert [row.shape for row in from_expression("2^3+1").evaluator(x, (0, 2))] == [x.shape] * 2
     assert value("2^3+1", 0.5) == 9.0
 
 
@@ -360,15 +361,60 @@ def test_builtin_derivatives_match_finite_differences(name):
         assert np.max(np.abs(got - fd) / denom) < 1e-6, (name, d)
 
 
-def test_derivative_shifting():
-    u = builtin("sin4x")
-    du = u.derivative(2)
-    xs = np.linspace(0, 1, 9)
-    np.testing.assert_allclose(du.eval(xs), u.eval(xs, 2), atol=1e-14)
-    assert du.max_order == u.max_order - 2
-    f = from_expression("sin(4*x)")
-    assert np.array_equal(f.derivative(2).eval(xs, 1), f.eval(xs, 3))
-    assert u.derivative(0) is u and f.derivative(0) is f
+@pytest.mark.parametrize("src", ["sin4x", "runge", "sin(x)*x^2/(1+x)"])
+def test_eval_calls_its_evaluator_once_with_every_order(src):
+    """One ``eval`` is one evaluator call, with the orders as asked for."""
+    u, calls = resolve_function(src), []
+
+    def evaluator(x, orders):
+        calls.append(orders)
+        return u.evaluator(x, orders)
+
+    counted = SmoothFunction(evaluator, u.max_order, u.description)
+    x = np.linspace(0.0, 1.0, 7)
+    assert np.array_equal(counted.eval(x, [2, 0, 1]), u.eval(x, [2, 0, 1]))
+    assert counted.eval(x, 1).tolist() == u.eval(x, 1).tolist()
+    assert counted.eval(0.5, [3]).shape == (1,)
+    assert counted.eval(x, []).shape == (0, 7)
+    assert calls == [(2, 0, 1), (1,), (3,)]
+
+
+@pytest.mark.parametrize("name", ["sin4x", "x6", "runge", "exp"])
+def test_builtin_rows_are_its_one_order_calls(name):
+    """A builtin's rows over mixed orders are, bit for bit, its calls of one
+    order each, at 0-d and longer x."""
+    u, orders = builtin(name), (5, 0, 7, 2, 1, 6, 3, 4, 0)
+    for x in (np.array(0.3), np.linspace(-0.4, 0.9, 11)):
+        rows = u.eval(x, orders)
+        for d, row in zip(orders, rows):
+            assert np.array_equal(_bits(row), _bits(u.eval(x, d))), (name, d)
+
+
+@pytest.mark.parametrize(
+    "evaluator, shapes",
+    [
+        (lambda x, orders: [], "[]"),  # rows left unfilled
+        (lambda x, orders: [np.sin(x)], "[(2,)]"),  # one row for several orders
+        (lambda x, orders: np.sin(x), "[(), ()]"),  # one bare array, as long as the orders
+        (lambda x, orders: [np.sin(x)] * (len(orders) + 1), "[(2,), (2,), (2,)]"),
+        (lambda x, orders: [np.sin(x[:1]) for d in orders], "[(1,), (1,)]"),
+        (lambda x, orders: [1.0 for d in orders], "[(), ()]"),
+    ],
+)
+def test_an_evaluator_of_the_wrong_rows_is_named(evaluator, shapes):
+    u = SmoothFunction(evaluator, 9, "w")
+    with pytest.raises(ValueError) as err:
+        u.eval(np.array([0.1, 0.2]), [0, 1])
+    assert str(err.value) == (
+        "requires the evaluator of w to return one array shaped like x per order: "
+        f"got shapes {shapes} for orders (0, 1) at x of shape (2,)"
+    )
+
+
+@pytest.mark.parametrize("walk", [_degree, lambda node: _compile(node, 3)])
+def test_a_node_of_no_known_kind_is_a_type_error(walk):
+    with pytest.raises(TypeError, match="^unknown node 'x'$"):
+        walk("x")
 
 
 def test_eval_order_guard():

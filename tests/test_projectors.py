@@ -4,7 +4,7 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npp
 
 from ritzspline.analysis import error_norm
-from ritzspline.functions import builtin, resolve_function
+from ritzspline.functions import SmoothFunction, builtin, resolve_function
 from ritzspline.mesh import (
     Breakpoints,
     Spline,
@@ -180,9 +180,7 @@ def test_l2_mean_on_constants():
 def test_l2_idempotent_on_space_members(rng):
     space = make_space(3, 1, random_breakpoints(rng, 3))
     s = Spline(space, rng.normal(size=space.dim))
-    from ritzspline.functions import SmoothFunction
-
-    u = SmoothFunction(lambda x, d: eval_spline_many(s, x, d), 3, "member")
+    u = SmoothFunction(lambda x, orders: eval_spline_many(s, x, orders), 3, "member")
     rec = l2_project(space, u)
     assert np.max(np.abs(rec.coeffs - s.coeffs)) < 1e-10
 
@@ -344,7 +342,10 @@ def test_commuting_with_derivative(rng):
     # derive(Q_q u) = derive(Q~_q u) = Q_{q-1} u', the defining recursion
     cases = [(*_setup(rng), random_smooth(rng)) for _ in range(6)] + _qtilde_cases()
     for space, q, u in cases:
-        right = q_project(space.derived(), q - 1, u.derivative(1))
+        du = SmoothFunction(
+            lambda x, orders: u.eval(x, [d + 1 for d in orders]), u.max_order - 1, "u'"
+        )
+        right = q_project(space.derived(), q - 1, du)
         scale = max(1.0, float(np.max(np.abs(right.coeffs))))
         for project in (q_project, qtilde_project):
             left = derive(project(space, q, u))
@@ -515,9 +516,7 @@ def test_order_beyond_smoothness_rejected():
 
 
 def test_order_beyond_function_rejected():
-    from ritzspline.functions import SmoothFunction
-
-    u = SmoothFunction(lambda x, d: np.zeros_like(x), 1, "once")
+    u = SmoothFunction(lambda x, orders: np.zeros((len(orders), *x.shape)), 1, "once")
     space = make_space(4, 3, UNIT)
     with pytest.raises(ValueError, match="max_order"):
         q_project(space, 2, u)
@@ -530,6 +529,13 @@ def test_levels_of_two_degrees_rejected(projector, q):
     levels = Levels(builtin("sin4x"), [make_space(2, 1, UNIT), make_space(3, 2, UNIT)])
     with pytest.raises(ValueError, match="requires spaces of one degree"):
         levels.project(projector, q)
+
+
+def test_levels_of_no_space_rejected():
+    from ritzspline.projectors import Levels
+
+    with pytest.raises(ValueError, match="^requires at least one space for Levels: got none$"):
+        Levels(builtin("sin4x"), [])
 
 
 def test_q_zero_is_plain_l2(rng):
