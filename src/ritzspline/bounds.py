@@ -47,6 +47,20 @@ class BoundQuery:
             raise ValueError(f"requires length finite and > 0: got length={self.length}")
 
 
+def _power(name: str, base: float, exponent: int) -> float:
+    """base ** exponent for the positive parameter ``name``, a power that
+    double precision cannot hold (an overflow or a zero) named as a
+    precondition on it."""
+    try:
+        value = base**exponent
+    except OverflowError:
+        value = math.inf
+    if value == 0.0 or math.isinf(value):
+        power = f"({name})^{exponent}" if "/" in name else f"{name}^{exponent}"
+        raise ValueError(f"requires {power} inside the double range: got {name}={base:g}")
+    return value
+
+
 def _projection_factors(p: int, k: int, r: int) -> tuple[tuple[tuple[float, int], ...], float]:
     """The checked branches of :func:`projection_constant`: powers (base,
     exponent) and the log of a factorial ratio whose square root is the
@@ -98,7 +112,10 @@ def inverse_constant(p: int) -> float:
     """Constant d_p in the polynomial inverse inequality |g'| <= d_p/(b-a) |g|."""
     if p < 0:
         raise ValueError("requires p >= 0")
-    return math.sqrt(p * (p + 1) * (p + 2) * (p + 3) / 2.0)
+    try:
+        return math.sqrt(p * (p + 1) * (p + 2) * (p + 3) / 2.0)
+    except OverflowError:
+        raise ValueError(f"requires p(p+1)(p+2)(p+3)/2 inside the double range: got p={p}") from None
 
 
 def error_coefficient(query: BoundQuery) -> float:
@@ -117,7 +134,7 @@ def error_coefficient(query: BoundQuery) -> float:
     return (
         projection_constant(p - q, k - q, q - l)
         * projection_constant(p - q, k - q, r - q)
-        * query.h ** (r - l)
+        * _power("h", query.h, r - l)
     )
 
 
@@ -138,12 +155,12 @@ def broken_error_coefficient(query: BoundQuery) -> float:
     prod = 1.0
     for i in range(m - l + 1, m - q + 1):
         prod *= inverse_constant(i)
-    ratio = (query.h / query.h_min) ** (l - q)
+    ratio = _power("h/h_min", query.h / query.h_min, l - q)
     bracket = projection_constant(m - r, -1, r - l) + (
         projection_constant(m - r, -1, r - q)
         + projection_constant(p - q, k - q, r - q)
     ) * ratio * prod
-    return bracket * query.h ** (r - l)
+    return bracket * _power("h", query.h, r - l)
 
 
 def difference_coefficient(query: BoundQuery) -> float:
@@ -163,7 +180,7 @@ def difference_coefficient(query: BoundQuery) -> float:
     value = (
         projection_constant(p - q, k - q, q)
         * projection_constant(p - q, k - q, r - q)
-        * query.h**r
+        * _power("h", query.h, r)
     )
     if l >= 1:
         if query.length is None:
@@ -171,7 +188,7 @@ def difference_coefficient(query: BoundQuery) -> float:
         prod = 1.0
         for i in range(q - l, q):
             prod *= inverse_constant(i)
-        value *= prod / query.length**l
+        value *= prod / _power("length", query.length, l)
     return value
 
 

@@ -4,8 +4,9 @@ and the eigenvalue lab.
 Exit codes: 0 on success, 2 for usage or precondition violations (the
 message names the violated requirement), 1 for internal failures.  All
 CSV/JSON output is deterministic: identical flags give identical bytes.
-The environment variable RITZ_SPLINE_QUAD_ORDER overrides every default
-quadrature order; a value below the exact order of an integral exits 2.
+Every integral takes its Gauss order from ``quadrature.default_order``, and
+the environment variable RITZ_SPLINE_QUAD_ORDER is its one override; a
+value below the exact order of an integral exits 2.
 
 :func:`main` may be called any number of times in one process: the calls
 share one argument parser, built on the first call, and each call's
@@ -49,8 +50,14 @@ def _make_breakpoints(args) -> Breakpoints:
 
 
 def _write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content)
+    except IsADirectoryError:
+        raise ValueError(f"requires an output file, not a directory: got '{path}'") from None
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"requires an output path under directories, not under a file: "
+                         f"got '{path}'") from None
     print(path)
 
 

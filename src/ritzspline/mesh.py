@@ -407,6 +407,8 @@ def poly_to_spline(coeffs, space: SplineSpace) -> Spline:
     """Exact B-spline coefficients of the polynomial sum_i coeffs[i] (x-a)^i,
     a the left end of ``space``, inside ``space``."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if not c.size:
+        raise ValueError("requires at least one polynomial coefficient: got none")
     return Spline(space, _poly_coefficients(c[None], [space]))
 
 

@@ -176,15 +176,15 @@ def l2_project(space: SplineSpace, u: SmoothFunction) -> Spline:
     return q_project(space, 0, u)
 
 
-def poly_l2_project(deg: int, f, xi: Breakpoints, n: int) -> np.ndarray:
+def poly_l2_project(deg: int, f, xi: Breakpoints) -> np.ndarray:
     """L2 projection of the vectorized callable ``f`` onto polynomials of
     degree <= deg on (xi.a, xi.b): the coefficients of (x-a)^i, i = 0..deg.
 
     Solves M c = r with M_ji = ((x-a)^i, g_j) and r_j = (f, g_j) against the
-    shifted Legendre polynomials g_j, using the n-point Gauss rule on each
-    element of xi; M is exact once n > deg.
+    shifted Legendre polynomials g_j, using the ``default_order(deg, xi)``-point
+    Gauss rule on each element of xi; M is exact, as that order exceeds deg.
     """
-    xs, ws = mesh_points(xi, n)
+    xs, ws = mesh_points(xi, default_order(deg, xi))
     return _poly_fits(deg, f(xs.ravel()), [xi], xs.ravel(), ws.ravel(), (0, xs.size))[0]
 
 

@@ -6,8 +6,12 @@ and polynomials alone get the exact order p + 1; integrals with a smooth
 factor get SMOOTH_MARGIN more points, and at least SMOOTH_WIDTH points
 across the interval.  That margin is measured: every projector's
 coefficients then agree with the MAX_ORDER rule's to 1e-10 plus the
-roundoff floor of its Gram matrix.  ``RITZ_SPLINE_QUAD_ORDER`` overrides
-every default order, but never below the exact one.
+roundoff floor of its Gram matrix.  Every integral the package assembles
+takes its order from that policy, the one-space :func:`gram_matrix` and
+:func:`load_vector` and ``projectors.poly_l2_project`` included; only the
+primitives :func:`gauss_rule` and :func:`mesh_points` take an order n.
+``RITZ_SPLINE_QUAD_ORDER`` is the policy's one override: it replaces every
+default order, but never below the exact one.
 
 A :class:`GridTable` holds the basis values of several spaces of one
 degree on one Gauss grid of their meshes, their bases numbered in turn as
@@ -22,7 +26,8 @@ each element from its index, and one basis sweep for all points.
 table's spaces at once, the Gram matrices as one block-diagonal band whose
 blocks :func:`solve_blocks` solves one by one; each space's entries and
 solution are those of its own system, bit for bit.  :func:`gram_matrix`
-and :func:`load_vector` are the one-space case.
+and :func:`load_vector` are the one-space case, on the Gram and load grids
+the projectors choose.
 """
 
 from __future__ import annotations
@@ -90,6 +95,8 @@ def default_order(p: int, xi: Breakpoints | None = None) -> int:
     2p + 1 and p + 1 points are exact.  With the mesh ``xi`` it has a smooth
     factor: max(p + 1 + SMOOTH_MARGIN, ceil(SMOOTH_WIDTH * h_max / (b - a))).
     """
+    if p >= MAX_ORDER:
+        raise ValueError(f"requires p < {MAX_ORDER} for an exact Gauss rule: got p={p}")
     if xi is None:
         return resolve_order(p + 1, p + 1)
     width = math.ceil(SMOOTH_WIDTH * (xi.h / (xi.b - xi.a)))
@@ -192,6 +199,10 @@ class GridTable:
     vals: np.ndarray
 
     def _rows(self, orders: Sequence[int]) -> list[int]:
+        missing = [d for d in orders if d not in self.orders]
+        if missing:
+            raise ValueError(f"requires orders the grid table holds: got {missing}, "
+                             f"tabulated {list(self.orders)}")
         return [self.orders.index(d) for d in orders]
 
     def spline(self, coeffs: np.ndarray, orders: Sequence[int]) -> np.ndarray:
@@ -224,7 +235,7 @@ class GridTable:
         bits.
         """
         first = self.first[points][::n]
-        vals = np.ascontiguousarray(self.vals[self.orders.index(deriv)][:, points].T)
+        vals = np.ascontiguousarray(self.vals[self._rows((deriv,))[0]][:, points].T)
         return first, vals.reshape(-1, n, vals.shape[1])
 
 
@@ -285,8 +296,9 @@ def _tril_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(size)
 
 
-def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> BandedSymmetric:
-    """Banded Gram matrix of the deriv-th basis derivatives.
+def gram_matrix(space: SplineSpace, deriv: int = 0) -> BandedSymmetric:
+    """Banded Gram matrix of the deriv-th basis derivatives, on the exact
+    ``default_order(p)``-point grid.
 
     For deriv = 0 the matrix is symmetric positive definite; for deriv = q
     >= 1 it is positive semidefinite with the degree-(q-1) polynomials in
@@ -295,12 +307,7 @@ def gram_matrix(space: SplineSpace, deriv: int = 0, n: int | None = None) -> Ban
     p = space.degree
     if deriv > p:
         raise ValueError("requires deriv <= p")
-    if n is None:
-        n = default_order(p)
-    if n < p + 1:
-        raise ValueError("requires n >= p + 1 for exact spline products")
-    table = grid_table([space], [n], (deriv,))
-    return gram_bands(table, deriv)
+    return gram_bands(grid_table([space], [default_order(p)], (deriv,)), deriv)
 
 
 def gram_bands(table: GridTable, deriv: int) -> BandedSymmetric:
@@ -322,10 +329,11 @@ def gram_bands(table: GridTable, deriv: int) -> BandedSymmetric:
     return BandedSymmetric(_frozen(bands))
 
 
-def load_vector(space: SplineSpace, f: Integrand, n: int, deriv: int = 0) -> np.ndarray:
+def load_vector(space: SplineSpace, f: Integrand, *, deriv: int = 0) -> np.ndarray:
     """Vector of inner products (f, d^deriv b_i) over the space's mesh, the
-    vectorized callable ``f`` sampled on the n-point grid of every element."""
-    table = grid_table([space], [n], (deriv,))
+    vectorized callable ``f`` sampled on the ``default_order(p, xi)``-point
+    grid of every element."""
+    table = grid_table([space], [default_order(space.degree, space.breakpoints)], (deriv,))
     return load_values(table, np.asarray(f(table.points)), deriv)
 
 

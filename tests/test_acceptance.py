@@ -32,7 +32,7 @@ from ritzspline.projectors import (
     ritz_correction,
     ritz_project,
 )
-from ritzspline.quadrature import default_order, gauss_rule, gram_matrix, load_vector, mesh_points
+from ritzspline.quadrature import gauss_rule, gram_matrix, load_vector, mesh_points
 
 from conftest import first_element_poly, random_breakpoints, random_smooth
 
@@ -262,10 +262,9 @@ def test_criterion_7_structural_identities():
 
             # Galerkin orthogonality in the order-q semi-inner product,
             # scaled row-wise by the Cauchy-Schwarz magnitude |d^q u| |d^q b_i|
-            n = default_order(space.degree, space.breakpoints)
-            gram = gram_matrix(space, q, n)
+            gram = gram_matrix(space, q)
             resid = load_vector(
-                space, lambda x: u.eval(x, q), n, deriv=q
+                space, lambda x: u.eval(x, q), deriv=q
             ) - gram.to_dense() @ qs.coeffs
             scale = np.maximum(
                 1.0,

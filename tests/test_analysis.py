@@ -515,6 +515,17 @@ def test_project_report_rejects_a_spline_of_another_space():
             project_report(level, q_project(other, 2, u), 2, 2)
 
 
+def test_project_report_requires_its_orders_in_the_sample():
+    """The orders l <= max(q, l_max) the report reads must be tabulated in
+    the level's sample, as its docstring states: a level built for l = 0
+    alone names the orders it lacks."""
+    u = builtin("sin4x")
+    space = make_space(3, 2, Breakpoints.uniform(8))
+    with pytest.raises(ValueError, match=r"^requires orders the grid table holds: "
+                                         r"got \[1, 2\], tabulated \[0\]$"):
+        project_report(Levels(u, [space]), q_project(space, 2, u), 2, 2)
+
+
 @pytest.mark.parametrize("l_set,message", [
     ((0, 0), r"requires distinct values in l_set: got \[0, 0\]"),
     ((1, 0, 1), r"requires distinct values in l_set: got \[1, 0, 1\]"),

@@ -144,6 +144,29 @@ def test_error_coefficient_frozen_value():
     assert error_coefficient(query) == pytest.approx((1 / (8 * math.pi)) ** 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: error_coefficient(BoundQuery(p=3, k=2, q=2, l=0, r=4, h=1e100)),
+     "requires h^4 inside the double range: got h=1e+100"),
+    (lambda: error_coefficient(BoundQuery(p=3, k=2, q=2, l=0, r=4, h=1e-100)),
+     "requires h^4 inside the double range: got h=1e-100"),
+    (lambda: broken_error_coefficient(BoundQuery(p=3, k=2, q=2, l=4, r=4, h=0.5, h_min=1e-300)),
+     "requires (h/h_min)^2 inside the double range: got h/h_min=5e+299"),
+    (lambda: difference_coefficient(BoundQuery(p=3, k=2, q=2, l=0, r=4, h=1e100)),
+     "requires h^4 inside the double range: got h=1e+100"),
+    (lambda: difference_coefficient(BoundQuery(p=5, k=4, q=3, l=2, r=4, h=0.5, length=1e200)),
+     "requires length^2 inside the double range: got length=1e+200"),
+    (lambda: inverse_constant(10**89),
+     f"requires p(p+1)(p+2)(p+3)/2 inside the double range: got p={10**89}"),
+], ids=["h-overflows", "h-underflows", "mesh-ratio", "difference-h", "length", "inverse-p"])
+def test_powers_outside_the_double_range_are_named(call, message):
+    """A power that double precision cannot hold names its parameter, in
+    place of an OverflowError, an infinity, a zero bound or a division by
+    zero."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_error_coefficient_preconditions():
     with pytest.raises(ValueError, match="l <= q"):
         error_coefficient(BoundQuery(p=3, k=2, q=1, l=2, r=3, h=0.5))

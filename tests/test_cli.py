@@ -258,6 +258,26 @@ BAD_INPUT = {
          "--h", "0.5", "--h-min", "0.75"],
         "requires 0 < h_min <= h: got h_min=0.75, h=0.5",
     ),
+    # overflowing powers, once exit 1 with Python's OverflowError
+    "table-bounds-h-power-overflows": (
+        ["constants", "--table", "bounds", "--p", "3", "--k", "2", "--q", "2", "--r", "4",
+         "--h", "1e100"],
+        "requires h^4 inside the double range: got h=1e+100",
+    ),
+    "table-bounds-mesh-ratio-power-overflows": (
+        ["constants", "--table", "bounds", "--p", "3", "--k", "2", "--q", "2", "--r", "4",
+         "--h", "0.5", "--h-min", "1e-300"],
+        "requires (h/h_min)^2 inside the double range: got h/h_min=5e+299",
+    ),
+    "table-bounds-length-power-underflows": (
+        ["constants", "--table", "bounds", "--p", "5", "--k", "4", "--q", "3", "--r", "4",
+         "--h", "0.5", "--length", "1e-200"],
+        "requires length^2 inside the double range: got length=1e-200",
+    ),
+    "table-d-p-overflows": (
+        ["constants", "--table", "d", "--p", str(10**89)],
+        f"requires p(p+1)(p+2)(p+3)/2 inside the double range: got p={10**89}",
+    ),
 }
 
 
@@ -268,6 +288,33 @@ def test_bad_input_exits_2_naming_what_was_expected(tmp_path, capsys, case):
     assert run([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,under,written", [
+    (["eig", "--p", "3", "--elements", "20"], "", "spectrum.csv"),
+    (["project", "--function", "sin4x", "--p", "2"], "", "coefficients.csv"),
+    (["project", "--function", "sin4x", "--p", "2"], "x/y", "coefficients.csv"),
+    (["converge", "--function", "sin4x", "--p-list", "2", "--levels", "2"], "", "error_p2_l0.csv"),
+    (["constants", "--table", "d", "--p", "3"], "x.csv", ""),
+], ids=["eig", "project", "project-deeper", "converge", "constants"])
+def test_out_under_a_file_exits_2_naming_the_path(tmp_path, capsys, argv, under, written):
+    """An --out path that is, or lies under, an existing file is a usage
+    error naming the path, not an internal one; the file is left alone."""
+    blocker = tmp_path / "f"
+    blocker.write_text("kept")
+    out = blocker / under if under else blocker
+    assert run([*argv, "--out", str(out)]) == 2
+    target = out / written if written else out
+    assert capsys.readouterr().err == (
+        f"error: requires an output path under directories, not under a file: got '{target}'\n")
+    assert blocker.read_text() == "kept"
+
+
+def test_constants_out_at_a_directory_exits_2_naming_the_path(tmp_path, capsys):
+    assert run(["constants", "--table", "d", "--p", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: requires an output file, not a directory: got '{tmp_path}'\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("function,same_as", [

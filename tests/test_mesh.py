@@ -605,6 +605,12 @@ def test_poly_to_spline_rejects_high_degree():
         poly_to_spline([0.0, 0.0, 1.0], space)
 
 
+def test_poly_to_spline_rejects_no_coefficients():
+    space = make_space(1, 0, Breakpoints(np.array([0.0, 1.0])))
+    with pytest.raises(ValueError, match="^requires at least one polynomial coefficient: got none$"):
+        poly_to_spline(np.array([]), space)
+
+
 def test_spline_coefficient_length_checked():
     space = make_space(2, 1, Breakpoints(np.array([0.0, 1.0])))
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
@@ -10,9 +12,11 @@ from ritzspline.mesh import (
     Spline,
     derive,
     eval_spline_many,
+    integrate_from_left,
     make_space,
 )
 from ritzspline.projectors import (
+    Levels,
     l2_project,
     poly_l2_project,
     q_project,
@@ -21,8 +25,10 @@ from ritzspline.projectors import (
     ritz_project,
 )
 from ritzspline.quadrature import (
+    ENV_ORDER,
     default_order,
     gram_matrix,
+    load_values,
     load_vector,
     mesh_points,
 )
@@ -189,9 +195,8 @@ def test_l2_residual_orthogonality(rng):
     u = builtin("sin4x")
     space = make_space(3, 2, Breakpoints(np.linspace(0, 1, 9)))
     s = l2_project(space, u)
-    n = default_order(3, space.breakpoints)
-    gram = gram_matrix(space, 0, n).to_dense()
-    resid = load_vector(space, lambda x: u.eval(x), n) - gram @ s.coeffs
+    gram = gram_matrix(space, 0).to_dense()
+    resid = load_vector(space, lambda x: u.eval(x)) - gram @ s.coeffs
     assert np.max(np.abs(resid)) < 1e-10
 
 
@@ -216,8 +221,41 @@ def test_l2_project_is_the_banded_normal_equations(function):
         cases += [(p, k, far) for p in range(21) for k in sorted({-1, p - 1})]
     for p, k, xi in cases:
         space = make_space(p, k, xi)
-        want = gram_matrix(space).solve_spd(load_vector(space, u.eval, default_order(p, xi)))
+        want = gram_matrix(space).solve_spd(load_vector(space, u.eval))
         assert np.array_equal(l2_project(space, u).coeffs, want), (p, k, xi.points)
+
+
+@pytest.mark.parametrize("order", [None, "17"], ids=["default-orders", "override-17"])
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_q_project_is_the_one_space_helpers(monkeypatch, order, mesh, q):
+    """Q_q, p = 3, is the solve of the Gram system that gram_matrix and
+    load_vector assemble for u^(q) in the q-times derived space, integrated
+    q times from the left with the constants u^(i)(a), bit for bit: the
+    helpers and the projectors take their Gauss orders from one policy, the
+    override included."""
+    if order is not None:
+        monkeypatch.setenv(ENV_ORDER, order)
+    u = builtin("sin4x")
+    space = derived = make_space(3, 2, L2_MESHES[mesh])
+    for _ in range(q):
+        derived = derived.derived()
+    load = load_vector(derived, lambda x: u.eval(x, q))
+    s = Spline(derived, gram_matrix(derived).solve_spd(load))
+    for i in reversed(range(q)):
+        s = integrate_from_left(s)
+        s = Spline(s.space, s.coeffs + u.eval(space.breakpoints.a, i))
+    assert np.array_equal(s.coeffs, q_project(space, q, u).coeffs)
+
+
+def test_helpers_take_no_gauss_order():
+    """A Gauss order passed as the old trailing argument is a TypeError, not
+    a derivative order or an ignored value."""
+    space, f = make_space(3, 2, Breakpoints.uniform(4)), np.cos
+    for call in (lambda: gram_matrix(space, 0, 4), lambda: load_vector(space, f, 30),
+                 lambda: poly_l2_project(2, f, UNIT, 3)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_l2_error_within_smoothest_space_bound():
@@ -240,7 +278,7 @@ def test_l2_error_within_smoothest_space_bound():
 
 def test_poly_projection_of_square():
     u = smooth_mix(0.0, 1.0, 0.0, 0.0, [0.0, 0.0, 1.0, 0.0])  # x^2
-    pol = poly_l2_project(1, u.eval, UNIT, default_order(1, UNIT))
+    pol = poly_l2_project(1, u.eval, UNIT)
     np.testing.assert_allclose(pol, [-1 / 6, 1.0], atol=1e-12)
 
 
@@ -258,21 +296,29 @@ def test_poly_projection_idempotent(rng):
         for deg in range(9):
             want = rng.normal(size=deg + 1)
             f = lambda x: npp.polyval(x - xi.a, want)
-            got = poly_l2_project(deg, f, xi, default_order(deg))
+            got = poly_l2_project(deg, f, xi)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-10 * scale, (xi.a, deg)
 
 
+def test_poly_projection_reproduces_a_polynomial_of_its_degree():
+    """x^5 + 2 x^3 onto degree 5 on one element is itself: the moment matrix
+    is exact on the default grid (an order-3 grid once gave
+    [-0.176, 1.99, -3.733, 0.993, 4.533, -0.376])."""
+    pol = poly_l2_project(5, lambda x: x**5 + 2 * x**3, UNIT)
+    np.testing.assert_allclose(pol, [0, 0, 0, 2, 0, 1], atol=1e-12)
+
+
 def test_poly_projection_mean_of_sin():
-    pol = poly_l2_project(0, builtin("sin4x").eval, UNIT, default_order(0, UNIT))
+    pol = poly_l2_project(0, builtin("sin4x").eval, UNIT)
     np.testing.assert_allclose(pol, [(1 - np.cos(4.0)) / 4], atol=1e-13)
 
 
 def test_poly_projection_of_spline_input(rng):
     space = make_space(2, 0, random_breakpoints(rng, 2))
     s = Spline(space, rng.normal(size=space.dim))
-    # spline times degree-2 Legendre: degree 4, exact with 3 points per element
-    pol = poly_l2_project(2, lambda x: eval_spline_many(s, x), space.breakpoints, 3)
+    # spline times degree-2 Legendre: degree 4, exact on the default grid
+    pol = poly_l2_project(2, lambda x: eval_spline_many(s, x), space.breakpoints)
     # projection residual is orthogonal to P_2 (check against monomials)
     xs, ws = mesh_points(space.breakpoints, 24)
     flat, wflat = xs.ravel(), ws.ravel()
@@ -325,10 +371,9 @@ def test_galerkin_orthogonality(rng):
         space, q = _setup(rng)
         u = random_smooth(rng)
         s = q_project(space, q, u)
-        n = default_order(space.degree, space.breakpoints)
-        gram = gram_matrix(space, q, n)
+        gram = gram_matrix(space, q)
         resid = load_vector(
-            space, lambda x: u.eval(x, q), n, deriv=q
+            space, lambda x: u.eval(x, q), deriv=q
         ) - gram.to_dense() @ s.coeffs
         # Cauchy-Schwarz row scale: |d^q u| |d^q b_i| (the latter grows ~h^-q)
         scale = np.maximum(
@@ -461,11 +506,11 @@ def _dense_kkt_ritz(space, q, u):
     kkt = np.zeros((dim + q, dim + q))
     kkt[:dim, :dim] = gram_matrix(space, q).to_dense()
     rhs = np.zeros(dim + q)
-    rhs[:dim] = load_vector(space, lambda x: u.eval(x, q), n, deriv=q)
+    rhs[:dim] = load_vector(space, lambda x: u.eval(x, q), deriv=q)
     a, b = space.interval
     for j in range(q):
         gj = lambda x, j=j: legendre.Legendre.basis(j)(2.0 * (x - a) / (b - a) - 1.0)
-        kkt[:dim, dim + j] = load_vector(space, gj, default_order(space.degree))
+        kkt[:dim, dim + j] = load_vector(space, gj)
         rhs[dim + j] = gauss_inner_product(lambda x: u.eval(x), gj, xi, n)
     kkt[dim:, :dim] = kkt[:dim, dim:].T
     return np.linalg.solve(kkt, rhs)[:dim]
@@ -536,6 +581,26 @@ def test_levels_of_no_space_rejected():
 
     with pytest.raises(ValueError, match="^requires at least one space for Levels: got none$"):
         Levels(builtin("sin4x"), [])
+
+
+@pytest.mark.parametrize("tabulated,asked,missing", [
+    ((0,), (3,), [3]), ((0, 1), (2, 0, 1, 5), [2, 5]), ((), (1,), [1]),
+])
+def test_levels_name_an_order_they_did_not_tabulate(tabulated, asked, missing):
+    """u_values and the sample's splines and assembly read only the orders
+    of the sample, order 0 and those of the Levels; another is named."""
+    space = make_space(3, 2, Breakpoints.uniform(4))
+    levels = Levels(builtin("sin4x"), [space], tabulated)
+    sample = levels.sample
+    for call, got in (
+        (lambda: levels.u_values(asked), missing),
+        (lambda: sample.spline(np.zeros(space.dim), asked), missing),
+        (lambda: load_values(sample, sample.points, missing[-1]), missing[-1:]),
+    ):
+        message = (f"requires orders the grid table holds: got {got}, "
+                   f"tabulated {sorted({0, *tabulated})}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_q_zero_is_plain_l2(rng):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ritzspline.analysis import error_norm, function_seminorm
 from ritzspline.functions import builtin, resolve_function
 from ritzspline.mesh import Breakpoints, make_space
+from ritzspline.projectors import poly_l2_project
 from ritzspline.quadrature import (
     ENV_ORDER,
     MAX_ORDER,
@@ -98,11 +99,11 @@ def test_exactness_for_piecewise_polynomials(seed, deg):
 
 def test_gram_examples():
     xi = Breakpoints(np.array([0.0, 1.0]))
-    g0 = gram_matrix(make_space(0, -1, xi), 0, 4).to_dense()
+    g0 = gram_matrix(make_space(0, -1, xi), 0).to_dense()
     np.testing.assert_allclose(g0, [[1.0]], atol=1e-14)
-    g1 = gram_matrix(make_space(1, 0, xi), 0, 4).to_dense()
+    g1 = gram_matrix(make_space(1, 0, xi), 0).to_dense()
     np.testing.assert_allclose(g1, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-14)
-    g1d = gram_matrix(make_space(1, 0, xi), 1, 4).to_dense()
+    g1d = gram_matrix(make_space(1, 0, xi), 1).to_dense()
     np.testing.assert_allclose(g1d, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
     kernel = np.linalg.eigvalsh(g1d)
     assert abs(kernel[0]) < 1e-14  # constants
@@ -171,7 +172,7 @@ def test_principal_block_within_the_bandwidth_keeps_its_own_bands(rng, p):
 
 def test_load_vector_sums_to_interval_length(rng):
     space = make_space(3, 2, random_breakpoints(rng, 4))
-    lv = load_vector(space, lambda x: np.ones_like(x), 6)
+    lv = load_vector(space, lambda x: np.ones_like(x))
     assert lv.sum() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -203,15 +204,20 @@ def test_assembly_matches_an_element_loop(rng, p):
             load = np.zeros(space.dim)
             for e, f0 in enumerate(first):
                 load[f0 : f0 + p + 1] += local[e]
-            assert np.array_equal(load_vector(space, f, n, deriv), load), (k, deriv)
+            assert np.array_equal(load_vector(space, f, deriv=deriv), load), (k, deriv)
 
 
 def test_gram_requires_enough_points():
+    """No rule of at most MAX_ORDER points is exact past degree MAX_ORDER - 1,
+    so the policy names the degree in place of clamping the order."""
     space = make_space(3, 2, Breakpoints(np.array([0.0, 1.0])))
-    with pytest.raises(ValueError):
-        gram_matrix(space, 0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires deriv <= p"):
         gram_matrix(space, 4)
+    assert default_order(MAX_ORDER - 1) == MAX_ORDER
+    for call in (lambda: default_order(MAX_ORDER), lambda: default_order(80, space.breakpoints),
+                 lambda: poly_l2_project(MAX_ORDER, np.cos, space.breakpoints)):
+        with pytest.raises(ValueError, match=rf"requires p < {MAX_ORDER} for an exact Gauss rule"):
+            call()
 
 
 def test_elements_too_narrow_for_double_precision_rejected():
@@ -220,7 +226,7 @@ def test_elements_too_narrow_for_double_precision_rejected():
     with pytest.raises(ValueError, match="Gauss point rounds onto a breakpoint"):
         gram_matrix(space)
     with pytest.raises(ValueError, match="Gauss point rounds onto a breakpoint"):
-        load_vector(space, lambda x: x, 6)
+        load_vector(space, lambda x: x)
 
 
 def test_env_override(monkeypatch):
@@ -419,11 +425,12 @@ def test_grid_tables_of_several_spaces_assemble_as_each_alone(rng):
             bands = gram_bands(gram, d).bands
             loads = load_values(load, f(load.points), d)
             for space, n, lo, hi in zip(spaces, ns, starts, starts[1:]):
-                want = gram_matrix(space, d, m).bands
+                want = gram_bands(grid_table([space], [m], (d,)), d).bands
                 assert np.array_equal(bands[:, lo:hi], want)
                 for i in range(1, p + 1):  # couplings to the next space
                     assert not bands[i, hi - i : hi].any()
-                assert np.array_equal(loads[lo:hi], load_vector(space, f, n, d))
+                alone = grid_table([space], [n], (d,))
+                assert np.array_equal(loads[lo:hi], load_values(alone, f(alone.points), d))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
