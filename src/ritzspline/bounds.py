@@ -61,6 +61,15 @@ def _power(name: str, base: float, exponent: int) -> float:
     return value
 
 
+def _held(value: float, name: str) -> float:
+    """value, the quantity ``name``; one that double precision does
+    not hold (an overflow, a nan or an underflow to 0) named as a
+    precondition on it."""
+    if value == 0.0 or not math.isfinite(value):
+        raise ValueError(f"requires {name} inside the double range: got {value:g}")
+    return value
+
+
 def _projection_factors(p: int, k: int, r: int) -> tuple[tuple[tuple[float, int], ...], float]:
     """The checked branches of :func:`projection_constant`: powers (base,
     exponent) and the log of a factorial ratio whose square root is the
@@ -73,11 +82,26 @@ def _projection_factors(p: int, k: int, r: int) -> tuple[tuple[tuple[float, int]
         raise ValueError(f"requires -1 <= k <= p-1: got k={k}, p={p}")
     if k == p - 1:
         return ((math.pi, -r),), 0.0
-    base = 1.0 / math.sqrt((p - k) * (p - k + 1))
+    try:
+        base = 1.0 / math.sqrt((p - k) * (p - k + 1))
+    except OverflowError:
+        raise ValueError(
+            f"requires (p-k)(p-k+1) inside the double range: got p={p}, k={k}") from None
     if k >= r - 2:
         return ((0.5, r), (base, r)), 0.0
     # (p+1-r)! / (p-1+r-2k)! via lgamma
     return ((0.5, r), (base, k + 1)), math.lgamma(p + 2 - r) - math.lgamma(p + r - 2 * k)
+
+
+def _projection_constant(p: int, k: int, r: int) -> float:
+    """:func:`projection_constant`, 0 where it underflows: a term of a
+    coefficient, whose own value is checked."""
+    powers, log_ratio = _projection_factors(p, k, r)
+    try:
+        value = math.prod(b**e for b, e in powers)
+    except OverflowError:  # an exponent beyond a float; every power is at most 1
+        value = 0.0
+    return value * math.sqrt(math.exp(log_ratio))
 
 
 def projection_constant(p: int, k: int, r: int) -> float:
@@ -86,8 +110,7 @@ def projection_constant(p: int, k: int, r: int) -> float:
     Maximal smoothness gives (1/pi)^r; lower smoothness has two branches
     depending on whether k >= r - 2.
     """
-    powers, log_ratio = _projection_factors(p, k, r)
-    return math.prod(b**e for b, e in powers) * math.sqrt(math.exp(log_ratio))
+    return _held(_projection_constant(p, k, r), f"c at p={p}, k={k}, r={r}")
 
 
 def _log_projection_constant(p: int, k: int, r: int) -> float:
@@ -118,6 +141,11 @@ def inverse_constant(p: int) -> float:
         raise ValueError(f"requires p(p+1)(p+2)(p+3)/2 inside the double range: got p={p}") from None
 
 
+def _inverse_product(lo: int, hi: int) -> float:
+    """d_lo d_(lo+1) ... d_(hi-1), 1 for an empty range."""
+    return math.prod(inverse_constant(i) for i in range(lo, hi))
+
+
 def error_coefficient(query: BoundQuery) -> float:
     """Coefficient of |u|_{H^r} bounding |d^l (u - Qu)| for l <= q.
 
@@ -131,10 +159,11 @@ def error_coefficient(query: BoundQuery) -> float:
         raise ValueError(f"requires p >= r-1: got p={p}, r={r}")
     if p < 2 * q - l - 1:
         raise ValueError(f"requires p >= 2q-l-1: got p={p}, q={q}, l={l}")
-    return (
-        projection_constant(p - q, k - q, q - l)
-        * projection_constant(p - q, k - q, r - q)
-        * _power("h", query.h, r - l)
+    return _held(
+        _projection_constant(p - q, k - q, q - l)
+        * _projection_constant(p - q, k - q, r - q)
+        * _power("h", query.h, r - l),
+        f"the error coefficient at l={l}",
     )
 
 
@@ -152,15 +181,13 @@ def broken_error_coefficient(query: BoundQuery) -> float:
     if query.h_min is None:
         raise ValueError("requires h_min")
     m = max(2 * r - q - 1, p)
-    prod = 1.0
-    for i in range(m - l + 1, m - q + 1):
-        prod *= inverse_constant(i)
+    prod = _inverse_product(m - l + 1, m - q + 1)
     ratio = _power("h/h_min", query.h / query.h_min, l - q)
-    bracket = projection_constant(m - r, -1, r - l) + (
-        projection_constant(m - r, -1, r - q)
-        + projection_constant(p - q, k - q, r - q)
+    bracket = _projection_constant(m - r, -1, r - l) + (
+        _projection_constant(m - r, -1, r - q)
+        + _projection_constant(p - q, k - q, r - q)
     ) * ratio * prod
-    return bracket * _power("h", query.h, r - l)
+    return _held(bracket * _power("h", query.h, r - l), f"the broken coefficient at l={l}")
 
 
 def difference_coefficient(query: BoundQuery) -> float:
@@ -178,18 +205,15 @@ def difference_coefficient(query: BoundQuery) -> float:
     if p < 2 * q - 1:
         raise ValueError(f"requires p >= 2q-1: got p={p}, q={q}")
     value = (
-        projection_constant(p - q, k - q, q)
-        * projection_constant(p - q, k - q, r - q)
+        _projection_constant(p - q, k - q, q)
+        * _projection_constant(p - q, k - q, r - q)
         * _power("h", query.h, r)
     )
     if l >= 1:
         if query.length is None:
             raise ValueError("requires the interval length for l >= 1")
-        prod = 1.0
-        for i in range(q - l, q):
-            prod *= inverse_constant(i)
-        value *= prod / _power("length", query.length, l)
-    return value
+        value *= _inverse_product(q - l, q) / _power("length", query.length, l)
+    return _held(value, f"the difference coefficient at l={l}")
 
 
 def _schultz_factors(q: int, k: int, l: int) -> tuple[int, int, int]:

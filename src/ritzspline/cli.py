@@ -188,30 +188,52 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the options each table requires, and the ones it reads besides
+_TABLE_OPTIONS = {
+    "c": (("p", "k", "r"), ()),
+    "d": (("p",), ()),
+    "schultz-gap": ((), ("q_max",)),
+    "bounds": (("p", "k", "q", "r", "h"), ("h_min", "length")),
+}
+_TABLE_READ = {name for required, optional in _TABLE_OPTIONS.values()
+               for name in required + optional}
+
+
+def _flags(names) -> str:
+    """'--a', '--a and --b', '--a, --b and --c'."""
+    flags = [f"--{name.replace('_', '-')}" for name in names]
+    return ", ".join(flags[:-1]) + " and " + flags[-1] if len(flags) > 1 else flags[0]
+
+
 def cmd_constants(args) -> int:
+    required, optional = _TABLE_OPTIONS[args.table]
+    unread = [name for name, value in vars(args).items()
+              if value is not None and name in _TABLE_READ and name not in required + optional]
+    if unread:
+        raise ValueError(f"--table {args.table} reads {_flags(required + optional)}: "
+                         f"got {_flags(unread)}")
+    if any(getattr(args, name) is None for name in required):
+        raise ValueError(f"requires {_flags(required)} for --table {args.table}")
     if args.table == "c":
-        if args.p is None or args.k is None or args.r is None:
-            raise ValueError("requires --p, --k and --r for --table c")
         header = "p,k,r,c"
         rows = [(args.p, args.k, args.r, bounds.projection_constant(args.p, args.k, args.r))]
     elif args.table == "d":
-        if args.p is None:
-            raise ValueError("requires --p for --table d")
         header, rows = "p,d", [(args.p, bounds.inverse_constant(args.p))]
     elif args.table == "schultz-gap":
+        q_max = 8 if args.q_max is None else args.q_max
+        if q_max < 1:
+            raise ValueError(f"requires --q-max >= 1: got {q_max}")
         header = "q,k,gap"
         rows = [(q, k, bounds.schultz_log_gap(q, k))
-                for q in range(1, args.q_max + 1) for k in range(q - 1, 2 * q - 1)]
+                for q in range(1, q_max + 1) for k in range(q - 1, 2 * q - 1)]
         worst = min((gap for _, _, gap in rows), default=0.0)
         if worst < -1e-12:
             raise RuntimeError(f"negative constant gap {worst}; formulas broken")
     else:  # bounds
-        for name in ("p", "k", "q", "r", "h"):
-            if getattr(args, name) is None:
-                raise ValueError("requires --p, --k, --q, --r and --h for --table bounds")
         query = functools.partial(
             bounds.BoundQuery, p=args.p, k=args.k, q=args.q, r=args.r, h=args.h,
-            h_min=args.h if args.h_min is None else args.h_min, length=args.length,
+            h_min=args.h if args.h_min is None else args.h_min,
+            length=1.0 if args.length is None else args.length,
         )
         header = "l,kind,coefficient"
         rows = [(l, "error", bounds.error_coefficient(query(l=l))) if l <= args.q
@@ -316,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--r", type=int, default=None)
     p_const.add_argument("--h", type=float, default=None)
     p_const.add_argument("--h-min", type=float, default=None)
-    p_const.add_argument("--length", type=float, default=1.0)
-    p_const.add_argument("--q-max", type=int, default=8)
+    p_const.add_argument(
+        "--length", type=float, default=None, help="interval length b - a (default 1.0)"
+    )
+    p_const.add_argument("--q-max", type=int, default=None, help="largest order q (default 8)")
     p_const.add_argument("--out", default=None, help="output file (default stdout)")
     p_const.set_defaults(func=cmd_constants)
 

@@ -167,6 +167,44 @@ def test_powers_outside_the_double_range_are_named(call, message):
     assert str(info.value) == message
 
 
+HUGE = int("9" * 401)  # beyond a float
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: broken_error_coefficient(BoundQuery(p=300, k=299, q=2, l=60, r=300, h=0.5, h_min=0.5)),
+     "requires the broken coefficient at l=60 inside the double range: got inf"),
+    (lambda: difference_coefficient(BoundQuery(p=3, k=2, q=2, l=1, r=4, h=0.5, length=1e-320)),
+     "requires the difference coefficient at l=1 inside the double range: got inf"),
+    (lambda: projection_constant(400, 0, 300),
+     "requires c at p=400, k=0, r=300 inside the double range: got 0"),
+    (lambda: error_coefficient(BoundQuery(p=400, k=0, q=0, l=0, r=300, h=0.5)),
+     "requires the error coefficient at l=0 inside the double range: got 0"),
+    (lambda: projection_constant(HUGE, 0, 2),
+     f"requires (p-k)(p-k+1) inside the double range: got p={HUGE}, k=0"),
+    (lambda: projection_constant(HUGE, HUGE - 1, HUGE),
+     f"requires c at p={HUGE}, k={HUGE - 1}, r={HUGE} inside the double range: got 0"),
+], ids=["broken-product", "difference-division", "constant-underflows", "error-underflows",
+        "huge-p", "huge-exponent"])
+def test_values_outside_the_double_range_are_named(call, message):
+    """A constant or coefficient that double precision does not hold names
+    itself and its row, in place of an inf, a nan, a 0 or an
+    OverflowError."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_broken_coefficient_keeps_a_sum_whose_term_underflows():
+    """Only the coefficient is checked: at p = 300, l = 3 its terms
+    c_{297,-1,297} and c_{297,-1,298} underflow, c_{298,297,298} d_595 does
+    not."""
+    with pytest.raises(ValueError, match="got 0"):
+        projection_constant(297, -1, 298)
+    query = BoundQuery(p=300, k=299, q=2, l=3, r=300, h=0.5, h_min=0.5)
+    assert broken_error_coefficient(query) == pytest.approx(
+        math.pi**-298 * inverse_constant(595) * 0.5**297, rel=1e-12)
+
+
 def test_error_coefficient_preconditions():
     with pytest.raises(ValueError, match="l <= q"):
         error_coefficient(BoundQuery(p=3, k=2, q=1, l=2, r=3, h=0.5))

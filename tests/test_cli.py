@@ -278,6 +278,52 @@ BAD_INPUT = {
         ["constants", "--table", "d", "--p", str(10**89)],
         f"requires p(p+1)(p+2)(p+3)/2 inside the double range: got p={10**89}",
     ),
+    # values double precision does not hold, once printed as inf or 0 with exit 0
+    "table-bounds-broken-product-overflows": (
+        ["constants", "--table", "bounds", "--p", "300", "--k", "299", "--q", "2", "--r", "300",
+         "--h", "0.5"],
+        "requires the broken coefficient at l=60 inside the double range: got inf",
+    ),
+    "table-bounds-length-division-overflows": (
+        ["constants", "--table", "bounds", "--p", "3", "--k", "2", "--q", "2", "--r", "4",
+         "--h", "0.5", "--length", "1e-320"],
+        "requires the difference coefficient at l=1 inside the double range: got inf",
+    ),
+    "table-c-underflows": (
+        ["constants", "--table", "c", "--p", "400", "--k", "0", "--r", "300"],
+        "requires c at p=400, k=0, r=300 inside the double range: got 0",
+    ),
+    "table-bounds-underflows": (
+        ["constants", "--table", "bounds", "--p", "400", "--k", "0", "--q", "0", "--r", "300",
+         "--h", "0.5"],
+        "requires the error coefficient at l=0 inside the double range: got 0",
+    ),
+    # a degree beyond a float, once exit 1 with "int too large to convert to float"
+    "table-c-p-beyond-a-float": (
+        ["constants", "--table", "c", "--p", "9" * 401, "--k", "0", "--r", "2"],
+        f"requires (p-k)(p-k+1) inside the double range: got p={'9' * 401}, k=0",
+    ),
+    "table-bounds-p-beyond-a-float": (
+        ["constants", "--table", "bounds", "--p", "9" * 401, "--k", "0", "--q", "0", "--r", "2",
+         "--h", "0.5"],
+        f"requires (p-k)(p-k+1) inside the double range: got p={'9' * 401}, k=0",
+    ),
+    # options a table does not read, once dropped silently
+    "table-c-unread-options": (
+        ["constants", "--table", "c", "--p", "3", "--k", "2", "--r", "2", "--q", "7", "--h", "9"],
+        "--table c reads --p, --k and --r: got --q and --h",
+    ),
+    "table-d-unread-option": (
+        ["constants", "--table", "d", "--p", "4", "--r", "99"], "--table d reads --p: got --r",
+    ),
+    "table-bounds-unread-option": (
+        ["constants", "--table", "bounds", "--p", "3", "--k", "2", "--q", "2", "--r", "4",
+         "--h", "0.125", "--q-max", "3"],
+        "--table bounds reads --p, --k, --q, --r, --h, --h-min and --length: got --q-max",
+    ),
+    "table-schultz-gap-no-orders": (
+        ["constants", "--table", "schultz-gap", "--q-max", "-3"], "requires --q-max >= 1: got -3",
+    ),
 }
 
 
@@ -286,7 +332,7 @@ def test_bad_input_exits_2_naming_what_was_expected(tmp_path, capsys, case):
     argv, message = BAD_INPUT[case]
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -8,27 +8,47 @@ from pathlib import Path
 
 import pytest
 
+from ritzspline.cli import main
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 TABLES = [f"p{p}_l{l}.csv" for p in (2, 3, 4) for l in (0, 1)]
 WRITES = {
-    "run_error_convergence.py":
-        [f"results/error/error_{t}" for t in TABLES] + ["results/error/error.svg"],
-    "run_rq_difference.py":
-        [f"results/rq-diff/rq-diff_{t}" for t in TABLES] + ["results/rq-diff/rq-diff.svg"],
-    "run_schultz_gap.py": ["results/schultz_gap.csv"],
-    "run_outlier_lab.py": [f"results/eig/spectrum.{ext}" for ext in ("csv", "json", "svg")],
+    "error": [f"results/error/error_{t}" for t in TABLES] + ["results/error/error.svg"],
+    "rq-diff": [f"results/rq-diff/rq-diff_{t}" for t in TABLES] + ["results/rq-diff/rq-diff.svg"],
+    "schultz-gap": ["results/schultz_gap.csv"],
+    "outlier-lab": [f"results/eig/spectrum.{ext}" for ext in ("csv", "json", "svg")],
 }
+EXPERIMENTS = runpy.run_path(str(SCRIPTS / "experiments.py"))["EXPERIMENTS"]
 
 
-@pytest.mark.parametrize("script", sorted(WRITES))
-def test_script_exits_0_and_writes_its_files(tmp_path, monkeypatch, capsys, script):
+def written(root):
+    return sorted(path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file())
+
+
+@pytest.mark.parametrize("experiment", sorted(WRITES))
+def test_experiment_exits_0_and_writes_its_files(tmp_path, monkeypatch, capsys, experiment):
     monkeypatch.chdir(tmp_path)
+    assert main(EXPERIMENTS[experiment]) == 0
+    assert written(tmp_path) == sorted(WRITES[experiment])
+
+
+def test_experiments_script_runs_every_experiment(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(SCRIPTS / "experiments.py"), run_name="__main__")
+    assert written(tmp_path) == sorted(path for paths in WRITES.values() for path in paths)
+
+
+def test_experiments_script_exits_with_the_first_failure(tmp_path, monkeypatch, capsys):
+    """A file where every experiment puts its directory stops the first one;
+    no later experiment runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").write_text("kept")
     with pytest.raises(SystemExit) as done:
-        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
-    assert done.value.code == 0
-    written = [path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")
-               if path.is_file()]
-    assert sorted(written) == sorted(WRITES[script])
+        runpy.run_path(str(SCRIPTS / "experiments.py"), run_name="__main__")
+    assert done.value.code == 2
+    assert capsys.readouterr().err == ("error: requires an output path under directories, not "
+                                       "under a file: got 'results/error/error_p2_l0.csv'\n")
+    assert written(tmp_path) == ["results"]
 
 
 def test_unexecuted_lists_the_statements_its_tests_miss():
