@@ -28,63 +28,12 @@ def _fmt(x: float) -> str:
 
 
 def _csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row; floats as
-    :func:`_fmt` writes them, other fields as ``str``.  Each row is one
-    ``%`` formatting, by a template built once per sequence of field types:
-    ``%.17g`` for a float (a ``float`` subclass such as ``np.float64``
-    included), ``%s`` for any other field."""
-    templates: dict[tuple[type, ...], str] = {}
-    lines = [header]
-    for row in map(tuple, rows):
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(
-                ["%.17g" if issubclass(kind, float) else "%s" for kind in kinds]
-            )
-        lines.append(template % row)
+    """CSV text: the header line, then one line per row; floats (``np.float64``
+    included) as :func:`_fmt` writes them, other fields as ``str``."""
+    lines = [header] + [
+        ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) for row in rows
+    ]
     return "\n".join(lines) + "\n"
-
-
-# Types the C encoder writes exactly as indent-2 json does inside a container.
-_SCALARS = {str, int, float, bool, type(None), np.float64}
-
-
-def _dumps(obj: Any, indent: str = "") -> str:
-    """What ``json.dumps`` writes for ``obj`` at ``indent=2``, byte for byte,
-    from json's C encoder.
-
-    An indent makes CPython's json fall back to its pure-Python encoder.
-    Here dicts and lists holding containers are laid out level by level,
-    and each dict or list of scalars is one C-encoder call whose item
-    separator carries the newline and the indent: the encoder escapes every
-    newline inside a string, so ",\\n" can only be a separator.  Keys must be
-    ``str``: indent-2 json would quote any other key, a bare call would not.
-    """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        if set(map(type, obj.values())) <= _SCALARS:
-            items = [json.dumps(obj, separators=(sep, ": "))[1:-1]]
-        else:
-            items = [f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
-        opening, closing = "{", "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) <= _SCALARS:
-            items = [json.dumps(obj, separators=(sep, ": "))[1:-1]]
-        else:
-            items = [_dumps(value, inner) for value in obj]
-        opening, closing = "[", "]"
-    else:
-        return json.dumps(obj)
-    return f"{opening}\n{inner}{sep.join(items)}\n{indent}{closing}"
 
 
 def _check_norm_orders(u: SmoothFunction, ls: Sequence[int]) -> None:
@@ -197,7 +146,7 @@ class ConvergenceTable:
         }
         if self.zero_flags is not None:
             payload["exact_zero"] = self.zero_flags
-        return _dumps(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
 
     def subtable(self, l: int) -> "ConvergenceTable":
         return ConvergenceTable(

@@ -10,14 +10,15 @@ value below the exact order of an integral exits 2.
 
 :func:`main` may be called any number of times in one process: the calls
 share one argument parser, built on the first call, and each call's
-options start from the defaults.  Every JSON artifact is byte-identical to
-``json.dumps`` at ``indent=2`` (see ``analysis._dumps``).
+options start from the defaults.  Every JSON artifact is written by
+``json.dumps`` at ``indent=2``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from .functions import resolve_function
 from .mesh import Breakpoints, Spline, make_space
 from .projectors import PROJECTORS, Levels, gauss_orders, projection_order
 from .quadrature import ENV_ORDER
-from .analysis import _check_list, _csv, _dumps, _fmt
+from .analysis import _check_list, _csv, _fmt
 
 
 def _parse_list(text: str, convert=int, kind: str = "integer") -> list:
@@ -101,7 +102,7 @@ def cmd_project(args) -> int:
         }
         if corr is not None:
             payload["correction"] = corr.tolist()
-        _write(out / "report.json", _dumps(payload) + "\n")
+        _write(out / "report.json", json.dumps(payload, indent=2) + "\n")
         return 0
 
     _write(out / "coefficients.csv", _csv("index,coefficient", enumerate(s.coeffs)))
@@ -255,6 +256,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_eig(args) -> int:
+    eigenproblem._check_pencil_dim(args.p, args.elements)
     xi = Breakpoints.uniform(args.elements)
     report = eigenproblem.solve_biharmonic(args.p, xi, args.threshold)
     out = Path(args.out)

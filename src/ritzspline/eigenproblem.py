@@ -17,13 +17,14 @@ h * lambda^(1/4) < pi marks the modes expected to be resolved by the mesh.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .analysis import _csv, _dumps
+from .analysis import _csv
 from .mesh import Breakpoints, SplineSpace, make_space
 from .quadrature import default_order, grid_table, gram_bands
 
@@ -31,6 +32,24 @@ from .quadrature import default_order, grid_table, gram_bands
 # stable solver stays within a small multiple of eps (about 24 eps seen
 # for p <= 8 and up to 800 elements).
 BACKWARD_ERROR_TOL = 1e-12
+
+# The dense pencil of n modes holds at most 8 n^2 doubles at once: K and M,
+# their copies for dsygvd, its 2 n^2 workspace, and the eigenvectors and
+# residual.  That is 1 GiB at the limit; an eig run there peaked 0.8 GB above
+# its start (6.2 n^2 doubles) and took 20 s on 2 cores.
+MAX_PENCIL_DIM = 4096
+
+
+def _check_pencil_dim(p: int, elements: int) -> None:
+    """Require the n = p + elements - 4 modes of the clamped space on
+    ``elements`` elements within MAX_PENCIL_DIM; cheap enough to run before
+    the mesh is built."""
+    n = p + elements - 4
+    if n > MAX_PENCIL_DIM:
+        raise ValueError(
+            f"requires n = p + elements - 4 <= MAX_PENCIL_DIM = {MAX_PENCIL_DIM}, the dense "
+            f"pencil holding 8 n^2 doubles: got n={n}"
+        )
 
 
 def eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +201,7 @@ class SpectrumReport:
             "predicted_flag": self.predicted_flags.tolist(),
             "observed_flag": self.observed_flags.tolist(),
         }
-        return _dumps(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def backward_errors(
@@ -220,10 +239,12 @@ def solve_biharmonic(p: int, xi: Breakpoints, threshold: float = 0.10) -> Spectr
     symmetric-definite problem densely.  The one dense copy of each matrix
     serves both the eigensolver and the residual check.  Every pair must
     have a normwise backward error (see :func:`backward_errors`) below
-    BACKWARD_ERROR_TOL; this checks the eigensolver, not the assembly.
+    BACKWARD_ERROR_TOL; this checks the eigensolver, not the assembly.  The
+    space may have at most MAX_PENCIL_DIM modes.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("requires threshold in (0, 1]")
+    _check_pencil_dim(p, xi.points.size - 1)
     space, keep = constrained_space(p, xi)
     lo, hi = int(keep[0]), int(keep[-1]) + 1  # keep is one contiguous range
     n = default_order(p)  # the exact grid of both matrices, tabulated once

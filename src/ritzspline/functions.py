@@ -7,10 +7,10 @@ CLI input,
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' unsigned-integer)?
+    factor := '-' factor | base ('^' unsigned-integer)?
     base   := number | 'x' | '(' expr ')' | func '(' expr ')'
 
-with func one of sin, cos, exp.
+with func one of sin, cos, exp, and -f read as 0 - f, so -x^2 is -(x^2).
 
 Parsed expressions get their derivatives from truncated Taylor arithmetic
 (Griewank and Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
@@ -38,8 +38,8 @@ ANY_ORDER = 1_000_000
 MAX_SYMBOLIC_ORDER = 12
 
 # Parentheses and calls nest at most MAX_NESTING deep, and the parsed tree,
-# one level per operator of a chain of + - * /, has at most MAX_DEPTH levels:
-# the parser and the compiler recurse that deep.
+# one level per operator of a chain of + - * / or unary -, has at most
+# MAX_DEPTH levels: the parser and the compiler recurse that deep.
 MAX_NESTING, MAX_DEPTH = 200, 500
 
 
@@ -317,6 +317,10 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
+        minuses = 0  # a run of unary minuses is counted, not recursed into
+        while self.peek() == "-":
+            self.pos += 1
+            minuses += 1
         node = self.base()
         if self.peek() == "^":
             self.pos += 1
@@ -327,6 +331,8 @@ class _Parser:
             if self.pos == start:
                 raise self.error("expected unsigned integer exponent")
             node = Pow(node, int(self.src[start : self.pos]))
+        for _ in range(minuses):
+            node = Sub(Const(0.0), node)
         return node
 
     def base(self) -> Expr:

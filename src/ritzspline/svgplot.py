@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 55
 
@@ -106,7 +104,7 @@ class _Canvas:
 
 
 def _mapper(lo: float, hi: float, pix_lo: float, pix_hi: float):
-    """Pixel coordinate of a value, or elementwise of a numpy array of values."""
+    """Pixel coordinate of a value."""
     span = hi - lo
 
     def to_pix(v_log: float) -> float:
@@ -166,11 +164,7 @@ def spectrum_plot(
     threshold: float,
     title: str,
 ) -> str:
-    """Per-mode relative eigenvalue errors with the predicted cutoff marked.
-
-    The modes are mapped to pixels as one numpy array per axis, by the
-    operations :func:`_mapper` applies to one value; each error's log is
-    ``math.log10`` of it, as for a single point."""
+    """Per-mode relative eigenvalue errors with the predicted cutoff marked."""
     n = len(rel_errors)
     floor = 1e-17
     ys = [max(e, floor) for e in rel_errors]
@@ -183,9 +177,7 @@ def spectrum_plot(
         cv.line(px(i), HEIGHT - MARGIN_B, px(i), HEIGHT - MARGIN_B + 4)
         cv.text(px(i), HEIGHT - MARGIN_B + 16, str(i), anchor="middle")
     cv.decade_ticks(py, ylo, yhi)
-    xs_pix = px(np.arange(1, n + 1)).tolist()
-    ys_pix = py(np.array(list(map(math.log10, ys)))).tolist()
-    cv.series(list(zip(xs_pix, ys_pix)), PALETTE[0])
+    cv.series([(px(i), py(math.log10(y))) for i, y in enumerate(ys, 1)], PALETTE[0])
     ty = py(math.log10(threshold))
     cv.line(MARGIN_L, ty, WIDTH - MARGIN_R, ty, stroke=PALETTE[1], dash="6,3")
     cv.text(WIDTH - MARGIN_R + 10, ty + 4, f"threshold {threshold:g}", color=PALETTE[1])

@@ -1,16 +1,13 @@
 import itertools
 import json
 
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 import numpy as np
 from numpy.polynomial import polynomial as npp
 import pytest
 
-from ritzspline import analysis, cli, eigenproblem
+from ritzspline import analysis, cli
 from ritzspline.analysis import (
     ConvergenceTable,
-    _dumps,
     boundary_report,
     convergence_study,
     error_norm,
@@ -281,104 +278,42 @@ def test_single_row_table_has_no_orders():
     assert "eoc_l0" in tab.to_csv().splitlines()[0]
 
 
-def _csv_per_field(header, rows):
-    """CSV text written field by field, as `_csv` wrote it before its
-    per-row templates: the oracle of their bytes."""
-    lines = [header] + [
-        ",".join([analysis._fmt(v) if isinstance(v, float) else str(v) for v in row])
-        for row in rows
+def test_csv_formats_floats_at_17_digits_and_other_fields_as_str():
+    rows = [
+        (float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324),
+        (np.float64(0.1), np.float64(-0.0), np.float64("nan"), 1 / 3, 1e17, 1e16, 123456789.0),
+        (np.bool_(True), np.bool_(False), None, "", "a b", "x,y", 7, True, np.int64(-7)),
+        [],
     ]
-    return "\n".join(lines) + "\n"
-
-
-def test_csv_templates_match_per_field_formatting():
-    rng = np.random.default_rng(25)
-    specials = [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
-                5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-                1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0, 1e-5, 1e17]
-    bits = rng.integers(0, 2**64, size=200, dtype=np.uint64).view(np.float64)
-    scaled = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
-    floats = specials + bits.tolist() + scaled.tolist()
-    others = [0, -3, 10**20, True, False, "", "a b", "%s%%", "x,y", np.float32(0.1),
-              np.int64(-7), np.bool_(True), None]
-    values = floats + [np.float64(v) for v in floats] + others
-    rows = []
-    for _ in range(300):
-        row = [values[i] for i in rng.integers(0, len(values), rng.integers(0, 8))]
-        rows.append(tuple(row) if rng.random() < 0.5 else row)
-    # rows that share a type signature reuse its template
-    rows += [(i, f, np.float64(f), bool(i % 2), "") for i, f in enumerate(floats)]
-    assert analysis._csv("a,b", rows) == _csv_per_field("a,b", rows)
+    assert analysis._csv("a,b", rows) == (
+        "a,b\n"
+        "nan,nan,inf,-inf,-0,0,4.9406564584124654e-324\n"
+        "0.10000000000000001,-0,nan,0.33333333333333331,1e+17,10000000000000000,123456789\n"
+        "True,False,None,,a b,x,y,7,True,-7\n"
+        "\n"
+    )
     assert analysis._csv("h", []) == "h\n"
 
 
-# strings the C encoder must escape, so that a ",\n" + indent separator
-# can never be mistaken for part of one
-AWKWARD = ["\n", ",\n    ", ",\n  ", '"', 'say "hi"\n', "\\", "\t\r", "π ≈ 3.14", "λ–μ", "😀", ""]
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-    st.text(max_size=8),
-    st.sampled_from(AWKWARD),
-)
-KEYS = st.text(max_size=6) | st.sampled_from(AWKWARD)
-JSON_LIKE = st.recursive(
-    SCALARS,
-    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(KEYS, inner, max_size=5),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(JSON_LIKE)
-@example({})
-@example([])
-@example({"a": {}, "b": [], "c": [[], {}], "d": [1, {"e": []}, [2.5, None]]})
-@example([{"x": 1.0}, {"y": [True, False]}])
-@example([1, [2, [3, [4]]], "\n", {"k": ",\n    "}])
-@example({"nan": [float("nan"), float("inf"), -float("inf")], "f": np.float64(0.1)})
-@example({"f": np.float64(0.1), "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
-          "none": None, "yes": True, "no": False, 'say "hi"\n': 1, ",\n    ": "\n", "": 2.5})
-@example([{"endpoint": "b", "l": 1, "residual": np.float64(1e-300), "applicable": False}, {}])
-@example((1, (2, 3), {"t": (4,)}))
-def test_dumps_is_indent_2_json(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [{1: 2}, {"a": [{None: 1}]}, [{1.5: "x"}], {("t",): 0}])
-def test_dumps_rejects_non_str_keys(value):
-    with pytest.raises(TypeError, match="keys must be str"):
-        _dumps(value)
-
-
-def test_real_payloads_are_indent_2_json(tmp_path, monkeypatch):
-    """The three JSON writers, each fed a real payload: an eig spectrum, an
-    rq-diff table with exact-zero flags, and a ritz report with its
-    correction."""
-    seen = []
-
-    def spy(obj, indent=""):
-        if not indent:  # a writer's call, not _dumps's own recursion
-            seen.append(obj)
-        return _dumps(obj, indent)
-
-    for module in (analysis, eigenproblem, cli):
-        monkeypatch.setattr(module, "_dumps", spy)
-    eigenproblem.solve_biharmonic(3, Breakpoints.uniform(20)).to_json()
-    rq_difference_study(builtin("sin4x"), 2, 1, 1, (0, 1), levels=3).to_json()
+def test_real_payloads_are_indent_2_json(tmp_path):
+    """The three JSON writers, each fed a real payload, write what
+    ``json.dumps`` writes at ``indent=2``: an eig spectrum, an rq-diff table
+    with exact-zero flags, and a ritz report with its correction."""
+    assert cli.main(["eig", "--p", "3", "--elements", "20", "--out", str(tmp_path)]) == 0
     argv = ["project", "--function", "sin4x", "--p", "4", "--q", "2", "--projector",
             "ritz", "--uniform", "7", "--format", "json", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    spectrum, table, report = seen
+    texts = [
+        (tmp_path / "spectrum.json").read_text(),
+        rq_difference_study(builtin("sin4x"), 2, 1, 1, (0, 1), levels=3).to_json(),
+        (tmp_path / "report.json").read_text(),
+    ]
+    spectrum, table, report = payloads = [json.loads(text) for text in texts]
     assert len(spectrum["lambda_h"]) == 19
     assert table["exact_zero"] == [True, True, True]
     assert len(report["correction"]) == 2 and report["moments"]
-    for payload in seen:
-        assert _dumps(payload) == json.dumps(payload, indent=2)
-    assert (tmp_path / "report.json").read_text() == json.dumps(report, indent=2) + "\n"
+    for text, payload in zip(texts, payloads):
+        assert text == json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

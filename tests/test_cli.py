@@ -236,6 +236,11 @@ BAD_INPUT = {
         ["eig", "--p", "3", "--elements", "1"],
         "mesh too coarse: constrained space would be empty",
     ),
+    "eig-pencil-too-large": (
+        ["eig", "--p", "2", "--elements", "100000000"],
+        "requires n = p + elements - 4 <= MAX_PENCIL_DIM = 4096, the dense pencil holding "
+        "8 n^2 doubles: got n=99999998",
+    ),
     "order-above-fixed-smoothness": (
         ["converge", "--function", "sin4x", "--p-list", "2", "--k", "fixed:0", "--q", "2"],
         "requires q <= k+1: got q=2, k=0 (p=2)",
@@ -753,6 +758,19 @@ def test_eig_low_degree_exit_2(tmp_path, monkeypatch, capsys):
         runpy.run_module("ritzspline.cli", run_name="__main__")
     assert exc.value.code == 2
     assert "p >= 2" in capsys.readouterr().err
+
+
+def test_eig_size_is_checked_before_the_mesh_is_built(tmp_path, monkeypatch, capsys):
+    """A 10^8-element mesh alone takes 0.8 GB; the limit on the pencil
+    refuses it before it is built."""
+    import ritzspline.cli as cli
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli.Breakpoints, "uniform", unbuilt)
+    assert run(["eig", "--p", "2", "--elements", "100000000", "--out", str(tmp_path)]) == 2
+    assert "MAX_PENCIL_DIM = 4096" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

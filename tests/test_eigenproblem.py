@@ -101,6 +101,19 @@ def test_constrained_space_requires_quadratics():
         constrained_space(1, Breakpoints.uniform(8))
 
 
+def test_pencil_dimension_is_limited():
+    """n = p + elements - 4 modes, at most MAX_PENCIL_DIM; the library
+    checks it before assembling anything."""
+    eigenproblem._check_pencil_dim(2, 4098)
+    eigenproblem._check_pencil_dim(20, 4080)
+    message = ("requires n = p + elements - 4 <= MAX_PENCIL_DIM = 4096, the dense pencil "
+               "holding 8 n^2 doubles: got n=4097")
+    for p, elements in ((2, 4099), (5, 4096)):
+        with pytest.raises(ValueError) as err:
+            solve_biharmonic(p, Breakpoints.uniform(elements))
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # discrete spectrum
 # ---------------------------------------------------------------------------

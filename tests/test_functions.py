@@ -78,6 +78,34 @@ def test_syntax_errors_carry_position():
         assert err.value.position == position
 
 
+@pytest.mark.parametrize("src,spelled", [
+    ("-0.5*x", "(0-0.5)*x"),
+    ("(-0.5)*x", "(0-0.5)*x"),
+    ("2*-x", "2*(0-x)"),
+    ("-x^2", "0-x^2"),
+    ("--x", "0-(0-x)"),
+    ("x--x", "x-(0-x)"),
+    (" - sin(x)/-(2+x)", "(0-sin(x))/(0-(2+x))"),
+    ("exp(-x)", "exp(0-x)"),
+])
+def test_unary_minus_is_zero_minus_its_factor(src, spelled):
+    """'-' factor is 0 - factor: it binds tighter than * and /, and looser
+    than ^."""
+    assert parse(src) == parse(spelled)
+    xs = np.linspace(0.0, 1.0, 7)
+    got = from_expression(src).eval(xs, [0, 1, 2, 3])
+    want = from_expression(spelled).eval(xs, [0, 1, 2, 3])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_unary_minus_chains_are_depth_limited():
+    assert value("-2^2", 0.0) == -4.0 and value("---x", 3.0) == -3.0
+    with pytest.raises(ExpressionError, match="at most 500 levels deep"):
+        parse("-" * 500 + "x")
+    with pytest.raises(ExpressionError, match=r"expected number, 'x', '\(' or function"):
+        parse("x*-")
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
@@ -148,6 +176,7 @@ _ORACLE = [
     ("x^5/(1+x^2)-sin(x)^3", (1e6, 1e6 + 1)),
     ("cos(exp(x))*x^7-3.5", (0.0, 1.0)),
     ("cos(exp(x))*x^7-3.5", (1.0, 3.0)),
+    ("-x^5/(1+x^2)*-sin(3*x)-exp(-x)", (0.0, 1.0)),  # unary minus
 ]
 
 
@@ -489,3 +518,13 @@ def test_project_on_a_function_it_cannot_evaluate_exits_2(tmp_path, capsys, src,
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_project_reads_a_leading_minus_given_with_equals(tmp_path):
+    """argparse takes '--function -0.5*x' for two options; '--function=-0.5*x'
+    projects the function that '(0-0.5)*x' spells."""
+    for name, src in (("minus", "-0.5*x"), ("spelled", "(0-0.5)*x")):
+        assert main(["project", f"--function={src}", "--p", "2", "--q", "1",
+                     "--out", str(tmp_path / name)]) == 0
+    for csv in ("coefficients.csv", "errors.csv", "boundary.csv"):
+        assert (tmp_path / "minus" / csv).read_bytes() == (tmp_path / "spelled" / csv).read_bytes()
