@@ -39,6 +39,8 @@ class BoundQuery:
             raise ValueError(f"requires 0 <= q <= k+1: got q={self.q}, k={self.k}")
         if self.q > self.r:
             raise ValueError(f"requires q <= r: got q={self.q}, r={self.r}")
+        if self.p < self.r - 1:
+            raise ValueError(f"requires p >= r-1: got p={self.p}, r={self.r}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"requires h finite and > 0: got h={self.h}")
         if self.h_min is not None and not 0 < self.h_min <= self.h:  # finite as h is
@@ -155,8 +157,6 @@ def error_coefficient(query: BoundQuery) -> float:
     p, k, q, l, r = query.p, query.k, query.q, query.l, query.r
     if l > q:
         raise ValueError(f"requires l <= q: got l={l}, q={q}")
-    if p < r - 1:
-        raise ValueError(f"requires p >= r-1: got p={p}, r={r}")
     if p < 2 * q - l - 1:
         raise ValueError(f"requires p >= 2q-l-1: got p={p}, q={q}, l={l}")
     return _held(
@@ -176,8 +176,6 @@ def broken_error_coefficient(query: BoundQuery) -> float:
     p, k, q, l, r = query.p, query.k, query.q, query.l, query.r
     if not q < l <= r:
         raise ValueError(f"requires q < l <= r: got q={q}, l={l}, r={r}")
-    if p < r - 1:
-        raise ValueError(f"requires p >= r-1: got p={p}, r={r}")
     if query.h_min is None:
         raise ValueError("requires h_min")
     m = max(2 * r - q - 1, p)
@@ -200,8 +198,6 @@ def difference_coefficient(query: BoundQuery) -> float:
     p, k, q, l, r = query.p, query.k, query.q, query.l, query.r
     if l >= q:
         return 0.0
-    if p < r - 1:
-        raise ValueError(f"requires p >= r-1: got p={p}, r={r}")
     if p < 2 * q - 1:
         raise ValueError(f"requires p >= 2q-1: got p={p}, q={q}")
     value = (

@@ -270,6 +270,11 @@ class _Taylor:
 
 
 class _Parser:
+    """Recursive descent, one method per rule.  ``run`` is its one scanning
+    loop, and it scans with ``str`` predicates, not ``re`` classes: no class
+    matches ``isalpha``, and ``\\d`` matches ``isdecimal``, not ``isdigit``,
+    so non-ASCII input (README's ``x^٣`` and ``x^²``) reads as before."""
+
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
@@ -278,12 +283,15 @@ class _Parser:
     def error(self, message: str) -> ExpressionError:
         return ExpressionError(message, self.pos)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
+    def run(self, accepts: Callable[[str], bool]) -> str:
+        """Consume and return the run of characters that ``accepts``."""
+        start = self.pos
+        while self.pos < len(self.src) and accepts(self.src[self.pos]):
             self.pos += 1
+        return self.src[start : self.pos]
 
     def peek(self) -> str:
-        self.skip_ws()
+        self.run(str.isspace)
         return self.src[self.pos] if self.pos < len(self.src) else ""
 
     def take(self, ch: str) -> None:
@@ -293,8 +301,7 @@ class _Parser:
 
     def parse(self) -> Expr:
         ast = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.src):
+        if self.peek():
             raise self.error("unexpected trailing input")
         return ast
 
@@ -317,20 +324,16 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
-        minuses = 0  # a run of unary minuses is counted, not recursed into
-        while self.peek() == "-":
-            self.pos += 1
-            minuses += 1
+        # a run of unary minuses, spaced or not, is counted, not recursed into
+        minuses = self.run(lambda ch: ch == "-" or ch.isspace()).count("-")
         node = self.base()
         if self.peek() == "^":
             self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.src) and self.src[self.pos].isdecimal():
-                self.pos += 1
-            if self.pos == start:
+            self.run(str.isspace)
+            digits = self.run(str.isdecimal)
+            if not digits:
                 raise self.error("expected unsigned integer exponent")
-            node = Pow(node, int(self.src[start : self.pos]))
+            node = Pow(node, int(digits))
         for _ in range(minuses):
             node = Sub(Const(0.0), node)
         return node
@@ -341,16 +344,13 @@ class _Parser:
             return self.number()
         if ch.isalpha():
             start = self.pos
-            while self.pos < len(self.src) and self.src[self.pos].isalpha():
-                self.pos += 1
-            name = self.src[start : self.pos]
+            name = self.run(str.isalpha)
             if name == "x":
                 return Var()
             if name not in _CALLS:
-                self.pos = start
-                raise self.error(f"unknown identifier '{name}'")
+                raise ExpressionError(f"unknown identifier '{name}'", start)
         elif ch != "(":
-            raise self.error("expected number, 'x', '(' or function")
+            raise self.error("expected number, 'x', '(', '-' or function")
         self.take("(")
         self.nesting += 1
         if self.nesting > MAX_NESTING:
@@ -361,30 +361,20 @@ class _Parser:
         return Call(name, node) if name else node
 
     def number(self) -> Expr:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.src) and self.src[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.src) and self.src[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(self.src) and self.src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.src) and self.src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.src) and self.src[self.pos].isdigit():
-                while self.pos < len(self.src) and self.src[self.pos].isdigit():
-                    self.pos += 1
-            else:
+        start = self.pos  # base has skipped the spaces
+        self.run(str.isdigit)
+        self.pos += self.src.startswith(".", self.pos)
+        self.run(str.isdigit)
+        mark = self.pos
+        if self.src.startswith(("e", "E"), mark):
+            self.pos += 1 + self.src.startswith(("+", "-"), mark + 1)
+            if not self.run(str.isdigit):
                 self.pos = mark
         text = self.src[start : self.pos]
         try:
             return Const(float(text))
         except ValueError:
-            self.pos = start
-            raise self.error(f"invalid number '{text}'") from None
+            raise ExpressionError(f"invalid number '{text}'", start) from None
 
 
 def parse(src: str) -> Expr:

@@ -298,6 +298,10 @@ def test_difference_requires_degree():
         difference_coefficient(BoundQuery(p=2, k=1, q=2, l=0, r=3, h=0.5, length=1.0))
     with pytest.raises(ValueError, match="requires p >= r-1: got p=3, r=5"):
         difference_coefficient(BoundQuery(p=3, k=2, q=1, l=0, r=5, h=0.5, length=1.0))
+    # l >= q makes the difference exactly zero, but only for a query that
+    # every other coefficient accepts
+    with pytest.raises(ValueError, match="requires p >= r-1: got p=1, r=5"):
+        difference_coefficient(BoundQuery(p=1, k=0, q=1, l=1, r=5, h=0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from ritzspline.cli import main
 from ritzspline.functions import (
+    Add,
     Call,
     Const,
     ExpressionError,
     Mul,
+    Pow,
     SmoothFunction,
     Var,
     _compile,
@@ -67,8 +69,8 @@ def test_syntax_errors_carry_position():
         ("sin(2*x", "expected ')'", 7),
         ("tan(x)", "unknown identifier 'tan'", 0),
         ("x^-2", "expected unsigned integer exponent", 2),
-        ("2**3", "expected number, 'x', '(' or function", 2),
-        ("", "expected number, 'x', '(' or function", 0),
+        ("2**3", "expected number, 'x', '(', '-' or function", 2),
+        ("", "expected number, 'x', '(', '-' or function", 0),
         ("1.5e", "unexpected trailing input", 3),
         ("(x))", "unexpected trailing input", 3),
     ]:
@@ -76,6 +78,30 @@ def test_syntax_errors_carry_position():
             from_expression(src)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
+
+
+@pytest.mark.parametrize("src,want", [
+    ("é", ("unknown identifier 'é'", 0)),
+    ("sín(x)", ("unknown identifier 'sín'", 0)),
+    ("²", ("invalid number '²'", 0)),  # isdigit, but float() refuses it
+    ("٣*x", Mul(Const(3.0), Var())),  # float() reads Arabic-Indic digits
+    ("１+x", Add(Const(1.0), Var())),  # and fullwidth ones
+    ("x\u00a0+ 1", Add(Var(), Const(1.0))),  # no-break space
+    ("\u3000x", Var()),  # ideographic space
+    ("x^٣", Pow(Var(), 3)),  # int() reads every decimal digit
+    ("x^²", ("expected unsigned integer exponent", 2)),  # not isdecimal
+])
+def test_non_ascii_input(src, want):
+    """Digits, letters and spaces are read by their str predicates
+    (isdigit, isalpha, isspace, isdecimal), not by an ASCII class."""
+    if isinstance(want, tuple):
+        message, position = want
+        with pytest.raises(ExpressionError) as err:
+            parse(src)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+    else:
+        assert parse(src) == want
 
 
 @pytest.mark.parametrize("src,spelled", [
@@ -102,7 +128,7 @@ def test_unary_minus_chains_are_depth_limited():
     assert value("-2^2", 0.0) == -4.0 and value("---x", 3.0) == -3.0
     with pytest.raises(ExpressionError, match="at most 500 levels deep"):
         parse("-" * 500 + "x")
-    with pytest.raises(ExpressionError, match=r"expected number, 'x', '\(' or function"):
+    with pytest.raises(ExpressionError, match=r"expected number, 'x', '\(', '-' or function"):
         parse("x*-")
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ritzspline.analysis import error_norm, function_seminorm
 from ritzspline.functions import builtin, resolve_function
 from ritzspline.mesh import Breakpoints, make_space
-from ritzspline.projectors import poly_l2_project
+from ritzspline.projectors import Levels, poly_l2_project
 from ritzspline.quadrature import (
     ENV_ORDER,
     MAX_ORDER,
@@ -299,22 +299,26 @@ def test_default_order_matches_max_order_rule(name, monkeypatch):
     coefficients by about eps times the condition number of the Gram matrix
     the projector solves with (2.7e11 at p = 20 on one element), so that
     roundoff floor is added to the bound; below p = 13 it stays under 5e-11.
+    Each degree's meshes are projected together, one ``Levels`` per
+    projector and rule; each level has the bits of its own call
+    (test_batched_levels).
     """
     u = resolve_function(name)
     eps = np.finfo(float).eps
     worst = []
-    for mesh, xi in enumerate(ORDER_TEST_MESHES):
-        for p in ORDER_TEST_DEGREES:
-            q = min(2, p)
-            space = make_space(p, p - 1, xi)
-            for projector in ("l2", "q", "ritz", "qtilde"):
-                monkeypatch.delenv(ENV_ORDER, raising=False)
-                solved = p if projector == "l2" else p - q
-                floor = 8 * eps * _gram_cond(mesh, solved)
-                got = project_one(projector, space, q, u).coeffs
-                monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
-                ref = project_one(projector, space, q, u).coeffs
-                gap = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    for p in ORDER_TEST_DEGREES:
+        q = min(2, p)
+        spaces = [make_space(p, p - 1, xi) for xi in ORDER_TEST_MESHES]
+        splits = np.cumsum([space.dim for space in spaces])[:-1]
+        for projector in ("l2", "q", "ritz", "qtilde"):
+            monkeypatch.delenv(ENV_ORDER, raising=False)
+            solved = p if projector == "l2" else p - q
+            floors = [8 * eps * _gram_cond(mesh, solved) for mesh in range(len(spaces))]
+            got = np.split(Levels(u, spaces).project(projector, q), splits)
+            monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
+            ref = np.split(Levels(u, spaces).project(projector, q), splits)
+            for xi, floor, g, r in zip(ORDER_TEST_MESHES, floors, got, ref, strict=True):
+                gap = np.max(np.abs(g - r)) / np.max(np.abs(r))
                 worst.append((gap / (1e-10 + floor), (xi.points.size - 1), p, projector, gap))
     ratio, *case = max(worst)
     assert ratio <= 1.0, case
