@@ -114,27 +114,6 @@ def _div(num, den):
 # ---------------------------------------------------------------------------
 
 
-def _degree(node: Expr) -> float:
-    """Polynomial degree of ``node`` in x, as the parser built it (inf for
-    anything else): the rows above it compile to exact zeros."""
-    match node:
-        case Const(_):
-            return 0
-        case Var():
-            return 1
-        case Add(l, r) | Sub(l, r):
-            return max(_degree(l), _degree(r))
-        case Mul(l, r):
-            return _degree(l) + _degree(r)
-        case Div(l, r):
-            return _degree(l) if _degree(r) == 0 else math.inf
-        case Pow(b, n):
-            return n * _degree(b) if n else 0
-        case Call(_, a):
-            return 0 if _degree(a) == 0 else math.inf
-    raise TypeError(f"unknown node {node!r}")
-
-
 def _exact(v, c: float) -> bool:
     return type(v) is float and v == c
 
@@ -147,7 +126,8 @@ def _compile(ast: Expr, k: int) -> tuple[tuple[float, ...], tuple, tuple[int, ..
     ``op(slot i, slot j)``, or ``op(slot i)`` when j is None; ``outs`` names
     the slot of each row.  While compiling, a row is a float when it is known
     exactly, else the int n of the n-th step's value (0 for x).  Row i reads
-    only rows <= i, so it runs the same steps whatever k is.
+    only rows <= i, so it runs the same steps whatever k is.  Row i of x^n
+    is C(n, i) x^(n-i), in closed form; any other power, by repeated squaring.
     """
     steps: list[tuple] = []
 
@@ -201,19 +181,14 @@ def _compile(ast: Expr, k: int) -> tuple[tuple[float, ...], tuple, tuple[int, ..
                 return product(rows(l), rows(r))
             case Div(l, r):
                 return quotient(rows(l), rows(r))
-            case Pow(b, n) if n == 0 or _degree(b) <= 1:
-                b = rows(b)  # (b0 + b1 t)^n = sum of C(n, i) b1^i b0^(n-i) t^i
-                slope = b[1] if k > 1 else 0.0
-                return [
-                    mul(mul(float(math.comb(n, i)), power(slope, i)), power(b[0], n - i))
-                    if i <= n else 0.0
-                    for i in range(k)
-                ]
-            case Pow(b, n):  # by repeated squaring
-                out, square = None, rows(b)
+            case Pow(Var(), n):  # (x + t)^n = sum of C(n, i) x^(n-i) t^i
+                return [mul(float(math.comb(n, i)), power(0, n - i)) if i <= n else 0.0
+                        for i in range(k)]
+            case Pow(b, n):  # by repeated squaring, from the rows of 1
+                out, square = rows(Const(1.0)), rows(b)
                 while n:
                     if n & 1:
-                        out = square if out is None else product(out, square)
+                        out = product(out, square)
                     n >>= 1
                     square = product(square, square) if n else square
                 return out
@@ -330,9 +305,14 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             self.run(str.isspace)
-            digits = self.run(str.isdecimal)
+            start, digits = self.pos, self.run(str.isdecimal)
             if not digits:
                 raise self.error("expected unsigned integer exponent")
+            digits = "".join(str(int(d)) for d in digits).lstrip("0") or "0"  # as ASCII
+            if len(digits) > 16 or int(digits) > 2**53:  # int() refuses over 4300 digits
+                got = digits if len(digits) <= 20 else f"an exponent of {len(digits)} digits"
+                raise ExpressionError(f"requires an exponent at most 2^53 = {2**53}: got {got}",
+                                      start)
             node = Pow(node, int(digits))
         for _ in range(minuses):
             node = Sub(Const(0.0), node)

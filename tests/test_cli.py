@@ -185,6 +185,29 @@ BAD_INPUT = {
         ["project", "--function", "x^\u00b2", "--p", "2"],
         "expected unsigned integer exponent (at position 2)",
     ),
+    # above 2^53 a double loses the parity of the exponent, x^(2^53+1) at -1
+    # read +1; longer exponents overflowed float() or int()
+    "exponent-above-2^53": (
+        ["project", "--function", "x^9007199254740993", "--interval", "-1", "0", "--p", "2",
+         "--q", "1", "--uniform", "3"],
+        "requires an exponent at most 2^53 = 9007199254740992: got 9007199254740993 "
+        "(at position 2)",
+    ),
+    "exponent-of-31-digits": (
+        ["project", "--function", "x^1" + "0" * 30, "--p", "20", "--q", "12"],
+        "requires an exponent at most 2^53 = 9007199254740992: got an exponent of 31 digits "
+        "(at position 2)",
+    ),
+    "exponent-of-401-digits": (
+        ["project", "--function", "x^1" + "0" * 400, "--p", "2"],
+        "requires an exponent at most 2^53 = 9007199254740992: got an exponent of 401 digits "
+        "(at position 2)",
+    ),
+    "exponent-of-5000-digits": (
+        ["project", "--function", "x^" + "7" * 5000, "--p", "2"],
+        "requires an exponent at most 2^53 = 9007199254740992: got an exponent of 5000 digits "
+        "(at position 2)",
+    ),
     "fixed-smoothness": (
         ["converge", "--function", "sin4x", "--p-list", "2", "--k", "fixed:x", "--q", "1"],
         "--k must be 'max' or 'fixed:K' with K an integer: got 'fixed:x'",

@@ -17,7 +17,6 @@ from ritzspline.functions import (
     SmoothFunction,
     Var,
     _compile,
-    _degree,
     builtin,
     from_expression,
     parse,
@@ -104,6 +103,18 @@ def test_non_ascii_input(src, want):
         assert parse(src) == want
 
 
+def test_exponents_are_at_most_2_53():
+    """Above 2^53 a double loses the parity of the exponent, so the parser
+    refuses it; up to it, x^n keeps the sign of (-1)^n."""
+    assert from_expression("x^9007199254740992").eval(-1.0) == 1.0
+    assert from_expression("x^9007199254740991").eval(-1.0) == -1.0
+    assert parse("x^0005") == parse("x^" + "\u0660" * 20 + "5") == Pow(Var(), 5)
+    with pytest.raises(ExpressionError) as err:
+        from_expression("x^9007199254740993")
+    assert str(err.value) == ("requires an exponent at most 2^53 = 9007199254740992: "
+                              "got 9007199254740993 (at position 2)")
+
+
 @pytest.mark.parametrize("src,spelled", [
     ("-0.5*x", "(0-0.5)*x"),
     ("(-0.5)*x", "(0-0.5)*x"),
@@ -147,16 +158,23 @@ def test_derivative_of_power():
     np.testing.assert_allclose(value("x^6", xs, 1), 6 * xs**5, atol=1e-14)
 
 
-def test_seventh_derivative_of_x6_folds_to_zero():
-    """Rows above the degree of a power of x are exact zeros while compiling:
-    the seventh derivative runs no step and fills the shape of x."""
-    f = from_expression("x^6")
+@pytest.mark.parametrize("src,order,top", [
+    ("x^6", 7, 720.0),
+    ("(2*x+1)^3", 4, 48.0),
+    ("(x/2)^4", 5, 1.5),
+    ("(0-x)^5", 6, -120.0),  # the last three by repeated squaring
+])
+def test_derivatives_above_the_degree_of_a_power_fold_to_zero(src, order, top):
+    """Rows above the degree of a power of a base linear in x are exact zeros
+    while compiling: the derivative of that order runs no step and fills the
+    shape of x; the one below it is the constant ``top``."""
+    f = from_expression(src)
     x = np.linspace(0.0, 1.0, 5)
-    seventh, sixth = f.eval(x, [7, 6])
-    assert np.all(seventh == 0.0) and np.all(sixth == 720.0)
-    consts, steps, outs = f.evaluator.programs[8]
-    assert 1 <= outs[7] <= len(consts) and consts[outs[7] - 1] == 0.0
-    assert f.eval(0.5, 7) == 0.0
+    above, below = f.eval(x, [order, order - 1])
+    assert np.all(above == 0.0) and np.all(below == top)
+    consts, steps, outs = f.evaluator.programs[order + 1]
+    assert 1 <= outs[order] <= len(consts) and consts[outs[order] - 1] == 0.0
+    assert f.eval(0.5, order) == 0.0
 
 
 def test_derivative_cap():
@@ -203,6 +221,11 @@ _ORACLE = [
     ("cos(exp(x))*x^7-3.5", (0.0, 1.0)),
     ("cos(exp(x))*x^7-3.5", (1.0, 3.0)),
     ("-x^5/(1+x^2)*-sin(3*x)-exp(-x)", (0.0, 1.0)),  # unary minus
+    # powers of bases other than x, by repeated squaring
+    ("(2*x-1)^7/(1+x^2)+sin(x)*(x/3+1)^4", (0.0, 1.0)),
+    ("(2*x-1)^7/(1+x^2)+sin(x)*(x/3+1)^4", (1.0, 3.0)),
+    ("(1-x)^9*exp(x)", (0.0, 1.0)),
+    ("exp(x-1000000)*(x-1000000.5)^5", (1e6, 1e6 + 1)),
 ]
 
 
@@ -350,7 +373,7 @@ def test_constant_roots_fill_the_shape_of_x():
 def test_division_by_zero_raises_for_any_order_set():
     """A denominator that vanishes at a point raises, whichever orders are
     asked for, also where the numerator vanishes."""
-    for src in ("1/(x-1)", "x/0", "1/0", "x/x", "0/x", "0/(x-x)"):
+    for src in ("1/(x-1)", "x/0", "1/0", "x/x", "0/x", "0/(x-x)", "(1/x)^0"):
         f = from_expression(src)
         for orders in ([0], [2, 0], [1, 3], [12]):
             with pytest.raises(ExpressionError, match="division by zero"):
@@ -466,7 +489,7 @@ def test_an_evaluator_of_the_wrong_rows_is_named(evaluator, shapes):
     )
 
 
-@pytest.mark.parametrize("walk", [_degree, lambda node: _compile(node, 3)])
+@pytest.mark.parametrize("walk", [lambda node: _compile(node, 3)])
 def test_a_node_of_no_known_kind_is_a_type_error(walk):
     with pytest.raises(TypeError, match="^unknown node 'x'$"):
         walk("x")

@@ -299,25 +299,28 @@ def test_default_order_matches_max_order_rule(name, monkeypatch):
     coefficients by about eps times the condition number of the Gram matrix
     the projector solves with (2.7e11 at p = 20 on one element), so that
     roundoff floor is added to the bound; below p = 13 it stays under 5e-11.
-    Each degree's meshes are projected together, one ``Levels`` per
-    projector and rule; each level has the bits of its own call
+    Each degree's meshes are projected together, one ``Levels`` per rule
+    shared by the four projectors; each level has the bits of its own call
     (test_batched_levels).
     """
     u = resolve_function(name)
     eps = np.finfo(float).eps
+    projectors = ("l2", "q", "ritz", "qtilde")
     worst = []
     for p in ORDER_TEST_DEGREES:
         q = min(2, p)
         spaces = [make_space(p, p - 1, xi) for xi in ORDER_TEST_MESHES]
         splits = np.cumsum([space.dim for space in spaces])[:-1]
-        for projector in ("l2", "q", "ritz", "qtilde"):
-            monkeypatch.delenv(ENV_ORDER, raising=False)
-            solved = p if projector == "l2" else p - q
-            floors = [8 * eps * _gram_cond(mesh, solved) for mesh in range(len(spaces))]
-            got = np.split(Levels(u, spaces).project(projector, q), splits)
-            monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
-            ref = np.split(Levels(u, spaces).project(projector, q), splits)
-            for xi, floor, g, r in zip(ORDER_TEST_MESHES, floors, got, ref, strict=True):
+        monkeypatch.delenv(ENV_ORDER, raising=False)
+        floors = [[8 * eps * _gram_cond(mesh, p if projector == "l2" else p - q)
+                   for mesh in range(len(spaces))] for projector in projectors]
+        levels = Levels(u, spaces)
+        got = [np.split(levels.project(projector, q), splits) for projector in projectors]
+        monkeypatch.setenv(ENV_ORDER, str(MAX_ORDER))
+        levels = Levels(u, spaces)
+        ref = [np.split(levels.project(projector, q), splits) for projector in projectors]
+        for projector, *per_mesh in zip(projectors, floors, got, ref, strict=True):
+            for xi, floor, g, r in zip(ORDER_TEST_MESHES, *per_mesh, strict=True):
                 gap = np.max(np.abs(g - r)) / np.max(np.abs(r))
                 worst.append((gap / (1e-10 + floor), (xi.points.size - 1), p, projector, gap))
     ratio, *case = max(worst)
